@@ -8,7 +8,7 @@ shot noise, visibility calibration, fringe-based extraction and
 least-squares refinement, and fidelity reporting.
 """
 
-from ._kernels import active_backend, available_backends
+from ._kernels import active_backend
 from .qcore import (ComplexMatrix, DensityMatrix, eigenvalues_hermitian,
                     fidelity_mixed, fidelity_pure, is_positive_semidefinite,
                     kron, partial_trace, qubit_state_fidelity)
@@ -48,6 +48,6 @@ __all__ = [
     "ConvergenceError", "FitError", "CalibrationError", "Method",
     "ReconstructionResult", "SinusoidFit", "extract_parameters",
     "fit_sinusoid", "mle_cost", "mle_reconstruct", "report_fidelity",
-    "active_backend", "available_backends",
+    "active_backend",
     "__version__",
 ]

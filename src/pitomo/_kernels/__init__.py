@@ -1,57 +1,27 @@
-"""Numeric kernels with interchangeable pure-Python and compiled backends.
+"""Numeric kernels, loaded once at import time from one backend.
 
-At import time the compiled Cython backend is selected when available,
-the pure-Python reference otherwise.  Override with the environment
-variable ``PITOMO_BACKEND`` (``fast`` or ``pure``) or by calling
-:func:`use`.  Both backends implement the same operations and are
-required to produce bit-identical results; callers access them through
-this module's attributes so a switch takes effect everywhere.
+The compiled backend (``_fast``, built from ``_fast.pyx``) is used when it
+imports; otherwise the pure-Python reference in ``pure`` is.  There is no
+run-time switch: the choice follows only from what is installed.
+
+Both backends implement the same operations with the same signatures and
+must give bit-identical results, so that seeded ``(seed, stream)`` noise
+streams and every primary output do not depend on which one is loaded.
+``tests/test_kernels.py::TestBackendParity`` checks this: it compiles the
+committed ``_fast.c`` beside ``pure`` when a C compiler is present and
+compares the two operation by operation.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import pure as _pure
-
-_BACKENDS = {"pure": _pure}
-
 try:
-    from . import _fast as _fastmod
-    _BACKENDS["fast"] = _fastmod
+    from ._fast import (BACKEND, Rng, eigh, kron, loggam, mat_dagger,
+                        mat_mul, partial_trace, sinusoid_sq_residual)
 except ImportError:
-    _fastmod = None
-
-_EXPORTED = ("mat_mul", "mat_dagger", "kron", "partial_trace", "eigh",
-             "Rng", "loggam", "sinusoid_sq_residual")
-
-_active = "uninitialized"
-
-
-def use(name: str) -> None:
-    """Select the kernel backend ('fast' or 'pure') for the whole process."""
-    global _active
-    try:
-        mod = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown or unavailable backend {name!r}; "
-            f"available: {sorted(_BACKENDS)}") from None
-    for fn in _EXPORTED:
-        globals()[fn] = getattr(mod, fn)
-    _active = name
+    from .pure import (BACKEND, Rng, eigh, kron, loggam, mat_dagger,
+                       mat_mul, partial_trace, sinusoid_sq_residual)
 
 
 def active_backend() -> str:
-    return _active
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-_env = os.environ.get("PITOMO_BACKEND", "").strip().lower()
-if _env:
-    use(_env)
-else:
-    use("fast" if "fast" in _BACKENDS else "pure")
+    """Name of the loaded backend: ``"fast"`` or ``"pure"``."""
+    return BACKEND

@@ -46,6 +46,9 @@ class ScanPlan:
         object.__setattr__(self, "setting", SignalSetting(self.setting))
         if len(self.phases) < 5:
             raise ValueError("a scan needs at least 5 phase points")
+        for i, p in enumerate(self.phases):
+            if not math.isfinite(p):
+                raise ValueError(f"phases[{i}] must be finite, got {p!r}")
         for a, b in zip(self.phases, self.phases[1:]):
             if b <= a:
                 raise ValueError("phases must be strictly increasing")
@@ -109,9 +112,21 @@ class ScanRecord:
     def from_json_dict(cls, d: dict) -> "ScanRecord":
         truth = d.get("truth")
         return cls(ScanPlan.from_json_dict(d["plan"]),
-                   tuple(int(c) for c in d["counts_primary"]),
-                   tuple(int(c) for c in d["counts_constant"]),
+                   _integral_counts(d["counts_primary"], "counts_primary"),
+                   _integral_counts(d["counts_constant"], "counts_constant"),
                    InterferometerConfig.from_json_dict(truth) if truth else None)
+
+
+def _integral_counts(values, field: str) -> tuple[int, ...]:
+    """Counts read from a file: ints, or floats with an integral value."""
+    out = []
+    for i, c in enumerate(values):
+        if isinstance(c, float) and c.is_integer():
+            c = int(c)
+        if type(c) is not int:
+            raise ValueError(f"{field}[{i}] must be an integer count, got {c!r}")
+        out.append(c)
+    return tuple(out)
 
 
 def _channel_rates(cfg: InterferometerConfig, phi: float) -> tuple[float, float]:

@@ -54,6 +54,7 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> Non
         "seed": getattr(args, "seed", None),
         "output_dir": str(outdir),
         "version": __version__,
+        "backend": _k.active_backend(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     _write_json(outdir / "manifest.json", manifest)
@@ -350,7 +351,12 @@ def run_verification(trials: int, seed: int) -> dict:
         "detail": f"min eigenvalue = {worst_eig:.3e}",
     })
 
-    cfg = random_valid_config(rng, purity=0.5)
+    # A balanced source pair with an unbiased idler: its violation at
+    # coherence 1.2 stays near -0.06 for every xi and phi, whereas a random
+    # configuration's shrinks toward zero when w1 or p_h*p_v is small.
+    cfg = InterferometerConfig.balanced(
+        IdlerStateParams(0.5, 2.0 * math.pi * rng.random(), 0.5),
+        phi=2.0 * math.pi * rng.random())
     stressed = coherence_stressed_state(cfg, 1.2)
     lo = stressed.min_eigenvalue()
     checks.append({

@@ -1,17 +1,19 @@
 """Kernel-level tests: PRNG correctness, Poisson statistics, linear algebra
 against numpy oracles, and bit-identity between the two backends."""
 
+import importlib.util
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pitomo._kernels import available_backends, pure
+from pitomo._kernels import pure
 from conftest import random_hermitian
-
-HAVE_FAST = "fast" in available_backends()
-if HAVE_FAST:
-    from pitomo._kernels import _fast
 
 MASK = (1 << 64) - 1
 
@@ -131,6 +133,26 @@ def test_poisson_large_mean_branch():
     assert abs(total / n - mu) <= 4.0 * math.sqrt(mu / n)
 
 
+@pytest.mark.parametrize("seed, stream, mu, expected", [
+    (2024, 0, 5.0,
+     [9, 1, 3, 5, 4, 2, 5, 5, 4, 9, 4, 3, 3, 3, 4, 2, 5, 7, 4, 7]),
+    (2024, 0, 666.6,
+     [735, 640, 653, 666, 649, 639, 656, 671, 649, 643,
+      664, 666, 665, 658, 661, 702, 721, 693, 698, 670]),
+    (7, 3, 5.0,
+     [12, 5, 5, 4, 5, 7, 6, 5, 7, 4, 5, 3, 1, 7, 6, 6, 7, 1, 5, 9]),
+    (7, 3, 666.6,
+     [665, 666, 686, 690, 675, 681, 688, 669, 668, 704,
+      597, 680, 614, 701, 621, 673, 685, 653, 662, 649]),
+])
+def test_poisson_stream_golden(seed, stream, mu, expected):
+    # pins the (seed, stream) contract on the inversion (mu < 30) and
+    # rejection (mu >= 30) branches; TestBackendParity carries it to the
+    # compiled backend
+    rng = pure.Rng(seed, stream)
+    assert [rng.poisson(mu) for _ in range(20)] == expected
+
+
 def test_poisson_edge_cases():
     rng = pure.Rng(1, 0)
     assert rng.poisson(0.0) == 0
@@ -209,41 +231,79 @@ def test_sinusoid_sq_residual_matches_direct():
 # backend bit-identity
 
 
-@pytest.mark.skipif(not HAVE_FAST, reason="compiled backend not built")
+@pytest.fixture(scope="session")
+def fast(tmp_path_factory):
+    """The compiled backend: the installed one, else one built from _fast.c.
+
+    A built module is loaded without entering ``sys.modules``, so the
+    session's own ``pitomo._kernels`` stays on the backend it imported.
+    The flags are the ones ``setup.py`` passes; -ffp-contract=off forbids
+    the FMA contraction that would break bit-identity.
+    """
+    try:
+        from pitomo._kernels import _fast
+        return _fast
+    except ImportError:
+        pass
+    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
+    if cc is None:
+        pytest.skip("no C compiler to build the compiled backend")
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").exists():
+        pytest.skip(f"no Python headers in {include} to build the compiled "
+                    "backend")
+    source = Path(pure.__file__).with_name("_fast.c")
+    target = (tmp_path_factory.mktemp("fast")
+              / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX")))
+    build = subprocess.run(
+        [cc, "-shared", "-fPIC", "-O2", "-ffp-contract=off", f"-I{include}",
+         str(source), "-o", str(target)],
+        capture_output=True, text=True)
+    if build.returncode != 0:
+        pytest.fail(f"building {source.name} failed:\n{build.stderr}")
+    spec = importlib.util.spec_from_file_location("pitomo._kernels._fast",
+                                                  target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Cython's module init registers the module in sys.modules; undo that
+    del sys.modules[spec.name]
+    return module
+
+
 class TestBackendParity:
-    def test_u64_streams(self):
+    def test_u64_streams(self, fast):
         for seed, stream in [(0, 0), (7, 0), (7, 3), ((1 << 64) - 1, 5)]:
             rp = pure.Rng(seed, stream)
-            rf = _fast.Rng(seed, stream)
+            rf = fast.Rng(seed, stream)
             assert [rp.u64() for _ in range(200)] == [rf.u64() for _ in range(200)]
 
-    def test_poisson_streams(self):
+    def test_poisson_streams(self, fast):
         for mu in (0.3, 5.0, 29.999, 30.0, 666.6, 12345.6):
             rp = pure.Rng(99, 0)
-            rf = _fast.Rng(99, 0)
+            rf = fast.Rng(99, 0)
             assert ([rp.poisson(mu) for _ in range(3000)]
                     == [rf.poisson(mu) for _ in range(3000)])
 
-    def test_matrix_kernels(self, rng):
+    def test_matrix_kernels(self, fast, rng):
         for trial in range(40):
             n = 2 + trial % 7
             h = random_hermitian(rng, n)
             a = [complex(rng.random(), rng.random()) for _ in range(n * n)]
-            assert pure.eigh(h, n) == _fast.eigh(h, n)
+            assert pure.eigh(h, n) == fast.eigh(h, n)
             assert (pure.mat_mul(a, n, n, h, n, n)
-                    == _fast.mat_mul(a, n, n, h, n, n))
-            assert pure.kron(a, n, n, h, n, n) == _fast.kron(a, n, n, h, n, n)
-            assert pure.mat_dagger(a, n, n) == _fast.mat_dagger(a, n, n)
+                    == fast.mat_mul(a, n, n, h, n, n))
+            assert pure.kron(a, n, n, h, n, n) == fast.kron(a, n, n, h, n, n)
+            assert pure.mat_dagger(a, n, n) == fast.mat_dagger(a, n, n)
 
-    def test_partial_trace_and_residual(self, rng):
+    def test_partial_trace_and_residual(self, fast, rng):
         rho = [complex(rng.random(), rng.random()) for _ in range(144)]
         assert (pure.partial_trace(rho, (2, 3, 2), (1,))
-                == _fast.partial_trace(rho, (2, 3, 2), (1,)))
+                == fast.partial_trace(rho, (2, 3, 2), (1,)))
         phases = [0.31 * k for k in range(20)]
         counts = [int(100 + 3 * k) for k in range(20)]
         assert (pure.sinusoid_sq_residual(phases, counts, 101.0, 0.4, 0.7)
-                == _fast.sinusoid_sq_residual(phases, counts, 101.0, 0.4, 0.7))
+                == fast.sinusoid_sq_residual(phases, counts, 101.0, 0.4, 0.7))
 
-    def test_loggam(self):
+    def test_loggam(self, fast):
         for x in (1.0, 2.0, 3.0, 7.0, 7.5, 31.0, 1234.5):
-            assert pure.loggam(x) == _fast.loggam(x)
+            assert pure.loggam(x) == fast.loggam(x)
