@@ -16,13 +16,12 @@ from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
                      WaveplateSetting, idler_density_matrix,
                      params_from_density_matrix, prepared_idler_params,
                      waveplate_unitary)
-from .interferometer import (DetectionRates, InterferometerConfig,
+from .interferometer import (DetectionRates, Fringe, InterferometerConfig,
                              SignalSetting, apply_alignment,
-                             coherence_stressed_state,
+                             coherence_stressed_state, fringe,
                              post_interaction_idler, random_valid_config,
                              rates_closed_form, rates_exact, recombine,
-                             signal_reduced_state, total_state,
-                             visibilities_closed_form)
+                             total_state)
 from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
 from .reconstruct import (ConvergenceError, FitError, CalibrationError,
@@ -39,10 +38,10 @@ __all__ = [
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
     "idler_density_matrix", "params_from_density_matrix",
     "prepared_idler_params", "waveplate_unitary",
-    "DetectionRates", "InterferometerConfig", "SignalSetting",
-    "apply_alignment", "coherence_stressed_state", "post_interaction_idler",
-    "random_valid_config", "rates_closed_form", "rates_exact", "recombine",
-    "signal_reduced_state", "total_state", "visibilities_closed_form",
+    "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",
+    "apply_alignment", "coherence_stressed_state", "fringe",
+    "post_interaction_idler", "random_valid_config", "rates_closed_form",
+    "rates_exact", "recombine", "total_state",
     "CalibrationResult", "ScanPlan", "ScanRecord", "run_calibration",
     "run_scan",
     "ConvergenceError", "FitError", "CalibrationError", "Method",

@@ -22,10 +22,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernels as _k
-from .interferometer import InterferometerConfig, SignalSetting, rates_closed_form
+from .interferometer import InterferometerConfig, SignalSetting, fringe
 from .states import IdlerStateParams
 
 TWO_PI = 2.0 * math.pi
@@ -129,35 +129,23 @@ def _integral_counts(values, field: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _channel_rates(cfg: InterferometerConfig, phi: float) -> tuple[float, float]:
-    rates = rates_closed_form(cfg.with_phi(phi))
-    if cfg.signal_setting is SignalSetting.H:
-        pair = rates.rate_h, rates.rate_v
-    else:
-        pair = rates.rate_v, rates.rate_h
-    # cancellation at a fringe null can undershoot zero by ~1e-16
-    return max(0.0, pair[0]), max(0.0, pair[1])
-
-
 def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
-    """Generate one scan record from the configuration's rate model."""
+    """Generate one scan record from the configuration's fringe."""
     cfg = cfg.with_setting(plan.setting)
+    f = fringe(cfg)
     n = plan.counts_per_point
-    primary: list[int] = []
-    constant: list[int] = []
+    # cancellation at a fringe null can undershoot zero by ~1e-16
+    rates = [max(0.0, f.at(phi)) for phi in plan.phases]
+    rc = max(0.0, f.constant)
     if plan.noiseless:
-        for phi in plan.phases:
-            rf, rc = _channel_rates(cfg, phi)
-            primary.append(round(n * rf))
-            constant.append(round(n * rc))
+        primary = [round(n * rf) for rf in rates]
+        constant = [round(n * rc)] * len(rates)
     else:
         base = 2 * (cfg.signal_setting is SignalSetting.V)
         rng_f = _k.Rng(plan.seed, base)
         rng_c = _k.Rng(plan.seed, base + 1)
-        for phi in plan.phases:
-            rf, rc = _channel_rates(cfg, phi)
-            primary.append(rng_f.poisson(n * rf))
-            constant.append(rng_c.poisson(n * rc))
+        primary = [rng_f.poisson(n * rf) for rf in rates]
+        constant = [rng_c.poisson(n * rc) for _ in rates]
     return ScanRecord(plan, tuple(primary), tuple(constant), truth=cfg)
 
 
@@ -197,7 +185,7 @@ def run_calibration(cfg_template: InterferometerConfig,
     results = []
     for setting, idler in ((SignalSetting.H, IdlerStateParams.horizontal()),
                            (SignalSetting.V, IdlerStateParams.vertical())):
-        scan = run_scan(cfg_template.with_idler(idler),
+        scan = run_scan(replace(cfg_template, idler=idler),
                         replace(plan, setting=setting))
         fit = fit_sinusoid(scan.plan.phases, scan.counts_primary)
         results.append((fit.visibility, fit.visibility_stderr))
@@ -209,10 +197,13 @@ def run_calibration(cfg_template: InterferometerConfig,
 # persistence
 
 
+CSV_COLUMNS = ("phi_rad", "counts_fringe", "counts_const")
+
+
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     lines = [f"# setting={record.plan.setting.value} "
              f"seed={record.plan.seed} n={record.plan.counts_per_point}",
-             "phi_rad,counts_fringe,counts_const"]
+             ",".join(CSV_COLUMNS)]
     for phi, cf, cc in zip(record.plan.phases, record.counts_primary,
                            record.counts_constant):
         lines.append(f"{phi!r},{cf},{cc}")
@@ -220,23 +211,43 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
-    """Read a scan CSV; the noiseless flag and truth are not part of CSV."""
-    text = Path(path).read_text().strip().splitlines()
-    if len(text) < 3 or not text[0].startswith("# "):
+    """Read a scan CSV; the noiseless flag and truth are not part of CSV.
+
+    A malformed data row is reported as ``path:line: ...``.
+    """
+    rows = [(k, line.strip()) for k, line
+            in enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
+    if len(rows) < 3 or not rows[0][1].startswith("# "):
         raise ValueError(f"{path}: not a scan CSV")
-    meta = dict(kv.split("=", 1) for kv in text[0][2:].split())
-    if text[1].strip() != "phi_rad,counts_fringe,counts_const":
-        raise ValueError(f"{path}: unexpected column header {text[1]!r}")
+    meta = dict(kv.split("=", 1) for kv in rows[0][1][2:].split())
+    if rows[1][1] != ",".join(CSV_COLUMNS):
+        raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
     phases: list[float] = []
     primary: list[int] = []
     constant: list[int] = []
-    for line in text[2:]:
-        if not line.strip():
-            continue
-        phi_s, cf_s, cc_s = line.split(",")
-        phases.append(float(phi_s))
-        primary.append(int(cf_s))
-        constant.append(int(cc_s))
+    for k, line in rows[2:]:
+        fields = line.split(",")
+        if len(fields) != len(CSV_COLUMNS):
+            raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
+                             f"got {len(fields)}")
+        try:
+            phi = float(fields[0])
+        except ValueError:
+            phi = math.nan
+        if not math.isfinite(phi):
+            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must be a finite "
+                             f"number, got {fields[0]!r}")
+        phases.append(phi)
+        for name, text, counts in zip(CSV_COLUMNS[1:], fields[1:],
+                                      (primary, constant)):
+            try:
+                counts.append(int(text))
+            except ValueError:
+                raise ValueError(f"{path}:{k}: {name} must be an integer "
+                                 f"count, got {text!r}") from None
+            if counts[-1] < 0:
+                raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
+                                 f"got {text!r}")
     plan = ScanPlan(tuple(phases), int(meta["n"]), SignalSetting(meta["setting"]),
                     int(meta["seed"]), noiseless=False)
     return ScanRecord(plan, tuple(primary), tuple(constant), truth=None)

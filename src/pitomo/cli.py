@@ -22,15 +22,16 @@ from pathlib import Path
 
 from . import __version__
 from . import _kernels as _k
-from .acquisition import (CalibrationResult, ScanPlan, calibration_from_json,
-                          calibration_to_json, load_scan, run_calibration,
-                          run_scan, scan_to_csv, scan_to_json)
+from .acquisition import (ScanPlan, calibration_from_json, calibration_to_json,
+                          load_scan, run_calibration, run_scan, scan_to_csv,
+                          scan_to_json)
 from .interferometer import (InterferometerConfig, SignalSetting,
-                             coherence_stressed_state, random_valid_config,
-                             rates_closed_form, rates_exact, total_state)
+                             coherence_stressed_state, fringe,
+                             random_valid_config, rates_closed_form,
+                             rates_exact, total_state)
 from .reconstruct import (CalibrationError, ConvergenceError, FitError,
-                          Method, ReconstructionResult, extract_parameters,
-                          mle_reconstruct, report_fidelity)
+                          ReconstructionResult, extract_parameters,
+                          fit_sinusoid, mle_reconstruct, report_fidelity)
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateSetting,
                      prepared_idler_params)
 
@@ -72,7 +73,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b1", type=float, default=None,
                    help="source-1 amplitude; source-2 magnitude follows from "
                         "normalization (default: balanced, 1/sqrt(3))")
-    p.add_argument("--phi", type=float, default=None, help="source phase offset, rad")
     p.add_argument("--t-h", type=float, default=None, dest="t_h",
                    help="alignment transmission magnitude for H")
     p.add_argument("--t-v", type=float, default=None, dest="t_v",
@@ -90,14 +90,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="reference-source H weight")
     p.add_argument("--theta", type=float, default=None,
                    help="reference-source phase, rad")
-    p.add_argument("--coherence-l", type=float, default=None, dest="coherence_l",
-                   help="cross-source coherence of V against reference H "
-                        "(defaults to the idler purity; override only for "
-                        "positivity studies)")
-    p.add_argument("--coherence-lp", type=float, default=None,
-                   dest="coherence_lp",
-                   help="cross-source coherence of V against reference V "
-                        "(defaults to the idler purity)")
 
 
 def _build_config(args, setting: SignalSetting = SignalSetting.H) -> InterferometerConfig:
@@ -126,8 +118,16 @@ def _build_config(args, setting: SignalSetting = SignalSetting.H) -> Interferome
     if args.t_v_phase is not None:
         t_v = abs(t_v) * complex(math.cos(args.t_v_phase), math.sin(args.t_v_phase))
     return InterferometerConfig(
-        b1=b1, b2_mag=b2_mag, phi=cfg.phi if args.phi is None else args.phi,
+        b1=b1, b2_mag=b2_mag, phi=cfg.phi,
         t_h=t_h, t_v=t_v, idler=idler, q2=q2, signal_setting=setting)
+
+
+def _require_balanced(cfg: InterferometerConfig, what: str) -> None:
+    """The inversion's rate model is reduced for the balanced arrangement."""
+    if not cfg.is_balanced:
+        raise ValueError(f"{what} is not the balanced source arrangement "
+                         "(b2 = sqrt(2) b1, p_h2 = 0.5, theta = 0) that the "
+                         "inversion assumes")
 
 
 def _require_seed(args) -> int | None:
@@ -221,6 +221,9 @@ def _render_report(result: ReconstructionResult) -> str:
 def cmd_reconstruct(args) -> int:
     scan_h = load_scan(args.scan_h)
     scan_v = load_scan(args.scan_v)
+    for scan, path in ((scan_h, args.scan_h), (scan_v, args.scan_v)):
+        if scan.truth is not None:
+            _require_balanced(scan.truth, f"{path}: the embedded truth")
     cal = calibration_from_json(args.calibration)
     if args.method == "mle":
         result = mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v)
@@ -248,6 +251,7 @@ def cmd_sweep(args) -> int:
     if fail is not None:
         return fail
     cfg = _build_config(args)
+    _require_balanced(cfg, "the sweep configuration")
     angles = _parse_angles(args.angles)
     plate = (WaveplateSetting.hwp if args.plate == "hwp" else WaveplateSetting.qwp)
     if args.calibration is not None:
@@ -261,7 +265,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for idx, angle_deg in enumerate(angles):
         prepared = prepared_idler_params([plate(angle_deg * DEG)])
-        cfg_a = cfg.with_idler(prepared)
+        cfg_a = replace(cfg, idler=prepared)
         plan_h = ScanPlan.default_grid(SignalSetting.H, seed0 + idx,
                                        points=args.points,
                                        counts_per_point=args.n,
@@ -274,11 +278,10 @@ def cmd_sweep(args) -> int:
         else:
             result = extract_parameters(scan_h, scan_v, t_h, t_v)
         report_fidelity(result, prepared)
-        from .reconstruct import fit_sinusoid
         vis_h = fit_sinusoid(scan_h.plan.phases, scan_h.counts_primary).visibility
         vis_v = fit_sinusoid(scan_v.plan.phases, scan_v.counts_primary).visibility
-        theory_h = abs(cfg.t_h) * math.sqrt(prepared.p_h)
-        theory_v = abs(cfg.t_v) * prepared.purity * math.sqrt(prepared.p_v)
+        theory_h = fringe(scan_h.truth).visibility
+        theory_v = fringe(scan_v.truth).visibility
         rows.append((angle_deg, vis_h, vis_v, result.params.p_h,
                      result.params.xi, result.params.purity,
                      result.fidelity_vs_reference, theory_h, theory_v))

@@ -20,22 +20,26 @@ of one output port are the detection rates.
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
 detected H/V rates are the first two diagonal elements after
-recombination.  With this choice the exact pipeline reproduces the
-closed-form rate formulas below, which is also what the reconstruction
-inverts.  Closed-form fringes (fringing detector per setting):
+recombination.
 
-    setting H:  r_H = (b1^2 + b2^2 p_h2
-                       + 2 b1 b2 |t_h| sqrt(p_h p_h2) cos(phi - arg t_h)) / 2
-                r_V = b2^2 p_v2 / 2                      (constant)
-    setting V:  r_V = (b1^2 + b2^2 p_v2
-                       + 2 I b1 b2 |t_v| sqrt(p_v p_v2)
-                           cos(phi + theta - xi - arg t_v)) / 2
-                r_H = b2^2 p_h2 / 2                      (constant)
+The rate law.  With the signal set to H (V), one detector sees a fringe
+as the source phase phi is scanned and the other a constant rate:
 
-where I is the idler purity parameter.  Rates are probabilities per
-generated pair.  Both computation paths, the exact matrix evolution
-(the oracle used in tests) and these closed forms (what the scans and
-the reconstructor use), are public and agree to better than 1e-10.
+    fringing:  offset + amplitude * cos(phi - phase)
+    constant:  b2^2 p_v2 / 2     (setting H; b2^2 p_h2 / 2 for V)
+
+    setting H:  offset    = (b1^2 + b2^2 p_h2) / 2
+                amplitude = b1 b2 |t_h| sqrt(p_h p_h2)
+                phase     = arg t_h
+    setting V:  offset    = (b1^2 + b2^2 p_v2) / 2
+                amplitude = b1 b2 I |t_v| sqrt(p_v p_v2)
+                phase     = xi + arg t_v - theta
+
+where I is the idler purity.  Rates are probabilities per generated
+pair.  :func:`fringe` is the one closed-form statement of this law;
+:func:`rates_exact` reaches the same rates through the full matrix
+evolution (the oracle used in tests) and agrees with it to better than
+1e-10 for every configuration that can be constructed.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import _kernels as _k
 from .qcore import ComplexMatrix, DensityMatrix
@@ -82,12 +85,8 @@ class SignalSetting(str, enum.Enum):
 class InterferometerConfig:
     """Every physical knob of the two-source arrangement.
 
-    coherence_l / coherence_lp tie the V polarization of source 1 to
-    the H / V polarization of source 2; a physical (positive
-    semidefinite) joint state requires both to equal the idler purity,
-    which is what default construction does.  Values differing from the
-    purity are accepted solely to build states that violate positivity
-    on purpose.
+    phi is the source phase of the joint state; a scan steps it over its
+    own grid, so only the exact matrix pipeline reads this field.
     """
 
     b1: float
@@ -97,8 +96,6 @@ class InterferometerConfig:
     t_v: complex = 1.0 + 0j
     idler: IdlerStateParams = IdlerStateParams.horizontal()
     q2: SourceQ2Params = SourceQ2Params()
-    coherence_l: Optional[float] = None
-    coherence_lp: Optional[float] = None
     signal_setting: SignalSetting = SignalSetting.H
 
     def __post_init__(self):
@@ -111,12 +108,6 @@ class InterferometerConfig:
         object.__setattr__(self, "t_v", complex(self.t_v))
         if abs(self.t_h) > 1.0 + 1e-12 or abs(self.t_v) > 1.0 + 1e-12:
             raise ValueError("|t_h| and |t_v| must be <= 1")
-        if self.coherence_l is None:
-            object.__setattr__(self, "coherence_l", self.idler.purity)
-        if self.coherence_lp is None:
-            object.__setattr__(self, "coherence_lp", self.idler.purity)
-        if self.coherence_l < 0.0 or self.coherence_lp < 0.0:
-            raise ValueError("coherence parameters must be >= 0")
         object.__setattr__(self, "signal_setting", SignalSetting(self.signal_setting))
 
     # -- convenience ----------------------------------------------------
@@ -137,15 +128,8 @@ class InterferometerConfig:
                 and abs(self.q2.p_h2 - 0.5) < 1e-12
                 and self.q2.theta == 0.0)
 
-    def with_phi(self, phi: float) -> "InterferometerConfig":
-        return replace(self, phi=phi)
-
     def with_setting(self, setting: SignalSetting) -> "InterferometerConfig":
         return replace(self, signal_setting=setting)
-
-    def with_idler(self, idler: IdlerStateParams) -> "InterferometerConfig":
-        """Swap the prepared idler state; re-ties the coherences to its purity."""
-        return replace(self, idler=idler, coherence_l=None, coherence_lp=None)
 
     @property
     def b2(self) -> complex:
@@ -160,8 +144,6 @@ class InterferometerConfig:
             "t_v": {"re": self.t_v.real, "im": self.t_v.imag},
             "idler": self.idler.to_json_dict(),
             "q2": self.q2.to_json_dict(),
-            "coherence_l": self.coherence_l,
-            "coherence_lp": self.coherence_lp,
             "signal_setting": self.signal_setting.value,
         }
 
@@ -171,16 +153,23 @@ class InterferometerConfig:
             if isinstance(v, dict):
                 return complex(float(v["re"]), float(v.get("im", 0.0)))
             return complex(v)
+        idler = IdlerStateParams.from_json_dict(d["idler"])
+        # Files written before the cross-source coherences were tied to the
+        # idler purity carry them; they load only while they agree with it.
+        for key in ("coherence_l", "coherence_lp"):
+            value = d.get(key)
+            if value is not None and float(value) != idler.purity:
+                raise ValueError(
+                    f"{key} = {value!r} differs from the idler purity "
+                    f"{idler.purity!r}; a physical state needs them equal")
         return cls(
             b1=float(d["b1"]),
             b2_mag=float(d["b2_mag"]),
             phi=float(d.get("phi", 0.0)),
             t_h=_cplx(d.get("t_h", 1.0)),
             t_v=_cplx(d.get("t_v", 1.0)),
-            idler=IdlerStateParams.from_json_dict(d["idler"]),
+            idler=idler,
             q2=SourceQ2Params.from_json_dict(d.get("q2", {"p_h2": 0.5, "theta": 0.0})),
-            coherence_l=d.get("coherence_l"),
-            coherence_lp=d.get("coherence_lp"),
             signal_setting=SignalSetting(d.get("signal_setting", "H")),
         )
 
@@ -207,11 +196,7 @@ def _total_state_raw(cfg: InterferometerConfig,
     p_h = cfg.idler.p_h
     p_v = cfg.idler.p_v
     xi = cfg.idler.xi
-    pur = cfg.idler.purity
-    coh_l = cfg.coherence_l
-    coh_lp = cfg.coherence_lp
-    if coherence_override is not None:
-        pur = coh_l = coh_lp = coherence_override
+    pur = cfg.idler.purity if coherence_override is None else coherence_override
     p_h2 = cfg.q2.p_h2
     p_v2 = cfg.q2.p_v2
     theta = cfg.q2.theta
@@ -234,8 +219,8 @@ def _total_state_raw(cfg: InterferometerConfig,
     # cross terms between the sources
     r[o * 8 + 4] = cross * math.sqrt(p_h * p_h2)
     r[o * 8 + 7] = cross * math.sqrt(p_h * p_v2) * cmath.exp(-1j * theta)
-    r[(o + 1) * 8 + 4] = cross * coh_l * math.sqrt(p_v * p_h2) * cmath.exp(1j * xi)
-    r[(o + 1) * 8 + 7] = (cross * coh_lp * math.sqrt(p_v * p_v2)
+    r[(o + 1) * 8 + 4] = cross * pur * math.sqrt(p_v * p_h2) * cmath.exp(1j * xi)
+    r[(o + 1) * 8 + 7] = (cross * pur * math.sqrt(p_v * p_v2)
                           * cmath.exp(1j * (xi - theta)))
     # fill the Hermitian conjugates
     for i in range(8):
@@ -347,36 +332,6 @@ def trace_out_idler(rho12: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(4, ComplexMatrix(4, 4, tuple(rs)), SIGNAL_BASIS)
 
 
-def signal_reduced_state(cfg: InterferometerConfig) -> DensityMatrix:
-    """Signal marginal after alignment, built directly in closed form.
-
-    Agrees with the exact chain total_state -> apply_alignment ->
-    trace_out_idler to float precision; the fringing coherences sit in
-    the row selected by the signal setting.
-    """
-    b1 = cfg.b1
-    b2 = cfg.b2
-    w1 = b1 * b1
-    w2 = cfg.b2_mag * cfg.b2_mag
-    cross = b1 * b2.conjugate()
-    idler = cfg.idler
-    q2 = cfg.q2
-    rho12 = cfg.t_h * cross * math.sqrt(idler.p_h * q2.p_h2)
-    rho14 = (cfg.t_v * cross * cfg.coherence_lp
-             * math.sqrt(idler.p_v * q2.p_v2)
-             * cmath.exp(1j * (idler.xi - q2.theta)))
-    o = 0 if cfg.signal_setting is SignalSetting.H else 1
-    rs = [0j] * 16
-    rs[o * 4 + o] = complex(w1)
-    rs[o * 4 + 2] = rho12
-    rs[o * 4 + 3] = rho14
-    rs[2 * 4 + o] = rho12.conjugate()
-    rs[3 * 4 + o] = rho14.conjugate()
-    rs[2 * 4 + 2] = complex(w2 * q2.p_h2)
-    rs[3 * 4 + 3] = complex(w2 * q2.p_v2)
-    return DensityMatrix(4, ComplexMatrix(4, 4, tuple(rs)), SIGNAL_BASIS)
-
-
 def recombiner_matrix() -> ComplexMatrix:
     """Unitary of the recombining splitter in the signal basis."""
     return ComplexMatrix(4, 4, tuple(_BS_RAW))
@@ -399,40 +354,66 @@ def rates_exact(cfg: InterferometerConfig) -> DetectionRates:
     return DetectionRates(out[0].real, out[5].real)
 
 
-def rates_closed_form(cfg: InterferometerConfig) -> DetectionRates:
-    """Detection rates from the closed-form fringe formulas."""
-    w1 = cfg.b1 * cfg.b1
-    w2 = cfg.b2_mag * cfg.b2_mag
-    amp = 2.0 * cfg.b1 * cfg.b2_mag
+@dataclass(frozen=True)
+class Fringe:
+    """Per-pair rates of one signal setting as the source phase is scanned.
+
+    The fringing detector's rate is offset + amplitude * cos(phi - phase),
+    the constant detector's is ``constant``.  The phase is kept as the
+    terms (theta, xi, arg t) of phase = xi + arg t - theta, so that every
+    evaluation rounds phi + theta - xi - arg t the same way.
+    """
+
+    offset: float
+    amplitude: float
+    phase_terms: tuple[float, float, float]
+    constant: float
+
+    @property
+    def phase(self) -> float:
+        theta, xi, arg_t = self.phase_terms
+        return xi + arg_t - theta
+
+    @property
+    def visibility(self) -> float:
+        return self.amplitude / self.offset
+
+    def at(self, phi: float) -> float:
+        """Rate of the fringing detector at source phase phi."""
+        theta, xi, arg_t = self.phase_terms
+        return self.offset + self.amplitude * math.cos(phi + theta - xi - arg_t)
+
+
+def fringe(cfg: InterferometerConfig) -> Fringe:
+    """The closed-form rate law for ``cfg.signal_setting``.
+
+    The fringing detector's rate is offset + amplitude * cos(phi - phase)
+    and the other detector's is constant; the module docstring gives the
+    terms of each setting.  Every other closed-form rate derives from this.
+    """
     idler = cfg.idler
     q2 = cfg.q2
+    b12 = cfg.b1 * cfg.b2_mag
+    w2 = cfg.b2_mag * cfg.b2_mag
     if cfg.signal_setting is SignalSetting.H:
-        rate_h = 0.5 * (w1 + w2 * q2.p_h2
-                        + amp * abs(cfg.t_h) * math.sqrt(idler.p_h * q2.p_h2)
-                        * math.cos(cfg.phi - cmath.phase(cfg.t_h)))
-        rate_v = 0.5 * w2 * q2.p_v2
-    else:
-        rate_h = 0.5 * w2 * q2.p_h2
-        rate_v = 0.5 * (w1 + w2 * q2.p_v2
-                        + amp * idler.purity * abs(cfg.t_v)
-                        * math.sqrt(idler.p_v * q2.p_v2)
-                        * math.cos(cfg.phi + q2.theta - idler.xi
-                                   - cmath.phase(cfg.t_v)))
-    return DetectionRates(rate_h, rate_v)
+        return Fringe(
+            0.5 * (cfg.b1 * cfg.b1 + w2 * q2.p_h2),
+            b12 * abs(cfg.t_h) * math.sqrt(idler.p_h * q2.p_h2),
+            (0.0, 0.0, cmath.phase(cfg.t_h)),
+            0.5 * w2 * q2.p_v2)
+    return Fringe(
+        0.5 * (cfg.b1 * cfg.b1 + w2 * q2.p_v2),
+        b12 * idler.purity * abs(cfg.t_v) * math.sqrt(idler.p_v * q2.p_v2),
+        (q2.theta, idler.xi, cmath.phase(cfg.t_v)),
+        0.5 * w2 * q2.p_h2)
 
 
-def visibilities_closed_form(cfg: InterferometerConfig) -> tuple[float, float]:
-    """Fringe visibilities of the two settings as phi is scanned."""
-    w1 = cfg.b1 * cfg.b1
-    w2 = cfg.b2_mag * cfg.b2_mag
-    amp = 2.0 * cfg.b1 * cfg.b2_mag
-    idler = cfg.idler
-    q2 = cfg.q2
-    v_h = (amp * abs(cfg.t_h) * math.sqrt(idler.p_h * q2.p_h2)
-           / (w1 + w2 * q2.p_h2))
-    v_v = (amp * idler.purity * abs(cfg.t_v) * math.sqrt(idler.p_v * q2.p_v2)
-           / (w1 + w2 * q2.p_v2))
-    return v_h, v_v
+def rates_closed_form(cfg: InterferometerConfig) -> DetectionRates:
+    """Detection rates at ``cfg.phi`` from :func:`fringe`."""
+    f = fringe(cfg)
+    if cfg.signal_setting is SignalSetting.H:
+        return DetectionRates(f.at(cfg.phi), f.constant)
+    return DetectionRates(f.constant, f.at(cfg.phi))
 
 
 def post_interaction_idler(cfg: InterferometerConfig) -> DensityMatrix:

@@ -12,7 +12,10 @@ construction.
 
 Both routes assume the balanced source arrangement (reference weights
 1:2, even reference polarizations, zero reference phase), which is the
-arrangement the rate model is reduced for.  Standard errors on
+arrangement the rate model is reduced for.  The CLI's ``reconstruct``
+and ``sweep`` refuse, with exit code 3, a scan truth or configuration
+that ``InterferometerConfig.is_balanced`` rejects, the check
+``run_calibration`` makes too.  Standard errors on
 extracted parameters come from first-order propagation of the sinusoid
 fit errors and are approximate.
 """

@@ -11,6 +11,7 @@ scaling of the estimator.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,7 @@ def test_c1_oracle_equivalence_and_runtime():
     for _ in range(trials):
         base = random_valid_config(rng)
         for _ in range(5):  # random phase grid per configuration
-            cfg = base.with_phi(TWO_PI * rng.random())
+            cfg = replace(base, phi=TWO_PI * rng.random())
             for setting in (SignalSetting.H, SignalSetting.V):
                 c = cfg.with_setting(setting)
                 exact = rates_exact(c)

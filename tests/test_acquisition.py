@@ -1,6 +1,8 @@
 """Scan synthesis, noise reproducibility, persistence, and calibration."""
 
+import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,8 +12,8 @@ from pitomo.acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                                 scan_from_csv, scan_from_json, scan_to_csv,
                                 scan_to_json)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
-                                   rates_closed_form, visibilities_closed_form)
-from pitomo.states import IdlerStateParams
+                                   fringe, rates_closed_form)
+from pitomo.states import IdlerStateParams, SourceQ2Params
 
 
 def balanced(idler=None, **kw):
@@ -47,7 +49,7 @@ def test_noiseless_counts_are_rounded_rates():
                                  noiseless=True)
     record = run_scan(cfg, plan)
     for phi, c in zip(plan.phases, record.counts_primary):
-        rate = rates_closed_form(cfg.with_phi(phi)).rate_h
+        rate = rates_closed_form(replace(cfg, phi=phi)).rate_h
         assert c == round(1000 * rate)
 
 
@@ -102,14 +104,65 @@ def test_empirical_visibility_matches_closed_form():
     n = 10 ** 6
     idler = IdlerStateParams(0.4, 0.0, 0.8)
     cfg = balanced(idler, t_h=0.9, t_v=0.8)
-    v_h, v_v = visibilities_closed_form(cfg)
-    for setting, expected in ((SignalSetting.H, v_h), (SignalSetting.V, v_v)):
+    for setting in SignalSetting:
+        expected = fringe(cfg.with_setting(setting)).visibility
         plan = ScanPlan.default_grid(setting, 0, counts_per_point=n,
                                      noiseless=True)
         rec = run_scan(cfg, plan)
         hi, lo = max(rec.counts_primary), min(rec.counts_primary)
         measured = (hi - lo) / (hi + lo)
         assert abs(measured - expected) <= 2.0 / n
+
+
+# Literal counts pin the noise streams and the float evaluation order of
+# the rate law: a change to either changes a count.  n = 1000 draws on the
+# Poisson rejection branch (mean >= 30), n = 30 on the inversion branch.
+# The unbalanced arrangement carries phi = 1.3, which a scan overrides.
+_UNBALANCED = dict(b1=0.8, b2_mag=0.6, phi=1.3, t_h=0.9 * cmath.exp(2.5j),
+                   t_v=0.6 * cmath.exp(0.3j),
+                   idler=IdlerStateParams(0.62, 4.0, 0.7),
+                   q2=SourceQ2Params(0.3, 1.3))
+GOLDEN_SCANS = {
+    "balanced_complex_t": (
+        dict(b1=math.sqrt(1 / 3), b2_mag=math.sqrt(2 / 3),
+             t_h=0.85 * cmath.exp(0.4j), t_v=0.73 * cmath.exp(-1.1j),
+             idler=IdlerStateParams(0.35, 2.1, 0.8)), 1000, False, {
+            "H": ((547, 466, 388, 270, 170, 164, 261, 399),
+                  (178, 154, 184, 178, 184, 168, 173, 153)),
+            "V": ((427, 516, 463, 374, 218, 214, 193, 288),
+                  (174, 153, 177, 141, 177, 175, 143, 184)),
+        }),
+    "unbalanced_theta": (_UNBALANCED, 1000, False, {
+        "H": ((265, 328, 474, 558, 508, 379, 255, 192),
+              (136, 115, 141, 136, 141, 127, 132, 92)),
+        "V": ((351, 410, 459, 538, 504, 567, 419, 350),
+              (58, 46, 60, 39, 60, 59, 41, 64)),
+    }),
+    "unbalanced_dim": (_UNBALANCED, 30, False, {
+        "H": ((12, 5, 11, 16, 14, 8, 8, 6), (5, 3, 2, 1, 6, 5, 5, 3)),
+        "V": ((11, 9, 18, 19, 16, 14, 14, 11), (2, 0, 0, 2, 2, 1, 0, 0)),
+    }),
+    "noiseless_big_n": (
+        dict(b1=0.45, b2_mag=math.sqrt(1 - 0.45 ** 2),
+             t_h=0.95 * cmath.exp(-0.7j), t_v=0.8 * cmath.exp(1.9j),
+             idler=IdlerStateParams(0.2, 0.9, 0.95),
+             q2=SourceQ2Params(0.7, 5.1)), 10 ** 6, True, {
+            "H": ((489629, 392559, 288352, 238050, 271121, 368191, 472398,
+                   522700), (119625,) * 8),
+            "V": ((121185, 71489, 109301, 212471, 320565, 370261, 332449,
+                   229279), (279125,) * 8),
+        }),
+}
+
+
+@pytest.mark.parametrize("setting", ["H", "V"])
+@pytest.mark.parametrize("case", sorted(GOLDEN_SCANS))
+def test_run_scan_golden_counts(case, setting):
+    kwargs, n, noiseless, expected = GOLDEN_SCANS[case]
+    plan = ScanPlan.default_grid(SignalSetting(setting), 2024, points=8,
+                                 counts_per_point=n, noiseless=noiseless)
+    record = run_scan(InterferometerConfig(**kwargs), plan)
+    assert (record.counts_primary, record.counts_constant) == expected[setting]
 
 
 def test_record_length_validation():

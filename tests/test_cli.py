@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ def test_simulate_noiseless_counts_match_model(tmp_path):
     rec = scan_from_csv(tmp_path / "scan_H.csv")
     cfg = InterferometerConfig.balanced(IdlerStateParams(0.8, 0.4, 1.0))
     for phi, c in zip(rec.plan.phases, rec.counts_primary):
-        assert c == round(5000 * rates_closed_form(cfg.with_phi(phi)).rate_h)
+        assert c == round(5000 * rates_closed_form(replace(cfg, phi=phi)).rate_h)
 
 
 def test_simulate_requires_seed(tmp_path, capsys):
@@ -69,6 +70,41 @@ def test_simulate_rejects_bad_config(tmp_path):
     bad.write_text('{"b1": 0.5, "b2_mag": 0.5, "idler": {"p_h": 1, "xi": 0, "purity": 1}}')
     assert run("simulate", "--setting", "H", "--seed", 1,
                "--config", bad, "--out", tmp_path) == 3
+
+
+# A value for each config flag that differs from the baseline run's.
+PERTURBED = {"--b1": 0.5, "--t-h": 0.8, "--t-v": 0.7, "--t-h-phase": 0.4,
+             "--t-v-phase": 0.5, "--p-h": 0.3, "--xi": 1.0, "--purity": 0.6,
+             "--p-h2": 0.3, "--theta": 0.7}
+
+
+def test_every_simulate_config_flag_changes_the_scan(tmp_path):
+    import argparse
+    from pitomo.cli import _add_config_flags
+    parser = argparse.ArgumentParser()
+    _add_config_flags(parser)
+    flags = {a.option_strings[0] for a in parser._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    assert flags == set(PERTURBED)
+
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.5, 0.3, 0.9))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_json_dict()))
+    base = ("--seed", 1, "--noiseless", "--n", 10 ** 6, "--format", "csv")
+
+    def scans(out, *extra):
+        for setting in "HV":
+            assert run("simulate", "--setting", setting, *base, *extra,
+                       "--out", out) == 0
+        return [(out / f"scan_{s}.csv").read_bytes() for s in "HV"]
+
+    baseline = scans(tmp_path / "base", "--p-h", 0.5, "--xi", 0.3,
+                     "--purity", 0.9)
+    assert scans(tmp_path / "config", "--config", config) == baseline
+    for flag, value in PERTURBED.items():
+        args = {"--p-h": 0.5, "--xi": 0.3, "--purity": 0.9, flag: value}
+        extra = [x for kv in args.items() for x in kv]
+        assert scans(tmp_path / flag.strip("-"), *extra) != baseline, flag
 
 
 def test_simulate_csv_only_format(tmp_path):
@@ -170,6 +206,59 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
     assert f"{field}[{index}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, edit, message", [
+    pytest.param(5, lambda f: [f[0], "46894259.5", f[2]],
+                 "counts_fringe must be an integer count, got '46894259.5'",
+                 id="fractional_count"),
+    pytest.param(4, lambda f: [f[0], f[1], "-3"],
+                 "counts_const must be nonnegative", id="negative_count"),
+    pytest.param(6, lambda f: ["nan", f[1], f[2]],
+                 "phi_rad must be a finite number", id="nan_phase"),
+    pytest.param(7, lambda f: ["0.9x", f[1], f[2]],
+                 "phi_rad must be a finite number", id="garbled_phase"),
+    pytest.param(8, lambda f: f[:2], "expected 3 columns, got 2",
+                 id="missing_column"),
+])
+def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
+                                                        line, edit, message):
+    lines = (DATA / "scan_H.csv").read_text().splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    bad = tmp_path / "scan_H.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("reconstruct", "--scan-h", bad,
+               "--scan-v", DATA / "scan_V.csv",
+               "--calibration", DATA / "calibration.json",
+               "--out", tmp_path / "rec") == 3
+    assert f"scan_H.csv:{line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["coherence_l", "coherence_lp"])
+def test_reconstruct_rejects_cross_coherence_off_purity(tmp_path, capsys, key):
+    scan = json.loads((DATA / "scan_H.json").read_text())
+    assert scan["truth"][key] == scan["truth"]["idler"]["purity"]
+    scan["truth"][key] = 0.1
+    bad = tmp_path / "scan_H.json"
+    bad.write_text(json.dumps(scan))
+    assert run("reconstruct", "--scan-h", bad,
+               "--scan-v", DATA / "scan_V.json",
+               "--calibration", DATA / "calibration.json",
+               "--out", tmp_path / "rec") == 3
+    assert key in capsys.readouterr().err
+
+
+def test_reconstruct_rejects_unbalanced_truth(tmp_path, capsys):
+    for setting in "HV":
+        assert run("simulate", "--setting", setting, "--b1", 0.8, "--seed", 1,
+                   "--noiseless", "--format", "json", "--out", tmp_path) == 0
+    assert run("reconstruct", "--scan-h", tmp_path / "scan_H.json",
+               "--scan-v", tmp_path / "scan_V.json",
+               "--calibration", DATA / "calibration.json",
+               "--out", tmp_path / "rec") == 3
+    err = capsys.readouterr().err
+    assert "scan_H.json: the embedded truth is not the balanced" in err
+    assert not (tmp_path / "rec").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -204,6 +293,13 @@ def test_sweep_scaled_transmissions(tmp_path):
         alpha = math.radians(row["angle_deg"])
         assert abs(row["vis_h"] - 0.85 * abs(math.cos(2 * alpha))) < 1e-6
         assert abs(row["vis_v"] - 0.73 * abs(math.sin(2 * alpha))) < 1e-6
+
+
+def test_sweep_rejects_unbalanced_arrangement(tmp_path, capsys):
+    assert run("sweep", "--plate", "hwp", "--angles", "0:45:22.5",
+               "--b1", 0.8, "--noiseless", "--seed", 1, "--out", tmp_path) == 3
+    assert "not the balanced source arrangement" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_deterministic_with_noise(tmp_path):

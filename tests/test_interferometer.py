@@ -3,19 +3,20 @@ closed-form vs exact-pipeline agreement, visibility laws."""
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
 from pitomo.interferometer import (BASIS_8, InterferometerConfig,
                                    SignalSetting, alignment_isometry,
                                    apply_alignment, coherence_stressed_state,
-                                   post_interaction_idler, random_valid_config,
-                                   rates_closed_form, rates_exact, recombine,
-                                   recombiner_matrix, signal_reduced_state,
-                                   total_state, trace_out_idler,
-                                   visibilities_closed_form)
+                                   fringe, post_interaction_idler,
+                                   random_valid_config, rates_closed_form,
+                                   rates_exact, recombine, recombiner_matrix,
+                                   total_state, trace_out_idler)
 from pitomo.qcore import ComplexMatrix, DensityMatrix, fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
@@ -47,6 +48,11 @@ def reference_total_state(b1, b2, p_h, xi, coh_i, coh_l, coh_lp, p_h2, theta,
     return r
 
 
+def visibilities(cfg):
+    """Fringe visibilities of the H and V settings."""
+    return tuple(fringe(cfg.with_setting(s)).visibility for s in SignalSetting)
+
+
 def as_np(m: ComplexMatrix) -> np.ndarray:
     return np.array(m.entries, dtype=complex).reshape(m.rows, m.cols)
 
@@ -62,7 +68,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InterferometerConfig(b1=1.0, b2_mag=0.0, t_h=1.5, idler=idler)
     cfg = InterferometerConfig.balanced(IdlerStateParams(0.4, 0.3, 0.75))
-    assert cfg.coherence_l == 0.75 and cfg.coherence_lp == 0.75
     assert cfg.is_balanced
 
 
@@ -72,6 +77,18 @@ def test_config_json_round_trip():
         phi=0.4, setting=SignalSetting.V)
     back = InterferometerConfig.from_json_dict(cfg.to_json_dict())
     assert back == cfg
+
+
+def test_config_json_cross_coherences_must_equal_purity():
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.2, 0.9))
+    d = cfg.to_json_dict()
+    assert "coherence_l" not in d and "coherence_lp" not in d
+    # files written while the coherences were separate fields still load
+    old = dict(d, coherence_l=0.9, coherence_lp=0.9)
+    assert InterferometerConfig.from_json_dict(old) == cfg
+    for key in ("coherence_l", "coherence_lp"):
+        with pytest.raises(ValueError, match=key):
+            InterferometerConfig.from_json_dict(dict(old, **{key: 0.1}))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +136,7 @@ def test_total_state_matches_reference_entrywise(setting):
         got = as_np(total_state(cfg).matrix)
         ref = reference_total_state(
             cfg.b1, cfg.b2, cfg.idler.p_h, cfg.idler.xi, cfg.idler.purity,
-            cfg.coherence_l, cfg.coherence_lp, cfg.q2.p_h2, cfg.q2.theta,
+            cfg.idler.purity, cfg.idler.purity, cfg.q2.p_h2, cfg.q2.theta,
             setting)
         assert np.max(np.abs(got - ref)) < 1e-14
         assert abs(np.trace(got) - 1.0) < 1e-14
@@ -171,43 +188,6 @@ def test_alignment_rejects_wrong_basis():
 
 
 # ---------------------------------------------------------------------------
-# signal marginal (direct form vs exact reduction)
-
-
-def test_signal_reduced_direct_vs_exact(rng):
-    for _ in range(40):
-        cfg = random_valid_config(rng)
-        direct = as_np(signal_reduced_state(cfg).matrix)
-        exact = as_np(trace_out_idler(apply_alignment(total_state(cfg), cfg)).matrix)
-        assert np.max(np.abs(direct - exact)) < 1e-12
-
-
-def test_signal_reduced_single_source():
-    cfg = InterferometerConfig(b1=1.0, b2_mag=0.0,
-                               idler=IdlerStateParams(0.3, 0.0, 1.0))
-    arr = as_np(signal_reduced_state(cfg).matrix)
-    expected = np.diag([1.0, 0, 0, 0]).astype(complex)
-    assert np.max(np.abs(arr - expected)) < 1e-15
-
-
-def test_signal_reduced_printed_entries():
-    idler = IdlerStateParams(0.3, 1.2, 0.9)
-    q2 = SourceQ2Params(0.4, 0.6)
-    cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, phi=0.5, t_h=0.85, t_v=0.73,
-                               idler=idler, q2=q2)
-    rs = signal_reduced_state(cfg)
-    cross = cfg.b1 * cfg.b2.conjugate()
-    assert abs(rs.at(0, 2) - 0.85 * cross * math.sqrt(0.3 * 0.4)) < 1e-15
-    expected_14 = (0.73 * cross * 0.9 * math.sqrt(0.7 * 0.6)
-                   * cmath.exp(1j * (1.2 - 0.6)))
-    assert abs(rs.at(0, 3) - expected_14) < 1e-15
-    # V setting moves the source-1 population onto the second row
-    rs_v = signal_reduced_state(cfg.with_setting(SignalSetting.V))
-    assert abs(rs_v.at(1, 1) - 0.36) < 1e-15
-    assert abs(rs_v.at(0, 0)) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # recombination and rates
 
 
@@ -234,17 +214,17 @@ def test_rate_worked_example():
                                phi=0.0, idler=IdlerStateParams.horizontal())
     assert rates_exact(cfg).rate_h == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rates_closed_form(cfg).rate_h == pytest.approx(2.0 / 3.0, abs=1e-12)
-    quarter = cfg.with_phi(math.pi / 2)
+    quarter = replace(cfg, phi=math.pi / 2)
     assert rates_exact(quarter).rate_h == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_rate_no_transmission_is_flat():
     idler = IdlerStateParams.horizontal()
     cfg = InterferometerConfig.balanced(idler, t_h=0.0)
-    r0 = rates_closed_form(cfg.with_phi(0.0)).rate_h
+    r0 = rates_closed_form(replace(cfg, phi=0.0)).rate_h
     for phi in (0.5, 1.5, 3.0):
-        assert rates_closed_form(cfg.with_phi(phi)).rate_h == pytest.approx(r0)
-        assert rates_exact(cfg.with_phi(phi)).rate_h == pytest.approx(r0, abs=1e-14)
+        assert rates_closed_form(replace(cfg, phi=phi)).rate_h == pytest.approx(r0)
+        assert rates_exact(replace(cfg, phi=phi)).rate_h == pytest.approx(r0, abs=1e-14)
 
 
 def test_oracle_equivalence_sample():
@@ -257,6 +237,39 @@ def test_oracle_equivalence_sample():
         worst = max(worst, abs(exact.rate_h - closed.rate_h),
                     abs(exact.rate_v - closed.rate_v))
     assert worst <= 1e-10
+
+
+unit = st.floats(0.0, 1.0)
+angle = st.floats(0.0, 2 * math.pi)
+
+
+@given(w1=unit, p_h=unit, xi=angle, purity=unit, p_h2=unit, theta=angle,
+       t_h=unit, arg_h=angle, t_v=unit, arg_v=angle, phi=angle,
+       setting=st.sampled_from(SignalSetting))
+def test_closed_form_matches_exact_for_any_config(w1, p_h, xi, purity, p_h2,
+                                                  theta, t_h, arg_h, t_v,
+                                                  arg_v, phi, setting):
+    cfg = InterferometerConfig(
+        b1=math.sqrt(w1), b2_mag=math.sqrt(1.0 - w1), phi=phi,
+        t_h=t_h * cmath.exp(1j * arg_h), t_v=t_v * cmath.exp(1j * arg_v),
+        idler=IdlerStateParams(p_h, xi, purity),
+        q2=SourceQ2Params(p_h2, theta), signal_setting=setting)
+    exact = rates_exact(cfg)
+    closed = rates_closed_form(cfg)
+    assert abs(exact.rate_h - closed.rate_h) <= 1e-10
+    assert abs(exact.rate_v - closed.rate_v) <= 1e-10
+
+
+def test_fringe_extrema_sit_at_its_phase(rng):
+    for _ in range(20):
+        cfg = random_valid_config(rng)
+        f = fringe(cfg)
+        assert f.at(f.phase) == pytest.approx(f.offset + f.amplitude, abs=1e-12)
+        assert f.at(f.phase + math.pi) == pytest.approx(
+            f.offset - f.amplitude, abs=1e-12)
+        exact = rates_exact(replace(cfg, phi=f.phase))
+        top = exact.rate_h if cfg.signal_setting is SignalSetting.H else exact.rate_v
+        assert top == pytest.approx(f.offset + f.amplitude, abs=1e-12)
 
 
 def test_balanced_case_reduction():
@@ -301,24 +314,24 @@ def test_intermediate_states_stay_physical(rng):
 def test_visibility_calibration_values():
     idler = IdlerStateParams.horizontal()
     cfg = InterferometerConfig.balanced(idler, t_h=0.85, t_v=0.73)
-    v_h, _ = visibilities_closed_form(cfg)
+    v_h, _ = visibilities(cfg)
     assert v_h == pytest.approx(0.85, abs=1e-12)
     cfg_v = InterferometerConfig.balanced(IdlerStateParams.vertical(),
                                           t_h=0.85, t_v=0.73)
-    _, v_v = visibilities_closed_form(cfg_v)
+    _, v_v = visibilities(cfg_v)
     assert v_v == pytest.approx(0.73, abs=1e-12)
 
 
 def test_visibility_circular_extreme():
     cfg = InterferometerConfig.balanced(IdlerStateParams(0.5, 0.3, 1.0))
-    v_h, v_v = visibilities_closed_form(cfg)
+    v_h, v_v = visibilities(cfg)
     assert v_h == pytest.approx(SQRT1_2, abs=1e-12)
     assert v_v == pytest.approx(SQRT1_2, abs=1e-12)
 
 
 def test_visibility_mixed_idler_has_no_v_fringe():
     cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 0.0, 0.0))
-    _, v_v = visibilities_closed_form(cfg)
+    _, v_v = visibilities(cfg)
     assert v_v == 0.0
 
 
@@ -326,12 +339,12 @@ def test_visibility_matches_swept_extrema(rng):
     # sweep grids aligned with the fringe extrema so max/min are exact
     for _ in range(20):
         cfg = random_valid_config(rng, complex_t=False)
-        v_h, v_v = visibilities_closed_form(cfg)
+        v_h, v_v = visibilities(cfg)
         for setting, vis in ((SignalSetting.H, v_h), (SignalSetting.V, v_v)):
             c = cfg.with_setting(setting)
             delta = 0.0 if setting is SignalSetting.H else (
                 cfg.idler.xi - cfg.q2.theta)
-            rates = [rates_closed_form(c.with_phi(delta + k * math.pi / 10))
+            rates = [rates_closed_form(replace(c, phi=delta + k * math.pi / 10))
                      for k in range(20)]
             vals = [r.rate_h if setting is SignalSetting.H else r.rate_v
                     for r in rates]
@@ -344,14 +357,14 @@ def test_visibility_monotonic_in_population_and_transmission():
     base = 0.0
     for p_h in (0.1, 0.3, 0.5, 0.7, 0.9):
         cfg = InterferometerConfig.balanced(IdlerStateParams(p_h, 0.0, 1.0))
-        v_h, _ = visibilities_closed_form(cfg)
+        v_h, _ = visibilities(cfg)
         assert v_h > base
         base = v_h
     base = 0.0
     for t in (0.2, 0.4, 0.6, 0.8, 1.0):
         cfg = InterferometerConfig.balanced(IdlerStateParams(0.6, 0.0, 1.0),
                                             t_h=t)
-        v_h, _ = visibilities_closed_form(cfg)
+        v_h, _ = visibilities(cfg)
         assert v_h > base
         base = v_h
 
@@ -364,10 +377,10 @@ def test_fringe_phase_shift_equals_xi_minus_theta(rng):
         if cfg.idler.purity * math.sqrt(cfg.idler.p_h * cfg.idler.p_v) < 0.05:
             continue
         rh = [rates_closed_form(
-            cfg.with_setting(SignalSetting.H).with_phi(p)).rate_h
+            replace(cfg, signal_setting=SignalSetting.H, phi=p)).rate_h
             for p in phases]
         rv = [rates_closed_form(
-            cfg.with_setting(SignalSetting.V).with_phi(p)).rate_v
+            replace(cfg, signal_setting=SignalSetting.V, phi=p)).rate_v
             for p in phases]
         fit_h = fit_sinusoid(phases, rh)
         fit_v = fit_sinusoid(phases, rv)
