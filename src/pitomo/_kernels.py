@@ -1,14 +1,13 @@
-"""Pure-Python reference backend for the numeric kernels.
+"""Numeric kernels: dense complex matrices, the seeded RNG, the fringe residual.
 
-The compiled twin ``_fast.pyx`` mirrors this module operation for
-operation; the two backends are required to produce bit-identical
-results (see tests/test_kernels.py), so any change here must be made in
-lockstep there.  To that end the code below avoids libm functions whose
-implementations differ between CPython and C (complex abs/division,
-lgamma) and spells the arithmetic out in a fixed evaluation order.
+This is the package's one implementation of them.  The arithmetic is
+spelled out in a fixed evaluation order, and libm functions whose
+results may differ between platforms (complex abs/division, lgamma) are
+avoided, so that a ``(seed, stream)`` pair gives the same noise stream
+and the same primary outputs everywhere.
 
-Matrices are flat row-major lists of Python complex numbers with
-dimensions passed alongside.
+Matrices are flat row-major sequences of Python complex numbers with
+dimensions passed alongside; any indexable sequence will do.
 
 Random numbers come from xoshiro256** seeded through splitmix64:
 
@@ -26,11 +25,14 @@ from __future__ import annotations
 
 import math
 
-BACKEND = "pure"
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation, recorded in run manifests."""
+    return "pure"
 
 
 # ---------------------------------------------------------------------------
@@ -59,64 +61,6 @@ def mat_dagger(a, r, c):
         ic = i * c
         for j in range(c):
             out[j * r + i] = a[ic + j].conjugate()
-    return out
-
-
-def kron(a, ar, ac, b, br, bc):
-    """Kronecker product; returns an (ar*br) x (ac*bc) matrix."""
-    rc = ac * bc
-    out = [0j] * (ar * br * rc)
-    for i in range(ar):
-        for k in range(br):
-            ro = (i * br + k) * rc
-            for j in range(ac):
-                av = a[i * ac + j]
-                for m in range(bc):
-                    out[ro + j * bc + m] = av * b[k * bc + m]
-    return out
-
-
-def partial_trace(rho, dims, keep):
-    """Trace out the subsystems not listed in ``keep``.
-
-    ``rho`` is a flat row-major matrix over the tensor product of
-    ``dims`` (first factor slowest); ``keep`` lists the subsystem
-    indices to retain, in ascending order.
-    """
-    nsub = len(dims)
-    n = 1
-    for d in dims:
-        n *= d
-    keep = tuple(sorted(keep))
-    traced = tuple(i for i in range(nsub) if i not in keep)
-    strides = [0] * nsub
-    acc = 1
-    for i in range(nsub - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-
-    def offsets(subsys):
-        offs = [0]
-        for i in subsys:
-            offs = [o + v * strides[i] for o in offs for v in range(dims[i])]
-        return offs
-
-    # row-major enumeration over each group, kept order preserved
-    kept_offs = offsets(keep)
-    traced_offs = offsets(traced)
-
-    dk = 1
-    for i in keep:
-        dk *= dims[i]
-    out = [0j] * (dk * dk)
-    for ki in range(dk):
-        oi = kept_offs[ki]
-        for kj in range(dk):
-            oj = kept_offs[kj]
-            s = 0j
-            for ot in traced_offs:
-                s = s + rho[(oi + ot) * n + (oj + ot)]
-            out[ki * dk + kj] = s
     return out
 
 

@@ -213,13 +213,29 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
 def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
-    A malformed data row is reported as ``path:line: ...``.
+    A malformed header or data row is reported as ``path:line: ...``.
     """
     rows = [(k, line.strip()) for k, line
             in enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
     if len(rows) < 3 or not rows[0][1].startswith("# "):
         raise ValueError(f"{path}: not a scan CSV")
-    meta = dict(kv.split("=", 1) for kv in rows[0][1][2:].split())
+    head, header = rows[0]
+    meta = {}
+    for kv in header[2:].split():
+        key, eq, value = kv.partition("=")
+        if not eq:
+            raise ValueError(f"{path}:{head}: expected key=value, got {kv!r}")
+        meta[key] = value
+    for key, parse, what in (("setting", SignalSetting, "H or V"),
+                             ("seed", int, "an integer"),
+                             ("n", int, "an integer")):
+        if key not in meta:
+            raise ValueError(f"{path}:{head}: {key} is missing from the header")
+        try:
+            meta[key] = parse(meta[key])
+        except ValueError:
+            raise ValueError(f"{path}:{head}: {key} must be {what}, "
+                             f"got {meta[key]!r}") from None
     if rows[1][1] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
     phases: list[float] = []
@@ -248,8 +264,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             if counts[-1] < 0:
                 raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
                                  f"got {text!r}")
-    plan = ScanPlan(tuple(phases), int(meta["n"]), SignalSetting(meta["setting"]),
-                    int(meta["seed"]), noiseless=False)
+    plan = ScanPlan(tuple(phases), meta["n"], meta["setting"], meta["seed"],
+                    noiseless=False)
     return ScanRecord(plan, tuple(primary), tuple(constant), truth=None)
 
 

@@ -317,6 +317,8 @@ def _parse_angles(spec: str) -> list[float]:
 
 def run_verification(trials: int, seed: int) -> dict:
     """Oracle-equivalence and positivity property suites, deterministic."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = _k.Rng(seed, 0)
     checks = []
 

@@ -48,6 +48,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from . import _kernels as _k
 from .qcore import ComplexMatrix, DensityMatrix
@@ -245,14 +246,15 @@ def _alignment_isometry_raw(cfg: InterferometerConfig) -> list[complex]:
     return k
 
 
-def _apply_alignment_raw(r8: list[complex], cfg: InterferometerConfig) -> list[complex]:
+def _apply_alignment_raw(r8: Sequence[complex],
+                         cfg: InterferometerConfig) -> list[complex]:
     k = _alignment_isometry_raw(cfg)
     kd = _k.mat_dagger(k, 12, 8)
     tmp = _k.mat_mul(k, 12, 8, r8, 8, 8)
     return _k.mat_mul(tmp, 12, 8, kd, 8, 12)
 
 
-def _signal_marginal_raw(r12: list[complex]) -> list[complex]:
+def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
     """Trace the idler out of the 12-dim aligned state.
 
     The 12-dim space is a direct sum, not a full tensor product: the
@@ -283,7 +285,7 @@ def _signal_marginal_raw(r12: list[complex]) -> list[complex]:
     return rs
 
 
-def _recombine_raw(rs: list[complex]) -> list[complex]:
+def _recombine_raw(rs: Sequence[complex]) -> list[complex]:
     bsd = _k.mat_dagger(_BS_RAW, 4, 4)
     tmp = _k.mat_mul(_BS_RAW, 4, 4, rs, 4, 4)
     return _k.mat_mul(tmp, 4, 4, bsd, 4, 4)
@@ -320,7 +322,7 @@ def apply_alignment(rho: DensityMatrix, cfg: InterferometerConfig) -> DensityMat
     """Push an 8-dim joint state through the idler alignment step."""
     if rho.dim != 8 or rho.basis_labels != BASIS_8:
         raise ValueError("expected an 8-dim state in the source-pair basis")
-    out = _apply_alignment_raw(list(rho.matrix.entries), cfg)
+    out = _apply_alignment_raw(rho.matrix.entries, cfg)
     return DensityMatrix(12, ComplexMatrix(12, 12, tuple(out)), BASIS_12)
 
 
@@ -328,7 +330,7 @@ def trace_out_idler(rho12: DensityMatrix) -> DensityMatrix:
     """Signal marginal of the aligned 12-dim state."""
     if rho12.dim != 12 or rho12.basis_labels != BASIS_12:
         raise ValueError("expected a 12-dim aligned state")
-    rs = _signal_marginal_raw(list(rho12.matrix.entries))
+    rs = _signal_marginal_raw(rho12.matrix.entries)
     return DensityMatrix(4, ComplexMatrix(4, 4, tuple(rs)), SIGNAL_BASIS)
 
 
@@ -341,7 +343,7 @@ def recombine(rho_s: DensityMatrix) -> DensityMatrix:
     """Superpose the two signal paths on the balanced splitter."""
     if rho_s.dim != 4:
         raise ValueError("expected the 4-dim signal state")
-    out = _recombine_raw(list(rho_s.matrix.entries))
+    out = _recombine_raw(rho_s.matrix.entries)
     return DensityMatrix(4, ComplexMatrix(4, 4, tuple(out)), OUTPUT_BASIS)
 
 

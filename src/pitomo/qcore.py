@@ -3,8 +3,8 @@
 Provides the matrix carriers used throughout the package plus the
 handful of operations the simulation and reconstruction pipelines need:
 Kronecker products, partial traces, a Jacobi eigensolver for Hermitian
-matrices, positive-semidefiniteness tests and state fidelities.  All
-heavy lifting is delegated to the selected kernel backend.
+matrices, positive-semidefiniteness tests and state fidelities.  Matrix
+products, conjugate transposes and eigensolves run in ``_kernels``.
 
 Tolerances used package-wide: Hermiticity and trace checks at 1e-12,
 positive semidefiniteness at 1e-10 on the eigenvalue scale (loose
@@ -80,12 +80,12 @@ class ComplexMatrix:
     # -- algebra ---------------------------------------------------------
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        out = _k.mat_mul(list(self.entries), self.rows, self.cols,
-                         list(other.entries), other.rows, other.cols)
+        out = _k.mat_mul(self.entries, self.rows, self.cols,
+                         other.entries, other.rows, other.cols)
         return ComplexMatrix(self.rows, other.cols, tuple(out))
 
     def dagger(self) -> "ComplexMatrix":
-        out = _k.mat_dagger(list(self.entries), self.rows, self.cols)
+        out = _k.mat_dagger(self.entries, self.rows, self.cols)
         return ComplexMatrix(self.cols, self.rows, tuple(out))
 
     def scaled(self, factor: complex) -> "ComplexMatrix":
@@ -200,8 +200,17 @@ class DensityMatrix:
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product; dimensions multiply."""
-    out = _k.kron(list(a.entries), a.rows, a.cols, list(b.entries), b.rows, b.cols)
-    return ComplexMatrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+    ar, ac, br, bc = a.rows, a.cols, b.rows, b.cols
+    rc = ac * bc
+    out = [0j] * (ar * br * rc)
+    for i in range(ar):
+        for k in range(br):
+            ro = (i * br + k) * rc
+            for j in range(ac):
+                av = a.entries[i * ac + j]
+                for m in range(bc):
+                    out[ro + j * bc + m] = av * b.entries[k * bc + m]
+    return ComplexMatrix(ar * br, rc, tuple(out))
 
 
 def partial_trace(rho: DensityMatrix, subsystem_dims: Sequence[int],
@@ -212,18 +221,38 @@ def partial_trace(rho: DensityMatrix, subsystem_dims: Sequence[int],
     slowest index); ``keep`` selects the factors to retain.
     """
     dims = tuple(int(d) for d in subsystem_dims)
-    prod = 1
+    n = 1
     for d in dims:
-        prod *= d
-    if prod != rho.dim:
+        n *= d
+    if n != rho.dim:
         raise ValueError(f"subsystem dims {dims} do not multiply to {rho.dim}")
     keep = tuple(sorted(set(int(i) for i in keep)))
     if not keep or any(i < 0 or i >= len(dims) for i in keep):
         raise ValueError(f"invalid keep set {keep} for {len(dims)} subsystems")
-    out = _k.partial_trace(list(rho.matrix.entries), dims, keep)
-    dk = 1
-    for i in keep:
-        dk *= dims[i]
+    traced = tuple(i for i in range(len(dims)) if i not in keep)
+    strides = [0] * len(dims)
+    acc = 1
+    for i in range(len(dims) - 1, -1, -1):
+        strides[i] = acc
+        acc *= dims[i]
+
+    def offsets(subsys):
+        # row-major enumeration over the group, kept order preserved
+        offs = [0]
+        for i in subsys:
+            offs = [o + v * strides[i] for o in offs for v in range(dims[i])]
+        return offs
+
+    kept_offs = offsets(keep)
+    traced_offs = offsets(traced)
+    dk = len(kept_offs)
+    out = [0j] * (dk * dk)
+    for ki, oi in enumerate(kept_offs):
+        for kj, oj in enumerate(kept_offs):
+            s = 0j
+            for ot in traced_offs:
+                s = s + rho.matrix.entries[(oi + ot) * n + (oj + ot)]
+            out[ki * dk + kj] = s
     labels = tuple(f"m{i}" for i in range(dk))
     return DensityMatrix(dk, ComplexMatrix(dk, dk, tuple(out)), labels)
 
@@ -235,7 +264,7 @@ def eigh_hermitian(m: ComplexMatrix) -> tuple[list[float], ComplexMatrix]:
     defect = m.hermitian_defect()
     if defect > HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    vals, vecs = _k.eigh(list(m.entries), m.rows)
+    vals, vecs = _k.eigh(m.entries, m.rows)
     return vals, ComplexMatrix(m.rows, m.rows, tuple(vecs))
 
 

@@ -288,10 +288,10 @@ def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
     vis_h = t_h * math.sqrt(candidate.p_h)
     vis_v = candidate.purity * t_v * math.sqrt(candidate.p_v)
     cost_h = _k.sinusoid_sq_residual(
-        list(data_h.plan.phases), list(data_h.counts_primary),
+        data_h.plan.phases, data_h.counts_primary,
         n_h * BALANCED_SOURCE1_WEIGHT, vis_h, 0.0)
     cost_v = _k.sinusoid_sq_residual(
-        list(data_v.plan.phases), list(data_v.counts_primary),
+        data_v.plan.phases, data_v.counts_primary,
         n_v * BALANCED_SOURCE1_WEIGHT, vis_v, -candidate.xi)
     return cost_h + cost_v
 

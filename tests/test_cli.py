@@ -218,6 +218,14 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
                  "phi_rad must be a finite number", id="garbled_phase"),
     pytest.param(8, lambda f: f[:2], "expected 3 columns, got 2",
                  id="missing_column"),
+    pytest.param(1, lambda f: [f[0].replace(" n=100000000", "")],
+                 "n is missing from the header", id="header_missing_n"),
+    pytest.param(1, lambda f: [f[0].replace("n=100000000", "n=1e8")],
+                 "n must be an integer, got '1e8'", id="header_float_n"),
+    pytest.param(1, lambda f: [f[0].replace("setting=H", "setting=X")],
+                 "setting must be H or V, got 'X'", id="header_bad_setting"),
+    pytest.param(1, lambda f: [f[0].replace("seed=0", "seed0")],
+                 "expected key=value, got 'seed0'", id="header_token_without_value"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -334,6 +342,12 @@ def test_verify_detects_stressed_violation_on_every_seed():
     assert run("verify", "--trials", 10, "--seed", 3812039937) == 0
     for seed in range(300):
         assert run_verification(1, seed)["all_passed"], seed
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_refuses_fewer_than_one_trial(capsys, trials):
+    assert run("verify", "--trials", trials) == 3
+    assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
 
 
 def test_report_renders_stored_result(tmp_path, capsys):

@@ -1,18 +1,13 @@
-"""Kernel-level tests: PRNG correctness, Poisson statistics, linear algebra
-against numpy oracles, and bit-identity between the two backends."""
+"""Kernel-level tests: PRNG streams against reference transcriptions and
+golden draws, Poisson statistics, and linear algebra against numpy."""
 
-import importlib.util
 import math
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pitomo._kernels import pure
+from pitomo import _kernels as kernels
+from pitomo.qcore import ComplexMatrix, DensityMatrix, kron, partial_trace
 from conftest import random_hermitian
 
 MASK = (1 << 64) - 1
@@ -72,15 +67,15 @@ def test_stream_matches_reference_composition():
     zm ^= zm >> 31
     state = _splitmix64_reference(zm, 4)
     expected = _xoshiro_reference(state, 32)
-    rng = pure.Rng(seed, stream)
+    rng = kernels.Rng(seed, stream)
     assert [rng.u64() for _ in range(32)] == expected
 
 
 def test_uniform_range_and_determinism():
-    rng = pure.Rng(42, 0)
+    rng = kernels.Rng(42, 0)
     xs = [rng.random() for _ in range(2000)]
     assert all(0.0 <= x < 1.0 for x in xs)
-    rng2 = pure.Rng(42, 0)
+    rng2 = kernels.Rng(42, 0)
     assert [rng2.random() for _ in range(2000)] == xs
     # crude uniformity check
     mean = sum(xs) / len(xs)
@@ -88,8 +83,8 @@ def test_uniform_range_and_determinism():
 
 
 def test_streams_are_distinct():
-    a = pure.Rng(42, 0)
-    b = pure.Rng(42, 1)
+    a = kernels.Rng(42, 0)
+    b = kernels.Rng(42, 1)
     xs = [a.u64() for _ in range(8)]
     ys = [b.u64() for _ in range(8)]
     assert xs != ys
@@ -102,14 +97,14 @@ def test_streams_are_distinct():
 def test_loggam_against_lgamma():
     for k in range(1, 300):
         ref = math.lgamma(k)
-        got = pure.loggam(float(k))
+        got = kernels.loggam(float(k))
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 @pytest.mark.parametrize("mu", [0.5, 5.0, 50.0])
 def test_poisson_moments(mu):
     n = 100000
-    rng = pure.Rng(2024, 0)
+    rng = kernels.Rng(2024, 0)
     total = 0
     total2 = 0
     for _ in range(n):
@@ -124,7 +119,7 @@ def test_poisson_moments(mu):
 
 
 def test_poisson_large_mean_branch():
-    rng = pure.Rng(5, 0)
+    rng = kernels.Rng(5, 0)
     n = 20000
     mu = 667.0
     total = 0
@@ -147,14 +142,13 @@ def test_poisson_large_mean_branch():
 ])
 def test_poisson_stream_golden(seed, stream, mu, expected):
     # pins the (seed, stream) contract on the inversion (mu < 30) and
-    # rejection (mu >= 30) branches; TestBackendParity carries it to the
-    # compiled backend
-    rng = pure.Rng(seed, stream)
+    # rejection (mu >= 30) branches
+    rng = kernels.Rng(seed, stream)
     assert [rng.poisson(mu) for _ in range(20)] == expected
 
 
 def test_poisson_edge_cases():
-    rng = pure.Rng(1, 0)
+    rng = kernels.Rng(1, 0)
     assert rng.poisson(0.0) == 0
     with pytest.raises(ValueError):
         rng.poisson(-1.0)
@@ -173,22 +167,24 @@ def test_mat_mul_and_kron_against_numpy(rng):
         r1, c1, c2 = (2 + rng.u64() % 3 for _ in range(3))
         a = [complex(rng.random(), rng.random()) for _ in range(r1 * c1)]
         b = [complex(rng.random(), rng.random()) for _ in range(c1 * c2)]
-        got = _as_np(pure.mat_mul(a, r1, c1, b, c1, c2), r1, c2)
+        got = _as_np(kernels.mat_mul(a, r1, c1, b, c1, c2), r1, c2)
         ref = _as_np(a, r1, c1) @ _as_np(b, c1, c2)
         assert np.max(np.abs(got - ref)) < 1e-13
-        gotk = _as_np(pure.kron(a, r1, c1, b, c1, c2), r1 * c1, c1 * c2)
+        gotk = _as_np(kron(ComplexMatrix(r1, c1, tuple(a)),
+                           ComplexMatrix(c1, c2, tuple(b))).entries,
+                      r1 * c1, c1 * c2)
         refk = np.kron(_as_np(a, r1, c1), _as_np(b, c1, c2))
         assert np.max(np.abs(gotk - refk)) < 1e-13
 
 
 def test_mat_mul_shape_mismatch():
     with pytest.raises(ValueError):
-        pure.mat_mul([1j] * 4, 2, 2, [1j] * 9, 3, 3)
+        kernels.mat_mul([1j] * 4, 2, 2, [1j] * 9, 3, 3)
 
 
 def test_dagger(rng):
     a = [complex(rng.random(), rng.random()) for _ in range(6)]
-    d = pure.mat_dagger(a, 2, 3)
+    d = kernels.mat_dagger(a, 2, 3)
     ref = _as_np(a, 2, 3).conj().T
     assert np.max(np.abs(_as_np(d, 3, 2) - ref)) == 0.0
 
@@ -196,8 +192,11 @@ def test_dagger(rng):
 def test_partial_trace_against_einsum(rng):
     dims = (2, 3, 2)
     n = 12
-    rho = [complex(rng.random(), rng.random()) for _ in range(n * n)]
-    got = _as_np(pure.partial_trace(rho, dims, (0, 2)), 4, 4)
+    h = random_hermitian(rng, n)
+    trace = sum(h[i * n + i].real for i in range(n))
+    rho = [x * (1.0 / trace) for x in h]
+    got = _as_np(partial_trace(DensityMatrix(n, ComplexMatrix(n, n, tuple(rho))),
+                               dims, (0, 2)).matrix.entries, 4, 4)
     t = _as_np(rho, n, n).reshape(2, 3, 2, 2, 3, 2)
     ref = np.einsum("ijkljm->iklm", t).reshape(4, 4)
     assert np.max(np.abs(got - ref)) < 1e-14
@@ -207,7 +206,7 @@ def test_eigh_against_numpy(rng):
     for trial in range(60):
         n = 2 + trial % 7
         h = random_hermitian(rng, n)
-        vals, vecs = pure.eigh(h, n)
+        vals, vecs = kernels.eigh(h, n)
         ref = np.linalg.eigvalsh(_as_np(h, n, n))
         assert np.max(np.abs(np.array(vals) - ref)) < 1e-11
         # reconstruction residual
@@ -221,89 +220,7 @@ def test_eigh_against_numpy(rng):
 def test_sinusoid_sq_residual_matches_direct():
     phases = [0.1 * k for k in range(20)]
     counts = [5.0 + k for k in range(20)]
-    got = pure.sinusoid_sq_residual(phases, counts, 11.0, 0.5, 0.3)
+    got = kernels.sinusoid_sq_residual(phases, counts, 11.0, 0.5, 0.3)
     ref = sum((11.0 * (1.0 + 0.5 * math.cos(p + 0.3)) - c) ** 2
               for p, c in zip(phases, counts))
     assert math.isclose(got, ref, rel_tol=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# backend bit-identity
-
-
-@pytest.fixture(scope="session")
-def fast(tmp_path_factory):
-    """The compiled backend: the installed one, else one built from _fast.c.
-
-    A built module is loaded without entering ``sys.modules``, so the
-    session's own ``pitomo._kernels`` stays on the backend it imported.
-    The flags are the ones ``setup.py`` passes; -ffp-contract=off forbids
-    the FMA contraction that would break bit-identity.
-    """
-    try:
-        from pitomo._kernels import _fast
-        return _fast
-    except ImportError:
-        pass
-    cc = shutil.which((sysconfig.get_config_var("CC") or "cc").split()[0])
-    if cc is None:
-        pytest.skip("no C compiler to build the compiled backend")
-    include = sysconfig.get_paths()["include"]
-    if not Path(include, "Python.h").exists():
-        pytest.skip(f"no Python headers in {include} to build the compiled "
-                    "backend")
-    source = Path(pure.__file__).with_name("_fast.c")
-    target = (tmp_path_factory.mktemp("fast")
-              / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX")))
-    build = subprocess.run(
-        [cc, "-shared", "-fPIC", "-O2", "-ffp-contract=off", f"-I{include}",
-         str(source), "-o", str(target)],
-        capture_output=True, text=True)
-    if build.returncode != 0:
-        pytest.fail(f"building {source.name} failed:\n{build.stderr}")
-    spec = importlib.util.spec_from_file_location("pitomo._kernels._fast",
-                                                  target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # Cython's module init registers the module in sys.modules; undo that
-    del sys.modules[spec.name]
-    return module
-
-
-class TestBackendParity:
-    def test_u64_streams(self, fast):
-        for seed, stream in [(0, 0), (7, 0), (7, 3), ((1 << 64) - 1, 5)]:
-            rp = pure.Rng(seed, stream)
-            rf = fast.Rng(seed, stream)
-            assert [rp.u64() for _ in range(200)] == [rf.u64() for _ in range(200)]
-
-    def test_poisson_streams(self, fast):
-        for mu in (0.3, 5.0, 29.999, 30.0, 666.6, 12345.6):
-            rp = pure.Rng(99, 0)
-            rf = fast.Rng(99, 0)
-            assert ([rp.poisson(mu) for _ in range(3000)]
-                    == [rf.poisson(mu) for _ in range(3000)])
-
-    def test_matrix_kernels(self, fast, rng):
-        for trial in range(40):
-            n = 2 + trial % 7
-            h = random_hermitian(rng, n)
-            a = [complex(rng.random(), rng.random()) for _ in range(n * n)]
-            assert pure.eigh(h, n) == fast.eigh(h, n)
-            assert (pure.mat_mul(a, n, n, h, n, n)
-                    == fast.mat_mul(a, n, n, h, n, n))
-            assert pure.kron(a, n, n, h, n, n) == fast.kron(a, n, n, h, n, n)
-            assert pure.mat_dagger(a, n, n) == fast.mat_dagger(a, n, n)
-
-    def test_partial_trace_and_residual(self, fast, rng):
-        rho = [complex(rng.random(), rng.random()) for _ in range(144)]
-        assert (pure.partial_trace(rho, (2, 3, 2), (1,))
-                == fast.partial_trace(rho, (2, 3, 2), (1,)))
-        phases = [0.31 * k for k in range(20)]
-        counts = [int(100 + 3 * k) for k in range(20)]
-        assert (pure.sinusoid_sq_residual(phases, counts, 101.0, 0.4, 0.7)
-                == fast.sinusoid_sq_residual(phases, counts, 101.0, 0.4, 0.7))
-
-    def test_loggam(self, fast):
-        for x in (1.0, 2.0, 3.0, 7.0, 7.5, 31.0, 1234.5):
-            assert pure.loggam(x) == fast.loggam(x)

@@ -1,0 +1,26 @@
+"""Packaging metadata: it names only files that exist, and its console
+script is the CLI's entry point."""
+
+import importlib
+import tomllib
+from pathlib import Path
+
+import pitomo.cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_pyproject_matches_the_tree():
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    project = meta["project"]
+    readme = project.get("readme")
+    named = [readme.get("file") if isinstance(readme, dict) else readme,
+             project.get("license", {}).get("file"),
+             *meta["tool"]["setuptools"]["packages"]["find"]["where"],
+             *meta["tool"]["pytest"]["ini_options"]["testpaths"]]
+    assert [p for p in named if p is not None and not (ROOT / p).exists()] == []
+
+    target = project["scripts"]["pitomo"]
+    assert target == "pitomo.cli:main"
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is pitomo.cli.main
