@@ -1,4 +1,4 @@
-"""Numeric kernels: dense complex matrices, the seeded RNG, the fringe residual.
+"""Numeric kernels: dense complex matrices and the seeded RNG.
 
 This is the package's one implementation of them.  The arithmetic is
 spelled out in a fixed evaluation order, and libm functions whose
@@ -257,16 +257,3 @@ class Rng:
                     <= k * loglam - mu - loggam(k + 1.0)):
                 return int(k)
 
-
-# ---------------------------------------------------------------------------
-# fringe-model residual
-
-
-def sinusoid_sq_residual(phases, counts, amp0, vis, delta):
-    """Sum of squared residuals of counts against amp0*(1+vis*cos(phi+delta))."""
-    s = 0.0
-    for k in range(len(phases)):
-        model = amp0 * (1.0 + vis * math.cos(phases[k] + delta))
-        d = model - counts[k]
-        s = s + d * d
-    return s

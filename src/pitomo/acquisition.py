@@ -213,7 +213,8 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
 def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
-    A malformed header or data row is reported as ``path:line: ...``.
+    A malformed or out-of-range header value or data row is reported as
+    ``path:line: ...``.
     """
     rows = [(k, line.strip()) for k, line
             in enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
@@ -236,6 +237,11 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         except ValueError:
             raise ValueError(f"{path}:{head}: {key} must be {what}, "
                              f"got {meta[key]!r}") from None
+    if meta["n"] < 1:
+        raise ValueError(f"{path}:{head}: n must be positive, got {meta['n']}")
+    if not 0 <= meta["seed"] < (1 << 64):
+        raise ValueError(f"{path}:{head}: seed must fit in 64 bits, "
+                         f"got {meta['seed']}")
     if rows[1][1] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
     phases: list[float] = []
@@ -253,6 +259,13 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         if not math.isfinite(phi):
             raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must be a finite "
                              f"number, got {fields[0]!r}")
+        if phases and phi <= phases[-1]:
+            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must be strictly "
+                             f"increasing, got {fields[0]!r} after "
+                             f"{phases[-1]!r}")
+        if phases and phi - phases[0] >= TWO_PI:
+            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must stay within "
+                             f"one period of {phases[0]!r}, got {fields[0]!r}")
         phases.append(phi)
         for name, text, counts in zip(CSV_COLUMNS[1:], fields[1:],
                                       (primary, constant)):
@@ -264,8 +277,11 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             if counts[-1] < 0:
                 raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
                                  f"got {text!r}")
-    plan = ScanPlan(tuple(phases), meta["n"], meta["setting"], meta["seed"],
-                    noiseless=False)
+    try:
+        plan = ScanPlan(tuple(phases), meta["n"], meta["setting"], meta["seed"],
+                        noiseless=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ScanRecord(plan, tuple(primary), tuple(constant), truth=None)
 
 
@@ -275,7 +291,15 @@ def scan_to_json(record: ScanRecord, path: str | Path) -> None:
 
 
 def scan_from_json(path: str | Path) -> ScanRecord:
-    return ScanRecord.from_json_dict(json.loads(Path(path).read_text()))
+    """Read a scan JSON; malformed JSON or an invalid or missing field is
+    reported as ``path: ...``."""
+    text = Path(path).read_text()
+    try:
+        return ScanRecord.from_json_dict(json.loads(text))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_scan(path: str | Path) -> ScanRecord:

@@ -10,6 +10,28 @@ and the physically parametrized rate model over (p_h, xi, purity) with
 a bounded Nelder-Mead search, which yields a valid density matrix by
 construction.
 
+Both routes start from one unconstrained least-squares fit per scan on
+the design matrix X = [1, cos phi, sin phi]: its solution theta_hat,
+the residuals r at theta_hat, the gradient term g = X^T r and the
+Cholesky factor L of the normal matrix G = X^T X = L L^T.  The fringe
+route converts that fit into fringe form.  The rate model is linear in
+the same basis, so the squared residual of any coefficient vector theta
+follows from the fit without another pass over the data:
+
+    |y - X theta|^2 = |r|^2 - 2 d.g + |L^T d|^2,   d = theta - theta_hat,
+
+an identity for any theta_hat (g vanishes at the exact minimizer).
+Every Nelder-Mead candidate therefore costs O(1).  The identity is kept
+in this centered form, around theta_hat, on purpose.  The expanded form
+|y|^2 - 2 theta.X^T y + theta.G theta subtracts terms of order
+n^2 * points from each other to leave a residual of order 1; at
+n = 10^8 that cancellation loses every significant digit, and the cost
+of the bundled noiseless scans came out negative.  The centered form
+only ever adds the residual sum to a nonnegative square.  For the same
+reason L is built from the centered columns of X rather than from the
+rounded entries of G, and when the counts dwarf the residuals, the
+residuals are recomputed, rounded once from their exact values.
+
 Both routes assume the balanced source arrangement (reference weights
 1:2, even reference polarizations, zero reference phase), which is the
 arrangement the rate model is reduced for.  The CLI's ``reconstruct``
@@ -27,7 +49,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import _kernels as _k
 from .acquisition import ScanRecord
 from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
@@ -99,13 +120,87 @@ def _solve3(m: list[list[float]], rhs: list[float]) -> tuple[list[float], list[l
     return sol, inv
 
 
-def fit_sinusoid(phases: Sequence[float], counts: Sequence[float]) -> SinusoidFit:
-    """Fit counts ~ A + C cos(phi) + S sin(phi) and convert to fringe form."""
+@dataclass(frozen=True)
+class _ScanFit:
+    """One scan's unconstrained least-squares fit on {1, cos phi, sin phi}.
+
+    ``theta`` = (a, c, s) solves the normal equations G theta = X^T y of
+    the design matrix X; ``inv`` is G^-1.  ``ssr`` is the squared
+    residual at ``theta`` in plain float arithmetic, which the standard
+    errors use.  ``rss`` is the same sum for the cost: equal to ``ssr``,
+    or summed from exactly rounded residuals where the plain ones are not
+    accurate to 1e-10 of it.  ``grad`` is X^T r for the residuals r that
+    ``rss`` sums, which rounding leaves slightly off zero.  ``chol`` holds
+    the lower Cholesky factor L of G = L L^T row by row (l00, l10, l11,
+    l20, l21, l22).
+    """
+
+    m: int
+    theta: tuple[float, float, float]
+    inv: list[list[float]]
+    ssr: float
+    rss: float
+    grad: tuple[float, float, float]
+    chol: tuple[float, float, float, float, float, float]
+
+    def cost(self, a: float, c: float, s: float) -> float:
+        """Squared residual at (a, c, s): rss - 2 d.grad + |L^T d|^2.
+
+        d = (a, c, s) - theta; the identity is exact for any theta.
+        """
+        l00, l10, l11, l20, l21, l22 = self.chol
+        da = a - self.theta[0]
+        dc = c - self.theta[1]
+        ds = s - self.theta[2]
+        u0 = l00 * da + l10 * dc + l20 * ds
+        u1 = l11 * dc + l21 * ds
+        u2 = l22 * ds
+        g_a, g_c, g_s = self.grad
+        return (self.rss - 2.0 * (da * g_a + dc * g_c + ds * g_s)
+                + (u0 * u0 + u1 * u1 + u2 * u2))
+
+    def sinusoid(self) -> SinusoidFit:
+        """Fringe form of the fit, with residual-based standard errors."""
+        a, c, s = self.theta
+        inv = self.inv
+        sigma2 = self.ssr / (self.m - 3)
+        var_a = max(0.0, sigma2 * inv[0][0])
+        var_c = max(0.0, sigma2 * inv[1][1])
+        var_s = max(0.0, sigma2 * inv[2][2])
+        cov_cs = sigma2 * inv[1][2]
+
+        b = math.sqrt(c * c + s * s)
+        delta = wrap_angle(math.atan2(-s, c))
+        if a <= 0.0:
+            raise FitError("fitted offset is not positive; no usable signal")
+        if b > 1e-12 * a:
+            var_b = (c * c * var_c + s * s * var_s + 2.0 * c * s * cov_cs) / (b * b)
+            var_d = (s * s * var_c + c * c * var_s - 2.0 * c * s * cov_cs) / (b ** 4)
+            b_err = math.sqrt(max(0.0, var_b))
+            d_err = math.sqrt(max(0.0, var_d))
+        else:
+            b_err = math.sqrt(max(var_c, var_s))
+            d_err = math.inf
+        a_err = math.sqrt(var_a)
+        vis = b / a
+        vis_err = math.sqrt((b_err / a) ** 2 + (b * a_err / (a * a)) ** 2)
+        return SinusoidFit(a, b, delta, vis, a_err, b_err, d_err, vis_err)
+
+
+def _split(x: float) -> tuple[float, float]:
+    """Veltkamp split: x = hi + lo exactly, each half of at most 26 bits."""
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
+    """One pass over the data: normal equations, solution, residual sum.
+
+    Raises FitError when the normal matrix is singular by ``_solve3``'s
+    test, i.e. when the grid cannot separate the three basis functions.
+    """
     m = len(phases)
-    if m < 5 or len(counts) != m:
-        raise FitError("need at least 5 matched (phase, count) points")
-    if max(phases) - min(phases) < math.pi * 0.999:
-        raise FitError("phase grid must span at least half a period")
     cos_k = [math.cos(p) for p in phases]
     sin_k = [math.sin(p) for p in phases]
     sc = sum(cos_k)
@@ -119,32 +214,71 @@ def fit_sinusoid(phases: Sequence[float], counts: Sequence[float]) -> SinusoidFi
     normal = [[float(m), sc, ss], [sc, scc, scs], [ss, scs, sss]]
     (a, c, s), inv = _solve3(normal, [sy, syc, sys_])
 
+    c_mean = sc / m
+    s_mean = ss / m
     ssr = 0.0
+    g_a = g_c = g_s = 0.0
+    suu = suv = svv = 0.0
     for k in range(m):
-        r = counts[k] - (a + c * cos_k[k] + s * sin_k[k])
+        ck = cos_k[k]
+        sk = sin_k[k]
+        r = counts[k] - (a + c * ck + s * sk)
         ssr += r * r
-    sigma2 = ssr / (m - 3)
-    var_a = max(0.0, sigma2 * inv[0][0])
-    var_c = max(0.0, sigma2 * inv[1][1])
-    var_s = max(0.0, sigma2 * inv[2][2])
-    cov_cs = sigma2 * inv[1][2]
+        g_a += r
+        g_c += r * ck
+        g_s += r * sk
+        u = ck - c_mean
+        v = sk - s_mean
+        suu += u * u
+        suv += u * v
+        svv += v * v
 
-    b = math.sqrt(c * c + s * s)
-    delta = wrap_angle(math.atan2(-s, c))
-    if a <= 0.0:
-        raise FitError("fitted offset is not positive; no usable signal")
-    if b > 1e-12 * a:
-        var_b = (c * c * var_c + s * s * var_s + 2.0 * c * s * cov_cs) / (b * b)
-        var_d = (s * s * var_c + c * c * var_s - 2.0 * c * s * cov_cs) / (b ** 4)
-        b_err = math.sqrt(max(0.0, var_b))
-        d_err = math.sqrt(max(0.0, var_d))
-    else:
-        b_err = math.sqrt(max(var_c, var_s))
-        d_err = math.inf
-    a_err = math.sqrt(var_a)
-    vis = b / a
-    vis_err = math.sqrt((b_err / a) ** 2 + (b * a_err / (a * a)) ** 2)
-    return SinusoidFit(a, b, delta, vis, a_err, b_err, d_err, vis_err)
+    # Each residual above is off by at most ~4 eps (|a| + |c| + |s|), so
+    # rss is off by at most 8 eps (|a| + |c| + |s|) sqrt(m ssr).  When
+    # counts dwarf the residuals (large n, near-exact fit) that can exceed
+    # 1e-10 of rss; the residuals are then recomputed, rounded once from
+    # their exact values: the model is summed from products of 26-bit
+    # halves, which are exact.
+    rss = ssr
+    if ssr == 0.0 or (abs(a) + abs(c) + abs(s)) * math.sqrt(m / ssr) > 1e5:
+        c_hi, c_lo = _split(c)
+        s_hi, s_lo = _split(s)
+        rss = 0.0
+        g_a = g_c = g_s = 0.0
+        for y, ck, sk in zip(counts, cos_k, sin_k):
+            ck_hi, ck_lo = _split(ck)
+            sk_hi, sk_lo = _split(sk)
+            r = math.fsum((y, -a, -c_hi * ck_hi, -c_hi * ck_lo, -c_lo * ck_hi,
+                           -c_lo * ck_lo, -s_hi * sk_hi, -s_hi * sk_lo,
+                           -s_lo * sk_hi, -s_lo * sk_lo))
+            rss += r * r
+            g_a += r
+            g_c += r * ck
+            g_s += r * sk
+
+    # L from the centered cos and sin columns, i.e. after a Gram-Schmidt
+    # step against the constant column: on a narrow grid the pivots l11
+    # and l22 are small differences that G's own rounded entries lose
+    l00 = math.sqrt(m)
+    l11 = math.sqrt(suu)
+    l21 = suv / l11
+    l22 = math.sqrt(max(0.0, svv - l21 * l21))
+    return _ScanFit(m, (a, c, s), inv, ssr, rss, (g_a, g_c, g_s),
+                    (l00, sc / l00, l11, ss / l00, l21, l22))
+
+
+def _check_fringe_grid(phases: Sequence[float], counts: Sequence[float]) -> None:
+    m = len(phases)
+    if m < 5 or len(counts) != m:
+        raise FitError("need at least 5 matched (phase, count) points")
+    if max(phases) - min(phases) < math.pi * 0.999:
+        raise FitError("phase grid must span at least half a period")
+
+
+def fit_sinusoid(phases: Sequence[float], counts: Sequence[float]) -> SinusoidFit:
+    """Fit counts ~ A + C cos(phi) + S sin(phi) and convert to fringe form."""
+    _check_fringe_grid(phases, counts)
+    return _fit_scan(phases, counts).sinusoid()
 
 
 @dataclass
@@ -200,10 +334,23 @@ def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
     FitError (coherence seen where the H population leaves no room).
     """
     _check_scans(scan_h, scan_v)
+    return _extract(scan_h, scan_v, _fit_record(scan_h), _fit_record(scan_v),
+                    t_h, t_v)
+
+
+def _fit_record(record: ScanRecord) -> _ScanFit:
+    return _fit_scan(record.plan.phases, record.counts_primary)
+
+
+def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
+             lsq_v: _ScanFit, t_h: float, t_v: float) -> ReconstructionResult:
+    """The fringe route on both scans' least-squares fits."""
     if not (0.0 < t_h <= 1.0 and 0.0 < t_v <= 1.0):
         raise ValueError("calibrated transmissions must lie in (0, 1]")
-    fit_h = fit_sinusoid(scan_h.plan.phases, scan_h.counts_primary)
-    fit_v = fit_sinusoid(scan_v.plan.phases, scan_v.counts_primary)
+    _check_fringe_grid(scan_h.plan.phases, scan_h.counts_primary)
+    fit_h = lsq_h.sinusoid()
+    _check_fringe_grid(scan_v.plan.phases, scan_v.counts_primary)
+    fit_v = lsq_v.sinusoid()
     flags: list[str] = []
 
     # 1e-6 absolute slack: count rounding biases noiseless fits where the
@@ -256,7 +403,8 @@ def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
             (sig_v / math.sqrt(p_v)) ** 2
             + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2)),
     }
-    cost = mle_cost(scan_h, scan_v, params, t_h, t_v)
+    cost = _pair_cost(lsq_h, lsq_v, params, t_h, t_v,
+                      *_resolve_n(scan_h, scan_v, None))
     return ReconstructionResult(params, params.to_density_matrix(), cost,
                                 Method.FRINGE, flags=tuple(flags),
                                 param_stderr=stderr)
@@ -282,18 +430,31 @@ def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
     n/3 * (1 + purity t_v sqrt(p_v) cos(phi - xi)).  ``n`` defaults to
     each record's own per-point budget and may be overridden by a single
     value or an (n_h, n_v) pair.
+
+    Both models are linear in the basis {1, cos phi, sin phi}: the H model
+    has coefficients (n/3, n/3 t_h sqrt(p_h), 0) and the V model
+    (n/3, b cos xi, b sin xi) with b = n/3 purity t_v sqrt(p_v).  Each
+    scan's residual is taken from its one least-squares fit in the
+    centered form of the module docstring, never from the expanded
+    square, which cancels catastrophically at large n.  This call fits
+    both scans; :func:`mle_reconstruct` fits them once and then scores
+    each candidate in O(1).
     """
     _check_scans(data_h, data_v)
-    n_h, n_v = _resolve_n(data_h, data_v, n)
-    vis_h = t_h * math.sqrt(candidate.p_h)
-    vis_v = candidate.purity * t_v * math.sqrt(candidate.p_v)
-    cost_h = _k.sinusoid_sq_residual(
-        data_h.plan.phases, data_h.counts_primary,
-        n_h * BALANCED_SOURCE1_WEIGHT, vis_h, 0.0)
-    cost_v = _k.sinusoid_sq_residual(
-        data_v.plan.phases, data_v.counts_primary,
-        n_v * BALANCED_SOURCE1_WEIGHT, vis_v, -candidate.xi)
-    return cost_h + cost_v
+    return _pair_cost(_fit_record(data_h), _fit_record(data_v), candidate,
+                      t_h, t_v, *_resolve_n(data_h, data_v, n))
+
+
+def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, candidate: IdlerStateParams,
+               t_h: float, t_v: float, n_h: float, n_v: float) -> float:
+    """:func:`mle_cost` from the two scans' fits and per-point budgets."""
+    amp_h = n_h * BALANCED_SOURCE1_WEIGHT
+    amp_v = n_v * BALANCED_SOURCE1_WEIGHT
+    b_h = amp_h * (t_h * math.sqrt(candidate.p_h))
+    b_v = amp_v * (candidate.purity * t_v * math.sqrt(candidate.p_v))
+    return (lsq_h.cost(amp_h, b_h, 0.0)
+            + lsq_v.cost(amp_v, b_v * math.cos(candidate.xi),
+                         b_v * math.sin(candidate.xi)))
 
 
 def _fold01(x: float) -> float:
@@ -370,16 +531,28 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
     pass converged with a vanishing V fringe, where the phase is
     degenerate.  Raises ConvergenceError (carrying the best point) if
     the evaluation budget of 10^4 is exhausted first.
+
+    Each scan is fitted once, and every cost evaluation reuses the two
+    fits.  A phase grid on which that fit's normal equations are
+    singular (by ``_solve3``'s determinant test; for instance 5 points
+    packed into a few milliradians) cannot identify the state, and is
+    refused with FitError, with or without ``init``.  Narrow grids that
+    pass the test, such as 5 points over 0.05 rad, are reconstructed
+    even though the fringe route refuses any grid shorter than half a
+    period; the initial point then falls back to (0.5, pi, 0.5).
     """
     _check_scans(data_h, data_v)
+    n_h, n_v = _resolve_n(data_h, data_v, n)
+    lsq_h, lsq_v = _fit_record(data_h), _fit_record(data_v)
     if init is None:
         try:
-            init = extract_parameters(data_h, data_v, t_h, t_v).params
+            init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
         except (FitError, CalibrationError):
             init = IdlerStateParams(0.5, math.pi, 0.5)
 
     def cost_of(vec: Sequence[float]) -> float:
-        return mle_cost(data_h, data_v, _vector_to_params(vec), t_h, t_v, n)
+        return _pair_cost(lsq_h, lsq_v, _vector_to_params(vec), t_h, t_v,
+                          n_h, n_v)
 
     x0 = [init.p_h, init.xi, init.purity]
     best_x, best_f, nfev, converged = _nelder_mead(

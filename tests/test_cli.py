@@ -9,7 +9,7 @@ import pytest
 
 from pitomo import active_backend
 from pitomo.cli import main, run_verification
-from pitomo.acquisition import scan_from_csv
+from pitomo.acquisition import ScanPlan, run_scan, scan_from_csv, scan_to_csv
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    rates_closed_form)
 from pitomo.reconstruct import ReconstructionResult
@@ -192,18 +192,25 @@ def test_reconstruct_missing_calibration_file(tmp_path):
 @pytest.mark.parametrize("field, index, value", [
     ("phases", 3, float("nan")),
     ("counts_primary", 2, 1.5),
+    ("counts_per_point", None, 0),
+    ("seed", None, -1),
 ])
 def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
                                             value):
     scan = json.loads((DATA / "scan_H.json").read_text())
-    (scan["plan"] if field == "phases" else scan)[field][index] = value
+    owner = scan["plan"] if field in scan["plan"] else scan
+    if index is None:
+        owner[field] = value
+    else:
+        owner[field][index] = value
     bad = tmp_path / "scan_H.json"
     bad.write_text(json.dumps(scan))
     assert run("reconstruct", "--scan-h", bad,
                "--scan-v", DATA / "scan_V.json",
                "--calibration", DATA / "calibration.json",
                "--out", tmp_path / "rec") == 3
-    assert f"{field}[{index}]" in capsys.readouterr().err
+    name = field if index is None else f"{field}[{index}]"
+    assert f"{bad}: {name} must " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, edit, message", [
@@ -226,6 +233,16 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
                  "setting must be H or V, got 'X'", id="header_bad_setting"),
     pytest.param(1, lambda f: [f[0].replace("seed=0", "seed0")],
                  "expected key=value, got 'seed0'", id="header_token_without_value"),
+    pytest.param(1, lambda f: [f[0].replace("n=100000000", "n=0")],
+                 "n must be positive, got 0", id="header_zero_n"),
+    pytest.param(1, lambda f: [f[0].replace("seed=0", "seed=-1")],
+                 "seed must fit in 64 bits, got -1", id="header_negative_seed"),
+    pytest.param(5, lambda f: ["0.3141592653589793", f[1], f[2]],
+                 "phi_rad must be strictly increasing, got '0.3141592653589793'",
+                 id="repeated_phase"),
+    pytest.param(8, lambda f: ["7.0", f[1], f[2]],
+                 "phi_rad must stay within one period of 0.0, got '7.0'",
+                 id="phase_past_one_period"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -238,6 +255,20 @@ def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                "--calibration", DATA / "calibration.json",
                "--out", tmp_path / "rec") == 3
     assert f"scan_H.csv:{line}: {message}" in capsys.readouterr().err
+
+
+def test_reconstruct_refuses_singular_phase_grid(tmp_path, capsys):
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.2, 0.9))
+    phases = tuple(1.0 + 0.001 * k for k in range(5))
+    for setting in (SignalSetting.H, SignalSetting.V):
+        scan_to_csv(run_scan(cfg, ScanPlan(phases, 1000, setting, 3)),
+                    tmp_path / f"scan_{setting.value}.csv")
+    assert run("reconstruct", "--scan-h", tmp_path / "scan_H.csv",
+               "--scan-v", tmp_path / "scan_V.csv",
+               "--calibration", DATA / "calibration.json",
+               "--out", tmp_path / "rec") == 3
+    assert "normal equations are singular" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
 
 
 @pytest.mark.parametrize("key", ["coherence_l", "coherence_lp"])

@@ -216,11 +216,3 @@ def test_eigh_against_numpy(rng):
         # unitarity of the eigenvector matrix
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
 
-
-def test_sinusoid_sq_residual_matches_direct():
-    phases = [0.1 * k for k in range(20)]
-    counts = [5.0 + k for k in range(20)]
-    got = kernels.sinusoid_sq_residual(phases, counts, 11.0, 0.5, 0.3)
-    ref = sum((11.0 * (1.0 + 0.5 * math.cos(p + 0.3)) - c) ** 2
-              for p, c in zip(phases, counts))
-    assert math.isclose(got, ref, rel_tol=1e-14)

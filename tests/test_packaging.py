@@ -1,10 +1,14 @@
 """Packaging metadata: it names only files that exist, and its console
-script is the CLI's entry point."""
+script is the CLI's entry point; ``python -m pitomo`` runs the same CLI."""
 
 import importlib
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
+import pitomo
 import pitomo.cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,3 +28,13 @@ def test_pyproject_matches_the_tree():
     assert target == "pitomo.cli:main"
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is pitomo.cli.main
+
+
+def test_package_runs_with_python_dash_m():
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pitomo", "--version"],
+                          capture_output=True, text=True, cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == pitomo.__version__

@@ -1,10 +1,13 @@
 """Fringe fitting, parameter extraction, and least-squares reconstruction."""
 
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pitomo.acquisition import ScanPlan, ScanRecord, run_scan
+from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
+                                load_scan, run_scan)
 from pitomo.interferometer import InterferometerConfig, SignalSetting
 from pitomo.reconstruct import (CalibrationError, ConvergenceError, FitError,
                                 Method, _nelder_mead, extract_parameters,
@@ -14,6 +17,7 @@ from pitomo.states import IdlerStateParams
 from pitomo.qcore import fidelity_pure
 from conftest import wrap_distance
 
+DATA = Path(__file__).resolve().parent / "data"
 TWO_PI = 2.0 * math.pi
 GRID_20 = [TWO_PI * k / 20 for k in range(20)]
 BIG_N = 10 ** 8
@@ -161,6 +165,61 @@ def test_extract_rejects_inconsistent_v_fringe():
         extract_parameters(scan_h, scan_v, 1.0, 1.0)
 
 
+# Literal outputs of the fringe route, kept bit-identical across changes to
+# the fit: (p_h, xi, purity, t_h, t_v, n, seed) -> params, stderr, flags.
+EXTRACT_GOLDEN = [
+    ((0.3, 1.2, 0.9, 0.9, 0.85, 1000, 1),
+     (0.31097561076339136, 1.264327092793808, 0.91213062178195),
+     {"p_h": 0.01749974201648988, "xi": 0.03146370383142777,
+      "purity": 0.02054830038964186}, ()),
+    ((0.5, math.pi / 2, 1.0, 1.0, 1.0, 1000, 3),
+     (0.4935482534066578, 1.5498298643832369, 1.0),
+     {"p_h": 0.03127288598205412, "xi": 0.03643576500210884,
+      "purity": 0.04019321670158016}, ("coherence_clamped",)),
+    ((0.98, 0.4, 1.0, 0.95, 0.9, 1000, 6),
+     (0.9867832158290945, 0.390345907347184, 1.0),
+     {"p_h": 0.037307526461352075, "xi": 0.14570674512817636,
+      "purity": 1.5667071700239734}, ("coherence_clamped",)),
+    ((0.7, 5.0, 0.02, 0.9, 0.9, 1000, 7),
+     (0.7378328282404572, 0.0, 0.1001457673311959),
+     {"p_h": 0.02694095350138003, "xi": math.inf,
+      "purity": 0.03658494152588653}, ("xi_undefined",)),
+    ((1.0, 0.0, 1.0, 0.9, 0.9, 1000, 10),
+     (1.0, 0.0, 1.0),
+     {"p_h": 0.04117533313821765, "xi": math.inf, "purity": math.inf},
+     ("p_h_clamped", "coherence_unconstrained", "xi_undefined")),
+    ((0.62, 4.0, 0.7, 0.8, 0.95, 10 ** 6, 9),
+     (0.6184807054127537, 4.000617064333801, 0.6994801966417733),
+     {"p_h": 0.00116443866286638, "xi": 0.0016185617314634915,
+      "purity": 0.001461758682510041}, ()),
+]
+
+
+@pytest.mark.parametrize("case, params, stderr, flags", EXTRACT_GOLDEN)
+def test_extract_golden_outputs(case, params, stderr, flags):
+    p_h, xi, purity, t_h, t_v, n, seed = case
+    scan_h, scan_v = scans_for(IdlerStateParams(p_h, xi, purity), t_h=t_h,
+                               t_v=t_v, n=n, seed=seed, noiseless=False)
+    result = extract_parameters(scan_h, scan_v, t_h, t_v)
+    got = result.params
+    assert (got.p_h, got.xi, got.purity) == params
+    assert result.param_stderr == stderr
+    assert result.flags == flags
+
+
+def test_extract_golden_outputs_on_bundled_fixture():
+    cal = calibration_from_json(DATA / "calibration.json")
+    result = extract_parameters(load_scan(DATA / "scan_H.csv"),
+                                load_scan(DATA / "scan_V.csv"), cal.t_h, cal.t_v)
+    got = result.params
+    assert (got.p_h, got.xi, got.purity) == (
+        0.3499999960462855, 2.100000004436861, 0.9999999990704697)
+    assert result.param_stderr == {"p_h": 4.256464707322428e-09,
+                                   "xi": 7.392837285607559e-09,
+                                   "purity": 6.027516127165829e-09}
+    assert result.flags == ()
+
+
 def test_extract_checks_setting_pairing():
     scan_h, scan_v = scans_for(IdlerStateParams.diagonal())
     with pytest.raises(ValueError):
@@ -202,6 +261,66 @@ def test_cost_accepts_explicit_budgets():
             == mle_cost(scan_h, scan_v, truth, 1.0, 1.0))
     assert (mle_cost(scan_h, scan_v, truth, 1.0, 1.0, n=(1000, 1000))
             == mle_cost(scan_h, scan_v, truth, 1.0, 1.0))
+
+
+def _direct_cost(scan_h, scan_v, candidate, t_h, t_v):
+    """Sum of squared residuals, each residual rounded once from its exact
+    value, of the model a + b cos(phi - delta) on both scans."""
+    terms = []
+    for scan, vis, delta in (
+            (scan_h, t_h * math.sqrt(candidate.p_h), 0.0),
+            (scan_v, candidate.purity * t_v * math.sqrt(candidate.p_v),
+             candidate.xi)):
+        a = scan.plan.counts_per_point / 3.0
+        b = a * vis
+        coef = (Fraction(a), Fraction(b * math.cos(delta)),
+                Fraction(b * math.sin(delta)))
+        for phi, y in zip(scan.plan.phases, scan.counts_primary):
+            r = float(coef[0] + coef[1] * Fraction(math.cos(phi))
+                      + coef[2] * Fraction(math.sin(phi)) - y)
+            terms.append(r * r)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+@pytest.mark.parametrize("n", [10, 10 ** 3, 10 ** 6, 10 ** 8])
+def test_cost_matches_direct_residual(rng, n, noiseless):
+    for trial in range(4):
+        truth = IdlerStateParams(0.05 + 0.9 * rng.random(), TWO_PI * rng.random(),
+                                 0.1 + 0.9 * rng.random())
+        t_h, t_v = 0.8 + 0.2 * rng.random(), 0.8 + 0.2 * rng.random()
+        scan_h, scan_v = scans_for(truth, t_h=t_h, t_v=t_v, n=n,
+                                   seed=trial, noiseless=noiseless)
+        candidates = [IdlerStateParams(rng.random(), TWO_PI * rng.random(),
+                                       rng.random()) for _ in range(4)]
+        best = mle_reconstruct(scan_h, scan_v, t_h, t_v)
+        candidates.append(best.params)
+        for candidate in candidates:
+            ref = _direct_cost(scan_h, scan_v, candidate, t_h, t_v)
+            got = mle_cost(scan_h, scan_v, candidate, t_h, t_v)
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert best.cost == pytest.approx(
+            _direct_cost(scan_h, scan_v, best.params, t_h, t_v), rel=1e-9, abs=0.0)
+
+
+def test_cost_on_bundled_fixture_matches_exact_rational():
+    # n = 10^8 noiseless: each model value is ~5e7 and each residual ~1,
+    # so an expanded square would cancel away every significant digit
+    scan_h, scan_v = load_scan(DATA / "scan_H.csv"), load_scan(DATA / "scan_V.csv")
+    cal = calibration_from_json(DATA / "calibration.json")
+    for result in (mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v),
+                   extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v)):
+        c = result.params
+        exact = Fraction(0)
+        for scan, vis, delta in (
+                (scan_h, cal.t_h * math.sqrt(c.p_h), 0.0),
+                (scan_v, c.purity * cal.t_v * math.sqrt(c.p_v), -c.xi)):
+            amp = Fraction(scan.plan.counts_per_point / 3.0)
+            for phi, y in zip(scan.plan.phases, scan.counts_primary):
+                model = amp * (1 + Fraction(vis) * Fraction(math.cos(phi + delta)))
+                exact += (model - y) ** 2
+        assert 1.0 < float(exact) < 10.0
+        assert result.cost == pytest.approx(float(exact), rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +384,35 @@ def test_mle_distinguishes_equal_visibility_states():
     rec_a = mle_reconstruct(*scans_a, 1.0, 1.0).params
     assert wrap_distance(rec_d.xi - rec_a.xi, math.pi) < 1e-3 or \
         wrap_distance(rec_a.xi - rec_d.xi, math.pi) < 1e-3
+
+
+def _packed_scans(span):
+    """Noisy scans over 5 phases packed into ``span`` radians."""
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.2, 0.9),
+                                        t_h=0.9, t_v=0.85)
+    phases = tuple(1.0 + span * k / 4 for k in range(5))
+    return tuple(run_scan(cfg, ScanPlan(phases, 1000, setting, 3))
+                 for setting in (SignalSetting.H, SignalSetting.V))
+
+
+def test_mle_refuses_singular_grid():
+    scan_h, scan_v = _packed_scans(0.004)
+    with pytest.raises(FitError, match="singular"):
+        mle_reconstruct(scan_h, scan_v, 0.9, 0.85)
+    with pytest.raises(FitError, match="singular"):
+        mle_reconstruct(scan_h, scan_v, 0.9, 0.85,
+                        init=IdlerStateParams(0.5, 1.0, 0.5))
+
+
+def test_mle_reconstructs_narrow_but_regular_grid():
+    # the fringe route refuses this grid (span below half a period); the
+    # least-squares route starts from its default point and must land
+    # where the direct residual's minimizer did: these literals
+    result = mle_reconstruct(*_packed_scans(0.05), 0.9, 0.85)
+    assert result.params.p_h == pytest.approx(0.3165618407667835, abs=1e-6)
+    assert result.params.xi == pytest.approx(0.5786262132045895, abs=1e-6)
+    assert result.params.purity == pytest.approx(0.9999999999999873, abs=1e-6)
+    assert result.cost == pytest.approx(3122.8866481390532, rel=1e-9)
 
 
 def test_nelder_mead_reports_nonconvergence():
