@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import _kernels as _k
+from ._fields import field, items, load
 from .interferometer import InterferometerConfig, SignalSetting, fringe
 from .states import IdlerStateParams
 
@@ -78,9 +79,9 @@ class ScanPlan:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScanPlan":
-        return cls(tuple(d["phases"]), int(d["counts_per_point"]),
-                   SignalSetting(d["setting"]), int(d["seed"]),
-                   bool(d.get("noiseless", False)))
+        return cls(items(d, "phases", float), field(d, "counts_per_point", int),
+                   field(d, "setting", SignalSetting), field(d, "seed", int),
+                   field(d, "noiseless", bool, False))
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,12 @@ class ScanRecord:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ScanRecord":
-        truth = d.get("truth")
-        return cls(ScanPlan.from_json_dict(d["plan"]),
-                   _integral_counts(d["counts_primary"], "counts_primary"),
-                   _integral_counts(d["counts_constant"], "counts_constant"),
-                   InterferometerConfig.from_json_dict(truth) if truth else None)
-
-
-def _integral_counts(values, field: str) -> tuple[int, ...]:
-    """Counts read from a file: ints, or floats with an integral value."""
-    out = []
-    for i, c in enumerate(values):
-        if isinstance(c, float) and c.is_integer():
-            c = int(c)
-        if type(c) is not int:
-            raise ValueError(f"{field}[{i}] must be an integer count, got {c!r}")
-        out.append(c)
-    return tuple(out)
+        truth = field(d, "truth", dict, None)
+        if truth is not None:
+            truth = InterferometerConfig.from_json_dict(truth)
+        return cls(ScanPlan.from_json_dict(field(d, "plan", dict)),
+                   items(d, "counts_primary", int),
+                   items(d, "counts_constant", int), truth)
 
 
 def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
@@ -164,8 +154,8 @@ class CalibrationResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibrationResult":
-        return cls(float(d["t_h"]), float(d["t_h_stderr"]),
-                   float(d["t_v"]), float(d["t_v_stderr"]))
+        return cls(field(d, "t_h", float), field(d, "t_h_stderr", float),
+                   field(d, "t_v", float), field(d, "t_v_stderr", float))
 
 
 def run_calibration(cfg_template: InterferometerConfig,
@@ -293,13 +283,7 @@ def scan_to_json(record: ScanRecord, path: str | Path) -> None:
 def scan_from_json(path: str | Path) -> ScanRecord:
     """Read a scan JSON; malformed JSON or an invalid or missing field is
     reported as ``path: ...``."""
-    text = Path(path).read_text()
-    try:
-        return ScanRecord.from_json_dict(json.loads(text))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load(path, ScanRecord.from_json_dict)
 
 
 def load_scan(path: str | Path) -> ScanRecord:
@@ -318,4 +302,5 @@ def calibration_to_json(result: CalibrationResult, path: str | Path) -> None:
 
 
 def calibration_from_json(path: str | Path) -> CalibrationResult:
-    return CalibrationResult.from_json_dict(json.loads(Path(path).read_text()))
+    """Read a calibration JSON; errors are reported as ``path: ...``."""
+    return load(path, CalibrationResult.from_json_dict)

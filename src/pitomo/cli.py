@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from . import _kernels as _k
+from ._fields import load
 from .acquisition import (ScanPlan, calibration_from_json, calibration_to_json,
                           load_scan, run_calibration, run_scan, scan_to_csv,
                           scan_to_json)
@@ -94,8 +95,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args, setting: SignalSetting = SignalSetting.H) -> InterferometerConfig:
     if args.config is not None:
-        cfg = InterferometerConfig.from_json_dict(
-            json.loads(Path(args.config).read_text()))
+        cfg = load(args.config, InterferometerConfig.from_json_dict)
     else:
         cfg = InterferometerConfig.balanced(IdlerStateParams.horizontal())
     idler = cfg.idler
@@ -231,8 +231,7 @@ def cmd_reconstruct(args) -> int:
         result = extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v)
     reference = None
     if args.reference is not None:
-        reference = IdlerStateParams.from_json_dict(
-            json.loads(Path(args.reference).read_text()))
+        reference = load(args.reference, IdlerStateParams.from_json_dict)
     elif scan_h.truth is not None:
         reference = scan_h.truth.idler
     if reference is not None:
@@ -390,11 +389,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    result = ReconstructionResult.from_json_dict(
-        json.loads(Path(args.result).read_text()))
+    result = load(args.result, ReconstructionResult.from_json_dict)
     if args.reference is not None:
-        reference = IdlerStateParams.from_json_dict(
-            json.loads(Path(args.reference).read_text()))
+        reference = load(args.reference, IdlerStateParams.from_json_dict)
         report_fidelity(result, reference)
     text = _render_report(result)
     if args.out:

@@ -51,6 +51,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import _kernels as _k
+from ._fields import check, field
 from .qcore import ComplexMatrix, DensityMatrix
 from .states import IdlerStateParams, SourceQ2Params
 
@@ -75,6 +76,7 @@ _BS_RAW = [
     SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j, 0j,
     0j, SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j,
 ]
+_BS_DAGGER_RAW = _k.mat_dagger(_BS_RAW, 4, 4)
 
 
 class SignalSetting(str, enum.Enum):
@@ -100,14 +102,18 @@ class InterferometerConfig:
     signal_setting: SignalSetting = SignalSetting.H
 
     def __post_init__(self):
-        if self.b1 < 0.0 or self.b2_mag < 0.0:
-            raise ValueError("source amplitudes must be >= 0")
+        # every test is written so that a NaN fails it
+        if not (self.b1 >= 0.0 and self.b2_mag >= 0.0):
+            raise ValueError(f"b1 and b2_mag must be >= 0, got {self.b1!r} "
+                             f"and {self.b2_mag!r}")
         norm = self.b1 * self.b1 + self.b2_mag * self.b2_mag
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"b1^2 + b2^2 must be 1, got {norm!r}")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         object.__setattr__(self, "t_h", complex(self.t_h))
         object.__setattr__(self, "t_v", complex(self.t_v))
-        if abs(self.t_h) > 1.0 + 1e-12 or abs(self.t_v) > 1.0 + 1e-12:
+        if not (abs(self.t_h) <= 1.0 + 1e-12 and abs(self.t_v) <= 1.0 + 1e-12):
             raise ValueError("|t_h| and |t_v| must be <= 1")
         object.__setattr__(self, "signal_setting", SignalSetting(self.signal_setting))
 
@@ -150,28 +156,32 @@ class InterferometerConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "InterferometerConfig":
-        def _cplx(v):
-            if isinstance(v, dict):
-                return complex(float(v["re"]), float(v.get("im", 0.0)))
-            return complex(v)
-        idler = IdlerStateParams.from_json_dict(d["idler"])
+        def _cplx(key):
+            v = d.get(key, 1.0)
+            if not isinstance(v, dict):
+                return complex(check(v, float, key))
+            return complex(check(v.get("re"), float, f"{key}.re"),
+                           check(v.get("im", 0.0), float, f"{key}.im"))
+        idler = IdlerStateParams.from_json_dict(field(d, "idler", dict))
         # Files written before the cross-source coherences were tied to the
         # idler purity carry them; they load only while they agree with it.
         for key in ("coherence_l", "coherence_lp"):
-            value = d.get(key)
-            if value is not None and float(value) != idler.purity:
+            value = field(d, key, float, None)
+            if value is not None and value != idler.purity:
                 raise ValueError(
                     f"{key} = {value!r} differs from the idler purity "
                     f"{idler.purity!r}; a physical state needs them equal")
         return cls(
-            b1=float(d["b1"]),
-            b2_mag=float(d["b2_mag"]),
-            phi=float(d.get("phi", 0.0)),
-            t_h=_cplx(d.get("t_h", 1.0)),
-            t_v=_cplx(d.get("t_v", 1.0)),
+            b1=field(d, "b1", float),
+            b2_mag=field(d, "b2_mag", float),
+            phi=field(d, "phi", float, 0.0),
+            t_h=_cplx("t_h"),
+            t_v=_cplx("t_v"),
             idler=idler,
-            q2=SourceQ2Params.from_json_dict(d.get("q2", {"p_h2": 0.5, "theta": 0.0})),
-            signal_setting=SignalSetting(d.get("signal_setting", "H")),
+            q2=SourceQ2Params.from_json_dict(
+                field(d, "q2", dict, {"p_h2": 0.5, "theta": 0.0})),
+            signal_setting=field(d, "signal_setting", SignalSetting,
+                                 SignalSetting.H),
         )
 
 
@@ -286,9 +296,8 @@ def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
 
 
 def _recombine_raw(rs: Sequence[complex]) -> list[complex]:
-    bsd = _k.mat_dagger(_BS_RAW, 4, 4)
     tmp = _k.mat_mul(_BS_RAW, 4, 4, rs, 4, 4)
-    return _k.mat_mul(tmp, 4, 4, bsd, 4, 4)
+    return _k.mat_mul(tmp, 4, 4, _BS_DAGGER_RAW, 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ evolution chain).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _kernels as _k
+from ._fields import field, items
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -134,8 +135,12 @@ class ComplexMatrix:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ComplexMatrix":
-        entries = tuple(complex(r, i) for r, i in zip(d["re"], d["im"]))
-        return cls(int(d["rows"]), int(d["cols"]), entries)
+        re, im = items(d, "re", float), items(d, "im", float)
+        if len(re) != len(im):
+            raise ValueError(f"re and im must have equal lengths, got "
+                             f"{len(re)} and {len(im)}")
+        return cls(field(d, "rows", int), field(d, "cols", int),
+                   tuple(complex(r, i) for r, i in zip(re, im)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class DensityMatrix:
 
     dim: int
     matrix: ComplexMatrix
-    basis_labels: tuple[str, ...] = field(default=())
+    basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
@@ -191,7 +196,7 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DensityMatrix":
         m = ComplexMatrix.from_json_dict(d)
-        return cls(m.rows, m, tuple(d.get("basis_labels") or ()))
+        return cls(m.rows, m, items(d, "basis_labels", str, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._fields import field, items
 from .acquisition import ScanRecord
 from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
@@ -306,14 +307,16 @@ class ReconstructionResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ReconstructionResult":
+        stderr = field(d, "param_stderr", dict, None)
         return cls(
-            params=IdlerStateParams.from_json_dict(d["params"]),
-            rho=DensityMatrix.from_json_dict(d["rho"]),
-            cost=float(d["cost"]),
-            method=Method(d["method"]),
-            fidelity_vs_reference=d.get("fidelity_vs_reference"),
-            flags=tuple(d.get("flags") or ()),
-            param_stderr=d.get("param_stderr"),
+            params=IdlerStateParams.from_json_dict(field(d, "params", dict)),
+            rho=DensityMatrix.from_json_dict(field(d, "rho", dict)),
+            cost=field(d, "cost", float),
+            method=field(d, "method", Method),
+            fidelity_vs_reference=field(d, "fidelity_vs_reference", float, None),
+            flags=items(d, "flags", str, ()),
+            param_stderr=None if stderr is None else {
+                key: field(stderr, key, float) for key in ("p_h", "xi", "purity")},
         )
 
 

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._fields import field
 from .qcore import ComplexMatrix, DensityMatrix
 
 TWO_PI = 2.0 * math.pi
@@ -60,6 +61,8 @@ class IdlerStateParams:
             raise ValueError(f"p_h must lie in [0,1], got {self.p_h}")
         if not 0.0 <= self.purity <= 1.0:
             raise ValueError(f"purity must lie in [0,1], got {self.purity}")
+        if not math.isfinite(self.xi):
+            raise ValueError(f"xi must be finite, got {self.xi}")
         object.__setattr__(self, "xi", wrap_angle(self.xi))
 
     @property
@@ -84,7 +87,8 @@ class IdlerStateParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "IdlerStateParams":
-        return cls(float(d["p_h"]), float(d["xi"]), float(d["purity"]))
+        return cls(field(d, "p_h", float), field(d, "xi", float),
+                   field(d, "purity", float))
 
     # common preparations
     @classmethod
@@ -146,6 +150,8 @@ class SourceQ2Params:
     def __post_init__(self):
         if not 0.0 <= self.p_h2 <= 1.0:
             raise ValueError(f"p_h2 must lie in [0,1], got {self.p_h2}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
     @property
@@ -157,7 +163,7 @@ class SourceQ2Params:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SourceQ2Params":
-        return cls(float(d["p_h2"]), float(d["theta"]))
+        return cls(field(d, "p_h2", float), field(d, "theta", float))
 
 
 class WaveplateKind(str, enum.Enum):

@@ -34,3 +34,11 @@ def wrap_distance(a, b, period=2.0 * math.pi):
     """Smallest absolute difference of two angles modulo the period."""
     d = math.fmod(abs(a - b), period)
     return min(d, period - d)
+
+
+def digest(values):
+    """sha256 of the reprs of a sequence of floats or complexes; two
+    sequences share a digest only if every entry has the same bits (up to
+    the sign of a NaN)."""
+    import hashlib
+    return hashlib.sha256(",".join(map(repr, values)).encode()).hexdigest()

@@ -1,18 +1,23 @@
 """Command-line surface: determinism, formats, exit codes, bundled fixture."""
 
+import copy
+import hashlib
 import json
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pitomo import active_backend
 from pitomo.cli import main, run_verification
-from pitomo.acquisition import ScanPlan, run_scan, scan_from_csv, scan_to_csv
+from pitomo.acquisition import (ScanPlan, calibration_from_json, load_scan,
+                                run_scan, scan_from_csv, scan_to_csv)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    rates_closed_form)
-from pitomo.reconstruct import ReconstructionResult
+from pitomo.reconstruct import ReconstructionResult, extract_parameters
 from pitomo.states import IdlerStateParams
 from conftest import wrap_distance
 
@@ -375,6 +380,33 @@ def test_verify_detects_stressed_violation_on_every_seed():
         assert run_verification(1, seed)["all_passed"], seed
 
 
+@pytest.mark.parametrize("seed, expected", [
+    (5,
+     "e8155e65e0d06e4443524bf0d61786d19ad497f417bf04c54cbb8bccc45a31ec"),
+    (77,
+     "e1bbb459dbe02b922a9d7ef543bc06424714d1c03b183a87e06bacfdac210550"),
+    (20260810,
+     "6e24669bb4ff6b895d864d671636f3a06cad3e7cf8b8668eb8ec24dbd3f87843"),
+])
+def test_verification_report_golden(seed, expected):
+    report = json.dumps(run_verification(200, seed), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == expected
+
+
+def test_verify_stdout_golden(capsys):
+    assert run("verify", "--trials", 1000, "--seed", 1) == 0
+    assert capsys.readouterr().out == (
+        "PASS  oracle equivalence (closed form vs matrix pipeline): "
+        "max |closed - exact| = 3.331e-16 over 1000 configs\n"
+        "PASS  trace of the joint state: max |tr - 1| = 2.220e-16 "
+        "over 300 configs\n"
+        "PASS  positivity at coherence 0 / 0.5 / 1: "
+        "min eigenvalue = -1.627e-16\n"
+        "PASS  positivity violation detected at coherence 1.2: "
+        "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
+        "all 4 checks passed\n")
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_refuses_fewer_than_one_trial(capsys, trials):
     assert run("verify", "--trials", trials) == 3
@@ -393,3 +425,140 @@ def test_report_renders_stored_result(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fidelity vs ref" in text
     assert "density matrix" in text
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON input
+
+
+def _reconstruct_argv(out, scan_h=DATA / "scan_H.json",
+                      scan_v=DATA / "scan_V.json",
+                      calibration=DATA / "calibration.json",
+                      reference=DATA / "reference.json"):
+    return ("reconstruct", "--scan-h", scan_h, "--scan-v", scan_v,
+            "--calibration", calibration, "--reference", reference,
+            "--out", out)
+
+
+def _stored_result():
+    scans = [load_scan(DATA / f"scan_{s}.json") for s in "HV"]
+    cal = calibration_from_json(DATA / "calibration.json")
+    return extract_parameters(*scans, cal.t_h, cal.t_v).to_json_dict()
+
+
+# every JSON input of the CLI: its document and the command that reads it
+JSON_INPUTS = {
+    "scan_H.json": lambda bad, out: _reconstruct_argv(out, scan_h=bad),
+    "scan_V.json": lambda bad, out: _reconstruct_argv(out, scan_v=bad),
+    "calibration.json": lambda bad, out: _reconstruct_argv(out, calibration=bad),
+    "reference.json": lambda bad, out: _reconstruct_argv(out, reference=bad),
+    "config.json": lambda bad, out: ("simulate", "--setting", "H", "--seed", 1,
+                                     "--config", bad, "--out", out),
+    "result.json": lambda bad, out: ("report", "--result", bad,
+                                     "--reference", DATA / "reference.json"),
+}
+JSON_DOCS = {name: json.loads((DATA / name).read_text())
+             for name in JSON_INPUTS if name != "result.json"}
+JSON_DOCS["result.json"] = _stored_result()
+
+
+def _replaced(doc, path, value):
+    """Copy of a JSON document with the entry at ``path`` set to ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    pytest.param("scan_H.json", ("plan", "phases"), None, "phases",
+                 id="phases_null"),
+    pytest.param("scan_H.json", ("plan", "phases"), 3, "phases",
+                 id="phases_number"),
+    pytest.param("scan_H.json", ("plan", "phases", 2), [1], "phases[2]",
+                 id="phase_list"),
+    pytest.param("scan_H.json", ("counts_primary",), None, "counts_primary",
+                 id="counts_null"),
+    pytest.param("scan_H.json", ("plan", "counts_per_point"), None,
+                 "counts_per_point", id="counts_per_point_null"),
+    pytest.param("scan_H.json", ("plan", "seed"), [1], "seed", id="seed_list"),
+    pytest.param("scan_H.json", ("plan",), None, "plan", id="plan_null"),
+    pytest.param("scan_H.json", (), [1], "the document", id="scan_top_list"),
+    pytest.param("scan_H.json", ("truth",), [1], "truth", id="truth_list"),
+    pytest.param("scan_H.json", ("plan", "phases"), "012345", "phases",
+                 id="phases_string"),
+    pytest.param("scan_H.json", ("plan", "counts_per_point"), 10.7,
+                 "counts_per_point", id="counts_per_point_fraction"),
+    pytest.param("scan_H.json", ("plan", "seed"), True, "seed",
+                 id="seed_bool"),
+    pytest.param("scan_H.json", ("plan", "phases", 0), "x", "phases[0]",
+                 id="phase_string"),
+    pytest.param("calibration.json", ("t_h",), None, "t_h", id="t_h_null"),
+    pytest.param("calibration.json", (), [1], "the document",
+                 id="calibration_top_list"),
+    pytest.param("reference.json", ("p_h",), None, "p_h", id="p_h_null"),
+    pytest.param("config.json", ("idler",), None, "idler", id="idler_null"),
+    pytest.param("config.json", ("q2",), [1], "q2", id="q2_list"),
+    pytest.param("config.json", ("b1",), None, "b1", id="b1_null"),
+    pytest.param("result.json", ("rho",), None, "rho", id="rho_null"),
+    pytest.param("result.json", ("param_stderr", "xi"), None, "xi",
+                 id="stderr_null"),
+])
+def test_malformed_json_names_file_and_field(tmp_path, capsys, name, path,
+                                             value, field):
+    bad = tmp_path / name
+    bad.write_text(json.dumps(_replaced(JSON_DOCS[name], path, value)))
+    assert run(*JSON_INPUTS[name](bad, tmp_path / "out")) == 3
+    assert f"{bad}: {field} must be " in capsys.readouterr().err
+
+
+def _paths(doc, prefix=()):
+    """Every location in a JSON document, the document itself included."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        keys = doc.keys() if isinstance(doc, dict) else range(len(doc))
+        for key in keys:
+            yield from _paths(doc[key], prefix + (key,))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("name", sorted(JSON_INPUTS))
+@given(data=st.data())
+def test_loaders_exit_0_or_3_on_any_field_value(name, data):
+    doc = JSON_DOCS[name]
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(_json_values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / name
+        bad.write_text(json.dumps(_replaced(doc, path, value)))
+        assert run(*JSON_INPUTS[name](bad, Path(tmp) / "out")) in (0, 3)
+
+
+@pytest.mark.parametrize("name, path, message", [
+    pytest.param("config.json", ("b1",), "b1 and b2_mag must be >= 0, got nan",
+                 id="b1"),
+    pytest.param("config.json", ("phi",), "phi must be finite", id="phi"),
+    pytest.param("config.json", ("t_h", "re"), "|t_h| and |t_v| must be <= 1",
+                 id="t_h"),
+    pytest.param("config.json", ("q2", "theta"), "theta must be finite",
+                 id="theta"),
+    pytest.param("reference.json", ("xi",), "xi must be finite", id="xi"),
+    pytest.param("scan_H.json", ("truth", "idler", "xi"), "xi must be finite",
+                 id="truth_xi"),
+])
+def test_nan_in_json_input_exits_3(tmp_path, capsys, name, path, message):
+    # Python's json module reads NaN, which every range test must refuse
+    bad = tmp_path / name
+    bad.write_text(json.dumps(_replaced(JSON_DOCS[name], path, math.nan)))
+    assert run(*JSON_INPUTS[name](bad, tmp_path / "out")) == 3
+    assert f"{bad}: {message}" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
 from pitomo.interferometer import (BASIS_8, InterferometerConfig,
-                                   SignalSetting, alignment_isometry,
+                                   SignalSetting, _apply_alignment_raw,
+                                   _total_state_raw, alignment_isometry,
                                    apply_alignment, coherence_stressed_state,
                                    fringe, post_interaction_idler,
                                    random_valid_config, rates_closed_form,
@@ -20,7 +21,7 @@ from pitomo.interferometer import (BASIS_8, InterferometerConfig,
 from pitomo.qcore import ComplexMatrix, DensityMatrix, fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
-from conftest import wrap_distance
+from conftest import digest, wrap_distance
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -428,3 +429,19 @@ def test_coherence_stress_boundary():
     assert ok.min_eigenvalue() >= -1e-10
     bad = coherence_stressed_state(cfg, 1.2)
     assert bad.min_eigenvalue() <= -1e-4
+
+
+def test_exact_pipeline_golden_bits():
+    # digests of the matrix pipeline's outputs on seeded configurations;
+    # any change to the kernels' arithmetic or order of summation shows here
+    rng = Rng(1618, 0)
+    aligned, rates = [], []
+    for _ in range(300):
+        cfg = random_valid_config(rng)
+        aligned.extend(_apply_alignment_raw(_total_state_raw(cfg), cfg))
+        r = rates_exact(cfg)
+        rates.extend((r.rate_h, r.rate_v))
+    assert digest(aligned) == (
+        "b748791f05f685b186710ebfc619a0a11e7b46efc06d41555780278913357b7d")
+    assert digest(rates) == (
+        "9a8660a026c5243123a8bea7b2aa322ce1526448b08debf1d57d80c059189e76")

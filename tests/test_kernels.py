@@ -1,14 +1,21 @@
 """Kernel-level tests: PRNG streams against reference transcriptions and
-golden draws, Poisson statistics, and linear algebra against numpy."""
+golden draws, Poisson statistics, linear algebra against numpy, and the
+bits of the matrix kernels against a naive loop and golden digests."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pitomo import _kernels as kernels
+from pitomo.interferometer import (InterferometerConfig,
+                                   _alignment_isometry_raw, _total_state_raw,
+                                   coherence_stressed_state,
+                                   random_valid_config, total_state)
 from pitomo.qcore import ComplexMatrix, DensityMatrix, kron, partial_trace
-from conftest import random_hermitian
+from pitomo.states import IdlerStateParams
+from conftest import digest, random_hermitian
 
 MASK = (1 << 64) - 1
 
@@ -216,3 +223,91 @@ def test_eigh_against_numpy(rng):
         # unitarity of the eigenvector matrix
         assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
 
+
+# ---------------------------------------------------------------------------
+# bit-level pins of mat_mul and eigh
+
+
+def _naive_mat_mul(a, ar, ac, b, bc):
+    """Every term of every entry, summed in ascending k from 0j."""
+    out = []
+    for i in range(ar):
+        for j in range(bc):
+            s = 0j
+            for k in range(ac):
+                s = s + a[i * ac + k] * b[k * bc + j]
+            out.append(s)
+    return out
+
+
+_SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                 complex(-0.0, -0.0))
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+# about 70% exact zeros of every sign, the rest arbitrary finite entries
+_sparse_entry = st.tuples(st.integers(0, 9), st.sampled_from(_SIGNED_ZEROS),
+                          st.builds(complex, _finite, _finite)).map(
+    lambda t: t[1] if t[0] < 7 else t[2])
+
+
+@st.composite
+def _sparse_product(draw):
+    ar, bc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    ac = draw(st.integers(1, 12))
+    a = draw(st.lists(_sparse_entry, min_size=ar * ac, max_size=ar * ac))
+    b = draw(st.lists(_sparse_entry, min_size=ac * bc, max_size=ac * bc))
+    return a, ar, ac, b, bc
+
+
+@given(_sparse_product())
+# the order of summation shows: ascending k gives (1 + 1e16) - 1e16 = 0
+@example(([1 + 0j, 0j, 1e16 + 0j, -1e16 + 0j], 1, 4, [1 + 0j] * 4, 1))
+# a subnormal entry is not an exact zero
+@example(([complex(5e-324, 0.0), 0j], 1, 2, [1 + 0j, 2 + 0j], 1))
+def test_mat_mul_bits_equal_naive_loop_on_sparse_factors(case):
+    a, ar, ac, b, bc = case
+    got = kernels.mat_mul(a, ar, ac, b, ac, bc)
+    assert list(map(repr, got)) == list(map(repr, _naive_mat_mul(a, ar, ac, b, bc)))
+
+
+def test_mat_mul_bits_equal_naive_loop_on_alignment_isometry():
+    rng = kernels.Rng(31, 0)
+    configs = [random_valid_config(rng) for _ in range(40)]
+    configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
+    for cfg in configs:
+        k = _alignment_isometry_raw(cfg)
+        r8 = _total_state_raw(cfg)
+        kd = kernels.mat_dagger(k, 12, 8)
+        tmp = kernels.mat_mul(k, 12, 8, r8, 8, 8)
+        assert list(map(repr, tmp)) == list(map(repr, _naive_mat_mul(k, 12, 8, r8, 8)))
+        out = kernels.mat_mul(tmp, 12, 8, kd, 8, 12)
+        assert list(map(repr, out)) == list(map(repr, _naive_mat_mul(tmp, 12, 8, kd, 12)))
+
+
+def _eigh_digest(matrices):
+    flat = []
+    for m in matrices:
+        vals, vecs = kernels.eigh(m, 8)
+        flat.extend(vals)
+        flat.extend(vecs)
+    return digest(flat)
+
+
+def test_eigh_golden_total_states():
+    rng = kernels.Rng(2718, 0)
+    states = [total_state(random_valid_config(rng)).matrix.entries
+              for _ in range(40)]
+    assert _eigh_digest(states) == (
+        "16546418669dd44fff89fdbd4f9b1350e3fd327de7efd8f310449bf942b9c0b2")
+
+
+def test_eigh_golden_stressed_states():
+    rng = kernels.Rng(2718, 1)
+    states = []
+    for _ in range(40):
+        cfg = InterferometerConfig.balanced(
+            IdlerStateParams(rng.random(), 2.0 * math.pi * rng.random(),
+                             rng.random()),
+            phi=2.0 * math.pi * rng.random())
+        states.append(coherence_stressed_state(cfg, 1.2).matrix.entries)
+    assert _eigh_digest(states) == (
+        "1e44706730d974e84d28ff07b2d2e6c6eacc47065e3453666445b147f3490feb")

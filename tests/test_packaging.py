@@ -21,7 +21,8 @@ def test_pyproject_matches_the_tree():
     named = [readme.get("file") if isinstance(readme, dict) else readme,
              project.get("license", {}).get("file"),
              *meta["tool"]["setuptools"]["packages"]["find"]["where"],
-             *meta["tool"]["pytest"]["ini_options"]["testpaths"]]
+             *meta["tool"]["pytest"]["ini_options"]["testpaths"],
+             *meta["tool"]["pytest"]["ini_options"]["pythonpath"]]
     assert [p for p in named if p is not None and not (ROOT / p).exists()] == []
 
     target = project["scripts"]["pitomo"]
