@@ -24,11 +24,27 @@ Random numbers come from xoshiro256** seeded through splitmix64:
   transformed-rejection sampler (normal-approximation proposal with an
   exact acceptance step) above, using a fixed-coefficient Stirling
   series for log(k!) so no platform lgamma enters the stream.
+
+:meth:`Rng.poissons` draws a whole sequence of means in one call, and
+:meth:`Rng.poisson` is the one-mean case of it.  The batch keeps the
+xoshiro words in locals and steps them inline.  While consecutive means
+are equal it keeps their per-mean work: the inversion branch keeps the
+CDF terms already summed and extends them lazily by the same recurrence
+(``pmf *= mu/k; cdf += pmf``), and the rejection branch keeps its
+constants.  No bit changes, because each kept value is the float the
+draw-by-draw sampler would compute again from the same mean, and
+bisecting the nondecreasing CDF terms finds the first term >= u, which
+is where the sequential search stops (or the k = 1001 cap when u lies
+above every term).  A repeated CDF lookup is the standard speed-up of
+inversion (Devroye, *Non-Uniform Random Variate Generation*, 1986,
+section X.3); the rejection sampler is Hörmann's PTRS (*Insur. Math.
+Econ.* 12, 39 (1993)).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -243,41 +259,112 @@ class Rng:
 
     def poisson(self, mu):
         """Poisson variate with mean ``mu``; exact for all mu >= 0."""
-        if mu < 0.0 or math.isnan(mu):
-            raise ValueError(f"Poisson mean must be >= 0, got {mu}")
-        if mu == 0.0:
-            return 0
-        if mu < 30.0:
-            # inversion by sequential search on the CDF, one uniform per draw
-            u = self.random()
-            pmf = math.exp(-mu)
-            cdf = pmf
-            k = 0
-            while u > cdf:
-                k += 1
-                pmf = pmf * (mu / k)
-                cdf = cdf + pmf
-                if k > 1000:  # unreachable for mu < 30; guards fp corner cases
-                    break
-            return k
-        # transformed rejection: proposal centered on the normal
-        # approximation, exact log-pmf acceptance test
-        slam = math.sqrt(mu)
-        loglam = math.log(mu)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2.0)
-        while True:
-            u = self.random() - 0.5
-            v = self.random()
-            us = 0.5 - abs(u)
-            k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
-            if us >= 0.07 and v <= vr:
-                return int(k)
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            if (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
-                    <= k * loglam - mu - loggam(k + 1.0)):
-                return int(k)
+        return self.poissons((mu,))[0]
+
+    def poissons(self, mus):
+        """One Poisson variate per mean in ``mus``, in order.
+
+        Values and final state equal those of drawing one at a time; see
+        the module docstring.  A negative or NaN mean raises ValueError
+        with the state left as it was after the draws before it.
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        exp, log, floor = math.exp, math.log, math.floor
+        out = []
+        last = None  # the mean whose per-mean work is held below
+        try:
+            for mu in mus:
+                repeat = mu == last
+                if not repeat:
+                    if mu < 0.0 or math.isnan(mu):
+                        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+                    last = mu
+                if mu == 0.0:
+                    out.append(0)
+                    continue
+                if mu < 30.0:
+                    # inversion by sequential search on the CDF, one uniform:
+                    # u = self.random(), inlined
+                    x = (s1 * 5) & _MASK64
+                    t = (s1 << 17) & _MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                    u = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
+                         >> 11) * _INV_2_53
+                    if not repeat:
+                        cdf_terms = None  # built on this mean's first repeat
+                        pmf = exp(-mu)
+                        cdf = pmf
+                        k = 0
+                        if u > cdf:
+                            # k stops at 1001 when u lies above every term
+                            for k in range(1, 1002):
+                                pmf = pmf * (mu / k)
+                                cdf = cdf + pmf
+                                if u <= cdf:
+                                    break
+                        out.append(k)
+                        continue
+                    if cdf_terms is None:
+                        pmf = exp(-mu)
+                        cdf_terms = [pmf]
+                    cdf = cdf_terms[-1]
+                    k = len(cdf_terms)
+                    while u > cdf and k <= 1000:
+                        pmf = pmf * (mu / k)
+                        cdf = cdf + pmf
+                        cdf_terms.append(cdf)
+                        k += 1
+                    out.append(bisect_left(cdf_terms, u))
+                    continue
+                # transformed rejection: proposal centered on the normal
+                # approximation, exact log-pmf acceptance test
+                if not repeat:
+                    slam = math.sqrt(mu)
+                    loglam = log(mu)
+                    b = 0.931 + 2.53 * slam
+                    a = -0.059 + 0.02483 * b
+                    two_a = 2.0 * a
+                    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+                    log_invalpha = log(invalpha)
+                    vr = 0.9277 - 3.6224 / (b - 2.0)
+                while True:
+                    # u = self.random() - 0.5, v = self.random(), inlined
+                    x = (s1 * 5) & _MASK64
+                    t = (s1 << 17) & _MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                    u = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
+                         >> 11) * _INV_2_53 - 0.5
+                    x = (s1 * 5) & _MASK64
+                    t = (s1 << 17) & _MASK64
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                    v = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
+                         >> 11) * _INV_2_53
+                    us = 0.5 - abs(u)
+                    k = floor((two_a / us + b) * u + mu + 0.43)
+                    if us >= 0.07 and v <= vr:
+                        break
+                    if k < 0 or (us < 0.013 and v > us):
+                        continue
+                    if (log(v) + log_invalpha - log(a / (us * us) + b)
+                            <= k * loglam - mu - loggam(k + 1.0)):
+                        break
+                out.append(k)
+        finally:
+            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return out
 

@@ -10,16 +10,24 @@ of one acquisition share a seed without sharing randomness:
     setting H: fringing detector stream 0, constant detector stream 1
     setting V: fringing detector stream 2, constant detector stream 3
 
+Each channel is drawn with one batched ``Rng.poissons`` call; the
+constant detector's means are all equal, so its draws reuse one CDF
+table or one set of rejection constants.  The counts are those of one
+``Rng.poisson`` call per point.
+
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
 present, the generating configuration).  Integer counts round-trip
-bit-exactly through both.
+bit-exactly through both.  The CSV reader makes one pass over the rows
+and names the file and line of the first bad one.  A stored calibration
+is range-checked as it is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -43,17 +51,17 @@ class ScanPlan:
     noiseless: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        phases = tuple(map(float, self.phases))
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "setting", SignalSetting(self.setting))
-        if len(self.phases) < 5:
+        if len(phases) < 5:
             raise ValueError("a scan needs at least 5 phase points")
-        for i, p in enumerate(self.phases):
-            if not math.isfinite(p):
-                raise ValueError(f"phases[{i}] must be finite, got {p!r}")
-        for a, b in zip(self.phases, self.phases[1:]):
-            if b <= a:
-                raise ValueError("phases must be strictly increasing")
-        if self.phases[-1] - self.phases[0] >= TWO_PI:
+        if not all(map(math.isfinite, phases)):
+            i = next(i for i, p in enumerate(phases) if not math.isfinite(p))
+            raise ValueError(f"phases[{i}] must be finite, got {phases[i]!r}")
+        if not all(map(operator.lt, phases, phases[1:])):
+            raise ValueError("phases must be strictly increasing")
+        if phases[-1] - phases[0] >= TWO_PI:
             raise ValueError("phase grid must stay within one period")
         if self.counts_per_point < 1:
             raise ValueError("counts_per_point must be positive")
@@ -95,10 +103,14 @@ class ScanRecord:
     truth: Optional[InterferometerConfig] = None
 
     def __post_init__(self):
+        primary = tuple(self.counts_primary)
+        constant = tuple(self.counts_constant)
+        object.__setattr__(self, "counts_primary", primary)
+        object.__setattr__(self, "counts_constant", constant)
         npts = len(self.plan.phases)
-        if len(self.counts_primary) != npts or len(self.counts_constant) != npts:
+        if len(primary) != npts or len(constant) != npts:
             raise ValueError("count lists must match the phase grid length")
-        if any(c < 0 for c in self.counts_primary + self.counts_constant):
+        if min(primary) < 0 or min(constant) < 0:
             raise ValueError("counts must be nonnegative")
 
     def to_json_dict(self) -> dict:
@@ -124,19 +136,21 @@ def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
     cfg = cfg.with_setting(plan.setting)
     f = fringe(cfg)
     n = plan.counts_per_point
+    # Fringe.at with its terms hoisted, in the same order of evaluation;
     # cancellation at a fringe null can undershoot zero by ~1e-16
-    rates = [max(0.0, f.at(phi)) for phi in plan.phases]
+    offset, amplitude = f.offset, f.amplitude
+    theta, xi, arg_t = f.phase_terms
+    rates = [max(0.0, offset + amplitude * math.cos(phi + theta - xi - arg_t))
+             for phi in plan.phases]
     rc = max(0.0, f.constant)
     if plan.noiseless:
         primary = [round(n * rf) for rf in rates]
         constant = [round(n * rc)] * len(rates)
     else:
         base = 2 * (cfg.signal_setting is SignalSetting.V)
-        rng_f = _k.Rng(plan.seed, base)
-        rng_c = _k.Rng(plan.seed, base + 1)
-        primary = [rng_f.poisson(n * rf) for rf in rates]
-        constant = [rng_c.poisson(n * rc) for _ in rates]
-    return ScanRecord(plan, tuple(primary), tuple(constant), truth=cfg)
+        primary = _k.Rng(plan.seed, base).poissons([n * rf for rf in rates])
+        constant = _k.Rng(plan.seed, base + 1).poissons([n * rc] * len(rates))
+    return ScanRecord(plan, primary, constant, truth=cfg)
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,23 @@ class CalibrationResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibrationResult":
-        return cls(field(d, "t_h", float), field(d, "t_h_stderr", float),
-                   field(d, "t_v", float), field(d, "t_v_stderr", float))
+        """Read a stored calibration, refusing a transmission outside
+        (0, 1] or a standard error that is negative or not finite.
+
+        The range is checked here, where the values enter from a file,
+        not on construction: a noisy calibration run may estimate a
+        transmission above 1.
+        """
+        values = []
+        for key in ("t_h", "t_h_stderr", "t_v", "t_v_stderr"):
+            x = field(d, key, float)
+            if key.endswith("_stderr"):
+                if not 0.0 <= x < math.inf:
+                    raise ValueError(f"{key} must be finite and >= 0, got {x!r}")
+            elif not 0.0 < x <= 1.0:
+                raise ValueError(f"{key} must lie in (0, 1], got {x!r}")
+            values.append(x)
+        return cls(*values)
 
 
 def run_calibration(cfg_template: InterferometerConfig,
@@ -191,13 +220,14 @@ CSV_COLUMNS = ("phi_rad", "counts_fringe", "counts_const")
 
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
-    lines = [f"# setting={record.plan.setting.value} "
-             f"seed={record.plan.seed} n={record.plan.counts_per_point}",
-             ",".join(CSV_COLUMNS)]
-    for phi, cf, cc in zip(record.plan.phases, record.counts_primary,
-                           record.counts_constant):
-        lines.append(f"{phi!r},{cf},{cc}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    plan = record.plan
+    Path(path).write_text("\n".join([
+        f"# setting={plan.setting.value} seed={plan.seed} "
+        f"n={plan.counts_per_point}",
+        ",".join(CSV_COLUMNS),
+        *(f"{phi!r},{cf},{cc}" for phi, cf, cc in zip(
+            plan.phases, record.counts_primary, record.counts_constant)),
+        ""]))
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
@@ -206,8 +236,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
     A malformed or out-of-range header value or data row is reported as
     ``path:line: ...``.
     """
-    rows = [(k, line.strip()) for k, line
-            in enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
+    rows = [(k, line) for k, line in enumerate(
+        map(str.strip, Path(path).read_text().splitlines()), 1) if line]
     if len(rows) < 3 or not rows[0][1].startswith("# "):
         raise ValueError(f"{path}: not a scan CSV")
     head, header = rows[0]
@@ -234,45 +264,54 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
                          f"got {meta['seed']}")
     if rows[1][1] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
+    phi_col, fringe_col, const_col = CSV_COLUMNS
     phases: list[float] = []
     primary: list[int] = []
     constant: list[int] = []
+    first = last = None
     for k, line in rows[2:]:
-        fields = line.split(",")
-        if len(fields) != len(CSV_COLUMNS):
-            raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
-                             f"got {len(fields)}")
         try:
-            phi = float(fields[0])
+            phi_text, fringe_text, const_text = line.split(",")
+        except ValueError:
+            raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
+                             f"got {line.count(',') + 1}") from None
+        try:
+            phi = float(phi_text)
         except ValueError:
             phi = math.nan
         if not math.isfinite(phi):
-            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must be a finite "
-                             f"number, got {fields[0]!r}")
-        if phases and phi <= phases[-1]:
-            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must be strictly "
-                             f"increasing, got {fields[0]!r} after "
-                             f"{phases[-1]!r}")
-        if phases and phi - phases[0] >= TWO_PI:
-            raise ValueError(f"{path}:{k}: {CSV_COLUMNS[0]} must stay within "
-                             f"one period of {phases[0]!r}, got {fields[0]!r}")
+            raise ValueError(f"{path}:{k}: {phi_col} must be a finite "
+                             f"number, got {phi_text!r}")
+        if first is None:
+            first = phi
+        elif phi <= last:
+            raise ValueError(f"{path}:{k}: {phi_col} must be strictly "
+                             f"increasing, got {phi_text!r} after {last!r}")
+        elif phi - first >= TWO_PI:
+            raise ValueError(f"{path}:{k}: {phi_col} must stay within "
+                             f"one period of {first!r}, got {phi_text!r}")
+        last = phi
         phases.append(phi)
-        for name, text, counts in zip(CSV_COLUMNS[1:], fields[1:],
-                                      (primary, constant)):
-            try:
-                counts.append(int(text))
-            except ValueError:
-                raise ValueError(f"{path}:{k}: {name} must be an integer "
-                                 f"count, got {text!r}") from None
-            if counts[-1] < 0:
-                raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
-                                 f"got {text!r}")
+        primary.append(_csv_count(path, k, fringe_col, fringe_text))
+        constant.append(_csv_count(path, k, const_col, const_text))
     try:
-        plan = ScanPlan(tuple(phases), meta["n"], meta["setting"], meta["seed"],
+        plan = ScanPlan(phases, meta["n"], meta["setting"], meta["seed"],
                         noiseless=False)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return ScanRecord(plan, tuple(primary), tuple(constant), truth=None)
+    return ScanRecord(plan, primary, constant, truth=None)
+
+
+def _csv_count(path, k: int, name: str, text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{k}: {name} must be an integer "
+                         f"count, got {text!r}") from None
+    if count < 0:
+        raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
+                         f"got {text!r}")
+    return count
 
 
 def scan_to_json(record: ScanRecord, path: str | Path) -> None:

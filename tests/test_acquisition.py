@@ -173,6 +173,21 @@ def test_record_length_validation():
         ScanRecord(plan, (-1,) + (1,) * 19, (1,) * 20)
 
 
+@pytest.mark.parametrize("primary, constant", [
+    ([3] * 20, (1,) * 20), ((3,) * 20, [1] * 20), ([3] * 20, [1] * 20)])
+def test_record_normalizes_list_counts_to_tuples(primary, constant):
+    plan = ScanPlan.default_grid(SignalSetting.H, 1)
+    record = ScanRecord(plan, primary, constant)
+    assert record.counts_primary == (3,) * 20
+    assert record.counts_constant == (1,) * 20
+    assert record == ScanRecord(plan, (3,) * 20, (1,) * 20)
+    assert hash(record) == hash(ScanRecord(plan, (3,) * 20, (1,) * 20))
+    with pytest.raises(ValueError, match="nonnegative"):
+        ScanRecord(plan, primary, [1] * 19 + [-1])
+    with pytest.raises(ValueError, match="grid length"):
+        ScanRecord(plan, primary, [1] * 19)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

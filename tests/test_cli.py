@@ -119,6 +119,37 @@ def test_simulate_csv_only_format(tmp_path):
     assert not (tmp_path / "scan_V.json").exists()
 
 
+# sha256 of simulate's files pins every byte of the noise streams: 200
+# points at n = 30 draw on the Poisson inversion branch, where the V
+# scan's fringing detector repeats one mean (the default idler is pure
+# H) like every constant detector; 20 points at n = 1000 draw on the
+# rejection branch
+@pytest.mark.parametrize("points, n, digests", [
+    pytest.param(200, 30, {
+        "scan_H.csv": "d22a8bea5975b112068f3311cd9dde98ee2ea76bcd72de1b7a3c8be3a6671890",
+        "scan_V.csv": "9fae4076325c3ab47ce3437f354625ce018f6f100e101b4fd72565e33767fb6c",
+        "scan_H.json": "03c36f8ffad36276b07fb86fc36a0b9b326904bf78b11ea174f654350a23fdbb",
+    }, id="inversion"),
+    pytest.param(20, 1000, {
+        "scan_H.csv": "f43bd345c7d0856572d32c1a8bb3030ffa9cc4f4f09c2a00eff621dfb884d25f",
+        "scan_V.csv": "f8ef678a68f516ff7f5ace1b32c87358b3128d2ec84d334183d72c3e9feef794",
+        "scan_H.json": "3183234f4e5c87c00e0e7360a33ce0e91f203c5b46585a00e878d816f9e8d6f4",
+    }, id="rejection"),
+])
+def test_simulate_output_golden(tmp_path, points, n, digests):
+    for setting in "HV":
+        assert run("simulate", "--setting", setting, "--points", points,
+                   "--n", n, "--seed", 7, "--out", tmp_path) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+@pytest.mark.parametrize("name", ["scan_H.csv", "scan_V.csv"])
+def test_fixture_csv_round_trips_byte_for_byte(tmp_path, name):
+    scan_to_csv(scan_from_csv(DATA / name), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 
@@ -301,6 +332,38 @@ def test_reconstruct_rejects_unbalanced_truth(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scan_H.json: the embedded truth is not the balanced" in err
     assert not (tmp_path / "rec").exists()
+
+
+def _reads_calibration(command, calibration, out):
+    if command == "reconstruct":
+        return ("reconstruct", "--scan-h", DATA / "scan_H.csv",
+                "--scan-v", DATA / "scan_V.csv",
+                "--calibration", calibration, "--out", out)
+    return ("sweep", "--plate", "hwp", "--angles", "0:45:45",
+            "--t-h", 0.85, "--t-v", 0.73, "--noiseless", "--n", 10 ** 8,
+            "--calibration", calibration, "--out", out)
+
+
+@pytest.mark.parametrize("value", [0, -0.85, 1e300, math.nan, math.inf])
+@pytest.mark.parametrize("field", ["t_h", "t_h_stderr", "t_v", "t_v_stderr"])
+@pytest.mark.parametrize("command", ["reconstruct", "sweep"])
+def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
+                                                        command, field, value):
+    doc = json.loads((DATA / "calibration.json").read_text())
+    doc[field] = value
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))  # NaN and Infinity as Python writes them
+    code = run(*_reads_calibration(command, cal, tmp_path / "out"))
+    if field.endswith("_stderr"):
+        if 0.0 <= value < math.inf:
+            assert code == 0
+            return
+        rule = "must be finite and >= 0"
+    else:
+        rule = "must lie in (0, 1]"
+    assert code == 3
+    assert f"error: {cal}: {field} {rule}, got {float(value)!r}\n" == (
+        capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

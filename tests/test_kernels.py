@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pitomo import _kernels as kernels
+from pitomo._kernels import loggam
 from pitomo.interferometer import (InterferometerConfig,
                                    _alignment_isometry_raw, _total_state_raw,
                                    coherence_stressed_state,
@@ -159,6 +160,84 @@ def test_poisson_edge_cases():
     assert rng.poisson(0.0) == 0
     with pytest.raises(ValueError):
         rng.poisson(-1.0)
+
+
+def _reference_poisson(self, mu):
+    """The draw-by-draw sampler that ``Rng.poissons`` replaced, verbatim."""
+    if mu < 0.0 or math.isnan(mu):
+        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+    if mu == 0.0:
+        return 0
+    if mu < 30.0:
+        # inversion by sequential search on the CDF, one uniform per draw
+        u = self.random()
+        pmf = math.exp(-mu)
+        cdf = pmf
+        k = 0
+        while u > cdf:
+            k += 1
+            pmf = pmf * (mu / k)
+            cdf = cdf + pmf
+            if k > 1000:  # unreachable for mu < 30; guards fp corner cases
+                break
+        return k
+    # transformed rejection: proposal centered on the normal
+    # approximation, exact log-pmf acceptance test
+    slam = math.sqrt(mu)
+    loglam = math.log(mu)
+    b = 0.931 + 2.53 * slam
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = self.random() - 0.5
+        v = self.random()
+        us = 0.5 - abs(u)
+        k = math.floor((2.0 * a / us + b) * u + mu + 0.43)
+        if us >= 0.07 and v <= vr:
+            return int(k)
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                <= k * loglam - mu - loggam(k + 1.0)):
+            return int(k)
+
+
+def _state(rng):
+    return rng._s0, rng._s1, rng._s2, rng._s3
+
+
+_EDGE_MEANS = (0.0, 5e-324, 29.999999999999996, 30.0, 1e4)
+_mean = (st.sampled_from(_EDGE_MEANS) | st.floats(0.0, 30.0)
+         | st.floats(30.0, 1e4))
+# runs of equal means (the memoized path) between changes of mean
+_means = st.lists(st.tuples(_mean, st.integers(1, 6)), max_size=12).map(
+    lambda runs: [mu for mu, count in runs for _ in range(count)])
+
+
+@given(st.integers(0, MASK), st.integers(0, 3), _means)
+# a new mean on the inversion branch must drop the previous mean's table
+@example(1, 0, [2.0, 2.0, 2.0, 20.0, 20.0, 20.0, 2.0, 2.0])
+@example(1, 0, [40.0, 40.0, 900.0, 900.0, 40.0])
+@example(7, 1, [0.0, 0.0, 5e-324, 5e-324, 29.999999999999996,
+                29.999999999999996, 30.0, 30.0, 1e4, 1e4])
+def test_poissons_matches_reference_sampler(seed, stream, mus):
+    rng = kernels.Rng(seed, stream)
+    ref = kernels.Rng(seed, stream)
+    assert rng.poissons(mus) == [_reference_poisson(ref, mu) for mu in mus]
+    assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan])
+def test_poissons_bad_mean_mid_batch_keeps_state_of_draws_before(bad):
+    mus = [3.0, 3.0, 700.0, 700.0, bad, 3.0]
+    rng = kernels.Rng(11, 2)
+    ref = kernels.Rng(11, 2)
+    with pytest.raises(ValueError):
+        rng.poissons(mus)
+    for mu in mus[:4]:
+        _reference_poisson(ref, mu)
+    assert _state(rng) == _state(ref)
 
 
 # ---------------------------------------------------------------------------
