@@ -26,12 +26,15 @@ Random numbers come from xoshiro256** seeded through splitmix64:
   series for log(k!) so no platform lgamma enters the stream.
 
 :meth:`Rng.poissons` draws a whole sequence of means in one call, and
-:meth:`Rng.poisson` is the one-mean case of it.  The batch keeps the
-xoshiro words in locals and steps them inline.  While consecutive means
-are equal it keeps their per-mean work: the inversion branch keeps the
-CDF terms already summed and extends them lazily by the same recurrence
-(``pmf *= mu/k; cdf += pmf``), and the rejection branch keeps its
-constants.  No bit changes, because each kept value is the float the
+:meth:`Rng.poisson` is the one-mean case of it.  The batch takes its
+uniforms from a generator that holds the xoshiro words in locals and
+writes them back when closed.  A new mean takes the plain sequential
+search, which builds no list; the fringing detector's mean is new at
+every point.  While the mean repeats, its per-mean work is kept: the
+inversion branch keeps the CDF terms summed so far, starting from
+``[exp(-mu)]`` on the first repeat and extended lazily by the same
+recurrence ``pmf *= mu/k; cdf += pmf``, and the rejection branch keeps
+its constants.  No bit changes, because each kept value is the float the
 draw-by-draw sampler would compute again from the same mean, and
 bisecting the nondecreasing CDF terms finds the first term >= u, which
 is where the sequential search stops (or the k = 1001 cap when u lies
@@ -257,6 +260,28 @@ class Rng:
         """Uniform double in [0, 1)."""
         return (self.u64() >> 11) * _INV_2_53
 
+    def _uniforms(self):
+        """Successive ``random()`` values with the state held in locals.
+
+        The state is written back when the generator is closed, so it is
+        the state after the last uniform taken.
+        """
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        try:
+            while True:
+                x = (s1 * 5) & _MASK64
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+                yield ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
+                       >> 11) * _INV_2_53
+        finally:
+            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+
     def poisson(self, mu):
         """Poisson variate with mean ``mu``; exact for all mu >= 0."""
         return self.poissons((mu,))[0]
@@ -268,7 +293,8 @@ class Rng:
         the module docstring.  A negative or NaN mean raises ValueError
         with the state left as it was after the draws before it.
         """
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        uniforms = self._uniforms()
+        uniform = uniforms.__next__
         exp, log, floor = math.exp, math.log, math.floor
         out = []
         last = None  # the mean whose per-mean work is held below
@@ -279,29 +305,29 @@ class Rng:
                     if mu < 0.0 or math.isnan(mu):
                         raise ValueError(f"Poisson mean must be >= 0, got {mu}")
                     last = mu
+                    cdf_terms = None  # built on this mean's first repeat
+                    if mu >= 30.0:
+                        slam = math.sqrt(mu)
+                        loglam = log(mu)
+                        b = 0.931 + 2.53 * slam
+                        a = -0.059 + 0.02483 * b
+                        two_a = 2.0 * a
+                        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+                        log_invalpha = log(invalpha)
+                        vr = 0.9277 - 3.6224 / (b - 2.0)
                 if mu == 0.0:
                     out.append(0)
                     continue
                 if mu < 30.0:
-                    # inversion by sequential search on the CDF, one uniform:
-                    # u = self.random(), inlined
-                    x = (s1 * 5) & _MASK64
-                    t = (s1 << 17) & _MASK64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                    u = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
-                         >> 11) * _INV_2_53
+                    # inversion: the first CDF term >= u, one uniform
+                    u = uniform()
                     if not repeat:
-                        cdf_terms = None  # built on this mean's first repeat
+                        # sequential search; k stops at 1001 when u lies
+                        # above every term
                         pmf = exp(-mu)
                         cdf = pmf
                         k = 0
                         if u > cdf:
-                            # k stops at 1001 when u lies above every term
                             for k in range(1, 1002):
                                 pmf = pmf * (mu / k)
                                 cdf = cdf + pmf
@@ -309,6 +335,8 @@ class Rng:
                                     break
                         out.append(k)
                         continue
+                    # the terms summed so far, extended only as far as some
+                    # u has needed, searched by bisection
                     if cdf_terms is None:
                         pmf = exp(-mu)
                         cdf_terms = [pmf]
@@ -323,37 +351,9 @@ class Rng:
                     continue
                 # transformed rejection: proposal centered on the normal
                 # approximation, exact log-pmf acceptance test
-                if not repeat:
-                    slam = math.sqrt(mu)
-                    loglam = log(mu)
-                    b = 0.931 + 2.53 * slam
-                    a = -0.059 + 0.02483 * b
-                    two_a = 2.0 * a
-                    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-                    log_invalpha = log(invalpha)
-                    vr = 0.9277 - 3.6224 / (b - 2.0)
                 while True:
-                    # u = self.random() - 0.5, v = self.random(), inlined
-                    x = (s1 * 5) & _MASK64
-                    t = (s1 << 17) & _MASK64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                    u = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
-                         >> 11) * _INV_2_53 - 0.5
-                    x = (s1 * 5) & _MASK64
-                    t = (s1 << 17) & _MASK64
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                    v = ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
-                         >> 11) * _INV_2_53
+                    u = uniform() - 0.5
+                    v = uniform()
                     us = 0.5 - abs(u)
                     k = floor((two_a / us + b) * u + mu + 0.43)
                     if us >= 0.07 and v <= vr:
@@ -365,6 +365,5 @@ class Rng:
                         break
                 out.append(k)
         finally:
-            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+            uniforms.close()
         return out
-

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -51,17 +50,17 @@ class ScanPlan:
     noiseless: bool = False
 
     def __post_init__(self):
-        phases = tuple(map(float, self.phases))
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
         object.__setattr__(self, "setting", SignalSetting(self.setting))
-        if len(phases) < 5:
+        if len(self.phases) < 5:
             raise ValueError("a scan needs at least 5 phase points")
-        if not all(map(math.isfinite, phases)):
-            i = next(i for i, p in enumerate(phases) if not math.isfinite(p))
-            raise ValueError(f"phases[{i}] must be finite, got {phases[i]!r}")
-        if not all(map(operator.lt, phases, phases[1:])):
-            raise ValueError("phases must be strictly increasing")
-        if phases[-1] - phases[0] >= TWO_PI:
+        for i, p in enumerate(self.phases):
+            if not math.isfinite(p):
+                raise ValueError(f"phases[{i}] must be finite, got {p!r}")
+        for a, b in zip(self.phases, self.phases[1:]):
+            if b <= a:
+                raise ValueError("phases must be strictly increasing")
+        if self.phases[-1] - self.phases[0] >= TWO_PI:
             raise ValueError("phase grid must stay within one period")
         if self.counts_per_point < 1:
             raise ValueError("counts_per_point must be positive")
@@ -136,12 +135,8 @@ def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
     cfg = cfg.with_setting(plan.setting)
     f = fringe(cfg)
     n = plan.counts_per_point
-    # Fringe.at with its terms hoisted, in the same order of evaluation;
     # cancellation at a fringe null can undershoot zero by ~1e-16
-    offset, amplitude = f.offset, f.amplitude
-    theta, xi, arg_t = f.phase_terms
-    rates = [max(0.0, offset + amplitude * math.cos(phi + theta - xi - arg_t))
-             for phi in plan.phases]
+    rates = [max(0.0, f.at(phi)) for phi in plan.phases]
     rc = max(0.0, f.constant)
     if plan.noiseless:
         primary = [round(n * rf) for rf in rates]
@@ -220,14 +215,13 @@ CSV_COLUMNS = ("phi_rad", "counts_fringe", "counts_const")
 
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
-    plan = record.plan
-    Path(path).write_text("\n".join([
-        f"# setting={plan.setting.value} seed={plan.seed} "
-        f"n={plan.counts_per_point}",
-        ",".join(CSV_COLUMNS),
-        *(f"{phi!r},{cf},{cc}" for phi, cf, cc in zip(
-            plan.phases, record.counts_primary, record.counts_constant)),
-        ""]))
+    lines = [f"# setting={record.plan.setting.value} "
+             f"seed={record.plan.seed} n={record.plan.counts_per_point}",
+             ",".join(CSV_COLUMNS)]
+    for phi, cf, cc in zip(record.plan.phases, record.counts_primary,
+                           record.counts_constant):
+        lines.append(f"{phi!r},{cf},{cc}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
