@@ -5,23 +5,21 @@ is read out only through the interference fringes of its partner, and
 implements the full analysis chain that recovers the unread photon's
 polarization density matrix from those fringes: scan synthesis with
 shot noise, visibility calibration, fringe-based extraction and
-least-squares refinement, and fidelity reporting.
+least-squares refinement, and fidelity reporting.  The exact matrix
+evolution (:func:`rates_exact`) is the oracle that ``pitomo verify``
+checks the closed-form rate law (:func:`fringe`) against.
 """
 
 from ._kernels import active_backend
-from .qcore import (ComplexMatrix, DensityMatrix, eigenvalues_hermitian,
-                    fidelity_mixed, fidelity_pure, is_positive_semidefinite,
-                    kron, partial_trace, qubit_state_fidelity)
+from .qcore import (ComplexMatrix, DensityMatrix, fidelity_mixed,
+                    fidelity_pure, qubit_state_fidelity)
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
-                     WaveplateSetting, idler_density_matrix,
-                     params_from_density_matrix, prepared_idler_params,
+                     WaveplateSetting, prepared_idler_params,
                      waveplate_unitary)
 from .interferometer import (DetectionRates, Fringe, InterferometerConfig,
-                             SignalSetting, apply_alignment,
-                             coherence_stressed_state, fringe,
+                             SignalSetting, coherence_stressed_state, fringe,
                              post_interaction_idler, random_valid_config,
-                             rates_closed_form, rates_exact, recombine,
-                             total_state)
+                             rates_closed_form, rates_exact, total_state)
 from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
 from .reconstruct import (ConvergenceError, FitError, CalibrationError,
@@ -32,16 +30,13 @@ from .reconstruct import (ConvergenceError, FitError, CalibrationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexMatrix", "DensityMatrix", "eigenvalues_hermitian",
-    "fidelity_mixed", "fidelity_pure", "is_positive_semidefinite", "kron",
-    "partial_trace", "qubit_state_fidelity",
+    "ComplexMatrix", "DensityMatrix", "fidelity_mixed", "fidelity_pure",
+    "qubit_state_fidelity",
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
-    "idler_density_matrix", "params_from_density_matrix",
     "prepared_idler_params", "waveplate_unitary",
     "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",
-    "apply_alignment", "coherence_stressed_state", "fringe",
-    "post_interaction_idler", "random_valid_config", "rates_closed_form",
-    "rates_exact", "recombine", "total_state",
+    "coherence_stressed_state", "fringe", "post_interaction_idler",
+    "random_valid_config", "rates_closed_form", "rates_exact", "total_state",
     "CalibrationResult", "ScanPlan", "ScanRecord", "run_calibration",
     "run_scan",
     "ConvergenceError", "FitError", "CalibrationError", "Method",

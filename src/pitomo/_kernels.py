@@ -52,6 +52,7 @@ from bisect import bisect_left
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
+_EIGH_MAX_SWEEPS = 100
 
 
 def active_backend() -> str:
@@ -99,17 +100,15 @@ def mat_dagger(a, r, c):
     return out
 
 
-def eigh(a, n, max_sweeps=100):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def eigh(a, n):
+    """Eigenvalues, ascending, of a Hermitian matrix by cyclic Jacobi rotations.
 
-    Returns ``(values, vectors)`` with eigenvalues ascending and the
-    row-major unitary whose columns are the matching eigenvectors.  The
-    input is Hermitized (averaged with its dagger) before iterating;
+    The input is Hermitized (averaged with its dagger) before iterating;
     convergence is declared when the off-diagonal Frobenius norm drops
-    below 1e-13 * max(1, ||a||_F).  Each rotation's coefficients are
-    formed once and its updates walk precomputed index lists; the
-    arithmetic, and so every bit of the result, is that of the plain
-    element-by-element loops.
+    below 1e-13 * max(1, ||a||_F), or after ``_EIGH_MAX_SWEEPS`` sweeps.
+    Each rotation's coefficients are formed once and its updates walk
+    precomputed index lists; the arithmetic, and so every bit of the
+    result, is that of the plain element-by-element loops.
     """
     m = [0j] * (n * n)
     for i in range(n):
@@ -118,9 +117,6 @@ def eigh(a, n, max_sweeps=100):
             h = 0.5 * (a[i * n + j] + a[j * n + i].conjugate())
             m[i * n + j] = h
             m[j * n + i] = h.conjugate()
-    v = [0j] * (n * n)
-    for i in range(n):
-        v[i * n + i] = 1.0 + 0j
 
     fro2 = 0.0
     for i in range(n * n):
@@ -131,7 +127,7 @@ def eigh(a, n, max_sweeps=100):
     rows = [range(p * n, p * n + n) for p in range(n)]
     cols = [range(p, n * n, n) for p in range(n)]
     off_diag = [i * n + j for i in range(n) for j in range(n) if i != j]
-    for _ in range(max_sweeps):
+    for _ in range(_EIGH_MAX_SWEEPS):
         off2 = 0.0
         for ij in off_diag:
             x = m[ij]
@@ -170,20 +166,8 @@ def eigh(a, n, max_sweeps=100):
                     y = m[qj]
                     m[pj] = c * x + s_u * y
                     m[qj] = ms_uc * x + c * y
-                for ip, iq in zip(cols[p], cols[q]):
-                    x = v[ip]
-                    y = v[iq]
-                    v[ip] = c * x + s_uc * y
-                    v[iq] = ms_u * x + c * y
 
-    vals = [m[i * n + i].real for i in range(n)]
-    order = sorted(range(n), key=vals.__getitem__)
-    svals = [vals[k] for k in order]
-    svecs = [0j] * (n * n)
-    for col, k in enumerate(order):
-        for i in range(n):
-            svecs[i * n + col] = v[i * n + k]
-    return svals, svecs
+    return sorted(m[i * n + i].real for i in range(n))
 
 
 # ---------------------------------------------------------------------------

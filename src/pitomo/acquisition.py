@@ -228,7 +228,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
     A malformed or out-of-range header value or data row is reported as
-    ``path:line: ...``.
+    ``path:line: ...``; so is a number written with digit-group
+    underscores, which Python's int() and float() would accept.
     """
     rows = [(k, line) for k, line in enumerate(
         map(str.strip, Path(path).read_text().splitlines()), 1) if line]
@@ -242,8 +243,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             raise ValueError(f"{path}:{head}: expected key=value, got {kv!r}")
         meta[key] = value
     for key, parse, what in (("setting", SignalSetting, "H or V"),
-                             ("seed", int, "an integer"),
-                             ("n", int, "an integer")):
+                             ("seed", _plain_int, "an integer"),
+                             ("n", _plain_int, "an integer")):
         if key not in meta:
             raise ValueError(f"{path}:{head}: {key} is missing from the header")
         try:
@@ -270,7 +271,7 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
                              f"got {line.count(',') + 1}") from None
         try:
-            phi = float(phi_text)
+            phi = float(phi_text) if "_" not in phi_text else math.nan
         except ValueError:
             phi = math.nan
         if not math.isfinite(phi):
@@ -296,9 +297,16 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
     return ScanRecord(plan, primary, constant, truth=None)
 
 
+def _plain_int(text: str) -> int:
+    """int(text), refusing the digit-group underscores int() accepts."""
+    if "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _csv_count(path, k: int, name: str, text: str) -> int:
     try:
-        count = int(text)
+        count = _plain_int(text)
     except ValueError:
         raise ValueError(f"{path}:{k}: {name} must be an integer "
                          f"count, got {text!r}") from None

@@ -51,7 +51,7 @@ def _write_json(path: Path, obj) -> None:
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> None:
     manifest = {
         "command": command,
-        "argv": sys.argv[1:] if sys.argv[0].endswith(("pitomo", "cli.py")) else None,
+        "argv": args.argv,
         "config_path": str(getattr(args, "config", None) or ""),
         "seed": getattr(args, "seed", None),
         "output_dir": str(outdir),
@@ -143,7 +143,7 @@ def _require_seed(args) -> int | None:
 def _plan(args, setting: SignalSetting) -> ScanPlan:
     seed = args.seed if args.seed is not None else 0
     if args.phases:
-        phases = tuple(float(x) for x in args.phases.split(","))
+        phases = tuple(_numbers(args.phases.split(","), "--phases"))
         return ScanPlan(phases, args.n, setting, seed, args.noiseless)
     return ScanPlan.default_grid(setting, seed, points=args.points,
                                  counts_per_point=args.n,
@@ -295,23 +295,39 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _numbers(texts: list[str], flag: str) -> list[float]:
+    """Finite floats, or a ValueError that names the flag."""
+    out = []
+    for text in texts:
+        try:
+            x = float(text)
+        except ValueError:
+            raise ValueError(f"{flag}: expected a number, got {text!r}") from None
+        if not math.isfinite(x):
+            raise ValueError(f"{flag}: {text!r} is not a finite number")
+        out.append(x)
+    return out
+
+
 def _parse_angles(spec: str) -> list[float]:
     """Either 'start:stop:step' (inclusive endpoints) or a comma list, degrees."""
-    if ":" in spec:
-        start_s, stop_s, step_s = spec.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
-        if step <= 0:
-            raise ValueError("angle step must be positive")
-        out = []
-        k = 0
-        while True:
-            a = start + k * step
-            if a > stop + 1e-9:
-                break
-            out.append(a)
-            k += 1
-        return out
-    return [float(x) for x in spec.split(",")]
+    if ":" not in spec:
+        return _numbers(spec.split(","), "--angles")
+    bounds = spec.split(":")
+    if len(bounds) != 3:
+        raise ValueError(f"--angles: expected start:stop:step, got {spec!r}")
+    start, stop, step = _numbers(bounds, "--angles")
+    if step <= 0:
+        raise ValueError("--angles: step must be positive")
+    out = []
+    k = 0
+    while True:
+        a = start + k * step
+        if a > stop + 1e-9:
+            break
+        out.append(a)
+        k += 1
+    return out
 
 
 def run_verification(trials: int, seed: int) -> dict:
@@ -488,7 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except ConvergenceError as exc:

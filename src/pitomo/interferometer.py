@@ -15,7 +15,9 @@ path w otherwise; this is realized as an isometry into a 12-dim space
 so every intermediate object stays a valid state.  After tracing the
 idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
-of one output port are the detection rates.
+of one output port are the detection rates.  The stages are private
+helpers on flat row-major lists, and :func:`rates_exact` is the one
+matrix path through them.
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -61,13 +63,6 @@ BASIS_8 = (
     "H_Sa⊗H_Ib'", "H_Sa⊗V_Ib'", "V_Sa⊗H_Ib'", "V_Sa⊗V_Ib'",
     "H_Sb⊗H_Ib", "H_Sb⊗V_Ib", "V_Sb⊗H_Ib", "V_Sb⊗V_Ib",
 )
-BASIS_12 = (
-    "H_Sa⊗H_Ib", "H_Sa⊗V_Ib", "H_Sa⊗H_Iw", "H_Sa⊗V_Iw",
-    "V_Sa⊗H_Ib", "V_Sa⊗V_Ib", "V_Sa⊗H_Iw", "V_Sa⊗V_Iw",
-    "H_Sb⊗H_Ib", "H_Sb⊗V_Ib", "V_Sb⊗H_Ib", "V_Sb⊗V_Ib",
-)
-SIGNAL_BASIS = ("H_Sa", "V_Sa", "H_Sb", "V_Sb")
-OUTPUT_BASIS = ("H_det", "V_det", "H_aux", "V_aux")
 
 # recombiner: Hadamard-like on the path factor, identity on polarization
 _BS_RAW = [
@@ -199,7 +194,7 @@ class DetectionRates:
 
 
 # ---------------------------------------------------------------------------
-# raw builders (flat row-major lists; wrapped into DensityMatrix at the API)
+# stages of the exact oracle, on flat row-major lists
 
 
 def _total_state_raw(cfg: InterferometerConfig,
@@ -241,7 +236,11 @@ def _total_state_raw(cfg: InterferometerConfig,
 
 
 def _alignment_isometry_raw(cfg: InterferometerConfig) -> list[complex]:
-    """12x8 isometry: b' idler modes split into (b, w), b modes untouched."""
+    """12x8 isometry: b' idler modes split into (b, w), b modes untouched.
+
+    The 12 output modes are H_Sa and V_Sa, each with the idler modes
+    H_Ib, V_Ib, H_Iw, V_Iw, then the four source-2 modes of ``BASIS_8``.
+    """
     r_h = math.sqrt(max(0.0, 1.0 - abs(cfg.t_h) ** 2))
     r_v = math.sqrt(max(0.0, 1.0 - abs(cfg.t_v) ** 2))
     k = [0j] * (12 * 8)
@@ -320,40 +319,6 @@ def coherence_stressed_state(cfg: InterferometerConfig,
     """
     raw = _total_state_raw(cfg, coherence_override=coherence)
     return DensityMatrix(8, ComplexMatrix(8, 8, tuple(raw)), BASIS_8)
-
-
-def alignment_isometry(cfg: InterferometerConfig) -> ComplexMatrix:
-    """The 12x8 idler-alignment isometry (K^dagger K = identity)."""
-    return ComplexMatrix(12, 8, tuple(_alignment_isometry_raw(cfg)))
-
-
-def apply_alignment(rho: DensityMatrix, cfg: InterferometerConfig) -> DensityMatrix:
-    """Push an 8-dim joint state through the idler alignment step."""
-    if rho.dim != 8 or rho.basis_labels != BASIS_8:
-        raise ValueError("expected an 8-dim state in the source-pair basis")
-    out = _apply_alignment_raw(rho.matrix.entries, cfg)
-    return DensityMatrix(12, ComplexMatrix(12, 12, tuple(out)), BASIS_12)
-
-
-def trace_out_idler(rho12: DensityMatrix) -> DensityMatrix:
-    """Signal marginal of the aligned 12-dim state."""
-    if rho12.dim != 12 or rho12.basis_labels != BASIS_12:
-        raise ValueError("expected a 12-dim aligned state")
-    rs = _signal_marginal_raw(rho12.matrix.entries)
-    return DensityMatrix(4, ComplexMatrix(4, 4, tuple(rs)), SIGNAL_BASIS)
-
-
-def recombiner_matrix() -> ComplexMatrix:
-    """Unitary of the recombining splitter in the signal basis."""
-    return ComplexMatrix(4, 4, tuple(_BS_RAW))
-
-
-def recombine(rho_s: DensityMatrix) -> DensityMatrix:
-    """Superpose the two signal paths on the balanced splitter."""
-    if rho_s.dim != 4:
-        raise ValueError("expected the 4-dim signal state")
-    out = _recombine_raw(rho_s.matrix.entries)
-    return DensityMatrix(4, ComplexMatrix(4, 4, tuple(out)), OUTPUT_BASIS)
 
 
 def rates_exact(cfg: InterferometerConfig) -> DetectionRates:

@@ -1,10 +1,11 @@
-"""Minimal dense complex linear algebra for small Hilbert spaces (dim <= 8).
+"""Matrix carriers and state fidelities for small Hilbert spaces (dim <= 8).
 
-Provides the matrix carriers used throughout the package plus the
-handful of operations the simulation and reconstruction pipelines need:
-Kronecker products, partial traces, a Jacobi eigensolver for Hermitian
-matrices, positive-semidefiniteness tests and state fidelities.  Matrix
-products, conjugate transposes and eigensolves run in ``_kernels``.
+:class:`ComplexMatrix` and :class:`DensityMatrix` carry the 8-dim
+joint state, whose trace and positivity ``verify`` checks, and the
+reconstructed and reference qubit states; the fidelities compare a
+reconstruction with its reference.  The exact oracle's matrix arithmetic
+runs on flat lists in ``_kernels``, and so does the eigensolve behind
+:meth:`DensityMatrix.min_eigenvalue`.
 
 Tolerances used package-wide: Hermiticity and trace checks at 1e-12,
 positive semidefiniteness at 1e-10 on the eigenvalue scale (loose
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _kernels as _k
 from ._fields import field, items
@@ -46,58 +47,8 @@ class ComplexMatrix:
             if not (math.isfinite(e.real) and math.isfinite(e.imag)):
                 raise ValueError("matrix entries must be finite")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        r = len(rows)
-        c = len(rows[0])
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(complex(x) for row in rows for x in row))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return cls(rows, cols, (0j,) * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        return cls(n, n, tuple(1 + 0j if i == j else 0j
-                               for i in range(n) for j in range(n)))
-
-    @classmethod
-    def column(cls, vec: Sequence[complex]) -> "ComplexMatrix":
-        return cls(len(vec), 1, tuple(complex(x) for x in vec))
-
-    # -- element access ------------------------------------------------
-
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list[complex]]:
-        return [list(self.entries[i * self.cols:(i + 1) * self.cols])
-                for i in range(self.rows)]
-
-    # -- algebra ---------------------------------------------------------
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        out = _k.mat_mul(self.entries, self.rows, self.cols,
-                         other.entries, other.rows, other.cols)
-        return ComplexMatrix(self.rows, other.cols, tuple(out))
-
-    def dagger(self) -> "ComplexMatrix":
-        out = _k.mat_dagger(self.entries, self.rows, self.cols)
-        return ComplexMatrix(self.cols, self.rows, tuple(out))
-
-    def scaled(self, factor: complex) -> "ComplexMatrix":
-        return ComplexMatrix(self.rows, self.cols,
-                             tuple(factor * e for e in self.entries))
-
-    def plus(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return ComplexMatrix(self.rows, self.cols,
-                             tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def trace(self) -> complex:
         if self.rows != self.cols:
@@ -116,12 +67,6 @@ class ComplexMatrix:
                 if d > worst:
                     worst = d
         return worst
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_defect() <= tol
-
-    def frobenius(self) -> float:
-        return math.sqrt(sum(e.real * e.real + e.imag * e.imag for e in self.entries))
 
     # -- serialization ---------------------------------------------------
 
@@ -176,11 +121,8 @@ class DensityMatrix:
     def at(self, i: int, j: int) -> complex:
         return self.matrix.at(i, j)
 
-    def eigenvalues(self) -> list[float]:
-        return eigenvalues_hermitian(self.matrix)
-
     def min_eigenvalue(self) -> float:
-        return self.eigenvalues()[0]
+        return _k.eigh(self.matrix.entries, self.dim)[0]
 
     def assert_physical(self, tol: float = PSD_TOL) -> "DensityMatrix":
         lo = self.min_eigenvalue()
@@ -197,90 +139,6 @@ class DensityMatrix:
     def from_json_dict(cls, d: dict) -> "DensityMatrix":
         m = ComplexMatrix.from_json_dict(d)
         return cls(m.rows, m, items(d, "basis_labels", str, ()))
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product; dimensions multiply."""
-    ar, ac, br, bc = a.rows, a.cols, b.rows, b.cols
-    rc = ac * bc
-    out = [0j] * (ar * br * rc)
-    for i in range(ar):
-        for k in range(br):
-            ro = (i * br + k) * rc
-            for j in range(ac):
-                av = a.entries[i * ac + j]
-                for m in range(bc):
-                    out[ro + j * bc + m] = av * b.entries[k * bc + m]
-    return ComplexMatrix(ar * br, rc, tuple(out))
-
-
-def partial_trace(rho: DensityMatrix, subsystem_dims: Sequence[int],
-                  keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state over the kept tensor factors.
-
-    ``subsystem_dims`` must multiply to ``rho.dim`` (first factor is the
-    slowest index); ``keep`` selects the factors to retain.
-    """
-    dims = tuple(int(d) for d in subsystem_dims)
-    n = 1
-    for d in dims:
-        n *= d
-    if n != rho.dim:
-        raise ValueError(f"subsystem dims {dims} do not multiply to {rho.dim}")
-    keep = tuple(sorted(set(int(i) for i in keep)))
-    if not keep or any(i < 0 or i >= len(dims) for i in keep):
-        raise ValueError(f"invalid keep set {keep} for {len(dims)} subsystems")
-    traced = tuple(i for i in range(len(dims)) if i not in keep)
-    strides = [0] * len(dims)
-    acc = 1
-    for i in range(len(dims) - 1, -1, -1):
-        strides[i] = acc
-        acc *= dims[i]
-
-    def offsets(subsys):
-        # row-major enumeration over the group, kept order preserved
-        offs = [0]
-        for i in subsys:
-            offs = [o + v * strides[i] for o in offs for v in range(dims[i])]
-        return offs
-
-    kept_offs = offsets(keep)
-    traced_offs = offsets(traced)
-    dk = len(kept_offs)
-    out = [0j] * (dk * dk)
-    for ki, oi in enumerate(kept_offs):
-        for kj, oj in enumerate(kept_offs):
-            s = 0j
-            for ot in traced_offs:
-                s = s + rho.matrix.entries[(oi + ot) * n + (oj + ot)]
-            out[ki * dk + kj] = s
-    labels = tuple(f"m{i}" for i in range(dk))
-    return DensityMatrix(dk, ComplexMatrix(dk, dk, tuple(out)), labels)
-
-
-def eigh_hermitian(m: ComplexMatrix) -> tuple[list[float], ComplexMatrix]:
-    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix."""
-    if m.rows != m.cols:
-        raise ValueError("eigendecomposition of a non-square matrix")
-    defect = m.hermitian_defect()
-    if defect > HERMITIAN_TOL:
-        raise ValueError(f"not Hermitian: defect {defect:.3e}")
-    vals, vecs = _k.eigh(m.entries, m.rows)
-    return vals, ComplexMatrix(m.rows, m.rows, tuple(vecs))
-
-
-def eigenvalues_hermitian(m: ComplexMatrix) -> list[float]:
-    """Real spectrum of a Hermitian matrix, ascending."""
-    return eigh_hermitian(m)[0]
-
-
-def is_positive_semidefinite(m: ComplexMatrix, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol (input must be Hermitian)."""
-    return eigenvalues_hermitian(m)[0] >= -tol
 
 
 def _norm(psi: Sequence[complex]) -> float:

@@ -19,7 +19,7 @@ fast-axis angle a,
 
 and the state with xi = +pi/2 is labeled right-circular.  Global phases
 are discarded when extracting parameters from state vectors; xi is
-reported as 0 whenever it is undefined (p_h in {0, 1} or purity 0).
+reported as 0 whenever it is undefined (p_h in {0, 1}).
 """
 
 from __future__ import annotations
@@ -114,30 +114,6 @@ class IdlerStateParams:
     @classmethod
     def circular_left(cls):
         return cls(0.5, 1.5 * math.pi, 1.0)
-
-
-def idler_density_matrix(p: IdlerStateParams) -> DensityMatrix:
-    """Density matrix of the (p_h, xi, purity) parametrization."""
-    return p.to_density_matrix()
-
-
-def params_from_density_matrix(dm: DensityMatrix) -> IdlerStateParams:
-    """Inverse of :func:`idler_density_matrix`, with edge conventions.
-
-    When the off-diagonal is identically zero the phase is reported as
-    0; when p_h is 0 or 1 the coherence magnitude is unconstrained and
-    reported as 1.
-    """
-    if dm.dim != 2:
-        raise ValueError("expected a qubit state")
-    p_h = min(1.0, max(0.0, dm.at(0, 0).real))
-    denom = math.sqrt(p_h * (1.0 - p_h))
-    off = dm.at(0, 1)
-    if denom < 1e-15:
-        return IdlerStateParams(p_h, 0.0, 1.0)
-    purity = min(1.0, abs(off) / denom)
-    xi = wrap_angle(-cmath.phase(off)) if abs(off) > 0.0 else 0.0
-    return IdlerStateParams(p_h, xi, purity)
 
 
 @dataclass(frozen=True)

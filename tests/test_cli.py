@@ -4,6 +4,9 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -279,6 +282,17 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
     pytest.param(8, lambda f: ["7.0", f[1], f[2]],
                  "phi_rad must stay within one period of 0.0, got '7.0'",
                  id="phase_past_one_period"),
+    # int() and float() read digit-group underscores: '4_6' as 46
+    pytest.param(5, lambda f: [f[0], "4_6", f[2]],
+                 "counts_fringe must be an integer count, got '4_6'",
+                 id="underscore_count"),
+    pytest.param(6, lambda f: ["0.9_424777960769379", f[1], f[2]],
+                 "phi_rad must be a finite number, got '0.9_424777960769379'",
+                 id="underscore_phase"),
+    pytest.param(1, lambda f: [f[0].replace("n=100000000", "n=100_000_000")],
+                 "n must be an integer, got '100_000_000'", id="header_underscore_n"),
+    pytest.param(1, lambda f: [f[0].replace("seed=0", "seed=0_0")],
+                 "seed must be an integer, got '0_0'", id="header_underscore_seed"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -418,6 +432,32 @@ def test_sweep_deterministic_with_noise(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("0:inf:5", "'inf' is not a finite number"),
+    ("nan:90:5", "'nan' is not a finite number"),
+    ("0:90:inf", "'inf' is not a finite number"),
+    ("0:90", "expected start:stop:step, got '0:90'"),
+    ("0,x", "expected a number, got 'x'"),
+    ("0:90:0", "step must be positive"),
+])
+def test_sweep_refuses_bad_angle_spec(tmp_path, capsys, spec, message):
+    # a non-finite bound once kept the angle loop growing without end
+    assert run("sweep", "--plate", "hwp", "--angles", spec, "--noiseless",
+               "--seed", 1, "--out", tmp_path) == 3
+    assert f"error: --angles: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0,x", "expected a number, got 'x'"),
+    ("0,1,nan", "'nan' is not a finite number"),
+])
+def test_simulate_refuses_bad_phase_spec(tmp_path, capsys, spec, message):
+    assert run("simulate", "--setting", "H", "--seed", 1, "--phases", spec,
+               "--out", tmp_path) == 3
+    assert f"error: --phases: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify and report
 
@@ -468,6 +508,24 @@ def test_verify_stdout_golden(capsys):
         "PASS  positivity violation detected at coherence 1.2: "
         "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
         "all 4 checks passed\n")
+
+
+def test_manifest_records_the_parsed_argv(tmp_path):
+    argv = ["verify", "--trials", "2", "--out", str(tmp_path / "main")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "main" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    argv = ["verify", "--trials", "2", "--out", str(tmp_path / "dash_m")]
+    proc = subprocess.run([sys.executable, "-m", "pitomo", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "dash_m" / "manifest.json").read_text())
+    assert manifest["argv"] == argv
 
 
 @pytest.mark.parametrize("trials", [0, -3])

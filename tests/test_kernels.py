@@ -14,7 +14,6 @@ from pitomo.interferometer import (InterferometerConfig,
                                    _alignment_isometry_raw, _total_state_raw,
                                    coherence_stressed_state,
                                    random_valid_config, total_state)
-from pitomo.qcore import ComplexMatrix, DensityMatrix, kron, partial_trace
 from pitomo.states import IdlerStateParams
 from conftest import digest, random_hermitian
 
@@ -248,7 +247,7 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
-def test_mat_mul_and_kron_against_numpy(rng):
+def test_mat_mul_against_numpy(rng):
     for _ in range(50):
         r1, c1, c2 = (2 + rng.u64() % 3 for _ in range(3))
         a = [complex(rng.random(), rng.random()) for _ in range(r1 * c1)]
@@ -256,11 +255,6 @@ def test_mat_mul_and_kron_against_numpy(rng):
         got = _as_np(kernels.mat_mul(a, r1, c1, b, c1, c2), r1, c2)
         ref = _as_np(a, r1, c1) @ _as_np(b, c1, c2)
         assert np.max(np.abs(got - ref)) < 1e-13
-        gotk = _as_np(kron(ComplexMatrix(r1, c1, tuple(a)),
-                           ComplexMatrix(c1, c2, tuple(b))).entries,
-                      r1 * c1, c1 * c2)
-        refk = np.kron(_as_np(a, r1, c1), _as_np(b, c1, c2))
-        assert np.max(np.abs(gotk - refk)) < 1e-13
 
 
 def test_mat_mul_shape_mismatch():
@@ -275,32 +269,14 @@ def test_dagger(rng):
     assert np.max(np.abs(_as_np(d, 3, 2) - ref)) == 0.0
 
 
-def test_partial_trace_against_einsum(rng):
-    dims = (2, 3, 2)
-    n = 12
-    h = random_hermitian(rng, n)
-    trace = sum(h[i * n + i].real for i in range(n))
-    rho = [x * (1.0 / trace) for x in h]
-    got = _as_np(partial_trace(DensityMatrix(n, ComplexMatrix(n, n, tuple(rho))),
-                               dims, (0, 2)).matrix.entries, 4, 4)
-    t = _as_np(rho, n, n).reshape(2, 3, 2, 2, 3, 2)
-    ref = np.einsum("ijkljm->iklm", t).reshape(4, 4)
-    assert np.max(np.abs(got - ref)) < 1e-14
-
-
 def test_eigh_against_numpy(rng):
     for trial in range(60):
         n = 2 + trial % 7
         h = random_hermitian(rng, n)
-        vals, vecs = kernels.eigh(h, n)
+        vals = kernels.eigh(h, n)
+        assert vals == sorted(vals)
         ref = np.linalg.eigvalsh(_as_np(h, n, n))
         assert np.max(np.abs(np.array(vals) - ref)) < 1e-11
-        # reconstruction residual
-        v = _as_np(vecs, n, n)
-        recon = v @ np.diag(vals) @ v.conj().T
-        assert np.max(np.abs(recon - _as_np(h, n, n))) < 1e-10
-        # unitarity of the eigenvector matrix
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +341,7 @@ def test_mat_mul_bits_equal_naive_loop_on_alignment_isometry():
 def _eigh_digest(matrices):
     flat = []
     for m in matrices:
-        vals, vecs = kernels.eigh(m, 8)
-        flat.extend(vals)
-        flat.extend(vecs)
+        flat.extend(kernels.eigh(m, 8))
     return digest(flat)
 
 
@@ -376,7 +350,7 @@ def test_eigh_golden_total_states():
     states = [total_state(random_valid_config(rng)).matrix.entries
               for _ in range(40)]
     assert _eigh_digest(states) == (
-        "16546418669dd44fff89fdbd4f9b1350e3fd327de7efd8f310449bf942b9c0b2")
+        "fdc02722c01a3bbbcc7322136d398e2f386094a12cdfe598a3f3f991495d5724")
 
 
 def test_eigh_golden_stressed_states():
@@ -389,4 +363,4 @@ def test_eigh_golden_stressed_states():
             phi=2.0 * math.pi * rng.random())
         states.append(coherence_stressed_state(cfg, 1.2).matrix.entries)
     assert _eigh_digest(states) == (
-        "1e44706730d974e84d28ff07b2d2e6c6eacc47065e3453666445b147f3490feb")
+        "fafc6fdf5ee55142a6e22a57a5ae7b663320f34e4661465ec95da4200e190361")

@@ -1,6 +1,8 @@
 """Packaging metadata: it names only files that exist, and its console
-script is the CLI's entry point; ``python -m pitomo`` runs the same CLI."""
+script is the CLI's entry point; ``python -m pitomo`` runs the same CLI.
+Every public name of the package has a caller or is exported."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -39,3 +41,45 @@ def test_package_runs_with_python_dash_m():
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == pitomo.__version__
+
+
+# the matrix carriers, whose public methods are surface too
+CARRIERS = ("ComplexMatrix", "DensityMatrix")
+
+
+def _identifiers(paths):
+    """Every name and attribute that the given modules read or call."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def test_every_public_name_has_a_caller_or_is_exported():
+    # A top-level public function or class of src/pitomo, or a public
+    # method of a matrix carrier, must be used by name somewhere in the
+    # package or in perfbench/ (the benchmark drives the package as a
+    # client), or be exported in pitomo.__all__.  Imports do not count.
+    modules = sorted((ROOT / "src" / "pitomo").glob("*.py"))
+    used = _identifiers(modules + sorted((ROOT / "perfbench").glob("*.py")))
+    exported = set(pitomo.__all__)
+    unused = []
+    for path in modules:
+        for node in ast.parse(path.read_text()).body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            names = [(node.name, node.name)]
+            if node.name in CARRIERS:
+                names += [(f"{node.name}.{item.name}", item.name)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and not item.name.startswith("_")]
+            unused += [f"{path.name}: {where}" for where, name in names
+                       if name not in used and name not in exported]
+    assert unused == []
+    assert [n for n in pitomo.__all__ if not hasattr(pitomo, n)] == []

@@ -1,5 +1,6 @@
-"""Linear-algebra layer: operator contracts, spectral checks, and the
-all-principal-minors positivity oracle."""
+"""Matrix carriers: construction contracts, the spectrum behind
+``DensityMatrix.min_eigenvalue`` against the all-principal-minors
+positivity oracle, and the state fidelities."""
 
 import itertools
 import math
@@ -8,21 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pitomo.qcore import (ComplexMatrix, DensityMatrix, eigenvalues_hermitian,
-                          eigh_hermitian, fidelity_mixed, fidelity_pure,
-                          is_positive_semidefinite, kron, partial_trace,
-                          qubit_state_fidelity)
+from pitomo.qcore import (ComplexMatrix, DensityMatrix, fidelity_mixed,
+                          fidelity_pure, qubit_state_fidelity)
 from pitomo.states import IdlerStateParams
-from pitomo.interferometer import (InterferometerConfig,
+from pitomo.interferometer import (InterferometerConfig, _BS_RAW,
                                    coherence_stressed_state, total_state)
-from pitomo._kernels import Rng
+from pitomo._kernels import Rng, eigh
 from conftest import random_hermitian
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 def cm(rows):
-    return ComplexMatrix.from_rows(rows)
+    return ComplexMatrix(len(rows), len(rows[0]),
+                         tuple(complex(x) for row in rows for x in row))
+
+
+def eigenvalues(m):
+    return eigh(m.entries, m.rows)
 
 
 def dm(rows, labels=()):
@@ -63,78 +67,14 @@ def test_matrix_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# kron
-
-
-def test_kron_identity():
-    i2 = ComplexMatrix.identity(2)
-    assert kron(i2, i2) == ComplexMatrix.identity(4)
-
-
-def test_kron_projectors():
-    p = cm([[1, 0], [0, 0]])
-    k = kron(p, p)
-    assert k == cm([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+# the recombiner
 
 
 def test_kron_builds_recombiner():
-    had = cm([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
-    bs = kron(had, ComplexMatrix.identity(2))
-    expected = cm([
-        [SQRT1_2, 0, SQRT1_2, 0],
-        [0, SQRT1_2, 0, SQRT1_2],
-        [SQRT1_2, 0, -SQRT1_2, 0],
-        [0, SQRT1_2, 0, -SQRT1_2],
-    ])
-    assert all(abs(a - b) < 1e-15 for a, b in zip(bs.entries, expected.entries))
-
-
-# ---------------------------------------------------------------------------
-# partial trace
-
-
-def test_partial_trace_product_state():
-    idler = IdlerStateParams(0.3, 1.2, 0.9).to_density_matrix()
-    signal = dm([[1.0, 0.0], [0.0, 0.0]])
-    joint = DensityMatrix(4, kron(signal.matrix, idler.matrix))
-    reduced = partial_trace(joint, (2, 2), keep=(0,))
-    assert all(abs(a - b) < 1e-15
-               for a, b in zip(reduced.matrix.entries, signal.matrix.entries))
-    # tracing out the signal instead returns the idler state exactly
-    reduced_i = partial_trace(joint, (2, 2), keep=(1,))
-    assert all(abs(a - b) < 1e-15
-               for a, b in zip(reduced_i.matrix.entries, idler.matrix.entries))
-
-
-def test_partial_trace_bell_marginal():
-    bell = [SQRT1_2, 0, 0, SQRT1_2]
-    rho = dm([[bell[i] * bell[j] for j in range(4)] for i in range(4)])
-    for keep in ((0,), (1,)):
-        red = partial_trace(rho, (2, 2), keep=keep)
-        assert abs(red.at(0, 0) - 0.5) < 1e-15
-        assert abs(red.at(1, 1) - 0.5) < 1e-15
-        assert abs(red.at(0, 1)) < 1e-15
-
-
-def test_partial_trace_preserves_trace_and_commutes(rng):
-    h = random_hermitian(rng, 8, scale=0.5)
-    arr = np.array(h, dtype=complex).reshape(8, 8)
-    arr = arr @ arr.conj().T
-    arr /= np.trace(arr).real
-    rho = DensityMatrix(8, ComplexMatrix(8, 8, tuple(arr.flatten().tolist())))
-    a_then_b = partial_trace(partial_trace(rho, (2, 2, 2), (1, 2)), (2, 2), (1,))
-    b_then_a = partial_trace(partial_trace(rho, (2, 2, 2), (0, 2)), (2, 2), (1,))
-    assert all(abs(x - y) < 1e-12
-               for x, y in zip(a_then_b.matrix.entries, b_then_a.matrix.entries))
-    assert abs(a_then_b.matrix.trace() - 1.0) < 1e-12
-
-
-def test_partial_trace_dimension_mismatch():
-    rho = dm([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        partial_trace(rho, (2, 2), keep=(0,))
-    with pytest.raises(ValueError):
-        partial_trace(rho, (2,), keep=(3,))
+    # Hadamard on the path factor, identity on polarization
+    had = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
+    expected = np.kron(had, np.eye(2))
+    assert np.max(np.abs(np.array(_BS_RAW).reshape(4, 4) - expected)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +82,9 @@ def test_partial_trace_dimension_mismatch():
 
 
 def test_eigenvalues_diagonal():
-    assert eigenvalues_hermitian(cm([[0.3, 0], [0, 0.7]])) == pytest.approx([0.3, 0.7])
-    assert eigenvalues_hermitian(cm([[0.5, 0], [0, 0.5]])) == pytest.approx([0.5, 0.5])
+    assert eigenvalues(cm([[0.3, 0], [0, 0.7]])) == pytest.approx([0.3, 0.7])
+    assert eigenvalues(cm([[0.5, 0], [0, 0.5]])) == pytest.approx([0.5, 0.5])
+    assert dm([[0.7, 0], [0, 0.3]]).min_eigenvalue() == pytest.approx(0.3)
 
 
 def test_eigenvalues_post_interaction_spectrum():
@@ -151,8 +92,8 @@ def test_eigenvalues_post_interaction_spectrum():
     psi = (SQRT1_2, SQRT1_2 * 1j)
     m = cm([[0.5 * psi[i] * psi[j].conjugate() + (0.25 if i == j else 0.0)
              for j in range(2)] for i in range(2)])
-    vals = eigenvalues_hermitian(m)
-    assert vals == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert eigenvalues(m) == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert DensityMatrix(2, m).min_eigenvalue() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eigen_sum_equals_trace(rng):
@@ -160,23 +101,15 @@ def test_eigen_sum_equals_trace(rng):
         n = 2 + trial % 7
         h = random_hermitian(rng, n)
         m = ComplexMatrix(n, n, tuple(h))
-        vals = eigenvalues_hermitian(m)
+        vals = eigenvalues(m)
         assert vals == sorted(vals)
         assert abs(sum(vals) - m.trace().real) < 1e-10
 
 
 def test_eigen_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigenvalues_hermitian(cm([[0, 1], [0, 0]]))
-
-
-def test_eigh_reconstruction_residual(rng):
-    h = random_hermitian(rng, 8)
-    m = ComplexMatrix(8, 8, tuple(h))
-    vals, vecs = eigh_hermitian(m)
-    v = np.array(vecs.entries).reshape(8, 8)
-    recon = v @ np.diag(vals) @ v.conj().T
-    assert np.max(np.abs(recon - np.array(h).reshape(8, 8))) < 1e-10
+    # a density matrix is Hermitian by construction, so its spectrum is real
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dm([[0.5, 1], [0, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +138,21 @@ def _principal_minors_psd(flat, n, tol=1e-10):
     return True
 
 
+def _is_psd(m, tol=1e-10):
+    return eigenvalues(m)[0] >= -tol
+
+
 def test_psd_boundary_case():
-    assert is_positive_semidefinite(cm([[1, 0], [0, 0]]), tol=1e-10)
+    assert _is_psd(cm([[1, 0], [0, 0]]))
+    assert dm([[1, 0], [0, 0]]).assert_physical().min_eigenvalue() == 0.0
 
 
 def test_psd_full_coherence_total_state():
     idler = IdlerStateParams(0.5, 0.9, 1.0)
     cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, phi=0.7, idler=idler)
     rho = total_state(cfg)
-    assert is_positive_semidefinite(rho.matrix, tol=1e-10)
+    assert rho.min_eigenvalue() >= -1e-10
+    assert rho.assert_physical() is rho
 
 
 def test_psd_detects_overcoherent_state():
@@ -221,7 +160,9 @@ def test_psd_detects_overcoherent_state():
     cfg = InterferometerConfig(b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3),
                                phi=0.7, idler=idler)
     rho = coherence_stressed_state(cfg, 1.5)
-    assert not is_positive_semidefinite(rho.matrix, tol=1e-10)
+    assert rho.min_eigenvalue() < -1e-10
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        rho.assert_physical()
     # numpy agrees the spectrum is genuinely negative
     ref = np.linalg.eigvalsh(
         np.array(rho.matrix.entries).reshape(8, 8))
@@ -240,8 +181,7 @@ def test_psd_agrees_with_principal_minors_oracle():
             arr = arr @ arr.conj().T
             h = list(arr.flatten())
         m = ComplexMatrix(n, n, tuple(h))
-        assert (is_positive_semidefinite(m, tol=1e-10)
-                == _principal_minors_psd(h, n, tol=1e-10))
+        assert _is_psd(m) == _principal_minors_psd(h, n, tol=1e-10)
         checked += 1
     assert checked == 1000
 

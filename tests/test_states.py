@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from pitomo.states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
                            WaveplateSetting, apply_plates,
-                           idler_density_matrix, params_from_density_matrix,
                            prepared_idler_params, waveplate_unitary,
                            wrap_angle)
 from conftest import wrap_distance
@@ -22,21 +21,21 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 def test_idler_matrix_pure_h():
-    rho = idler_density_matrix(IdlerStateParams(1.0, 0.0, 1.0))
+    rho = IdlerStateParams(1.0, 0.0, 1.0).to_density_matrix()
     assert rho.at(0, 0) == 1.0
     assert rho.at(1, 1) == 0.0
     assert rho.at(0, 1) == 0.0
 
 
 def test_idler_matrix_fully_mixed():
-    rho = idler_density_matrix(IdlerStateParams(0.5, 0.0, 0.0))
+    rho = IdlerStateParams(0.5, 0.0, 0.0).to_density_matrix()
     assert rho.at(0, 0) == pytest.approx(0.5)
     assert rho.at(0, 1) == 0.0
     assert rho.at(1, 0) == 0.0
 
 
 def test_idler_matrix_circular():
-    rho = idler_density_matrix(IdlerStateParams(0.5, math.pi / 2, 1.0))
+    rho = IdlerStateParams(0.5, math.pi / 2, 1.0).to_density_matrix()
     assert abs(rho.at(0, 1) - (-0.5j)) < 1e-15
     assert abs(rho.at(1, 0) - 0.5j) < 1e-15
 
@@ -67,20 +66,18 @@ def test_q2_params():
 @given(st.floats(0.0, 1.0), st.floats(-10.0, 10.0),
        st.floats(0.0, 1.0))
 def test_round_trip_params_matrix(p_h, xi, purity):
+    # read the parameters back from the matrix form in the module docstring
     params = IdlerStateParams(p_h, xi, purity)
-    back = params_from_density_matrix(params.to_density_matrix())
-    assert abs(back.p_h - params.p_h) < 1e-12
-    if math.sqrt(p_h * (1.0 - p_h)) > 1e-12:
-        assert abs(back.purity - params.purity) < 1e-12
-    if params.purity * math.sqrt(p_h * (1.0 - p_h)) > 1e-9:
-        assert wrap_distance(back.xi, params.xi) < 1e-12
-
-
-def test_extraction_edge_conventions():
-    back = params_from_density_matrix(IdlerStateParams(1.0, 0, 1).to_density_matrix())
-    assert (back.p_h, back.xi, back.purity) == (1.0, 0.0, 1.0)
-    back = params_from_density_matrix(IdlerStateParams(0.4, 1.0, 0).to_density_matrix())
-    assert back.xi == 0.0 and back.purity == 0.0
+    rho = params.to_density_matrix()
+    assert rho.basis_labels == ("H", "V")
+    assert rho.at(0, 0).real == params.p_h and rho.at(1, 1).real == params.p_v
+    assert rho.at(1, 0) == rho.at(0, 1).conjugate()
+    off = rho.at(0, 1)
+    denom = math.sqrt(p_h * (1.0 - p_h))
+    if denom > 1e-12:
+        assert abs(abs(off) / denom - params.purity) < 1e-12
+    if params.purity * denom > 1e-9:
+        assert wrap_distance(wrap_angle(-cmath.phase(off)), params.xi) < 1e-12
 
 
 # ---------------------------------------------------------------------------
