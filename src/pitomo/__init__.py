@@ -11,8 +11,8 @@ checks the closed-form rate law (:func:`fringe`) against.
 """
 
 from ._kernels import active_backend
-from .qcore import (ComplexMatrix, DensityMatrix, fidelity_mixed,
-                    fidelity_pure, qubit_state_fidelity)
+from .qcore import (DensityMatrix, fidelity_mixed, fidelity_pure,
+                    qubit_state_fidelity)
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
                      WaveplateSetting, prepared_idler_params,
                      waveplate_unitary)
@@ -30,8 +30,7 @@ from .reconstruct import (ConvergenceError, FitError, CalibrationError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexMatrix", "DensityMatrix", "fidelity_mixed", "fidelity_pure",
-    "qubit_state_fidelity",
+    "DensityMatrix", "fidelity_mixed", "fidelity_pure", "qubit_state_fidelity",
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
     "prepared_idler_params", "waveplate_unitary",
     "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",

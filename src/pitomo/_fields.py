@@ -1,10 +1,12 @@
-"""Typed reads of JSON input files.
+"""Typed JSON input and output.
 
 Every ``from_json_dict`` reads its fields through :func:`field` and
 :func:`items`, and every JSON file is opened through :func:`load`, so a
 value of the wrong JSON type is reported as ``path: field must be ...``
 (a ``ValueError``, exit code 3 at the command line) instead of escaping
-as a ``TypeError`` or being coerced into something it is not.
+as a ``TypeError`` or being coerced into something it is not.  Every
+JSON file is written through :func:`dump`, in one layout: sorted keys,
+two-space indent, a final newline.
 """
 
 from __future__ import annotations
@@ -85,3 +87,8 @@ def load(path, reader):
                             "the document"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def dump(path, obj) -> None:
+    """Write ``obj`` to ``path`` as JSON with sorted keys."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")

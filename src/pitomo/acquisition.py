@@ -25,18 +25,20 @@ is range-checked as it is read.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from . import _kernels as _k
-from ._fields import field, items, load
+from ._fields import dump, field, items, load
 from .interferometer import InterferometerConfig, SignalSetting, fringe
 from .states import IdlerStateParams
 
 TWO_PI = 2.0 * math.pi
+
+# the largest per-point budget whose counts and rates are exact floats
+MAX_COUNTS_PER_POINT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class ScanPlan:
             raise ValueError("phase grid must stay within one period")
         if self.counts_per_point < 1:
             raise ValueError("counts_per_point must be positive")
+        if self.counts_per_point > MAX_COUNTS_PER_POINT:
+            raise ValueError("counts_per_point must be at most 2**53")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -163,22 +167,24 @@ class CalibrationResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibrationResult":
-        """Read a stored calibration, refusing a transmission outside
-        (0, 1] or a standard error that is negative or not finite.
+        """Read a stored calibration, refusing a standard error that is
+        negative or not finite, and a transmission t that is not
+        positive or exceeds 1 + 5 stderr + 1e-6.
 
-        The range is checked here, where the values enter from a file,
-        not on construction: a noisy calibration run may estimate a
-        transmission above 1.
+        A calibration run estimates t above 1 about half the time when
+        the true t is near 1, so the bound leaves room for its noise; the
+        1e-6 covers count rounding in noiseless runs, whose stderr is ~0.
+        The range is checked here, where the values enter from a file.
         """
-        values = []
-        for key in ("t_h", "t_h_stderr", "t_v", "t_v_stderr"):
-            x = field(d, key, float)
-            if key.endswith("_stderr"):
-                if not 0.0 <= x < math.inf:
-                    raise ValueError(f"{key} must be finite and >= 0, got {x!r}")
-            elif not 0.0 < x <= 1.0:
-                raise ValueError(f"{key} must lie in (0, 1], got {x!r}")
-            values.append(x)
+        values = [field(d, key, float)
+                  for key in ("t_h", "t_h_stderr", "t_v", "t_v_stderr")]
+        for key, t, err in (("t_h", *values[:2]), ("t_v", *values[2:])):
+            if not 0.0 <= err < math.inf:
+                raise ValueError(f"{key}_stderr must be finite and >= 0, "
+                                 f"got {err!r}")
+            if not 0.0 < t <= 1.0 + 5.0 * err + 1e-6:
+                raise ValueError(f"{key} must lie in (0, 1 + 5 {key}_stderr "
+                                 f"+ 1e-6], got {t!r}")
         return cls(*values)
 
 
@@ -254,6 +260,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
                              f"got {meta[key]!r}") from None
     if meta["n"] < 1:
         raise ValueError(f"{path}:{head}: n must be positive, got {meta['n']}")
+    if meta["n"] > MAX_COUNTS_PER_POINT:
+        raise ValueError(f"{path}:{head}: n must be at most 2**53")
     if not 0 <= meta["seed"] < (1 << 64):
         raise ValueError(f"{path}:{head}: seed must fit in 64 bits, "
                          f"got {meta['seed']}")
@@ -317,8 +325,7 @@ def _csv_count(path, k: int, name: str, text: str) -> int:
 
 
 def scan_to_json(record: ScanRecord, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(record.to_json_dict(), indent=2,
-                                     sort_keys=True) + "\n")
+    dump(path, record.to_json_dict())
 
 
 def scan_from_json(path: str | Path) -> ScanRecord:
@@ -338,8 +345,7 @@ def load_scan(path: str | Path) -> ScanRecord:
 
 
 def calibration_to_json(result: CalibrationResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(result.to_json_dict(), indent=2,
-                                     sort_keys=True) + "\n")
+    dump(path, result.to_json_dict())
 
 
 def calibration_from_json(path: str | Path) -> CalibrationResult:

@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage error, 3 data/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from . import _kernels as _k
-from ._fields import load
+from ._fields import dump, load
 from .acquisition import (ScanPlan, calibration_from_json, calibration_to_json,
                           load_scan, run_calibration, run_scan, scan_to_csv,
                           scan_to_json)
@@ -30,9 +29,9 @@ from .interferometer import (InterferometerConfig, SignalSetting,
                              coherence_stressed_state, fringe,
                              random_valid_config, rates_closed_form,
                              rates_exact, total_state)
-from .reconstruct import (CalibrationError, ConvergenceError, FitError,
-                          ReconstructionResult, extract_parameters,
-                          fit_sinusoid, mle_reconstruct, report_fidelity)
+from .reconstruct import (ConvergenceError, ReconstructionResult,
+                          extract_parameters, fit_sinusoid, mle_reconstruct,
+                          report_fidelity)
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateSetting,
                      prepared_idler_params)
 
@@ -43,9 +42,8 @@ EXIT_CONVERGENCE = 4
 
 DEG = math.pi / 180.0
 
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+# the most angles one --angles range may ask for
+MAX_ANGLES = 10_000
 
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> None:
@@ -59,7 +57,7 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> Non
         "backend": _k.active_backend(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    _write_json(outdir / "manifest.json", manifest)
+    dump(outdir / "manifest.json", manifest)
 
 
 def _outdir(args) -> Path:
@@ -210,10 +208,10 @@ def _render_report(result: ReconstructionResult) -> str:
     if result.fidelity_vs_reference is not None:
         lines.append(f"  fidelity vs ref   {result.fidelity_vs_reference:.6f}")
     lines.append("  density matrix (re, im):")
-    m = result.rho.matrix
+    rho = result.rho
     for i in range(2):
-        re_row = "  ".join(f"{m.at(i, j).real:+.6f}" for j in range(2))
-        im_row = "  ".join(f"{m.at(i, j).imag:+.6f}" for j in range(2))
+        re_row = "  ".join(f"{rho.at(i, j).real:+.6f}" for j in range(2))
+        im_row = "  ".join(f"{rho.at(i, j).imag:+.6f}" for j in range(2))
         lines.append(f"    [{re_row}]   [{im_row}]")
     return "\n".join(lines) + "\n"
 
@@ -237,7 +235,7 @@ def cmd_reconstruct(args) -> int:
     if reference is not None:
         report_fidelity(result, reference)
     outdir = _outdir(args)
-    _write_json(outdir / "result.json", result.to_json_dict())
+    dump(outdir / "result.json", result.to_json_dict())
     report = _render_report(result)
     (outdir / "report.txt").write_text(report)
     _write_manifest(outdir, "reconstruct", args)
@@ -259,16 +257,13 @@ def cmd_sweep(args) -> int:
     else:
         # synthetic shortcut: divide by the configured true magnitudes
         t_h, t_v = abs(cfg.t_h), abs(cfg.t_v)
+    plan = _plan(args, SignalSetting.H)
     outdir = _outdir(args)
-    seed0 = args.seed if args.seed is not None else 0
     rows = []
     for idx, angle_deg in enumerate(angles):
         prepared = prepared_idler_params([plate(angle_deg * DEG)])
         cfg_a = replace(cfg, idler=prepared)
-        plan_h = ScanPlan.default_grid(SignalSetting.H, seed0 + idx,
-                                       points=args.points,
-                                       counts_per_point=args.n,
-                                       noiseless=args.noiseless)
+        plan_h = replace(plan, seed=plan.seed + idx)
         plan_v = replace(plan_h, setting=SignalSetting.V)
         scan_h = run_scan(cfg_a, plan_h)
         scan_v = run_scan(cfg_a, plan_v)
@@ -284,7 +279,7 @@ def cmd_sweep(args) -> int:
         rows.append((angle_deg, vis_h, vis_v, result.params.p_h,
                      result.params.xi, result.params.purity,
                      result.fidelity_vs_reference, theory_h, theory_v))
-        _write_json(outdir / f"result_{idx:03d}.json", result.to_json_dict())
+        dump(outdir / f"result_{idx:03d}.json", result.to_json_dict())
     lines = ["angle_deg,vis_h,vis_v,p_h,xi,purity,fidelity,"
              "vis_h_theory,vis_v_theory"]
     for row in rows:
@@ -319,14 +314,19 @@ def _parse_angles(spec: str) -> list[float]:
     start, stop, step = _numbers(bounds, "--angles")
     if step <= 0:
         raise ValueError("--angles: step must be positive")
+    # k runs while start + k * step <= stop + 1e-9, i.e. up to about span
+    span = (stop + 1e-9 - start) / step
+    if span < 0.0:
+        raise ValueError(f"--angles: {spec!r} is empty: stop lies below start")
+    if span >= MAX_ANGLES:
+        raise ValueError(f"--angles: {spec!r} gives more than {MAX_ANGLES} "
+                         "angles")
     out = []
-    k = 0
-    while True:
+    for k in range(int(span) + 2):
         a = start + k * step
         if a > stop + 1e-9:
             break
         out.append(a)
-        k += 1
     return out
 
 
@@ -357,8 +357,8 @@ def run_verification(trials: int, seed: int) -> dict:
         for purity in (0.0, 0.5, 1.0):
             cfg = random_valid_config(rng, purity=purity)
             rho = total_state(cfg)
-            worst_tr = max(worst_tr, abs(rho.matrix.trace().real - 1.0),
-                           abs(rho.matrix.trace().imag))
+            worst_tr = max(worst_tr, abs(rho.trace().real - 1.0),
+                           abs(rho.trace().imag))
             worst_eig = min(worst_eig, rho.min_eigenvalue())
     checks.append({
         "name": "trace of the joint state",
@@ -395,7 +395,7 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}")
     if args.out:
         outdir = _outdir(args)
-        _write_json(outdir / "verify.json", report)
+        dump(outdir / "verify.json", report)
         _write_manifest(outdir, "verify", args)
     if not report["all_passed"]:
         print("verification FAILED", file=sys.stderr)
@@ -512,8 +512,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (FitError, CalibrationError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    # FitError, CalibrationError and JSON decode errors are ValueErrors
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

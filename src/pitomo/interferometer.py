@@ -54,7 +54,7 @@ from typing import Sequence
 
 from . import _kernels as _k
 from ._fields import check, field
-from .qcore import ComplexMatrix, DensityMatrix
+from .qcore import DensityMatrix
 from .states import IdlerStateParams, SourceQ2Params
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -305,7 +305,7 @@ def _recombine_raw(rs: Sequence[complex]) -> list[complex]:
 
 def total_state(cfg: InterferometerConfig) -> DensityMatrix:
     """Joint 8-dim two-photon state of the coherently pumped source pair."""
-    return DensityMatrix(8, ComplexMatrix(8, 8, tuple(_total_state_raw(cfg))), BASIS_8)
+    return DensityMatrix(8, tuple(_total_state_raw(cfg)), BASIS_8)
 
 
 def coherence_stressed_state(cfg: InterferometerConfig,
@@ -318,7 +318,7 @@ def coherence_stressed_state(cfg: InterferometerConfig,
     for positivity studies, not for simulation.
     """
     raw = _total_state_raw(cfg, coherence_override=coherence)
-    return DensityMatrix(8, ComplexMatrix(8, 8, tuple(raw)), BASIS_8)
+    return DensityMatrix(8, tuple(raw), BASIS_8)
 
 
 def rates_exact(cfg: InterferometerConfig) -> DetectionRates:
@@ -401,18 +401,16 @@ def post_interaction_idler(cfg: InterferometerConfig) -> DensityMatrix:
     if cfg.idler.purity < 1.0 - 1e-12:
         raise ValueError("post-interaction state is defined for a pure idler")
     x, y = cfg.idler.state_vector()
-    m = ComplexMatrix(2, 2, (
+    return DensityMatrix(2, (
         0.5 * (x * x.conjugate()) + 0.25,
         0.5 * (x * y.conjugate()),
         0.5 * (y * x.conjugate()),
         0.5 * (y * y.conjugate()) + 0.25,
-    ))
-    return DensityMatrix(2, m, ("H_I", "V_I"))
+    ), ("H_I", "V_I"))
 
 
 def random_valid_config(rng, *, purity: float | None = None,
-                        setting: SignalSetting | None = None,
-                        complex_t: bool = True) -> InterferometerConfig:
+                        setting: SignalSetting | None = None) -> InterferometerConfig:
     """Sample a physically valid configuration (used by property sweeps)."""
     w1 = 0.02 + 0.96 * rng.random()
     b1 = math.sqrt(w1)
@@ -422,9 +420,8 @@ def random_valid_config(rng, *, purity: float | None = None,
     q2 = SourceQ2Params(rng.random(), 2.0 * math.pi * rng.random())
     t_h = rng.random()
     t_v = rng.random()
-    if complex_t:
-        t_h *= cmath.exp(2j * math.pi * rng.random())
-        t_v *= cmath.exp(2j * math.pi * rng.random())
+    t_h *= cmath.exp(2j * math.pi * rng.random())
+    t_v *= cmath.exp(2j * math.pi * rng.random())
     if setting is None:
         setting = SignalSetting.H if rng.random() < 0.5 else SignalSetting.V
     return InterferometerConfig(

@@ -1,11 +1,11 @@
-"""Matrix carriers and state fidelities for small Hilbert spaces (dim <= 8).
+"""Density matrices and state fidelities for small Hilbert spaces (dim <= 8).
 
-:class:`ComplexMatrix` and :class:`DensityMatrix` carry the 8-dim
-joint state, whose trace and positivity ``verify`` checks, and the
-reconstructed and reference qubit states; the fidelities compare a
-reconstruction with its reference.  The exact oracle's matrix arithmetic
-runs on flat lists in ``_kernels``, and so does the eigensolve behind
-:meth:`DensityMatrix.min_eigenvalue`.
+:class:`DensityMatrix` carries the 8-dim joint state, whose trace and
+positivity ``verify`` checks, and the reconstructed and reference qubit
+states; the fidelities compare a reconstruction with its reference.
+Entries are kept as one flat row-major tuple, the layout the exact
+oracle's arithmetic and the eigensolve behind
+:meth:`DensityMatrix.min_eigenvalue` in ``_kernels`` work on.
 
 Tolerances used package-wide: Hermiticity and trace checks at 1e-12,
 positive semidefiniteness at 1e-10 on the eigenvalue scale (loose
@@ -15,6 +15,7 @@ evolution chain).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,101 +29,59 @@ PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ComplexMatrix:
-    """Dense complex matrix, row-major entries, immutable."""
-
-    rows: int
-    cols: int
-    entries: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(complex(e) for e in self.entries))
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
-        for e in self.entries:
-            if not (math.isfinite(e.real) and math.isfinite(e.imag)):
-                raise ValueError("matrix entries must be finite")
-
-    def at(self, i: int, j: int) -> complex:
-        return self.entries[i * self.cols + j]
-
-    def trace(self) -> complex:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
-
-    def hermitian_defect(self) -> float:
-        """max entrywise |M - M^dagger| (0 for square Hermitian input)."""
-        if self.rows != self.cols:
-            raise ValueError("hermitian_defect of a non-square matrix")
-        n = self.rows
-        worst = 0.0
-        for i in range(n):
-            for j in range(n):
-                d = abs(self.entries[i * n + j] - self.entries[j * n + i].conjugate())
-                if d > worst:
-                    worst = d
-        return worst
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "re": [e.real for e in self.entries],
-            "im": [e.imag for e in self.entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ComplexMatrix":
-        re, im = items(d, "re", float), items(d, "im", float)
-        if len(re) != len(im):
-            raise ValueError(f"re and im must have equal lengths, got "
-                             f"{len(re)} and {len(im)}")
-        return cls(field(d, "rows", int), field(d, "cols", int),
-                   tuple(complex(r, i) for r, i in zip(re, im)))
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
-    """Square Hermitian unit-trace matrix with a labeled mode basis.
+    """Square Hermitian unit-trace matrix, row-major entries, with a
+    labeled mode basis.
 
-    Hermiticity and the unit trace are enforced at construction;
-    positive semidefiniteness is checked by :meth:`min_eigenvalue` /
+    Finiteness, Hermiticity and the unit trace are checked at
+    construction, in one pass over the entries; positive
+    semidefiniteness is checked by :meth:`min_eigenvalue` /
     :meth:`assert_physical` (an eigensolve, so opt-in rather than paid
     on every intermediate value).
     """
 
     dim: int
-    matrix: ComplexMatrix
+    entries: tuple[complex, ...]
     basis_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.matrix.rows != self.dim or self.matrix.cols != self.dim:
-            raise ValueError(f"matrix is {self.matrix.rows}x{self.matrix.cols}, "
-                             f"declared dim {self.dim}")
+        n = self.dim
+        if n < 1:
+            raise ValueError(f"dim must be positive, got {n}")
+        if not isinstance(self.entries, tuple):
+            object.__setattr__(self, "entries", tuple(complex(e) for e in self.entries))
+        e = self.entries
+        if len(e) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(e)}")
         if not self.basis_labels:
-            object.__setattr__(self, "basis_labels",
-                               tuple(f"m{i}" for i in range(self.dim)))
-        elif len(self.basis_labels) != self.dim:
+            object.__setattr__(self, "basis_labels", tuple(f"m{i}" for i in range(n)))
+        elif len(self.basis_labels) != n:
             raise ValueError("basis_labels length must equal dim")
-        defect = self.matrix.hermitian_defect()
+        defect = 0.0
+        tr = 0
+        for i in range(n):
+            tr += e[i * n + i]
+            for j in range(i, n):
+                a = e[i * n + j]
+                b = e[j * n + i]
+                if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                    raise ValueError("matrix entries must be finite")
+                d = abs(a - b.conjugate())
+                if d > defect:
+                    defect = d
         if defect > HERMITIAN_TOL:
             raise ValueError(f"not Hermitian: defect {defect:.3e}")
-        tr = self.matrix.trace()
         if abs(tr.imag) > TRACE_TOL or abs(tr.real - 1.0) > TRACE_TOL:
             raise ValueError(f"trace must be 1, got {tr}")
 
     def at(self, i: int, j: int) -> complex:
-        return self.matrix.at(i, j)
+        return self.entries[i * self.dim + j]
+
+    def trace(self) -> complex:
+        return sum(self.entries[i * self.dim + i] for i in range(self.dim))
 
     def min_eigenvalue(self) -> float:
-        return _k.eigh(self.matrix.entries, self.dim)[0]
+        return _k.eigh(self.entries, self.dim)[0]
 
     def assert_physical(self, tol: float = PSD_TOL) -> "DensityMatrix":
         lo = self.min_eigenvalue()
@@ -131,14 +90,26 @@ class DensityMatrix:
         return self
 
     def to_json_dict(self) -> dict:
-        d = self.matrix.to_json_dict()
-        d["basis_labels"] = list(self.basis_labels)
-        return d
+        return {
+            "rows": self.dim,
+            "cols": self.dim,
+            "re": [e.real for e in self.entries],
+            "im": [e.imag for e in self.entries],
+            "basis_labels": list(self.basis_labels),
+        }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DensityMatrix":
-        m = ComplexMatrix.from_json_dict(d)
-        return cls(m.rows, m, items(d, "basis_labels", str, ()))
+        re, im = items(d, "re", float), items(d, "im", float)
+        if len(re) != len(im):
+            raise ValueError(f"re and im must have equal lengths, got "
+                             f"{len(re)} and {len(im)}")
+        rows, cols = field(d, "rows", int), field(d, "cols", int)
+        if rows != cols:
+            raise ValueError(f"a density matrix is square, got rows = {rows} "
+                             f"and cols = {cols}")
+        return cls(rows, tuple(complex(r, i) for r, i in zip(re, im)),
+                   items(d, "basis_labels", str, ()))
 
 
 def _norm(psi: Sequence[complex]) -> float:

@@ -348,8 +348,8 @@ def _fit_record(record: ScanRecord) -> _ScanFit:
 def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
              lsq_v: _ScanFit, t_h: float, t_v: float) -> ReconstructionResult:
     """The fringe route on both scans' least-squares fits."""
-    if not (0.0 < t_h <= 1.0 and 0.0 < t_v <= 1.0):
-        raise ValueError("calibrated transmissions must lie in (0, 1]")
+    if not (0.0 < t_h < math.inf and 0.0 < t_v < math.inf):
+        raise ValueError("calibrated transmissions must be finite and positive")
     _check_fringe_grid(scan_h.plan.phases, scan_h.counts_primary)
     fit_h = lsq_h.sinusoid()
     _check_fringe_grid(scan_v.plan.phases, scan_v.counts_primary)
@@ -406,33 +406,27 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
             (sig_v / math.sqrt(p_v)) ** 2
             + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2)),
     }
-    cost = _pair_cost(lsq_h, lsq_v, params, t_h, t_v,
-                      *_resolve_n(scan_h, scan_v, None))
+    cost = _pair_cost(lsq_h, lsq_v, params.p_h, params.xi, params.purity,
+                      t_h, t_v, *_budgets(scan_h, scan_v))
     return ReconstructionResult(params, params.to_density_matrix(), cost,
                                 Method.FRINGE, flags=tuple(flags),
                                 param_stderr=stderr)
 
 
-def _resolve_n(data_h: ScanRecord, data_v: ScanRecord,
-               n: int | tuple[int, int] | None) -> tuple[float, float]:
-    if n is None:
-        return (float(data_h.plan.counts_per_point),
-                float(data_v.plan.counts_per_point))
-    if isinstance(n, tuple):
-        return float(n[0]), float(n[1])
-    return float(n), float(n)
+def _budgets(data_h: ScanRecord, data_v: ScanRecord) -> tuple[float, float]:
+    """Each record's per-point count budget n."""
+    return (float(data_h.plan.counts_per_point),
+            float(data_v.plan.counts_per_point))
 
 
 def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
-             candidate: IdlerStateParams, t_h: float, t_v: float,
-             n: int | tuple[int, int] | None = None) -> float:
+             candidate: IdlerStateParams, t_h: float, t_v: float) -> float:
     """Total squared residual of both count records against the rate model.
 
     The model is the balanced closed form: expected H counts
     n/3 * (1 + t_h sqrt(p_h) cos phi), expected V counts
-    n/3 * (1 + purity t_v sqrt(p_v) cos(phi - xi)).  ``n`` defaults to
-    each record's own per-point budget and may be overridden by a single
-    value or an (n_h, n_v) pair.
+    n/3 * (1 + purity t_v sqrt(p_v) cos(phi - xi)), with n each record's
+    own per-point budget.
 
     Both models are linear in the basis {1, cos phi, sin phi}: the H model
     has coefficients (n/3, n/3 t_h sqrt(p_h), 0) and the V model
@@ -444,20 +438,22 @@ def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
     each candidate in O(1).
     """
     _check_scans(data_h, data_v)
-    return _pair_cost(_fit_record(data_h), _fit_record(data_v), candidate,
-                      t_h, t_v, *_resolve_n(data_h, data_v, n))
+    return _pair_cost(_fit_record(data_h), _fit_record(data_v), candidate.p_h,
+                      candidate.xi, candidate.purity, t_h, t_v,
+                      *_budgets(data_h, data_v))
 
 
-def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, candidate: IdlerStateParams,
-               t_h: float, t_v: float, n_h: float, n_v: float) -> float:
-    """:func:`mle_cost` from the two scans' fits and per-point budgets."""
+def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, p_h: float, xi: float,
+               purity: float, t_h: float, t_v: float, n_h: float,
+               n_v: float) -> float:
+    """:func:`mle_cost` from the two scans' fits and per-point budgets,
+    at p_h in [0, 1], xi in [0, 2pi) and purity in [0, 1]."""
     amp_h = n_h * BALANCED_SOURCE1_WEIGHT
     amp_v = n_v * BALANCED_SOURCE1_WEIGHT
-    b_h = amp_h * (t_h * math.sqrt(candidate.p_h))
-    b_v = amp_v * (candidate.purity * t_v * math.sqrt(candidate.p_v))
+    b_h = amp_h * (t_h * math.sqrt(p_h))
+    b_v = amp_v * (purity * t_v * math.sqrt(1.0 - p_h))
     return (lsq_h.cost(amp_h, b_h, 0.0)
-            + lsq_v.cost(amp_v, b_v * math.cos(candidate.xi),
-                         b_v * math.sin(candidate.xi)))
+            + lsq_v.cost(amp_v, b_v * math.cos(xi), b_v * math.sin(xi)))
 
 
 def _fold01(x: float) -> float:
@@ -522,42 +518,39 @@ def _nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
 
 
 def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
-                    t_h: float, t_v: float,
-                    n: int | tuple[int, int] | None = None,
-                    init: Optional[IdlerStateParams] = None) -> ReconstructionResult:
+                    t_h: float, t_v: float) -> ReconstructionResult:
     """Least-squares reconstruction over (p_h, xi, purity).
 
     Nelder-Mead on the residual of :func:`mle_cost`, with the search
     box [0,1] x [0,2pi) x [0,1] enforced by reflection/wrapping of the
-    coordinates.  Seeds from :func:`extract_parameters` when no initial
-    point is given; restarts once from a shifted simplex if the first
-    pass converged with a vanishing V fringe, where the phase is
-    degenerate.  Raises ConvergenceError (carrying the best point) if
-    the evaluation budget of 10^4 is exhausted first.
+    coordinates.  Seeds from :func:`extract_parameters`; restarts once
+    from a shifted simplex if the first pass converged with a vanishing
+    V fringe, where the phase is degenerate.  Raises ConvergenceError
+    (carrying the best point) if the evaluation budget of 10^4 is
+    exhausted first.
 
     Each scan is fitted once, and every cost evaluation reuses the two
-    fits.  A phase grid on which that fit's normal equations are
-    singular (by ``_solve3``'s determinant test; for instance 5 points
-    packed into a few milliradians) cannot identify the state, and is
-    refused with FitError, with or without ``init``.  Narrow grids that
-    pass the test, such as 5 points over 0.05 rad, are reconstructed
-    even though the fringe route refuses any grid shorter than half a
-    period; the initial point then falls back to (0.5, pi, 0.5).
+    fits and scores plain floats.  A phase grid on which that fit's
+    normal equations are singular (by ``_solve3``'s determinant test; for
+    instance 5 points packed into a few milliradians) cannot identify
+    the state, and is refused with FitError.  Narrow grids that pass the
+    test, such as 5 points over 0.05 rad, are reconstructed even though
+    the fringe route refuses any grid shorter than half a period; the
+    initial point then falls back to (0.5, pi, 0.5).
     """
     _check_scans(data_h, data_v)
-    n_h, n_v = _resolve_n(data_h, data_v, n)
+    n_h, n_v = _budgets(data_h, data_v)
     lsq_h, lsq_v = _fit_record(data_h), _fit_record(data_v)
-    if init is None:
-        try:
-            init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
-        except (FitError, CalibrationError):
-            init = IdlerStateParams(0.5, math.pi, 0.5)
+    try:
+        init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
+        x0 = [init.p_h, init.xi, init.purity]
+    except (FitError, CalibrationError):
+        x0 = [0.5, math.pi, 0.5]
 
     def cost_of(vec: Sequence[float]) -> float:
-        return _pair_cost(lsq_h, lsq_v, _vector_to_params(vec), t_h, t_v,
-                          n_h, n_v)
+        return _pair_cost(lsq_h, lsq_v, _fold01(vec[0]), wrap_angle(vec[1]),
+                          _fold01(vec[2]), t_h, t_v, n_h, n_v)
 
-    x0 = [init.p_h, init.xi, init.purity]
     best_x, best_f, nfev, converged = _nelder_mead(
         cost_of, x0, steps=(0.08, 0.4, 0.08))
     params = _vector_to_params(best_x)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._fields import field
-from .qcore import ComplexMatrix, DensityMatrix
+from .qcore import DensityMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,9 +71,8 @@ class IdlerStateParams:
 
     def to_density_matrix(self) -> DensityMatrix:
         off = self.purity * math.sqrt(self.p_h * self.p_v) * cmath.exp(-1j * self.xi)
-        m = ComplexMatrix(2, 2, (complex(self.p_h), off,
-                                 off.conjugate(), complex(self.p_v)))
-        return DensityMatrix(2, m, QUBIT_LABELS)
+        return DensityMatrix(2, (complex(self.p_h), off, off.conjugate(),
+                                 complex(self.p_v)), QUBIT_LABELS)
 
     def state_vector(self) -> tuple[complex, complex]:
         """Ket (amplitude_H, amplitude_V) for a pure state, H amplitude real."""
@@ -98,22 +97,6 @@ class IdlerStateParams:
     @classmethod
     def vertical(cls):
         return cls(0.0, 0.0, 1.0)
-
-    @classmethod
-    def diagonal(cls):
-        return cls(0.5, 0.0, 1.0)
-
-    @classmethod
-    def antidiagonal(cls):
-        return cls(0.5, math.pi, 1.0)
-
-    @classmethod
-    def circular_right(cls):
-        return cls(0.5, 0.5 * math.pi, 1.0)
-
-    @classmethod
-    def circular_left(cls):
-        return cls(0.5, 1.5 * math.pi, 1.0)
 
 
 @dataclass(frozen=True)
@@ -167,28 +150,24 @@ class WaveplateSetting:
         return cls(WaveplateKind.QUARTER_WAVE, angle)
 
 
-def waveplate_unitary(s: WaveplateSetting) -> ComplexMatrix:
-    """Jones matrix of the waveplate, unitary to 1e-12."""
+def waveplate_unitary(s: WaveplateSetting) -> tuple[complex, complex, complex, complex]:
+    """Jones matrix of the waveplate, row-major, unitary to 1e-12."""
     c = math.cos(s.angle)
     sn = math.sin(s.angle)
     retard = -1.0 + 0j if s.kind is WaveplateKind.HALF_WAVE else 1j
     # R(a) diag(1, retard) R(-a)
-    return ComplexMatrix(2, 2, (
-        c * c + retard * sn * sn,
-        c * sn - retard * sn * c,
-        sn * c - retard * c * sn,
-        sn * sn + retard * c * c,
-    ))
+    return (c * c + retard * sn * sn,
+            c * sn - retard * sn * c,
+            sn * c - retard * c * sn,
+            sn * sn + retard * c * c)
 
 
-def apply_plates(plates: Sequence[WaveplateSetting],
-                 initial: Sequence[complex] = (1.0, 0.0)) -> tuple[complex, complex]:
-    """State vector after sending ``initial`` through the plates in order."""
-    x, y = complex(initial[0]), complex(initial[1])
+def apply_plates(plates: Sequence[WaveplateSetting]) -> tuple[complex, complex]:
+    """State vector after sending |H> through the plates in order."""
+    x, y = 1.0 + 0j, 0j
     for p in plates:
-        u = waveplate_unitary(p)
-        x, y = (u.at(0, 0) * x + u.at(0, 1) * y,
-                u.at(1, 0) * x + u.at(1, 1) * y)
+        u00, u01, u10, u11 = waveplate_unitary(p)
+        x, y = u00 * x + u01 * y, u10 * x + u11 * y
     return x, y
 
 

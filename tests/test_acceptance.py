@@ -136,8 +136,10 @@ def test_c4_round_trip_tomography_grid():
 
 
 def test_c5_degenerate_visibility_pairs_disambiguated():
-    pairs = [(IdlerStateParams.diagonal(), IdlerStateParams.antidiagonal()),
-             (IdlerStateParams.circular_right(), IdlerStateParams.circular_left())]
+    # diagonal / antidiagonal and right / left circular
+    pairs = [(IdlerStateParams(0.5, 0.0, 1.0), IdlerStateParams(0.5, math.pi, 1.0)),
+             (IdlerStateParams(0.5, 0.5 * math.pi, 1.0),
+              IdlerStateParams(0.5, 1.5 * math.pi, 1.0))]
     worst_vis = 0.0
     worst_phase = 0.0
     for state_a, state_b in pairs:
@@ -205,7 +207,7 @@ def test_c7_post_interaction_state():
         idler = IdlerStateParams(rng.random(), TWO_PI * rng.random(), 1.0)
         cfg = InterferometerConfig.balanced(idler)
         rho = post_interaction_idler(cfg)
-        lo, hi = eigh(rho.matrix.entries, 2)
+        lo, hi = eigh(rho.entries, 2)
         fid = fidelity_mixed(rho, idler.state_vector())
         worst = max(worst, abs(lo - 0.25), abs(hi - 0.75), abs(fid - 0.75))
     assert worst <= 1e-12

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitomo import active_backend
-from pitomo.cli import main, run_verification
+from pitomo.cli import MAX_ANGLES, _parse_angles, main, run_verification
 from pitomo.acquisition import (ScanPlan, calibration_from_json, load_scan,
                                 run_scan, scan_from_csv, scan_to_csv)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
@@ -374,10 +374,26 @@ def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
             return
         rule = "must be finite and >= 0"
     else:
-        rule = "must lie in (0, 1]"
+        rule = f"must lie in (0, 1 + 5 {field}_stderr + 1e-6]"
     assert code == 3
     assert f"error: {cal}: {field} {rule}, got {float(value)!r}\n" == (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_simulate_calibrate_reconstruct_chain_at_default_flags(tmp_path, seed):
+    # a calibration run estimates t above 1 about half the time; what
+    # calibrate writes, reconstruct must read
+    for setting in "HV":
+        assert run("simulate", "--setting", setting, "--p-h", 0.4, "--xi", 0.8,
+                   "--purity", 0.9, "--seed", seed, "--format", "json",
+                   "--out", tmp_path) == 0
+    assert run("calibrate", "--seed", seed, "--out", tmp_path) == 0
+    for method in ("mle", "fringe"):
+        assert run("reconstruct", "--scan-h", tmp_path / "scan_H.json",
+                   "--scan-v", tmp_path / "scan_V.json",
+                   "--calibration", tmp_path / "calibration.json",
+                   "--method", method, "--out", tmp_path / method) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +455,9 @@ def test_sweep_deterministic_with_noise(tmp_path):
     ("0:90", "expected start:stop:step, got '0:90'"),
     ("0,x", "expected a number, got 'x'"),
     ("0:90:0", "step must be positive"),
+    ("90:0:5", "'90:0:5' is empty: stop lies below start"),
+    ("0:90:1e-9", "'0:90:1e-9' gives more than 10000 angles"),
+    ("0:1e308:1e-300", "'0:1e308:1e-300' gives more than 10000 angles"),
 ])
 def test_sweep_refuses_bad_angle_spec(tmp_path, capsys, spec, message):
     # a non-finite bound once kept the angle loop growing without end
@@ -446,6 +465,56 @@ def test_sweep_refuses_bad_angle_spec(tmp_path, capsys, spec, message):
                "--seed", 1, "--out", tmp_path) == 3
     assert f"error: --angles: {message}" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_angle_range_cap_is_inclusive():
+    assert len(_parse_angles(f"0:{MAX_ANGLES - 1}:1")) == MAX_ANGLES
+    with pytest.raises(ValueError, match="more than 10000 angles"):
+        _parse_angles(f"0:{MAX_ANGLES}:1")
+    assert _parse_angles("0:0:1") == [0.0]
+    assert _parse_angles("0:90:5")[-1] == 90.0
+
+
+def test_sweep_reads_the_phase_grid(tmp_path):
+    default = ",".join(repr(2 * math.pi * k / 20) for k in range(20))
+    outputs = {}
+    for name, extra in (("default", ()), ("explicit", ("--phases", default)),
+                        ("grid", ("--phases", "0,0.7,1.4,2.1,2.8,3.5,4.2"))):
+        assert run("sweep", "--plate", "hwp", "--angles", "0:45:22.5",
+                   "--seed", 3, "--out", tmp_path / name, *extra) == 0
+        outputs[name] = (tmp_path / name / "result_000.json").read_bytes()
+    assert outputs["explicit"] == outputs["default"]
+    assert outputs["grid"] != outputs["default"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("simulate", "--setting", "H", "--seed", 1), "error: "
+                 "counts_per_point must be at most 2**53", id="simulate"),
+    pytest.param(("calibrate", "--noiseless"), "error: "
+                 "counts_per_point must be at most 2**53", id="calibrate"),
+])
+def test_oversized_count_budget_flag_exits_3(tmp_path, capsys, argv, message):
+    assert run(*argv, "--n", 10 ** 400, "--out", tmp_path) == 3
+    assert message in capsys.readouterr().err
+    assert run(*argv, "--n", 2 ** 53 + 1, "--out", tmp_path) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_oversized_count_budget_in_a_scan_file_exits_3(tmp_path, capsys):
+    lines = (DATA / "scan_H.csv").read_text().splitlines()
+    lines[0] = lines[0].replace("n=100000000", f"n={10 ** 400}")
+    (tmp_path / "scan_H.csv").write_text("\n".join(lines) + "\n")
+    doc = json.loads((DATA / "scan_H.json").read_text())
+    doc["plan"]["counts_per_point"] = 10 ** 400
+    (tmp_path / "scan_H.json").write_text(json.dumps(doc))
+    for name, message in (("scan_H.csv", "scan_H.csv:1: n must be at most 2**53"),
+                          ("scan_H.json", "scan_H.json: counts_per_point "
+                                          "must be at most 2**53")):
+        assert run("reconstruct", "--scan-h", tmp_path / name,
+                   "--scan-v", DATA / "scan_V.json",
+                   "--calibration", DATA / "calibration.json",
+                   "--out", tmp_path / "rec") == 3
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec, message", [

@@ -18,7 +18,7 @@ from pitomo.interferometer import (BASIS_8, _BS_RAW, InterferometerConfig,
                                    post_interaction_idler, random_valid_config,
                                    rates_closed_form, rates_exact, total_state)
 from pitomo._kernels import eigh
-from pitomo.qcore import ComplexMatrix, fidelity_mixed
+from pitomo.qcore import fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
 from conftest import digest, wrap_distance
@@ -54,8 +54,14 @@ def visibilities(cfg):
     return tuple(fringe(cfg.with_setting(s)).visibility for s in SignalSetting)
 
 
-def as_np(m: ComplexMatrix) -> np.ndarray:
-    return np.array(m.entries, dtype=complex).reshape(m.rows, m.cols)
+def as_np(rho) -> np.ndarray:
+    return np.array(rho.entries, dtype=complex).reshape(rho.dim, rho.dim)
+
+
+def random_real_t_config(rng):
+    """A random valid configuration with real, nonnegative transmissions."""
+    cfg = random_valid_config(rng)
+    return replace(cfg, t_h=abs(cfg.t_h), t_v=abs(cfg.t_v))
 
 
 def square(flat) -> np.ndarray:
@@ -113,9 +119,9 @@ def test_total_state_single_source_limit():
     idler = IdlerStateParams(0.3, 1.2, 0.9)
     cfg = InterferometerConfig(b1=1.0, b2_mag=0.0, idler=idler)
     rho = total_state(cfg)
-    arr = as_np(rho.matrix)
+    arr = as_np(rho)
     # top-left 2x2 sub-block carries the idler state; everything else is 0
-    idm = as_np(idler.to_density_matrix().matrix)
+    idm = as_np(idler.to_density_matrix())
     assert np.max(np.abs(arr[:2, :2] - idm)) < 1e-15
     arr[:2, :2] = 0
     assert np.max(np.abs(arr)) == 0.0
@@ -126,7 +132,7 @@ def test_total_state_reference_source_limit():
     cfg = InterferometerConfig(b1=0.0, b2_mag=1.0,
                                idler=IdlerStateParams.horizontal(),
                                q2=SourceQ2Params(0.5, 0.0))
-    arr = as_np(total_state(cfg).matrix)
+    arr = as_np(total_state(cfg))
     bell = np.zeros(8, dtype=complex)
     bell[4] = SQRT1_2
     bell[7] = SQRT1_2
@@ -147,7 +153,7 @@ def test_total_state_matches_reference_entrywise(setting):
     rng = Rng(77, 0)
     for _ in range(25):
         cfg = random_valid_config(rng, setting=SignalSetting(setting))
-        got = as_np(total_state(cfg).matrix)
+        got = as_np(total_state(cfg))
         ref = reference_total_state(
             cfg.b1, cfg.b2, cfg.idler.p_h, cfg.idler.xi, cfg.idler.purity,
             cfg.idler.purity, cfg.idler.purity, cfg.q2.p_h2, cfg.q2.theta,
@@ -306,7 +312,7 @@ def test_intermediate_states_stay_physical(rng):
             assert abs(np.trace(square(state)) - 1.0) < 1e-12
             assert eigh(state, n)[0] >= -1e-10
         # the public joint state is the first stage
-        assert total_state(cfg).matrix.entries == tuple(stages(cfg)[0])
+        assert total_state(cfg).entries == tuple(stages(cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +346,7 @@ def test_visibility_mixed_idler_has_no_v_fringe():
 def test_visibility_matches_swept_extrema(rng):
     # sweep grids aligned with the fringe extrema so max/min are exact
     for _ in range(20):
-        cfg = random_valid_config(rng, complex_t=False)
+        cfg = random_real_t_config(rng)
         v_h, v_v = visibilities(cfg)
         for setting, vis in ((SignalSetting.H, v_h), (SignalSetting.V, v_v)):
             c = cfg.with_setting(setting)
@@ -375,7 +381,7 @@ def test_fringe_phase_shift_equals_xi_minus_theta(rng):
     # fit noiseless rate curves; the two fringe maxima differ by xi - theta
     phases = [2 * math.pi * k / 40 for k in range(40)]
     for _ in range(10):
-        cfg = random_valid_config(rng, complex_t=False)
+        cfg = random_real_t_config(rng)
         if cfg.idler.purity * math.sqrt(cfg.idler.p_h * cfg.idler.p_v) < 0.05:
             continue
         rh = [rates_closed_form(
@@ -410,7 +416,7 @@ def test_post_interaction_spectrum_and_fidelity(rng):
         idler = IdlerStateParams(rng.random(), 2 * math.pi * rng.random(), 1.0)
         cfg = InterferometerConfig.balanced(idler)
         rho = post_interaction_idler(cfg)
-        vals = eigh(rho.matrix.entries, 2)
+        vals = eigh(rho.entries, 2)
         assert abs(vals[0] - 0.25) < 1e-12
         assert abs(vals[1] - 0.75) < 1e-12
         assert fidelity_mixed(rho, idler.state_vector()) == pytest.approx(

@@ -347,7 +347,7 @@ def _eigh_digest(matrices):
 
 def test_eigh_golden_total_states():
     rng = kernels.Rng(2718, 0)
-    states = [total_state(random_valid_config(rng)).matrix.entries
+    states = [total_state(random_valid_config(rng)).entries
               for _ in range(40)]
     assert _eigh_digest(states) == (
         "fdc02722c01a3bbbcc7322136d398e2f386094a12cdfe598a3f3f991495d5724")
@@ -361,6 +361,6 @@ def test_eigh_golden_stressed_states():
             IdlerStateParams(rng.random(), 2.0 * math.pi * rng.random(),
                              rng.random()),
             phi=2.0 * math.pi * rng.random())
-        states.append(coherence_stressed_state(cfg, 1.2).matrix.entries)
+        states.append(coherence_stressed_state(cfg, 1.2).entries)
     assert _eigh_digest(states) == (
         "fafc6fdf5ee55142a6e22a57a5ae7b663320f34e4661465ec95da4200e190361")

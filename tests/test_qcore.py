@@ -1,4 +1,4 @@
-"""Matrix carriers: construction contracts, the spectrum behind
+"""Density matrices: construction contracts, the spectrum behind
 ``DensityMatrix.min_eigenvalue`` against the all-principal-minors
 positivity oracle, and the state fidelities."""
 
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pitomo.qcore import (ComplexMatrix, DensityMatrix, fidelity_mixed,
-                          fidelity_pure, qubit_state_fidelity)
+from pitomo.qcore import (DensityMatrix, fidelity_mixed, fidelity_pure,
+                          qubit_state_fidelity)
 from pitomo.states import IdlerStateParams
 from pitomo.interferometer import (InterferometerConfig, _BS_RAW,
                                    coherence_stressed_state, total_state)
@@ -20,31 +20,36 @@ from conftest import random_hermitian
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
-def cm(rows):
-    return ComplexMatrix(len(rows), len(rows[0]),
-                         tuple(complex(x) for row in rows for x in row))
+def flat(rows):
+    return tuple(complex(x) for row in rows for x in row)
 
 
-def eigenvalues(m):
-    return eigh(m.entries, m.rows)
+def eigenvalues(rows):
+    return eigh(flat(rows), len(rows))
 
 
 def dm(rows, labels=()):
-    m = cm(rows)
-    return DensityMatrix(m.rows, m, tuple(labels))
+    return DensityMatrix(len(rows), flat(rows), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
-# carriers
+# construction
 
 
-def test_complex_matrix_validation():
-    with pytest.raises(ValueError):
-        ComplexMatrix(2, 2, (1j, 2j, 3j))
-    with pytest.raises(ValueError):
-        ComplexMatrix(1, 1, (complex("nan"),))
-    with pytest.raises(ValueError):
-        ComplexMatrix(0, 2, ())
+def test_density_matrix_entry_validation():
+    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+        DensityMatrix(2, (0.5j, 0j, 0.5j))
+    with pytest.raises(ValueError, match="must be finite"):
+        DensityMatrix(1, (complex("nan"),))
+    with pytest.raises(ValueError, match="must be finite"):  # off the diagonal
+        dm([[0.5, complex("inf")], [0.0, 0.5]])
+    with pytest.raises(ValueError, match="dim must be positive"):
+        DensityMatrix(0, ())
+    # a list is copied into a tuple of complexes; a tuple is kept as given
+    state = DensityMatrix(2, [1, 0, 0, 0])
+    assert state.entries == (1 + 0j, 0j, 0j, 0j)
+    given_entries = (0.5 + 0j, 0.5j, -0.5j, 0.5 + 0j)
+    assert DensityMatrix(2, given_entries).entries is given_entries
 
 
 def test_density_matrix_validation():
@@ -59,11 +64,13 @@ def test_density_matrix_validation():
 
 
 def test_matrix_json_round_trip():
-    m = cm([[1 + 2j, 0.5], [-1j, 0.25]])
-    assert ComplexMatrix.from_json_dict(m.to_json_dict()) == m
     state = dm([[0.75, 0.1j], [-0.1j, 0.25]], labels=("H", "V"))
-    back = DensityMatrix.from_json_dict(state.to_json_dict())
-    assert back == state
+    d = state.to_json_dict()
+    assert d == {"rows": 2, "cols": 2, "re": [0.75, 0.0, 0.0, 0.25],
+                 "im": [0.0, 0.1, -0.1, 0.0], "basis_labels": ["H", "V"]}
+    assert DensityMatrix.from_json_dict(d) == state
+    with pytest.raises(ValueError, match="rows = 1 and cols = 4"):
+        DensityMatrix.from_json_dict(dict(d, rows=1, cols=4))
 
 
 # ---------------------------------------------------------------------------
@@ -82,28 +89,27 @@ def test_kron_builds_recombiner():
 
 
 def test_eigenvalues_diagonal():
-    assert eigenvalues(cm([[0.3, 0], [0, 0.7]])) == pytest.approx([0.3, 0.7])
-    assert eigenvalues(cm([[0.5, 0], [0, 0.5]])) == pytest.approx([0.5, 0.5])
+    assert eigenvalues([[0.3, 0], [0, 0.7]]) == pytest.approx([0.3, 0.7])
+    assert eigenvalues([[0.5, 0], [0, 0.5]]) == pytest.approx([0.5, 0.5])
     assert dm([[0.7, 0], [0, 0.3]]).min_eigenvalue() == pytest.approx(0.3)
 
 
 def test_eigenvalues_post_interaction_spectrum():
     # half a pure projector plus a quarter of the identity
     psi = (SQRT1_2, SQRT1_2 * 1j)
-    m = cm([[0.5 * psi[i] * psi[j].conjugate() + (0.25 if i == j else 0.0)
-             for j in range(2)] for i in range(2)])
-    assert eigenvalues(m) == pytest.approx([0.25, 0.75], abs=1e-12)
-    assert DensityMatrix(2, m).min_eigenvalue() == pytest.approx(0.25, abs=1e-12)
+    rows = [[0.5 * psi[i] * psi[j].conjugate() + (0.25 if i == j else 0.0)
+             for j in range(2)] for i in range(2)]
+    assert eigenvalues(rows) == pytest.approx([0.25, 0.75], abs=1e-12)
+    assert dm(rows).min_eigenvalue() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_eigen_sum_equals_trace(rng):
     for trial in range(40):
         n = 2 + trial % 7
         h = random_hermitian(rng, n)
-        m = ComplexMatrix(n, n, tuple(h))
-        vals = eigenvalues(m)
+        vals = eigh(h, n)
         assert vals == sorted(vals)
-        assert abs(sum(vals) - m.trace().real) < 1e-10
+        assert abs(sum(vals) - sum(h[i * n + i] for i in range(n)).real) < 1e-10
 
 
 def test_eigen_rejects_non_hermitian():
@@ -138,12 +144,12 @@ def _principal_minors_psd(flat, n, tol=1e-10):
     return True
 
 
-def _is_psd(m, tol=1e-10):
-    return eigenvalues(m)[0] >= -tol
+def _is_psd(flat_entries, n, tol=1e-10):
+    return eigh(flat_entries, n)[0] >= -tol
 
 
 def test_psd_boundary_case():
-    assert _is_psd(cm([[1, 0], [0, 0]]))
+    assert _is_psd(flat([[1, 0], [0, 0]]), 2)
     assert dm([[1, 0], [0, 0]]).assert_physical().min_eigenvalue() == 0.0
 
 
@@ -165,7 +171,7 @@ def test_psd_detects_overcoherent_state():
         rho.assert_physical()
     # numpy agrees the spectrum is genuinely negative
     ref = np.linalg.eigvalsh(
-        np.array(rho.matrix.entries).reshape(8, 8))
+        np.array(rho.entries).reshape(8, 8))
     assert ref[0] < -1e-4
 
 
@@ -180,8 +186,7 @@ def test_psd_agrees_with_principal_minors_oracle():
             arr = np.array(h, dtype=complex).reshape(n, n)
             arr = arr @ arr.conj().T
             h = list(arr.flatten())
-        m = ComplexMatrix(n, n, tuple(h))
-        assert _is_psd(m) == _principal_minors_psd(h, n, tol=1e-10)
+        assert _is_psd(h, n) == _principal_minors_psd(h, n, tol=1e-10)
         checked += 1
     assert checked == 1000
 
@@ -232,9 +237,8 @@ def test_fidelity_mixed():
 
 def test_fidelity_mixed_post_interaction_value():
     psi = (0.6, 0.8j)
-    m = cm([[0.5 * psi[i] * psi[j].conjugate() + (0.25 if i == j else 0)
-             for j in range(2)] for i in range(2)])
-    rho = DensityMatrix(2, m)
+    rho = dm([[0.5 * psi[i] * psi[j].conjugate() + (0.25 if i == j else 0)
+              for j in range(2)] for i in range(2)])
     assert fidelity_mixed(rho, psi) == pytest.approx(0.75, abs=1e-12)
 
 
