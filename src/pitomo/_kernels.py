@@ -1,4 +1,4 @@
-"""Numeric kernels: dense complex matrices and the seeded RNG.
+"""Numeric kernels: small complex matrices and the seeded RNG.
 
 This is the package's one implementation of them.  The arithmetic is
 spelled out in a fixed evaluation order, and libm functions whose
@@ -7,12 +7,18 @@ avoided, so that a ``(seed, stream)`` pair gives the same noise stream
 and the same primary outputs everywhere.
 
 Matrices are flat row-major sequences of Python complex numbers with
-dimensions passed alongside; any indexable sequence will do.
-:func:`mat_mul` skips the exact zeros of its left factor, which are
-most of the alignment isometry and the recombiner, while keeping each
-output entry's order of summation; since a skipped term is an exact
-signed zero and the running sum starts at +0, the result is
-bit-identical to the full triple loop for finite inputs.
+dimensions passed alongside; any indexable sequence will do.  Both
+matrix kernels skip exact zeros, and for finite input no bit of their
+results moves: a left-out term is a signed zero or a +0 square, and
+adding it to a sum that started at +0 (so is never -0) changes nothing.
+:func:`sandwich` forms a m a^dagger over the nonzeros of a alone (12 of
+the alignment isometry's 96 entries), each sum in the ascending order
+of the full triple loop.  :func:`eigh` rotates only the indices whose
+row of the Hermitized matrix is nonzero (the joint 8x8 state has four
+zero rows): a zero row stays zero under rotations among the others,
+every rotation that involves it meets a zero pivot and is skipped, so
+its diagonal is an eigenvalue as it stands, and the other rotations see
+the same floats in the same order as on the full matrix.
 
 Random numbers come from xoshiro256** seeded through splitmix64:
 
@@ -61,42 +67,34 @@ def active_backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# dense complex matrix kernels
+# complex matrix kernels
 
 
-def mat_mul(a, ar, ac, b, br, bc):
-    """Product of row-major complex matrices a (ar x ac) and b (br x bc).
+def sandwich(a, ar, ac, m):
+    """a m a^dagger for row-major complex a (ar x ac) and m (ac x ac).
 
-    Each output entry sums a[i,k] * b[k,j] over ascending k into an
-    accumulator that starts at 0j, skipping every k where a[i,k] is
-    exactly zero.  For finite b such a term is a signed zero in both
-    parts, and adding a signed zero to a sum that started at +0 (and so
-    is never -0) leaves it unchanged: the skip drops work, not bits.
+    Row i of a m sums v * m[l, :], and entry (i, j) of the result sums
+    (a m)[i, l] * conj(v), over the nonzeros (l, v) of row i, resp. row j,
+    of a in ascending l; see the module docstring.
     """
-    if ac != br:
-        raise ValueError(f"matrix product shape mismatch: {ar}x{ac} @ {br}x{bc}")
+    if len(a) != ar * ac or len(m) != ac * ac:
+        raise ValueError(f"sandwich shape mismatch: {len(a)} entries for "
+                         f"{ar}x{ac} and {len(m)} for {ac}x{ac}")
+    nonzeros = [[(l, a[i * ac + l]) for l in range(ac) if a[i * ac + l] != 0]
+                for i in range(ar)]
+    conj = [[(l, v.conjugate()) for l, v in nz] for nz in nonzeros]
     out = []
-    for i in range(ar):
-        row = [0j] * bc
-        ia = i * ac
-        for k in range(ac):
-            x = a[ia + k]
-            if x == 0:
-                continue
-            kb = k * bc
-            for j in range(bc):
-                row[j] = row[j] + x * b[kb + j]
-        out.extend(row)
-    return out
-
-
-def mat_dagger(a, r, c):
-    """Conjugate transpose; returns a c x r matrix."""
-    out = [0j] * (r * c)
-    for i in range(r):
-        ic = i * c
-        for j in range(c):
-            out[j * r + i] = a[ic + j].conjugate()
+    for nz in nonzeros:
+        row = [0j] * ac
+        for l, v in nz:
+            lm = l * ac
+            for j in range(ac):
+                row[j] = row[j] + v * m[lm + j]
+        for nzc in conj:
+            acc = 0j
+            for l, v in nzc:
+                acc = acc + row[l] * v
+            out.append(acc)
     return out
 
 
@@ -106,9 +104,9 @@ def eigh(a, n):
     The input is Hermitized (averaged with its dagger) before iterating;
     convergence is declared when the off-diagonal Frobenius norm drops
     below 1e-13 * max(1, ||a||_F), or after ``_EIGH_MAX_SWEEPS`` sweeps.
-    Each rotation's coefficients are formed once and its updates walk
-    precomputed index lists; the arithmetic, and so every bit of the
-    result, is that of the plain element-by-element loops.
+    Only the indices ``act`` whose Hermitized row is nonzero are swept
+    (see the module docstring).  Each rotation's coefficients are formed
+    once and its updates walk precomputed index lists.
     """
     m = [0j] * (n * n)
     for i in range(n):
@@ -118,15 +116,18 @@ def eigh(a, n):
             m[i * n + j] = h
             m[j * n + i] = h.conjugate()
 
+    act = [p for p in range(n) if any(m[p * n:p * n + n])]
     fro2 = 0.0
-    for i in range(n * n):
-        x = m[i]
-        fro2 = fro2 + x.real * x.real + x.imag * x.imag
+    for i in act:
+        for j in act:
+            x = m[i * n + j]
+            fro2 = fro2 + x.real * x.real + x.imag * x.imag
     thr = 1e-13 * max(1.0, math.sqrt(fro2))
 
-    rows = [range(p * n, p * n + n) for p in range(n)]
-    cols = [range(p, n * n, n) for p in range(n)]
-    off_diag = [i * n + j for i in range(n) for j in range(n) if i != j]
+    rows = {p: [p * n + j for j in act] for p in act}
+    cols = {p: [i * n + p for i in act] for p in act}
+    off_diag = [i * n + j for i in act for j in act if i != j]
+    pairs = [(p, q) for k, p in enumerate(act) for q in act[k + 1:]]
     for _ in range(_EIGH_MAX_SWEEPS):
         off2 = 0.0
         for ij in off_diag:
@@ -134,38 +135,37 @@ def eigh(a, n):
             off2 = off2 + x.real * x.real + x.imag * x.imag
         if math.sqrt(off2) < thr:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = m[p * n + q]
-                gm = math.sqrt(g.real * g.real + g.imag * g.imag)
-                if gm <= 1e-300:
-                    continue
-                u = complex(g.real / gm, g.imag / gm)
-                uc = u.conjugate()
-                alpha = m[p * n + p].real
-                beta = m[q * n + q].real
-                d = (alpha - beta) / (2.0 * gm)
-                if d >= 0.0:
-                    t = 1.0 / (d + math.sqrt(d * d + 1.0))
-                else:
-                    t = -1.0 / (-d + math.sqrt(d * d + 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary: R[p][p]=c, R[p][q]=-s*u, R[q][p]=s*conj(u), R[q][q]=c
-                s_uc = s * uc
-                ms_u = -s * u
-                s_u = s * u
-                ms_uc = -s * uc
-                for ip, iq in zip(cols[p], cols[q]):
-                    x = m[ip]
-                    y = m[iq]
-                    m[ip] = c * x + s_uc * y
-                    m[iq] = ms_u * x + c * y
-                for pj, qj in zip(rows[p], rows[q]):
-                    x = m[pj]
-                    y = m[qj]
-                    m[pj] = c * x + s_u * y
-                    m[qj] = ms_uc * x + c * y
+        for p, q in pairs:
+            g = m[p * n + q]
+            gm = math.sqrt(g.real * g.real + g.imag * g.imag)
+            if gm <= 1e-300:
+                continue
+            u = complex(g.real / gm, g.imag / gm)
+            uc = u.conjugate()
+            alpha = m[p * n + p].real
+            beta = m[q * n + q].real
+            d = (alpha - beta) / (2.0 * gm)
+            if d >= 0.0:
+                t = 1.0 / (d + math.sqrt(d * d + 1.0))
+            else:
+                t = -1.0 / (-d + math.sqrt(d * d + 1.0))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            # unitary: R[p][p]=c, R[p][q]=-s*u, R[q][p]=s*conj(u), R[q][q]=c
+            s_uc = s * uc
+            ms_u = -s * u
+            s_u = s * u
+            ms_uc = -s * uc
+            for ip, iq in zip(cols[p], cols[q]):
+                x = m[ip]
+                y = m[iq]
+                m[ip] = c * x + s_uc * y
+                m[iq] = ms_u * x + c * y
+            for pj, qj in zip(rows[p], rows[q]):
+                x = m[pj]
+                y = m[qj]
+                m[pj] = c * x + s_u * y
+                m[qj] = ms_uc * x + c * y
 
     return sorted(m[i * n + i].real for i in range(n))
 

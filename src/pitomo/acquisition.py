@@ -172,8 +172,8 @@ class CalibrationResult:
         positive or exceeds 1 + 5 stderr + 1e-6.
 
         A calibration run estimates t above 1 about half the time when
-        the true t is near 1, so the bound leaves room for its noise; the
-        1e-6 covers count rounding in noiseless runs, whose stderr is ~0.
+        the true t is near 1, so the bound leaves room for its noise
+        (and, in noiseless runs, for count rounding) plus a 1e-6 margin.
         The range is checked here, where the values enter from a file.
         """
         values = [field(d, key, float)
@@ -196,7 +196,9 @@ def run_calibration(cfg_template: InterferometerConfig,
     matching signal setting is scanned, so each fitted visibility equals
     the corresponding transmission magnitude directly.  Requires the
     balanced source arrangement the identification is derived for.
-    Standard errors are those of the fitted visibilities.
+    Standard errors are those of the fitted visibilities; for a noiseless
+    plan their residual variance is floored at 1/12, the variance of
+    rounding a rate to a count, which rounded counts' residuals can hide.
     """
     from .reconstruct import fit_sinusoid  # deferred: avoids a module cycle
 
@@ -207,7 +209,8 @@ def run_calibration(cfg_template: InterferometerConfig,
                            (SignalSetting.V, IdlerStateParams.vertical())):
         scan = run_scan(replace(cfg_template, idler=idler),
                         replace(plan, setting=setting))
-        fit = fit_sinusoid(scan.plan.phases, scan.counts_primary)
+        fit = fit_sinusoid(scan.plan.phases, scan.counts_primary,
+                           min_sigma2=1.0 / 12.0 if plan.noiseless else 0.0)
         results.append((fit.visibility, fit.visibility_stderr))
     (t_h, e_h), (t_v, e_v) = results
     return CalibrationResult(t_h, e_h, t_v, e_v)

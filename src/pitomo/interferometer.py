@@ -15,9 +15,9 @@ path w otherwise; this is realized as an isometry into a 12-dim space
 so every intermediate object stays a valid state.  After tracing the
 idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
-of one output port are the detection rates.  The stages are private
-helpers on flat row-major lists, and :func:`rates_exact` is the one
-matrix path through them.
+of one output port are the detection rates.  :func:`rates_exact` is the
+one matrix path: two congruences (``_kernels.sandwich``) around a partial
+trace, each stage a private helper on flat row-major lists.
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -71,7 +71,6 @@ _BS_RAW = [
     SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j, 0j,
     0j, SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j,
 ]
-_BS_DAGGER_RAW = _k.mat_dagger(_BS_RAW, 4, 4)
 
 
 class SignalSetting(str, enum.Enum):
@@ -257,14 +256,12 @@ def _alignment_isometry_raw(cfg: InterferometerConfig) -> list[complex]:
 
 def _apply_alignment_raw(r8: Sequence[complex],
                          cfg: InterferometerConfig) -> list[complex]:
-    k = _alignment_isometry_raw(cfg)
-    kd = _k.mat_dagger(k, 12, 8)
-    tmp = _k.mat_mul(k, 12, 8, r8, 8, 8)
-    return _k.mat_mul(tmp, 12, 8, kd, 8, 12)
+    """First congruence: the 12-dim aligned state K r8 K^dagger."""
+    return _k.sandwich(_alignment_isometry_raw(cfg), 12, 8, r8)
 
 
 def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
-    """Trace the idler out of the 12-dim aligned state.
+    """The partial trace: the idler traced out of the 12-dim aligned state.
 
     The 12-dim space is a direct sum, not a full tensor product: the
     source-1 signal modes pair with four idler modes (b and w, both
@@ -295,8 +292,8 @@ def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
 
 
 def _recombine_raw(rs: Sequence[complex]) -> list[complex]:
-    tmp = _k.mat_mul(_BS_RAW, 4, 4, rs, 4, 4)
-    return _k.mat_mul(tmp, 4, 4, _BS_DAGGER_RAW, 4, 4)
+    """Second congruence: the recombined signal state B rs B^dagger."""
+    return _k.sandwich(_BS_RAW, 4, 4, rs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Density matrices and state fidelities for small Hilbert spaces (dim <= 8).
 
-:class:`DensityMatrix` carries the 8-dim joint state, whose trace and
-positivity ``verify`` checks, and the reconstructed and reference qubit
-states; the fidelities compare a reconstruction with its reference.
+:class:`DensityMatrix` carries the 8-dim joint state, whose positivity
+at coherence 1.2 ``verify`` checks, and the reconstructed and reference
+qubit states; the fidelities compare a reconstruction with its reference.
 Entries are kept as one flat row-major tuple, the layout the exact
 oracle's arithmetic and the eigensolve behind
 :meth:`DensityMatrix.min_eigenvalue` in ``_kernels`` work on.
@@ -76,9 +76,6 @@ class DensityMatrix:
 
     def at(self, i: int, j: int) -> complex:
         return self.entries[i * self.dim + j]
-
-    def trace(self) -> complex:
-        return sum(self.entries[i * self.dim + i] for i in range(self.dim))
 
     def min_eigenvalue(self) -> float:
         return _k.eigh(self.entries, self.dim)[0]

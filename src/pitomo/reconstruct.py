@@ -160,11 +160,12 @@ class _ScanFit:
         return (self.rss - 2.0 * (da * g_a + dc * g_c + ds * g_s)
                 + (u0 * u0 + u1 * u1 + u2 * u2))
 
-    def sinusoid(self) -> SinusoidFit:
-        """Fringe form of the fit, with residual-based standard errors."""
+    def sinusoid(self, min_sigma2: float = 0.0) -> SinusoidFit:
+        """Fringe form of the fit; the residual variance behind the
+        standard errors is floored at ``min_sigma2``."""
         a, c, s = self.theta
         inv = self.inv
-        sigma2 = self.ssr / (self.m - 3)
+        sigma2 = max(self.ssr / (self.m - 3), min_sigma2)
         var_a = max(0.0, sigma2 * inv[0][0])
         var_c = max(0.0, sigma2 * inv[1][1])
         var_s = max(0.0, sigma2 * inv[2][2])
@@ -276,10 +277,11 @@ def _check_fringe_grid(phases: Sequence[float], counts: Sequence[float]) -> None
         raise FitError("phase grid must span at least half a period")
 
 
-def fit_sinusoid(phases: Sequence[float], counts: Sequence[float]) -> SinusoidFit:
+def fit_sinusoid(phases: Sequence[float], counts: Sequence[float], *,
+                 min_sigma2: float = 0.0) -> SinusoidFit:
     """Fit counts ~ A + C cos(phi) + S sin(phi) and convert to fringe form."""
     _check_fringe_grid(phases, counts)
-    return _fit_scan(phases, counts).sinusoid()
+    return _fit_scan(phases, counts).sinusoid(min_sigma2)
 
 
 @dataclass

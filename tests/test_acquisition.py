@@ -13,6 +13,7 @@ from pitomo.acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                                 scan_to_json)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    fringe, rates_closed_form)
+from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
 
 
@@ -303,3 +304,26 @@ def test_every_calibration_estimate_loads():
         assert CalibrationResult.from_json_dict(cal.to_json_dict()) == cal
         above += (cal.t_h > 1.0) + (cal.t_v > 1.0)
     assert above > 100
+
+
+def test_every_noiseless_calibration_loads():
+    # rounding noiseless counts biases the fitted visibility by more than
+    # the residuals show (n = 7 with 5 points fits t = 1.246); the floored
+    # residual variance keeps every such estimate within its bound
+    cfg = balanced(IdlerStateParams.horizontal())
+    for n in range(1, 301):
+        for points in range(5, 41, 5):
+            plan = ScanPlan.default_grid(SignalSetting.H, 0, points=points,
+                                         counts_per_point=n, noiseless=True)
+            cal = run_calibration(cfg, plan)
+            assert CalibrationResult.from_json_dict(cal.to_json_dict()) == cal
+
+
+def test_noisy_calibration_stderr_is_the_residual_one():
+    # the rounding floor applies to noiseless plans only
+    cfg = balanced(IdlerStateParams.horizontal(), t_h=0.85, t_v=0.73)
+    plan = ScanPlan.default_grid(SignalSetting.H, 3, counts_per_point=50)
+    cal = run_calibration(cfg, plan)
+    scan = run_scan(replace(cfg, idler=IdlerStateParams.horizontal()), plan)
+    fit = fit_sinusoid(scan.plan.phases, scan.counts_primary)
+    assert (cal.t_h, cal.t_h_stderr) == (fit.visibility, fit.visibility_stderr)

@@ -172,6 +172,20 @@ def test_calibrate_ideal_unity(tmp_path):
     assert abs(cal["t_v"] - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("n, points", [(1637, 5), (100, 25), (7, 5)])
+def test_noiseless_calibration_is_accepted_by_reconstruct(tmp_path, n, points):
+    # each of these wrote a t more than 5 stderr above 1, which
+    # reconstruct then refused
+    assert run("calibrate", "--noiseless", "--n", n, "--points", points,
+               "--out", tmp_path / "cal") == 0
+    cal = calibration_from_json(tmp_path / "cal" / "calibration.json")
+    assert cal.t_h > 1.0
+    assert run("reconstruct", "--scan-h", DATA / "scan_H.csv",
+               "--scan-v", DATA / "scan_V.csv",
+               "--calibration", tmp_path / "cal" / "calibration.json",
+               "--out", tmp_path / "rec") == 0
+
+
 def test_calibrate_noisy_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -577,6 +591,29 @@ def test_verify_stdout_golden(capsys):
         "PASS  positivity violation detected at coherence 1.2: "
         "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
         "all 4 checks passed\n")
+
+
+def test_verify_reports_a_trace_defect(tmp_path, capsys, monkeypatch):
+    # a state whose trace is off by 1e-9 must show up as a FAIL row in a
+    # written report, not as an error raised before the check runs
+    import pitomo.cli
+
+    exact = pitomo.cli._total_state_raw
+
+    def off_by_1e_9(cfg):
+        raw = exact(cfg)
+        raw[0] += 1e-9
+        return raw
+
+    monkeypatch.setattr(pitomo.cli, "_total_state_raw", off_by_1e_9)
+    assert run("verify", "--trials", 10, "--seed", 1, "--out", tmp_path) == 3
+    captured = capsys.readouterr()
+    assert "FAIL  trace of the joint state: max |tr - 1| = 1.000e-09" in captured.out
+    assert "verification FAILED" in captured.err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "trace of the joint state"]
 
 
 def test_manifest_records_the_parsed_argv(tmp_path):

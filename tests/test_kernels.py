@@ -1,6 +1,7 @@
 """Kernel-level tests: PRNG streams against reference transcriptions and
 golden draws, Poisson statistics, linear algebra against numpy, and the
-bits of the matrix kernels against a naive loop and golden digests."""
+bits of the matrix kernels against naive loops, the eigensolver before
+it skipped zero rows, and golden digests."""
 
 import math
 
@@ -10,8 +11,9 @@ from hypothesis import example, given, strategies as st
 
 from pitomo import _kernels as kernels
 from pitomo._kernels import loggam
-from pitomo.interferometer import (InterferometerConfig,
-                                   _alignment_isometry_raw, _total_state_raw,
+from pitomo.interferometer import (InterferometerConfig, _BS_RAW,
+                                   _alignment_isometry_raw,
+                                   _signal_marginal_raw, _total_state_raw,
                                    coherence_stressed_state,
                                    random_valid_config, total_state)
 from pitomo.states import IdlerStateParams
@@ -247,26 +249,27 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
-def test_mat_mul_against_numpy(rng):
+def test_sandwich_against_numpy(rng):
     for _ in range(50):
-        r1, c1, c2 = (2 + rng.u64() % 3 for _ in range(3))
-        a = [complex(rng.random(), rng.random()) for _ in range(r1 * c1)]
-        b = [complex(rng.random(), rng.random()) for _ in range(c1 * c2)]
-        got = _as_np(kernels.mat_mul(a, r1, c1, b, c1, c2), r1, c2)
-        ref = _as_np(a, r1, c1) @ _as_np(b, c1, c2)
+        r, c = (2 + rng.u64() % 3 for _ in range(2))
+        a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
+        m = [complex(rng.random(), rng.random()) for _ in range(c * c)]
+        got = _as_np(kernels.sandwich(a, r, c, m), r, r)
+        an = _as_np(a, r, c)
+        ref = an @ _as_np(m, c, c) @ an.conj().T
         assert np.max(np.abs(got - ref)) < 1e-13
+        # around the identity: a a^dagger, Hermitian to the bit
+        eye = [complex(i == j) for i in range(c) for j in range(c)]
+        aad = _as_np(kernels.sandwich(a, r, c, eye), r, r)
+        assert np.array_equal(aad, aad.conj().T)
+        assert np.max(np.abs(aad - an @ an.conj().T)) < 1e-14
 
 
-def test_mat_mul_shape_mismatch():
+def test_sandwich_shape_mismatch():
     with pytest.raises(ValueError):
-        kernels.mat_mul([1j] * 4, 2, 2, [1j] * 9, 3, 3)
-
-
-def test_dagger(rng):
-    a = [complex(rng.random(), rng.random()) for _ in range(6)]
-    d = kernels.mat_dagger(a, 2, 3)
-    ref = _as_np(a, 2, 3).conj().T
-    assert np.max(np.abs(_as_np(d, 3, 2) - ref)) == 0.0
+        kernels.sandwich([1j] * 4, 2, 2, [1j] * 9)
+    with pytest.raises(ValueError):
+        kernels.sandwich([1j] * 6, 2, 2, [1j] * 4)
 
 
 def test_eigh_against_numpy(rng):
@@ -280,7 +283,7 @@ def test_eigh_against_numpy(rng):
 
 
 # ---------------------------------------------------------------------------
-# bit-level pins of mat_mul and eigh
+# bit-level pins of sandwich and eigh
 
 
 def _naive_mat_mul(a, ar, ac, b, bc):
@@ -295,6 +298,13 @@ def _naive_mat_mul(a, ar, ac, b, bc):
     return out
 
 
+def _naive_sandwich(a, ar, ac, m):
+    """(a m) a^dagger by two full triple loops."""
+    a_dagger = [a[j * ac + l].conjugate() for l in range(ac) for j in range(ar)]
+    tmp = _naive_mat_mul(a, ar, ac, m, ac)
+    return _naive_mat_mul(tmp, ar, ac, a_dagger, ar)
+
+
 _SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
                  complex(-0.0, -0.0))
 _finite = st.floats(-1e3, 1e3, allow_nan=False)
@@ -305,37 +315,146 @@ _sparse_entry = st.tuples(st.integers(0, 9), st.sampled_from(_SIGNED_ZEROS),
 
 
 @st.composite
-def _sparse_product(draw):
-    ar, bc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    ac = draw(st.integers(1, 12))
+def _sparse_sandwich(draw):
+    ar, ac = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     a = draw(st.lists(_sparse_entry, min_size=ar * ac, max_size=ar * ac))
-    b = draw(st.lists(_sparse_entry, min_size=ac * bc, max_size=ac * bc))
-    return a, ar, ac, b, bc
+    m = draw(st.lists(_sparse_entry, min_size=ac * ac, max_size=ac * ac))
+    return a, ar, ac, m
 
 
-@given(_sparse_product())
-# the order of summation shows: ascending k gives (1 + 1e16) - 1e16 = 0
-@example(([1 + 0j, 0j, 1e16 + 0j, -1e16 + 0j], 1, 4, [1 + 0j] * 4, 1))
+@given(_sparse_sandwich())
+# the order of summation shows in both products: ascending l gives
+# (1 + 1e16) - 1e16 = 0 in row 0 of a m, and (3 + 3e16) - 3e16 = 4 in
+# entry (1, 0) of the result
+@example(([1 + 0j, 0j, 1e16 + 0j, -1e16 + 0j, 1 + 0j, 0j, 1 + 0j, 1 + 0j],
+          2, 4, [1 + 0j] * 16))
 # a subnormal entry is not an exact zero
-@example(([complex(5e-324, 0.0), 0j], 1, 2, [1 + 0j, 2 + 0j], 1))
-def test_mat_mul_bits_equal_naive_loop_on_sparse_factors(case):
-    a, ar, ac, b, bc = case
-    got = kernels.mat_mul(a, ar, ac, b, ac, bc)
-    assert list(map(repr, got)) == list(map(repr, _naive_mat_mul(a, ar, ac, b, bc)))
+@example(([complex(5e-324, 0.0), 0j, 1 + 0j, 0j], 2, 2,
+          [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]))
+def test_sandwich_bits_equal_naive_loop_on_sparse_factors(case):
+    got = kernels.sandwich(*case)
+    assert list(map(repr, got)) == list(map(repr, _naive_sandwich(*case)))
 
 
-def test_mat_mul_bits_equal_naive_loop_on_alignment_isometry():
+def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
     rng = kernels.Rng(31, 0)
     configs = [random_valid_config(rng) for _ in range(40)]
     configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
     for cfg in configs:
         k = _alignment_isometry_raw(cfg)
-        r8 = _total_state_raw(cfg)
-        kd = kernels.mat_dagger(k, 12, 8)
-        tmp = kernels.mat_mul(k, 12, 8, r8, 8, 8)
-        assert list(map(repr, tmp)) == list(map(repr, _naive_mat_mul(k, 12, 8, r8, 8)))
-        out = kernels.mat_mul(tmp, 12, 8, kd, 8, 12)
-        assert list(map(repr, out)) == list(map(repr, _naive_mat_mul(tmp, 12, 8, kd, 12)))
+        r12 = kernels.sandwich(k, 12, 8, _total_state_raw(cfg))
+        assert list(map(repr, r12)) == list(map(
+            repr, _naive_sandwich(k, 12, 8, _total_state_raw(cfg))))
+        rs = _signal_marginal_raw(r12)
+        out = kernels.sandwich(_BS_RAW, 4, 4, rs)
+        assert list(map(repr, out)) == list(map(
+            repr, _naive_sandwich(_BS_RAW, 4, 4, rs)))
+
+
+def _reference_eigh(a, n):
+    """The Jacobi eigensolver before it skipped exactly-zero rows, verbatim."""
+    m = [0j] * (n * n)
+    for i in range(n):
+        m[i * n + i] = complex(a[i * n + i].real, 0.0)
+        for j in range(i + 1, n):
+            h = 0.5 * (a[i * n + j] + a[j * n + i].conjugate())
+            m[i * n + j] = h
+            m[j * n + i] = h.conjugate()
+
+    fro2 = 0.0
+    for i in range(n * n):
+        x = m[i]
+        fro2 = fro2 + x.real * x.real + x.imag * x.imag
+    thr = 1e-13 * max(1.0, math.sqrt(fro2))
+
+    rows = [range(p * n, p * n + n) for p in range(n)]
+    cols = [range(p, n * n, n) for p in range(n)]
+    off_diag = [i * n + j for i in range(n) for j in range(n) if i != j]
+    for _ in range(100):
+        off2 = 0.0
+        for ij in off_diag:
+            x = m[ij]
+            off2 = off2 + x.real * x.real + x.imag * x.imag
+        if math.sqrt(off2) < thr:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                g = m[p * n + q]
+                gm = math.sqrt(g.real * g.real + g.imag * g.imag)
+                if gm <= 1e-300:
+                    continue
+                u = complex(g.real / gm, g.imag / gm)
+                uc = u.conjugate()
+                alpha = m[p * n + p].real
+                beta = m[q * n + q].real
+                d = (alpha - beta) / (2.0 * gm)
+                if d >= 0.0:
+                    t = 1.0 / (d + math.sqrt(d * d + 1.0))
+                else:
+                    t = -1.0 / (-d + math.sqrt(d * d + 1.0))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                s_uc = s * uc
+                ms_u = -s * u
+                s_u = s * u
+                ms_uc = -s * uc
+                for ip, iq in zip(cols[p], cols[q]):
+                    x = m[ip]
+                    y = m[iq]
+                    m[ip] = c * x + s_uc * y
+                    m[iq] = ms_u * x + c * y
+                for pj, qj in zip(rows[p], rows[q]):
+                    x = m[pj]
+                    y = m[qj]
+                    m[pj] = c * x + s_u * y
+                    m[qj] = ms_uc * x + c * y
+
+    return sorted(m[i * n + i].real for i in range(n))
+
+
+def _with_zero_rows(rng, n):
+    """A seeded Hermitian matrix whose rows and columns outside a random
+    subset are exact zeros of random signs, some with a -0.0 diagonal."""
+    h = random_hermitian(rng, n)
+    for i in range(n):
+        if rng.random() < 0.5:
+            for j in range(n):
+                z = _SIGNED_ZEROS[rng.u64() % 4]
+                h[i * n + j] = z
+                h[j * n + i] = z.conjugate()
+            if rng.random() < 0.5:
+                h[i * n + i] = complex(-0.0, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
+def test_eigh_bits_equal_reference_with_zero_rows(n):
+    rng = kernels.Rng(4242, n)
+    cases = [[0j] * (n * n), [complex(-0.0, 0.0)] * (n * n)]
+    cases += [_with_zero_rows(rng, n) for _ in range(24)]
+    # tiny but nonzero entries keep their rows in the sweep
+    tiny = _with_zero_rows(rng, n)
+    tiny[n * n - 1] = complex(1e-310, 0.0)
+    cases.append(tiny)
+    for x in (1e-310, 1e-150) if n > 1 else ():
+        # rows 0 and 1 hold one small coupling, beside unit-scale rows
+        # that keep the sweeps going: 1e-310 squares to 0 and is never
+        # rotated, 1e-150 is
+        lone = random_hermitian(rng, n)
+        for i in range(n):
+            for j in (0, 1):
+                lone[i * n + j] = lone[j * n + i] = 0j
+        lone[1] = complex(x, -x)
+        lone[n] = lone[1].conjugate()
+        cases.append(lone)
+    if n > 1:
+        sub = _with_zero_rows(rng, n)
+        sub[n - 1] = sub[n * (n - 1)] = complex(5e-324, 0.0)
+        cases.append(sub)
+    cases.append(random_hermitian(rng, n))
+    for h in cases:
+        assert list(map(repr, kernels.eigh(h, n))) == list(map(
+            repr, _reference_eigh(h, n)))
 
 
 def _eigh_digest(matrices):
