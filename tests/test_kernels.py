@@ -249,7 +249,8 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
-def test_sandwich_against_numpy(rng):
+def test_mat_mul_against_numpy(rng):
+    """sandwich's two matrix products, a·m and then (a·m)·a†, against numpy."""
     for _ in range(50):
         r, c = (2 + rng.u64() % 3 for _ in range(2))
         a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
@@ -258,9 +259,20 @@ def test_sandwich_against_numpy(rng):
         an = _as_np(a, r, c)
         ref = an @ _as_np(m, c, c) @ an.conj().T
         assert np.max(np.abs(got - ref)) < 1e-13
-        # around the identity: a a^dagger, Hermitian to the bit
+        # the identity on both sides gives m back to the bit
+        eye = [complex(i == j) for i in range(c) for j in range(c)]
+        assert kernels.sandwich(eye, c, c, m) == m
+
+
+def test_dagger(rng):
+    """The right factor of sandwich is the conjugate transpose of a: a·I·a†
+    is Hermitian to the bit and matches numpy a·aᴴ."""
+    for _ in range(50):
+        r, c = (2 + rng.u64() % 3 for _ in range(2))
+        a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
         eye = [complex(i == j) for i in range(c) for j in range(c)]
         aad = _as_np(kernels.sandwich(a, r, c, eye), r, r)
+        an = _as_np(a, r, c)
         assert np.array_equal(aad, aad.conj().T)
         assert np.max(np.abs(aad - an @ an.conj().T)) < 1e-14
 
