@@ -22,8 +22,8 @@ from .interferometer import (DetectionRates, Fringe, InterferometerConfig,
                              rates_closed_form, rates_exact, total_state)
 from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
-from .reconstruct import (ConvergenceError, FitError, CalibrationError,
-                          Method, ReconstructionResult, SinusoidFit,
+from .reconstruct import (ConvergenceError, FitError, Method,
+                          ReconstructionResult, SinusoidFit,
                           extract_parameters, fit_sinusoid, mle_cost,
                           mle_reconstruct, report_fidelity)
 
@@ -38,7 +38,7 @@ __all__ = [
     "random_valid_config", "rates_closed_form", "rates_exact", "total_state",
     "CalibrationResult", "ScanPlan", "ScanRecord", "run_calibration",
     "run_scan",
-    "ConvergenceError", "FitError", "CalibrationError", "Method",
+    "ConvergenceError", "FitError", "Method",
     "ReconstructionResult", "SinusoidFit", "extract_parameters",
     "fit_sinusoid", "mle_cost", "mle_reconstruct", "report_fidelity",
     "active_backend",

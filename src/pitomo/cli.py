@@ -140,7 +140,7 @@ def _require_seed(args) -> int | None:
 
 def _plan(args, setting: SignalSetting) -> ScanPlan:
     seed = args.seed if args.seed is not None else 0
-    if args.phases:
+    if args.phases is not None:
         phases = tuple(_numbers(args.phases.split(","), "--phases"))
         return ScanPlan(phases, args.n, setting, seed, args.noiseless)
     return ScanPlan.default_grid(setting, seed, points=args.points,
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    # FitError, CalibrationError and JSON decode errors are ValueErrors
+    # FitError and JSON decode errors are ValueErrors
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,14 +1,15 @@
 """Recover the undetected photon's polarization state from scan data.
 
 Two routes are provided.  The fringe route fits each scan with a
-sinusoid (linear least squares in the basis {1, cos, sin}), divides the
-fitted visibilities by the calibrated transmissions, and reads the
-state parameters off the closed-form visibility laws; the phase offset
-between the two fringes gives the coherence phase.  The least-squares
-route minimizes the total squared residual between both count records
-and the physically parametrized rate model over (p_h, xi, purity) with
-a bounded Nelder-Mead search, which yields a valid density matrix by
-construction.
+sinusoid (linear least squares in the basis {1, cos, sin}).  Each fitted
+fringe divided by offset*|t| is a complex amplitude, h or v; the state
+is p_h = |h|^2, purity = |v|/sqrt(1-p_h), xi = arg h - arg v, physical
+exactly when |h|^2 + |v|^2 <= 1.  A fit outside that ball gives way to
+its least-squares point on the sphere, offsets held at the fit (a
+trust-region subproblem; More and Sorensen, SIAM J. Sci. Stat. Comput.
+4, 553 (1983)).  The least-squares route minimizes the total squared
+residual between both count records and the physically parametrized
+rate model over (p_h, xi, purity) with a bounded Nelder-Mead search.
 
 Both routes start from one unconstrained least-squares fit per scan on
 the design matrix X = [1, cos phi, sin phi]: its solution theta_hat,
@@ -44,6 +45,7 @@ fit errors and are approximate.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -62,10 +64,6 @@ BALANCED_SOURCE1_WEIGHT = 1.0 / 3.0
 
 class FitError(ValueError):
     """Raised when scan data cannot support the requested fit."""
-
-
-class CalibrationError(ValueError):
-    """Raised when a visibility exceeds its calibrated maximum."""
 
 
 class ConvergenceError(RuntimeError):
@@ -286,7 +284,11 @@ def fit_sinusoid(phases: Sequence[float], counts: Sequence[float], *,
 
 @dataclass
 class ReconstructionResult:
-    """Recovered parameters, the assembled state, and fit diagnostics."""
+    """Recovered parameters, the assembled state, and fit diagnostics.
+
+    Fringe-route ``flags``: ``purity_bound_active`` (the fit lay outside the
+    physical ball; the result is its least-squares point on the sphere)
+    and ``xi_undefined`` (a fringe is flat within 3 sigma; xi reads 0)."""
 
     params: IdlerStateParams
     rho: DensityMatrix
@@ -333,10 +335,9 @@ def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
                        t_h: float, t_v: float) -> ReconstructionResult:
     """Fringe-route reconstruction: fit, calibrate, invert the visibility laws.
 
-    Out-of-range intermediate values within their 3-sigma fit bands are
-    clamped into the physical box and flagged; beyond that they raise
-    CalibrationError (visibility above its calibrated maximum) or
-    FitError (coherence seen where the H population leaves no room).
+    A fit outside the physical ball gives way to its least-squares point
+    on the sphere (purity 1), flagged ``purity_bound_active``.  FitError:
+    a grid under half a period, an offset <= 0, or offset*t out of range.
     """
     _check_scans(scan_h, scan_v)
     return _extract(scan_h, scan_v, _fit_record(scan_h), _fit_record(scan_v),
@@ -352,67 +353,75 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
     """The fringe route on both scans' least-squares fits."""
     if not (0.0 < t_h < math.inf and 0.0 < t_v < math.inf):
         raise ValueError("calibrated transmissions must be finite and positive")
-    _check_fringe_grid(scan_h.plan.phases, scan_h.counts_primary)
-    fit_h = lsq_h.sinusoid()
-    _check_fringe_grid(scan_v.plan.phases, scan_v.counts_primary)
-    fit_v = lsq_v.sinusoid()
+    for scan in (scan_h, scan_v):
+        _check_fringe_grid(scan.plan.phases, scan.counts_primary)
+    fit_h, fit_v = lsq_h.sinusoid(), lsq_v.sinusoid()
     flags: list[str] = []
 
-    # 1e-6 absolute slack: count rounding biases noiseless fits where the
-    # residual-based stderr is ~0
-    ratio_h = fit_h.visibility / t_h
-    sig_h = fit_h.visibility_stderr / t_h
-    if ratio_h > 1.0 + 3.0 * sig_h + 1e-6:
-        raise CalibrationError(
-            f"H visibility {fit_h.visibility:.4f} exceeds calibration {t_h:.4f}")
+    ratio_h, sig_h = fit_h.visibility / t_h, fit_h.visibility_stderr / t_h
+    ratio_v, sig_v = fit_v.visibility / t_v, fit_v.visibility_stderr / t_v
     p_h = ratio_h * ratio_h
-    if p_h > 1.0:
-        p_h = 1.0
-        flags.append("p_h_clamped")
+    if p_h <= 1.0 and ratio_v < math.sqrt(1.0 - p_h):
+        purity = ratio_v / math.sqrt(1.0 - p_h)
+        xi = wrap_angle(fit_h.phase - fit_v.phase)
+    else:  # outside the ball: its least-squares point on the sphere
+        (x_h, x_v), _ = _ball_solve([_ball_block(lsq_h, fit_h.offset * t_h),
+                                     _ball_block(lsq_v, fit_v.offset * t_v)])
+        p_h, purity = min(1.0, abs(x_h) ** 2), 1.0
+        xi = wrap_angle(cmath.phase(x_v) - cmath.phase(x_h))  # x = conj(h), conj(v)
+        flags.append("purity_bound_active")
     p_v = 1.0 - p_h
 
-    ratio_v = fit_v.visibility / t_v
-    sig_v = fit_v.visibility_stderr / t_v
-    if p_v < 1e-9:
-        if ratio_v > max(3.0 * sig_v, 1e-9):
-            raise FitError(
-                "V-fringe visibility is significant although the H population "
-                "saturates; data are inconsistent with the rate model")
-        purity = 1.0
-        flags.append("coherence_unconstrained")
-    else:
-        if ratio_v / math.sqrt(p_v) > 1.0 + 3.0 * (sig_v / math.sqrt(p_v)) + 1e-6:
-            raise CalibrationError(
-                f"V visibility {fit_v.visibility:.4f} exceeds its maximum "
-                f"{t_v * math.sqrt(p_v):.4f} for the extracted populations")
-        purity = ratio_v / math.sqrt(p_v)
-        if purity > 1.0:
-            purity = 1.0
-            flags.append("coherence_clamped")
-
-    h_flat = fit_h.amplitude <= 3.0 * fit_h.amplitude_stderr + 1e-9 * fit_h.offset
-    v_flat = fit_v.amplitude <= 3.0 * fit_v.amplitude_stderr + 1e-9 * fit_v.offset
-    if h_flat or v_flat:
-        xi = 0.0
-        xi_err = math.inf
+    if any(f.amplitude <= 3.0 * f.amplitude_stderr + 1e-9 * f.offset
+           for f in (fit_h, fit_v)):
+        xi, xi_err = 0.0, math.inf
         flags.append("xi_undefined")
     else:
-        xi = wrap_angle(fit_h.phase - fit_v.phase)
         xi_err = math.sqrt(fit_h.phase_stderr ** 2 + fit_v.phase_stderr ** 2)
 
     params = IdlerStateParams(p_h, xi, purity)
-    stderr = {
-        "p_h": 2.0 * ratio_h * sig_h,
-        "xi": xi_err,
-        "purity": (math.inf if p_v < 1e-9 else math.sqrt(
-            (sig_v / math.sqrt(p_v)) ** 2
-            + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2)),
-    }
+    stderr = {"p_h": 2.0 * ratio_h * sig_h, "xi": xi_err,
+              "purity": (math.inf if p_v < 1e-9 else math.sqrt(
+                  (sig_v / math.sqrt(p_v)) ** 2
+                  + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2))}
     cost = _pair_cost(lsq_h, lsq_v, params.p_h, params.xi, params.purity,
                       t_h, t_v, *_budgets(scan_h, scan_v))
     return ReconstructionResult(params, params.to_density_matrix(), cost,
                                 Method.FRINGE, flags=tuple(flags),
                                 param_stderr=stderr)
+
+
+def _ball_block(lsq: _ScanFit, k: float) -> tuple[tuple[float, float, float], complex]:
+    """(k^2 G[1:, 1:], (c + is)/k): the scan's cost in x = (c + is)/k, offset fixed."""
+    if not 1e-150 < k < 1e150:
+        raise FitError(f"the calibrated transmission puts the fringe scale "
+                       f"offset*t = {k!r} outside [1e-150, 1e150]")
+    _, l10, l11, l20, l21, l22 = lsq.chol
+    return ((k * k * (l10 * l10 + l11 * l11), k * k * (l10 * l20 + l11 * l21),
+             k * k * (l20 * l20 + l21 * l21 + l22 * l22)),
+            complex(lsq.theta[1], lsq.theta[2]) / k)
+
+
+def _ball_solve(blocks: list) -> tuple[list[complex], float]:
+    """Blocks of x and mu minimizing sum_b (x_b - c_b)^T A_b (x_b - c_b) over
+    |x| <= 1, ``blocks`` ((A11, A12, A22), c_b) with A_b > 0 and 2-vectors as
+    complex x1 + i x2: x(mu) = (A + mu I)^-1 A c, mu = 0 inside, else Newton
+    on 1/|x(mu)| - 1 from 0 until ||x| - 1| <= 4e-16 or a step < 1e-15 mu."""
+    rot, lams, betas = [], [], []  # eigenbasis per block; eigenvalue, c per axis
+    for (a11, a12, a22), c in blocks:
+        rot.append(cmath.exp(0.5j * math.atan2(2.0 * a12, a11 - a22)))
+        for u in (rot[-1], 1j * rot[-1]):
+            lams.append(a11 * u.real ** 2 + 2.0 * a12 * u.real * u.imag + a22 * u.imag ** 2)
+            betas.append(u.real * c.real + u.imag * c.imag)
+    mu = 0.0
+    while True:
+        z = [beta / (1.0 + mu / lam) for lam, beta in zip(lams, betas)]
+        norm = math.hypot(*z)
+        step = (norm - 1.0) / sum((zi / norm) ** 2 / (lam + mu)
+                                  for zi, lam in zip(z, lams))
+        if not (abs(norm - 1.0) > 4e-16 and step > 1e-15 * mu):
+            return [u * complex(*z[2 * i:2 * i + 2]) for i, u in enumerate(rot)], mu
+        mu += step
 
 
 def _budgets(data_h: ScanRecord, data_v: ScanRecord) -> tuple[float, float]:
@@ -523,22 +532,18 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
                     t_h: float, t_v: float) -> ReconstructionResult:
     """Least-squares reconstruction over (p_h, xi, purity).
 
-    Nelder-Mead on the residual of :func:`mle_cost`, with the search
-    box [0,1] x [0,2pi) x [0,1] enforced by reflection/wrapping of the
-    coordinates.  Seeds from :func:`extract_parameters`; restarts once
-    from a shifted simplex if the first pass converged with a vanishing
-    V fringe, where the phase is degenerate.  Raises ConvergenceError
-    (carrying the best point) if the evaluation budget of 10^4 is
-    exhausted first.
+    Nelder-Mead on the residual of :func:`mle_cost` over the box
+    [0,1] x [0,2pi) x [0,1], enforced by reflecting and wrapping the
+    coordinates.  It starts from :func:`extract_parameters`, or from
+    (0.5, pi, 0.5) where that raises FitError (a grid shorter than half a
+    period), and restarts once from a shifted simplex if it converged with
+    a vanishing V fringe, where the phase is degenerate.  Raises
+    ConvergenceError (carrying the best point) after 10^4 evaluations.
 
-    Each scan is fitted once, and every cost evaluation reuses the two
-    fits and scores plain floats.  A phase grid on which that fit's
-    normal equations are singular (by ``_solve3``'s determinant test; for
-    instance 5 points packed into a few milliradians) cannot identify
-    the state, and is refused with FitError.  Narrow grids that pass the
-    test, such as 5 points over 0.05 rad, are reconstructed even though
-    the fringe route refuses any grid shorter than half a period; the
-    initial point then falls back to (0.5, pi, 0.5).
+    Each scan is fitted once; every cost evaluation reuses the two fits
+    and scores plain floats.  A grid on which a fit's normal equations are
+    singular (``_solve3``'s determinant test, e.g. 5 points within a few
+    milliradians) cannot identify the state and is refused with FitError.
     """
     _check_scans(data_h, data_v)
     n_h, n_v = _budgets(data_h, data_v)
@@ -546,7 +551,7 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
     try:
         init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
         x0 = [init.p_h, init.xi, init.purity]
-    except (FitError, CalibrationError):
+    except FitError:
         x0 = [0.5, math.pi, 0.5]
 
     def cost_of(vec: Sequence[float]) -> float:

@@ -394,6 +394,27 @@ def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("t_v", [1e-300, 1e-170, 1e-9, 1e300])
+@pytest.mark.parametrize("t_h", [1e-300, 1e-170, 1e-9, 1e300])
+def test_reconstruct_exits_0_or_3_on_extreme_calibrations(tmp_path, capsys,
+                                                          t_h, t_v):
+    # the file loader accepts each (t up to 1 + 5 stderr); the fringe
+    # route's solve must not raise past the CLI's exit codes
+    doc = json.loads((DATA / "calibration.json").read_text())
+    doc.update(t_h=t_h, t_v=t_v, t_h_stderr=max(t_h, doc["t_h_stderr"]),
+               t_v_stderr=max(t_v, doc["t_v_stderr"]))
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))
+    for method in ("fringe", "mle"):
+        code = run("reconstruct", "--scan-h", DATA / "scan_H.csv",
+                   "--scan-v", DATA / "scan_V.csv", "--calibration", cal,
+                   "--method", method, "--out", tmp_path / method)
+        assert code in (0, 3)
+        if code == 3:
+            assert "error: the calibrated transmission puts the fringe scale" in (
+                capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_simulate_calibrate_reconstruct_chain_at_default_flags(tmp_path, seed):
     # a calibration run estimates t above 1 about half the time; what
@@ -412,6 +433,15 @@ def test_simulate_calibrate_reconstruct_chain_at_default_flags(tmp_path, seed):
 
 # ---------------------------------------------------------------------------
 # sweep
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_default_sweep_completes(tmp_path, seed):
+    # near the poles the noisy fits of this sweep often fall outside the
+    # physical ball; the fringe route must still return a state for each
+    assert run("sweep", "--plate", "hwp", "--angles", "0:90:5", "--seed", seed,
+               "--out", tmp_path) == 0
+    assert len(read_rows(tmp_path / "sweep.csv")) == 19
 
 
 def test_hwp_sweep_matches_theory(tmp_path):
@@ -534,6 +564,7 @@ def test_oversized_count_budget_in_a_scan_file_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("spec, message", [
     ("0,x", "expected a number, got 'x'"),
     ("0,1,nan", "'nan' is not a finite number"),
+    ("", "expected a number, got ''"),
 ])
 def test_simulate_refuses_bad_phase_spec(tmp_path, capsys, spec, message):
     assert run("simulate", "--setting", "H", "--seed", 1, "--phases", spec,

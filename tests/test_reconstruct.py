@@ -9,8 +9,9 @@ import pytest
 from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
                                 load_scan, run_scan)
 from pitomo.interferometer import InterferometerConfig, SignalSetting
-from pitomo.reconstruct import (CalibrationError, ConvergenceError, FitError,
-                                Method, _nelder_mead, extract_parameters,
+from pitomo.reconstruct import (ConvergenceError, FitError, Method,
+                                _ball_block, _ball_solve, _fit_record,
+                                _nelder_mead, extract_parameters,
                                 fit_sinusoid, mle_cost, mle_reconstruct,
                                 report_fidelity)
 from pitomo.states import IdlerStateParams
@@ -116,8 +117,8 @@ def test_extract_saturated_h_flags():
     scan_h, scan_v = scans_for(truth)
     result = extract_parameters(scan_h, scan_v, 1.0, 1.0)
     assert result.params.p_h == pytest.approx(1.0, abs=1e-9)
-    assert "coherence_unconstrained" in result.flags
-    assert "xi_undefined" in result.flags
+    assert result.params.purity == 1.0
+    assert result.flags == ("purity_bound_active", "xi_undefined")
 
 
 def test_extract_round_trip_grid():
@@ -146,23 +147,53 @@ def test_extract_with_calibration_division():
     assert wrap_distance(result.params.xi, 2.1) < 1e-6
 
 
-def test_extract_rejects_undercalibrated_visibility():
+def _isotropic_boundary_p_h(r_h, r_v, w_h, w_v):
+    """|x_h|^2 of the least-squares point on the unit sphere for the cost
+    w_h |x_h - c_h|^2 + w_v |x_v - c_v|^2, |c_h| = r_h, |c_v| = r_v, with
+    the multiplier found by bisection."""
+    def norm2(mu):
+        return (w_h * r_h / (w_h + mu)) ** 2 + (w_v * r_v / (w_v + mu)) ** 2
+    lo, hi = 0.0, 1.0
+    while norm2(hi) > 1.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if norm2(mid) > 1.0 else (lo, mid)
+    return (w_h * r_h / (w_h + lo)) ** 2
+
+
+def test_extract_undercalibrated_visibility_lands_on_the_sphere():
+    # the H visibility is twice its calibrated maximum.  On the uniform
+    # grid each block is isotropic, so the solution keeps the fit's phases
+    # and its radii follow from one multiplier
     truth = IdlerStateParams(0.9, 0.5, 1.0)
     scan_h, scan_v = scans_for(truth, t_h=1.0, t_v=1.0)
-    with pytest.raises(CalibrationError):
-        extract_parameters(scan_h, scan_v, 0.5, 1.0)
+    result = extract_parameters(scan_h, scan_v, 0.5, 1.0)
+    assert result.flags == ("purity_bound_active",)
+    assert result.params.purity == 1.0
+    assert wrap_distance(result.params.xi, 0.5) < 1e-6
+    a = BIG_N / 3.0
+    expected = _isotropic_boundary_p_h(2.0 * math.sqrt(0.9), math.sqrt(0.1),
+                                       (0.5 * a) ** 2, a ** 2)
+    assert result.params.p_h == pytest.approx(expected, abs=1e-6)
+    assert 0.9 < result.params.p_h < 1.0
 
 
-def test_extract_rejects_inconsistent_v_fringe():
-    # hand-built records: saturated H fringe but a visible V fringe
+def test_extract_inconsistent_v_fringe_lands_on_the_sphere():
+    # hand-built records: saturated H fringe but a visible V fringe.  With
+    # equal weights the fit is scaled onto the sphere, so p_h = 1 / (1 +
+    # 0.5^2) up to count rounding
     plan_h = ScanPlan(tuple(GRID_20), 1000, SignalSetting.H, 0, True)
     plan_v = ScanPlan(tuple(GRID_20), 1000, SignalSetting.V, 0, True)
     h_counts = tuple(round(333 * (1 + math.cos(p))) for p in GRID_20)
     v_counts = tuple(round(333 * (1 + 0.5 * math.cos(p))) for p in GRID_20)
     scan_h = ScanRecord(plan_h, h_counts, (166,) * 20)
     scan_v = ScanRecord(plan_v, v_counts, (166,) * 20)
-    with pytest.raises(FitError):
-        extract_parameters(scan_h, scan_v, 1.0, 1.0)
+    result = extract_parameters(scan_h, scan_v, 1.0, 1.0)
+    assert result.flags == ("purity_bound_active",)
+    assert result.params.purity == 1.0
+    assert result.params.p_h == pytest.approx(0.8, abs=2e-3)
+    assert wrap_distance(result.params.xi, 0.0) < 1e-3
 
 
 # Literal outputs of the fringe route, kept bit-identical across changes to
@@ -173,21 +204,21 @@ EXTRACT_GOLDEN = [
      {"p_h": 0.01749974201648988, "xi": 0.03146370383142777,
       "purity": 0.02054830038964186}, ()),
     ((0.5, math.pi / 2, 1.0, 1.0, 1.0, 1000, 3),
-     (0.4935482534066578, 1.5498298643832369, 1.0),
+     (0.4924987067106267, 1.5498298643832369, 1.0),
      {"p_h": 0.03127288598205412, "xi": 0.03643576500210884,
-      "purity": 0.04019321670158016}, ("coherence_clamped",)),
+      "purity": 0.04010244912095853}, ("purity_bound_active",)),
     ((0.98, 0.4, 1.0, 0.95, 0.9, 1000, 6),
-     (0.9867832158290945, 0.390345907347184, 1.0),
+     (0.9839375014388572, 0.39034590734718366, 1.0),
      {"p_h": 0.037307526461352075, "xi": 0.14570674512817636,
-      "purity": 1.5667071700239734}, ("coherence_clamped",)),
+      "purity": 1.17230553615495}, ("purity_bound_active",)),
     ((0.7, 5.0, 0.02, 0.9, 0.9, 1000, 7),
      (0.7378328282404572, 0.0, 0.1001457673311959),
      {"p_h": 0.02694095350138003, "xi": math.inf,
       "purity": 0.03658494152588653}, ("xi_undefined",)),
     ((1.0, 0.0, 1.0, 0.9, 0.9, 1000, 10),
-     (1.0, 0.0, 1.0),
-     {"p_h": 0.04117533313821765, "xi": math.inf, "purity": math.inf},
-     ("p_h_clamped", "coherence_unconstrained", "xi_undefined")),
+     (0.9992393258398135, 0.0, 1.0),
+     {"p_h": 0.04117533313821765, "xi": math.inf, "purity": 27.418502666774287},
+     ("purity_bound_active", "xi_undefined")),
     ((0.62, 4.0, 0.7, 0.8, 0.95, 10 ** 6, 9),
      (0.6184807054127537, 4.000617064333801, 0.6994801966417733),
      {"p_h": 0.00116443866286638, "xi": 0.0016185617314634915,
@@ -218,6 +249,118 @@ def test_extract_golden_outputs_on_bundled_fixture():
                                    "xi": 7.392837285607559e-09,
                                    "purity": 6.027516127165829e-09}
     assert result.flags == ()
+
+
+# A non-uniform grid, over which each scan's Hessian block is anisotropic
+SKEWED_GRID = tuple(0.1 * k + 0.011 * k * k for k in range(20))
+
+
+def _noisy_pair(truth, t_h, t_v, seed, phases):
+    cfg = InterferometerConfig.balanced(truth, t_h=t_h, t_v=t_v)
+    return tuple(run_scan(cfg, ScanPlan(phases, 1000, setting, seed))
+                 for setting in (SignalSetting.H, SignalSetting.V))
+
+
+def _boundary_problems(phases):
+    """Seeded noisy scans of pure states whose fit lies outside the ball,
+    with the (Hessian block, centre) pairs of the fringe route's solve."""
+    out = []
+    for seed in range(60):
+        truth = IdlerStateParams(0.05 + 0.015 * seed, 0.1 * seed, 1.0)
+        t_h, t_v = 0.8 + 0.003 * seed, 0.95 - 0.002 * seed
+        scan_h, scan_v = _noisy_pair(truth, t_h, t_v, seed, phases)
+        result = extract_parameters(scan_h, scan_v, t_h, t_v)
+        if "purity_bound_active" in result.flags:
+            fits = [_fit_record(s) for s in (scan_h, scan_v)]
+            blocks = [_ball_block(f, f.theta[0] * t) for f, t in zip(fits, (t_h, t_v))]
+            out.append((result, blocks))
+    return out
+
+
+def _quad(a, d):
+    """d^T A d for A = (A11, A12, A22) and the 2-vector d as a complex."""
+    return a[0] * d.real ** 2 + 2.0 * a[1] * d.real * d.imag + a[2] * d.imag ** 2
+
+
+@pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
+                         ids=["uniform", "skewed"])
+def test_ball_solve_meets_the_kkt_conditions(phases):
+    problems = _boundary_problems(phases)
+    assert len(problems) >= 15
+    anisotropy = 0.0
+    for result, blocks in problems:
+        x, mu = _ball_solve(blocks)
+        assert mu >= 0.0
+        assert abs(math.hypot(*(abs(xb) for xb in x)) - 1.0) <= 1e-15
+        for (a, c), xb in zip(blocks, x):
+            anisotropy = max(anisotropy, abs(a[0] - a[2]) / a[0], abs(a[1]) / a[0])
+            d = xb - c
+            # stationarity A (x - c) + mu x = 0, relative to A c
+            grad = complex(a[0] * d.real + a[1] * d.imag + mu * xb.real,
+                           a[1] * d.real + a[2] * d.imag + mu * xb.imag)
+            scale = abs(complex(a[0] * c.real + a[1] * c.imag,
+                                a[1] * c.real + a[2] * c.imag))
+            assert abs(grad) <= 1e-9 * scale
+        # the route reports this solution
+        assert result.params.p_h == pytest.approx(abs(x[0]) ** 2, abs=1e-15)
+        assert result.params.purity == 1.0
+    if phases is SKEWED_GRID:
+        assert anisotropy > 0.05
+
+
+def test_ball_solve_returns_a_centre_inside_the_ball():
+    blocks = [((3.0, 0.5, 1.0), complex(0.3, -0.4)), ((2.0, -0.2, 5.0), 0.6j)]
+    x, mu = _ball_solve(blocks)
+    assert mu == 0.0
+    assert all(abs(xb - c) <= 1e-15 for xb, (_, c) in zip(x, blocks))
+
+
+@pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
+                         ids=["uniform", "skewed"])
+def test_ball_solve_beats_a_dense_grid_on_the_sphere(phases):
+    steps = 48
+    for _, blocks in _boundary_problems(phases)[:4]:
+        x, _ = _ball_solve(blocks)
+        best = sum(_quad(a, xb - c) for (a, c), xb in zip(blocks, x))
+        grid_min = math.inf
+        for i in range(steps + 1):
+            eta = 0.5 * math.pi * i / steps
+            for j in range(steps):
+                x_h = math.cos(eta) * complex(math.cos(TWO_PI * j / steps),
+                                              math.sin(TWO_PI * j / steps))
+                cost_h = _quad(blocks[0][0], x_h - blocks[0][1])
+                for k in range(steps):
+                    x_v = math.sin(eta) * complex(math.cos(TWO_PI * k / steps),
+                                                  math.sin(TWO_PI * k / steps))
+                    grid_min = min(grid_min,
+                                   cost_h + _quad(blocks[1][0], x_v - blocks[1][1]))
+        assert best <= grid_min * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
+                         ids=["uniform", "skewed"])
+def test_extract_ignores_the_phase_origin(phases):
+    # one constant added to every phase of both scans moves both fringe
+    # phases together; p_h, purity and xi must not move
+    branches = set()
+    for seed in range(30):
+        truth = IdlerStateParams(0.1 + 0.027 * seed, 0.2 * seed,
+                                 1.0 if seed % 2 else 0.7)
+        scans = _noisy_pair(truth, 0.9, 0.85, seed, phases)
+        base = extract_parameters(*scans, 0.9, 0.85)
+        branches.add(base.flags)
+        for shift in (0.37, -1.9):
+            moved = [ScanRecord(ScanPlan(tuple(p + shift for p in s.plan.phases),
+                                         s.plan.counts_per_point, s.plan.setting,
+                                         s.plan.seed),
+                                s.counts_primary, s.counts_constant)
+                     for s in scans]
+            got = extract_parameters(*moved, 0.9, 0.85)
+            assert got.flags == base.flags
+            assert got.params.p_h == pytest.approx(base.params.p_h, abs=1e-9)
+            assert got.params.purity == pytest.approx(base.params.purity, abs=1e-9)
+            assert wrap_distance(got.params.xi, base.params.xi) < 1e-9
+    assert {(), ("purity_bound_active",)} <= branches
 
 
 def test_extract_checks_setting_pairing():
