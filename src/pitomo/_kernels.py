@@ -11,14 +11,15 @@ dimensions passed alongside; any indexable sequence will do.  Both
 matrix kernels skip exact zeros, and for finite input no bit of their
 results moves: a left-out term is a signed zero or a +0 square, and
 adding it to a sum that started at +0 (so is never -0) changes nothing.
-:func:`sandwich` forms a m a^dagger over the nonzeros of a alone (12 of
-the alignment isometry's 96 entries), each sum in the ascending order
-of the full triple loop.  :func:`eigh` rotates only the indices whose
-row of the Hermitized matrix is nonzero (the joint 8x8 state has four
-zero rows): a zero row stays zero under rotations among the others,
-every rotation that involves it meets a zero pivot and is skipped, so
-its diagonal is an eigenvalue as it stands, and the other rotations see
-the same floats in the same order as on the full matrix.
+:func:`sandwich` forms a m a^dagger over the nonzeros of a on live modes
+of m alone (6 of the alignment isometry's 96 entries), each sum in the
+ascending order of the full triple loop; a dead mode's row and column of
+m are exact zeros, so an entry left out would sum to +0j, its initial value.
+:func:`eigh` rotates only the indices whose row of the Hermitized matrix is
+nonzero (the joint 8x8 state has four zero rows): a zero row stays zero under
+rotations among the others, every rotation that involves it meets a zero pivot
+and is skipped, so its diagonal is an eigenvalue as it stands, and the other
+rotations see the same floats in the same order as on the full matrix.
 
 Random numbers come from xoshiro256** seeded through splitmix64:
 
@@ -75,26 +76,27 @@ def sandwich(a, ar, ac, m):
 
     Row i of a m sums v * m[l, :], and entry (i, j) of the result sums
     (a m)[i, l] * conj(v), over the nonzeros (l, v) of row i, resp. row j,
-    of a in ascending l; see the module docstring.
+    of a on live modes of m in ascending l; see the module docstring.
     """
     if len(a) != ar * ac or len(m) != ac * ac:
         raise ValueError(f"sandwich shape mismatch: {len(a)} entries for "
                          f"{ar}x{ac} and {len(m)} for {ac}x{ac}")
-    nonzeros = [[(l, a[i * ac + l]) for l in range(ac) if a[i * ac + l] != 0]
-                for i in range(ar)]
-    conj = [[(l, v.conjugate()) for l, v in nz] for nz in nonzeros]
-    out = []
-    for nz in nonzeros:
+    live = [l for l in range(ac) if any(m[l * ac:l * ac + ac]) or any(m[l::ac])]
+    rows = [(i, nz) for i in range(ar) if (nz := [
+        (l, a[i * ac + l]) for l in live if a[i * ac + l] != 0])]
+    conj = [(j, [(l, v.conjugate()) for l, v in nz]) for j, nz in rows]
+    out = [0j] * (ar * ar)
+    for i, nz in rows:
         row = [0j] * ac
         for l, v in nz:
             lm = l * ac
-            for j in range(ac):
+            for j in live:
                 row[j] = row[j] + v * m[lm + j]
-        for nzc in conj:
+        for j, nzc in conj:
             acc = 0j
             for l, v in nzc:
                 acc = acc + row[l] * v
-            out.append(acc)
+            out[i * ar + j] = acc
     return out
 
 

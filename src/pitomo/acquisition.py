@@ -39,6 +39,7 @@ TWO_PI = 2.0 * math.pi
 
 # the largest per-point budget whose counts and rates are exact floats
 MAX_COUNTS_PER_POINT = 1 << 53
+MAX_POINTS = 10 ** 6  # the most phase points default_grid builds
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,9 @@ class ScanPlan:
     def default_grid(cls, setting: SignalSetting, seed: int, *, points: int = 20,
                      counts_per_point: int = 1000,
                      noiseless: bool = False) -> "ScanPlan":
-        """points equally spaced over [0, 2*pi)."""
+        """points equally spaced over [0, 2*pi), at most ``MAX_POINTS``."""
+        if points > MAX_POINTS:  # refused before the grid is allocated
+            raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
         phases = tuple(TWO_PI * k / points for k in range(points))
         return cls(phases, counts_per_point, setting, seed, noiseless)
 

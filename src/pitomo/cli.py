@@ -47,14 +47,21 @@ MAX_ANGLES = 10_000
 
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> None:
+    from hashlib import sha256  # imported here, so that importing the CLI skips them
+    import platform
+    inputs = [{"path": str(p), "sha256": sha256(Path(p).read_bytes()).hexdigest()}
+              for p in map(vars(args).get, ("config", "scan_h", "scan_v", "calibration",
+                                            "reference", "result")) if p is not None]
     manifest = {
         "command": command,
         "argv": args.argv,
-        "config_path": str(getattr(args, "config", None) or ""),
         "seed": getattr(args, "seed", None),
         "output_dir": str(outdir),
         "version": __version__,
         "backend": _k.active_backend(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "inputs": inputs,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     dump(outdir / "manifest.json", manifest)

@@ -17,7 +17,9 @@ idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
 of one output port are the detection rates.  :func:`rates_exact` is the
 one matrix path: two congruences (``_kernels.sandwich``) around a partial
-trace, each stage a private helper on flat row-major lists.
+trace, each stage a private helper on flat row-major lists.  Both skip the
+joint state's empty modes: source 1's unused signal polarization (modes 2, 3
+for setting H; 0, 1 for V) and source 2's HV and VH (5, 6; it emits HH or VV).
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the

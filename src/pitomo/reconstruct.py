@@ -351,11 +351,11 @@ def _fit_record(record: ScanRecord) -> _ScanFit:
 def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
              lsq_v: _ScanFit, t_h: float, t_v: float) -> ReconstructionResult:
     """The fringe route on both scans' least-squares fits."""
-    if not (0.0 < t_h < math.inf and 0.0 < t_v < math.inf):
-        raise ValueError("calibrated transmissions must be finite and positive")
     for scan in (scan_h, scan_v):
         _check_fringe_grid(scan.plan.phases, scan.counts_primary)
     fit_h, fit_v = lsq_h.sinusoid(), lsq_v.sinusoid()
+    _check_scale(fit_h.offset * t_h, "offset*t")
+    _check_scale(fit_v.offset * t_v, "offset*t")
     flags: list[str] = []
 
     ratio_h, sig_h = fit_h.visibility / t_h, fit_h.visibility_stderr / t_h
@@ -391,11 +391,15 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
                                 param_stderr=stderr)
 
 
-def _ball_block(lsq: _ScanFit, k: float) -> tuple[tuple[float, float, float], complex]:
-    """(k^2 G[1:, 1:], (c + is)/k): the scan's cost in x = (c + is)/k, offset fixed."""
+def _check_scale(k: float, name: str) -> None:
+    """Refuse a scan's fringe scale k where the cost's k^2 under- or overflows."""
     if not 1e-150 < k < 1e150:
         raise FitError(f"the calibrated transmission puts the fringe scale "
-                       f"offset*t = {k!r} outside [1e-150, 1e150]")
+                       f"{name} = {k!r} outside [1e-150, 1e150]")
+
+
+def _ball_block(lsq: _ScanFit, k: float) -> tuple[tuple[float, float, float], complex]:
+    """(k^2 G[1:, 1:], (c + is)/k): the scan's cost in x = (c + is)/k, offset fixed."""
     _, l10, l11, l20, l21, l22 = lsq.chol
     return ((k * k * (l10 * l10 + l11 * l11), k * k * (l10 * l20 + l11 * l21),
              k * k * (l20 * l20 + l21 * l21 + l22 * l22)),
@@ -541,12 +545,14 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
     ConvergenceError (carrying the best point) after 10^4 evaluations.
 
     Each scan is fitted once; every cost evaluation reuses the two fits
-    and scores plain floats.  A grid on which a fit's normal equations are
-    singular (``_solve3``'s determinant test, e.g. 5 points within a few
-    milliradians) cannot identify the state and is refused with FitError.
+    and scores plain floats.  FitError refuses a grid whose normal equations
+    are singular (``_solve3``'s determinant test, e.g. 5 points within a few
+    milliradians) and a fringe scale n/3*t on which the cost overflows or goes flat.
     """
     _check_scans(data_h, data_v)
     n_h, n_v = _budgets(data_h, data_v)
+    _check_scale(n_h * BALANCED_SOURCE1_WEIGHT * t_h, "n/3*t")
+    _check_scale(n_v * BALANCED_SOURCE1_WEIGHT * t_v, "n/3*t")
     lsq_h, lsq_v = _fit_record(data_h), _fit_record(data_v)
     try:
         init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params

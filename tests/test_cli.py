@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -16,8 +17,9 @@ from hypothesis import given, strategies as st
 
 from pitomo import active_backend
 from pitomo.cli import MAX_ANGLES, _parse_angles, main, run_verification
-from pitomo.acquisition import (ScanPlan, calibration_from_json, load_scan,
-                                run_scan, scan_from_csv, scan_to_csv)
+from pitomo.acquisition import (MAX_POINTS, ScanPlan, calibration_from_json,
+                                load_scan, run_scan, scan_from_csv,
+                                scan_to_csv)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    rates_closed_form)
 from pitomo.reconstruct import ReconstructionResult, extract_parameters
@@ -398,21 +400,25 @@ def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
 @pytest.mark.parametrize("t_h", [1e-300, 1e-170, 1e-9, 1e300])
 def test_reconstruct_exits_0_or_3_on_extreme_calibrations(tmp_path, capsys,
                                                           t_h, t_v):
-    # the file loader accepts each (t up to 1 + 5 stderr); the fringe
-    # route's solve must not raise past the CLI's exit codes
+    # the file loader accepts each (t up to 1 + 5 stderr); both routes
+    # check the same fringe-scale bound before solving, so they agree
     doc = json.loads((DATA / "calibration.json").read_text())
     doc.update(t_h=t_h, t_v=t_v, t_h_stderr=max(t_h, doc["t_h_stderr"]),
                t_v_stderr=max(t_v, doc["t_v_stderr"]))
     cal = tmp_path / "calibration.json"
     cal.write_text(json.dumps(doc))
+    codes = []
     for method in ("fringe", "mle"):
-        code = run("reconstruct", "--scan-h", DATA / "scan_H.csv",
-                   "--scan-v", DATA / "scan_V.csv", "--calibration", cal,
-                   "--method", method, "--out", tmp_path / method)
-        assert code in (0, 3)
-        if code == 3:
+        codes.append(run("reconstruct", "--scan-h", DATA / "scan_H.csv",
+                         "--scan-v", DATA / "scan_V.csv", "--calibration", cal,
+                         "--method", method, "--out", tmp_path / method))
+        assert codes[-1] in (0, 3)
+        if codes[-1] == 3:
             assert "error: the calibrated transmission puts the fringe scale" in (
                 capsys.readouterr().err)
+    assert codes[0] == codes[1]
+    if t_h == t_v == 1e-300:
+        assert codes == [3, 3]
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
@@ -561,6 +567,28 @@ def test_oversized_count_budget_in_a_scan_file_exits_3(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_oversized_point_count_exits_3_before_building_the_grid(
+        tmp_path, capsys, monkeypatch):
+    # default_grid builds its phases over range(points); the refusal must
+    # come first, so a range call in acquisition fails the test
+    import pitomo.acquisition
+
+    def no_grid(*args):
+        raise AssertionError("the phase grid was built")
+
+    monkeypatch.setattr(pitomo.acquisition, "range", no_grid, raising=False)
+    for argv in (("simulate", "--setting", "H", "--seed", 1),
+                 ("calibrate", "--noiseless"),
+                 ("sweep", "--plate", "hwp", "--angles", "0", "--seed", 1)):
+        assert run(*argv, "--points", 10 ** 9, "--out", tmp_path) == 3
+        assert (f"error: points must be at most {MAX_POINTS}, got 1000000000\n"
+                == capsys.readouterr().err)
+    with pytest.raises(ValueError, match="points must be at most"):
+        ScanPlan.default_grid(SignalSetting.H, 1, points=MAX_POINTS + 1)
+    with pytest.raises(AssertionError, match="grid was built"):
+        ScanPlan.default_grid(SignalSetting.H, 1, points=MAX_POINTS)
+
+
 @pytest.mark.parametrize("spec, message", [
     ("0,x", "expected a number, got 'x'"),
     ("0,1,nan", "'nan' is not a finite number"),
@@ -663,6 +691,31 @@ def test_manifest_records_the_parsed_argv(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "dash_m" / "manifest.json").read_text())
     assert manifest["argv"] == argv
+
+
+@pytest.mark.parametrize("method, digests", [
+    ("mle", ("c8cbeaf532288686478f4ebb93b106032de9bcf837bdb63e2448b34bff19f1e5",
+             "7d8984be1c5d12d43be5bdcc3fbcddd27cb8aac6009346d27ce92c6d6aa42618")),
+    ("fringe", ("fbd824fb50befa21589ac732e5713f1c222da685621a59f83a30a70629deb703",
+                "f4b19133743913deebdc8b02dfe2214c6c6307866763686d4f1fb4b67394b29f")),
+])
+def test_manifest_hashes_every_input_file(tmp_path, method, digests):
+    names = ("scan_H.csv", "scan_V.csv", "calibration.json", "reference.json")
+    assert run("reconstruct", "--scan-h", DATA / names[0],
+               "--scan-v", DATA / names[1], "--calibration", DATA / names[2],
+               "--reference", DATA / names[3], "--method", method,
+               "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["inputs"] == [
+        {"path": str(DATA / name),
+         "sha256": hashlib.sha256((DATA / name).read_bytes()).hexdigest()}
+        for name in names]
+    assert manifest["python"] == platform.python_version()
+    assert manifest["platform"] == platform.platform()
+    # provenance goes only into the manifest: the primary outputs keep
+    # the digests they had before the manifest recorded it
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in ("result.json", "report.txt")) == digests
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -348,6 +348,42 @@ def test_sandwich_bits_equal_naive_loop_on_sparse_factors(case):
     assert list(map(repr, got)) == list(map(repr, _naive_sandwich(*case)))
 
 
+@st.composite
+def _dead_mode_sandwich(draw):
+    """A sparse case whose m has a drawn set of modes zeroed with signed
+    zeros: their rows only, their columns only, or both (dead modes)."""
+    a, ar, ac, m = draw(_sparse_sandwich())
+    modes = draw(st.sets(st.integers(0, ac - 1)))
+    part = draw(st.sampled_from(("rows", "columns", "both")))
+    zero = st.sampled_from(_SIGNED_ZEROS)
+    for l in sorted(modes):
+        for j in range(ac):
+            if part != "columns":
+                m[l * ac + j] = draw(zero)
+            if part != "rows":
+                m[j * ac + l] = draw(zero)
+    return a, ar, ac, m
+
+
+_A_2X3 = [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j, 5 + 0j, 6 + 0j]
+
+
+@given(_dead_mode_sandwich())
+# m all zero: every mode is dead
+@example((_A_2X3, 2, 3, [*_SIGNED_ZEROS, *_SIGNED_ZEROS, 0j]))
+# mode 1 has a zero row but a nonzero column, then the reverse: it is live
+@example((_A_2X3, 2, 3, [1 + 0j, 2 + 0j, 3 + 0j, 0j, 0j, 0j,
+                             4 + 0j, 5 + 0j, 6 + 0j]))
+@example((_A_2X3, 2, 3, [1 + 0j, 0j, 3 + 0j, 4 + 0j, 5 + 0j, 6 + 0j,
+                             7 + 0j, 0j, 9 + 0j]))
+# a subnormal, the only nonzero of its row and column, keeps its mode live
+@example((_A_2X3, 2, 3, [1 + 0j, 0j, 3 + 0j, 0j, complex(5e-324, 0.0), 0j,
+                             7 + 0j, 0j, 9 + 0j]))
+def test_sandwich_bits_equal_naive_loop_with_dead_modes(case):
+    got = kernels.sandwich(*case)
+    assert list(map(repr, got)) == list(map(repr, _naive_sandwich(*case)))
+
+
 def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
     rng = kernels.Rng(31, 0)
     configs = [random_valid_config(rng) for _ in range(40)]

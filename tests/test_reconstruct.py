@@ -363,6 +363,14 @@ def test_extract_ignores_the_phase_origin(phases):
     assert {(), ("purity_bound_active",)} <= branches
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])
+def test_both_routes_refuse_a_transmission_without_a_fringe_scale(t):
+    scan_h, scan_v = scans_for(IdlerStateParams(0.5, 0.0, 1.0))
+    for route in (extract_parameters, mle_reconstruct):
+        with pytest.raises(FitError, match="fringe scale"):
+            route(scan_h, scan_v, 0.9, t)
+
+
 def test_extract_checks_setting_pairing():
     scan_h, scan_v = scans_for(IdlerStateParams(0.5, 0.0, 1.0))
     with pytest.raises(ValueError):
