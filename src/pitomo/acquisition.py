@@ -157,7 +157,8 @@ def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Transmission magnitudes estimated from the calibration fringes."""
+    """Visibility ceilings from the calibration fringes: t_h (t_v) is the
+    visibility of a pure H (V) idler, |t_h| (|t_v|) for balanced sources."""
 
     t_h: float
     t_h_stderr: float
@@ -191,27 +192,31 @@ class CalibrationResult:
         return cls(*values)
 
 
+def calibration_configs(cfg: InterferometerConfig) -> list[InterferometerConfig]:
+    """cfg with a pure H idler in setting H and with a pure V idler in
+    setting V: their visibilities are the ceilings a calibration measures."""
+    return [replace(cfg, idler=IdlerStateParams(p_h, 0.0, 1.0), signal_setting=setting)
+            for setting, p_h in ((SignalSetting.H, 1.0), (SignalSetting.V, 0.0))]
+
+
 def run_calibration(cfg_template: InterferometerConfig,
                     plan: ScanPlan) -> CalibrationResult:
-    """Estimate |t_h| and |t_v| from two dedicated fringe scans.
+    """Measure each setting's visibility ceiling from a dedicated fringe scan.
 
-    The template's idler is overridden with pure H (pure V) and the
-    matching signal setting is scanned, so each fitted visibility equals
-    the corresponding transmission magnitude directly.  Requires the
-    balanced source arrangement the identification is derived for.
+    Each configuration of :func:`calibration_configs` is scanned; its fitted
+    visibility is the ceiling V_max = |t_h| 2 b1 b2 sqrt(p_h2) / (b1^2 +
+    b2^2 p_h2) (t_v, p_v2 for V): |t| for balanced sources, and in any
+    arrangement the inversion's divisor, p_h = (V_H/V_maxH)^2 and purity
+    sqrt(p_v) = V_V/V_maxV.
     Standard errors are those of the fitted visibilities; for a noiseless
     plan their residual variance is floored at 1/12, the variance of
     rounding a rate to a count, which rounded counts' residuals can hide.
     """
     from .reconstruct import fit_sinusoid  # deferred: avoids a module cycle
 
-    if not cfg_template.is_balanced:
-        raise ValueError("calibration assumes the balanced source arrangement")
     results = []
-    for setting, idler in ((SignalSetting.H, IdlerStateParams.horizontal()),
-                           (SignalSetting.V, IdlerStateParams.vertical())):
-        scan = run_scan(replace(cfg_template, idler=idler),
-                        replace(plan, setting=setting))
+    for cfg in calibration_configs(cfg_template):
+        scan = run_scan(cfg, replace(plan, setting=cfg.signal_setting))
         fit = fit_sinusoid(scan.plan.phases, scan.counts_primary,
                            min_sigma2=1.0 / 12.0 if plan.noiseless else 0.0)
         results.append((fit.visibility, fit.visibility_stderr))

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 data/validation error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from dataclasses import replace
@@ -22,9 +23,9 @@ from pathlib import Path
 from . import __version__
 from . import _kernels as _k
 from ._fields import dump, load
-from .acquisition import (ScanPlan, calibration_from_json, calibration_to_json,
-                          load_scan, run_calibration, run_scan, scan_to_csv,
-                          scan_to_json)
+from .acquisition import (ScanPlan, calibration_configs, calibration_from_json,
+                          calibration_to_json, load_scan, run_calibration,
+                          run_scan, scan_to_csv, scan_to_json)
 from .interferometer import (InterferometerConfig, SignalSetting,
                              _total_state_raw, coherence_stressed_state,
                              fringe, random_valid_config, rates_closed_form,
@@ -127,12 +128,12 @@ def _build_config(args, setting: SignalSetting = SignalSetting.H) -> Interferome
         t_h=t_h, t_v=t_v, idler=idler, q2=q2, signal_setting=setting)
 
 
-def _require_balanced(cfg: InterferometerConfig, what: str) -> None:
-    """The inversion's rate model is reduced for the balanced arrangement."""
-    if not cfg.is_balanced:
-        raise ValueError(f"{what} is not the balanced source arrangement "
-                         "(b2 = sqrt(2) b1, p_h2 = 0.5, theta = 0) that the "
-                         "inversion assumes")
+def _require_phase_reference(cfg: InterferometerConfig, what: str) -> None:
+    """The inversion reads xi against arg t_v - arg t_h - theta, taken as 0."""
+    offset = cmath.phase(cfg.t_v) - cmath.phase(cfg.t_h) - cfg.q2.theta
+    if abs(math.remainder(offset, 2.0 * math.pi)) > 1e-9:
+        raise ValueError(f"{what} offsets the phase reference of xi: arg t_v - "
+                         f"arg t_h - theta = {offset!r} rad, not 0 (mod 2 pi)")
 
 
 def _require_seed(args) -> int | None:
@@ -228,7 +229,11 @@ def cmd_reconstruct(args) -> int:
     scan_v = load_scan(args.scan_v)
     for scan, path in ((scan_h, args.scan_h), (scan_v, args.scan_v)):
         if scan.truth is not None:
-            _require_balanced(scan.truth, f"{path}: the embedded truth")
+            _require_phase_reference(scan.truth, f"{path}: the embedded truth")
+    if (scan_h.truth is not None and scan_v.truth is not None
+            and scan_v.truth.with_setting(SignalSetting.H) != scan_h.truth):
+        raise ValueError(f"{args.scan_h} and {args.scan_v} embed truths that "
+                         "differ in more than the signal setting")
     cal = calibration_from_json(args.calibration)
     if args.method == "mle":
         result = mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v)
@@ -255,15 +260,16 @@ def cmd_sweep(args) -> int:
     if fail is not None:
         return fail
     cfg = _build_config(args)
-    _require_balanced(cfg, "the sweep configuration")
+    _require_phase_reference(cfg, "the sweep configuration" if args.config is None
+                             else f"{args.config}: the sweep configuration")
     angles = _parse_angles(args.angles)
     plate = (WaveplateSetting.hwp if args.plate == "hwp" else WaveplateSetting.qwp)
     if args.calibration is not None:
         cal = calibration_from_json(args.calibration)
         t_h, t_v = cal.t_h, cal.t_v
     else:
-        # synthetic shortcut: divide by the configured true magnitudes
-        t_h, t_v = abs(cfg.t_h), abs(cfg.t_v)
+        # synthetic shortcut: the ceilings a noiseless calibration measures
+        t_h, t_v = (fringe(c).visibility for c in calibration_configs(cfg))
     plan = _plan(args, SignalSetting.H)
     outdir = _outdir(args)
     rows = []
@@ -488,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degrees, 'start:stop:step' or comma list")
     p.add_argument("--method", choices=["fringe", "mle"], default="fringe")
     p.add_argument("--calibration", default=None,
-                   help="calibration JSON; defaults to the configured "
-                        "true magnitudes (synthetic shortcut)")
+                   help="calibration JSON; defaults to the configuration's "
+                        "true visibility ceilings (synthetic shortcut)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)
 

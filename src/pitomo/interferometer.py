@@ -39,11 +39,12 @@ as the source phase phi is scanned and the other a constant rate:
                 amplitude = b1 b2 I |t_v| sqrt(p_v p_v2)
                 phase     = xi + arg t_v - theta
 
-where I is the idler purity.  Rates are probabilities per generated
-pair.  :func:`fringe` is the one closed-form statement of this law;
-:func:`rates_exact` reaches the same rates through the full matrix
-evolution (the oracle used in tests) and agrees with it to better than
-1e-10 for every configuration that can be constructed.
+where I is the idler purity; offset + constant = (b1^2 + b2^2)/2 = 1/2 in
+both settings.  Rates are probabilities per generated pair.  :func:`fringe`
+is the one closed-form statement of this law; :func:`rates_exact` reaches
+the same rates through the full matrix evolution (the oracle used in
+tests) and agrees with it to better than 1e-10 for every configuration
+that can be constructed.
 """
 
 from __future__ import annotations
@@ -118,18 +119,11 @@ class InterferometerConfig:
     @classmethod
     def balanced(cls, idler: IdlerStateParams, *, t_h: complex = 1.0,
                  t_v: complex = 1.0, phi: float = 0.0,
-                 setting: SignalSetting = SignalSetting.H,
-                 theta: float = 0.0) -> "InterferometerConfig":
+                 setting: SignalSetting = SignalSetting.H) -> "InterferometerConfig":
         """Second source pumped twice as hard, balanced reference weights."""
         return cls(b1=math.sqrt(1.0 / 3.0), b2_mag=math.sqrt(2.0 / 3.0),
                    phi=phi, t_h=t_h, t_v=t_v, idler=idler,
-                   q2=SourceQ2Params(0.5, theta), signal_setting=setting)
-
-    @property
-    def is_balanced(self) -> bool:
-        return (abs(self.b2_mag - math.sqrt(2.0) * self.b1) < 1e-9
-                and abs(self.q2.p_h2 - 0.5) < 1e-12
-                and self.q2.theta == 0.0)
+                   q2=SourceQ2Params(), signal_setting=setting)
 
     def with_setting(self, setting: SignalSetting) -> "InterferometerConfig":
         return replace(self, signal_setting=setting)
@@ -351,7 +345,7 @@ class Fringe:
 
     @property
     def visibility(self) -> float:
-        return self.amplitude / self.offset
+        return self.amplitude / self.offset if self.offset > 0.0 else 0.0
 
     def at(self, phi: float) -> float:
         """Rate of the fringing detector at source phase phi."""

@@ -2,7 +2,7 @@
 
 Two routes are provided.  The fringe route fits each scan with a
 sinusoid (linear least squares in the basis {1, cos, sin}).  Each fitted
-fringe divided by offset*|t| is a complex amplitude, h or v; the state
+fringe divided by offset*t is a complex amplitude, h or v; the state
 is p_h = |h|^2, purity = |v|/sqrt(1-p_h), xi = arg h - arg v, physical
 exactly when |h|^2 + |v|^2 <= 1.  A fit outside that ball gives way to
 its least-squares point on the sphere, offsets held at the fit (a
@@ -33,14 +33,14 @@ reason L is built from the centered columns of X rather than from the
 rounded entries of G, and when the counts dwarf the residuals, the
 residuals are recomputed, rounded once from their exact values.
 
-Both routes assume the balanced source arrangement (reference weights
-1:2, even reference polarizations, zero reference phase), which is the
-arrangement the rate model is reduced for.  The CLI's ``reconstruct``
-and ``sweep`` refuse, with exit code 3, a scan truth or configuration
-that ``InterferometerConfig.is_balanced`` rejects, the check
-``run_calibration`` makes too.  Standard errors on
-extracted parameters come from first-order propagation of the sinusoid
-fit errors and are approximate.
+In every source arrangement the H fringe is a (1 + t_h sqrt(p_h) cos phi)
+and the V fringe a (1 + purity t_v sqrt(p_v) cos(phi - xi)): t is the
+visibility ceiling V_max that ``run_calibration`` measures, a the fitted
+offset (fringe route) or n/2 minus the constant detector's mean count
+(least-squares route); t = |t| and a = n/3 for balanced sources.  xi is
+read against arg t_v - arg t_h - theta, taken as 0; the least-squares H
+model, of fringe phase 0, takes arg t_h = 0 too.  Standard errors come
+from first-order propagation of the sinusoid fit errors; approximate.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
 from .states import IdlerStateParams, wrap_angle
 
 TWO_PI = 2.0 * math.pi
-
-BALANCED_SOURCE1_WEIGHT = 1.0 / 3.0
 
 
 class FitError(ValueError):
@@ -336,8 +334,9 @@ def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
     """Fringe-route reconstruction: fit, calibrate, invert the visibility laws.
 
     A fit outside the physical ball gives way to its least-squares point
-    on the sphere (purity 1), flagged ``purity_bound_active``.  FitError:
-    a grid under half a period, an offset <= 0, or offset*t out of range.
+    on the sphere (purity 1), flagged ``purity_bound_active``.  The cost is
+    that of :func:`mle_cost` with each scan's fitted offset.  FitError: a
+    grid under half a period, an offset <= 0, or offset*t out of range.
     """
     _check_scans(scan_h, scan_v)
     return _extract(scan_h, scan_v, _fit_record(scan_h), _fit_record(scan_v),
@@ -354,8 +353,8 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
     for scan in (scan_h, scan_v):
         _check_fringe_grid(scan.plan.phases, scan.counts_primary)
     fit_h, fit_v = lsq_h.sinusoid(), lsq_v.sinusoid()
-    _check_scale(fit_h.offset * t_h, "offset*t")
-    _check_scale(fit_v.offset * t_v, "offset*t")
+    _check_scale(fit_h.offset, t_h)
+    _check_scale(fit_v.offset, t_v)
     flags: list[str] = []
 
     ratio_h, sig_h = fit_h.visibility / t_h, fit_h.visibility_stderr / t_h
@@ -385,17 +384,19 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
                   (sig_v / math.sqrt(p_v)) ** 2
                   + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2))}
     cost = _pair_cost(lsq_h, lsq_v, params.p_h, params.xi, params.purity,
-                      t_h, t_v, *_budgets(scan_h, scan_v))
+                      t_h, t_v, fit_h.offset, fit_v.offset)
     return ReconstructionResult(params, params.to_density_matrix(), cost,
                                 Method.FRINGE, flags=tuple(flags),
                                 param_stderr=stderr)
 
 
-def _check_scale(k: float, name: str) -> None:
-    """Refuse a scan's fringe scale k where the cost's k^2 under- or overflows."""
-    if not 1e-150 < k < 1e150:
+def _check_scale(a: float, t: float) -> None:
+    """Refuse an offset a <= 0, or a*t whose square under- or overflows."""
+    if not a > 0.0:
+        raise FitError(f"the scan's offset {a!r} is not positive; no usable signal")
+    if not 1e-150 < a * t < 1e150:
         raise FitError(f"the calibrated transmission puts the fringe scale "
-                       f"{name} = {k!r} outside [1e-150, 1e150]")
+                       f"offset*t = {a * t!r} outside [1e-150, 1e150]")
 
 
 def _ball_block(lsq: _ScanFit, k: float) -> tuple[tuple[float, float, float], complex]:
@@ -428,24 +429,24 @@ def _ball_solve(blocks: list) -> tuple[list[complex], float]:
         mu += step
 
 
-def _budgets(data_h: ScanRecord, data_v: ScanRecord) -> tuple[float, float]:
-    """Each record's per-point count budget n."""
-    return (float(data_h.plan.counts_per_point),
-            float(data_v.plan.counts_per_point))
+def _constant_offset(record: ScanRecord) -> float:
+    """n/2 minus the constant detector's mean count, rounded once."""
+    m = len(record.counts_constant)
+    n = record.plan.counts_per_point
+    return (n * m - 2 * sum(record.counts_constant)) / (2 * m)
 
 
 def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
              candidate: IdlerStateParams, t_h: float, t_v: float) -> float:
     """Total squared residual of both count records against the rate model.
 
-    The model is the balanced closed form: expected H counts
-    n/3 * (1 + t_h sqrt(p_h) cos phi), expected V counts
-    n/3 * (1 + purity t_v sqrt(p_v) cos(phi - xi)), with n each record's
-    own per-point budget.
+    Expected H counts are a_H (1 + t_h sqrt(p_h) cos phi) and expected V
+    counts a_V (1 + purity t_v sqrt(p_v) cos(phi - xi)); each offset a is
+    n/2 minus the mean count of the record's constant detector.
 
     Both models are linear in the basis {1, cos phi, sin phi}: the H model
-    has coefficients (n/3, n/3 t_h sqrt(p_h), 0) and the V model
-    (n/3, b cos xi, b sin xi) with b = n/3 purity t_v sqrt(p_v).  Each
+    has coefficients (a_H, a_H t_h sqrt(p_h), 0) and the V model
+    (a_V, b cos xi, b sin xi) with b = a_V purity t_v sqrt(p_v).  Each
     scan's residual is taken from its one least-squares fit in the
     centered form of the module docstring, never from the expanded
     square, which cancels catastrophically at large n.  This call fits
@@ -455,20 +456,18 @@ def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
     _check_scans(data_h, data_v)
     return _pair_cost(_fit_record(data_h), _fit_record(data_v), candidate.p_h,
                       candidate.xi, candidate.purity, t_h, t_v,
-                      *_budgets(data_h, data_v))
+                      _constant_offset(data_h), _constant_offset(data_v))
 
 
 def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, p_h: float, xi: float,
-               purity: float, t_h: float, t_v: float, n_h: float,
-               n_v: float) -> float:
-    """:func:`mle_cost` from the two scans' fits and per-point budgets,
+               purity: float, t_h: float, t_v: float, a_h: float,
+               a_v: float) -> float:
+    """:func:`mle_cost` from the two scans' fits and offsets a_h, a_v,
     at p_h in [0, 1], xi in [0, 2pi) and purity in [0, 1]."""
-    amp_h = n_h * BALANCED_SOURCE1_WEIGHT
-    amp_v = n_v * BALANCED_SOURCE1_WEIGHT
-    b_h = amp_h * (t_h * math.sqrt(p_h))
-    b_v = amp_v * (purity * t_v * math.sqrt(1.0 - p_h))
-    return (lsq_h.cost(amp_h, b_h, 0.0)
-            + lsq_v.cost(amp_v, b_v * math.cos(xi), b_v * math.sin(xi)))
+    b_h = a_h * (t_h * math.sqrt(p_h))
+    b_v = a_v * (purity * t_v * math.sqrt(1.0 - p_h))
+    return (lsq_h.cost(a_h, b_h, 0.0)
+            + lsq_v.cost(a_v, b_v * math.cos(xi), b_v * math.sin(xi)))
 
 
 def _fold01(x: float) -> float:
@@ -547,12 +546,12 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
     Each scan is fitted once; every cost evaluation reuses the two fits
     and scores plain floats.  FitError refuses a grid whose normal equations
     are singular (``_solve3``'s determinant test, e.g. 5 points within a few
-    milliradians) and a fringe scale n/3*t on which the cost overflows or goes flat.
+    milliradians), an offset <= 0 and an offset*t out of range.
     """
     _check_scans(data_h, data_v)
-    n_h, n_v = _budgets(data_h, data_v)
-    _check_scale(n_h * BALANCED_SOURCE1_WEIGHT * t_h, "n/3*t")
-    _check_scale(n_v * BALANCED_SOURCE1_WEIGHT * t_v, "n/3*t")
+    a_h, a_v = _constant_offset(data_h), _constant_offset(data_v)
+    _check_scale(a_h, t_h)
+    _check_scale(a_v, t_v)
     lsq_h, lsq_v = _fit_record(data_h), _fit_record(data_v)
     try:
         init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
@@ -562,7 +561,7 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
 
     def cost_of(vec: Sequence[float]) -> float:
         return _pair_cost(lsq_h, lsq_v, _fold01(vec[0]), wrap_angle(vec[1]),
-                          _fold01(vec[2]), t_h, t_v, n_h, n_v)
+                          _fold01(vec[2]), t_h, t_v, a_h, a_v)
 
     best_x, best_f, nfev, converged = _nelder_mead(
         cost_of, x0, steps=(0.08, 0.4, 0.08))

@@ -94,10 +94,6 @@ class IdlerStateParams:
     def horizontal(cls):
         return cls(1.0, 0.0, 1.0)
 
-    @classmethod
-    def vertical(cls):
-        return cls(0.0, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class SourceQ2Params:

@@ -42,3 +42,20 @@ def digest(values):
     the sign of a NaN)."""
     import hashlib
     return hashlib.sha256(",".join(map(repr, values)).encode()).hexdigest()
+
+
+def unbalanced_config(seed, phase=0.0):
+    """A seeded source arrangement off the balanced one: b1^2 and p_h2 in
+    [0.1, 0.9], |t_h| and |t_v| in [0.5, 1], theta = 0, and both
+    transmissions carrying the common phase ``phase``; pure H idler."""
+    import cmath
+    from pitomo._kernels import Rng
+    from pitomo.interferometer import InterferometerConfig
+    from pitomo.states import IdlerStateParams, SourceQ2Params
+    rng = Rng(seed, 0)
+    w1 = 0.1 + 0.8 * rng.random()
+    q2 = SourceQ2Params(0.1 + 0.8 * rng.random(), 0.0)
+    t_h, t_v = (cmath.exp(1j * phase) * (0.5 + 0.5 * rng.random()) for _ in "hv")
+    return InterferometerConfig(b1=math.sqrt(w1), b2_mag=math.sqrt(1.0 - w1),
+                                t_h=t_h, t_v=t_v,
+                                idler=IdlerStateParams.horizontal(), q2=q2)

@@ -8,6 +8,7 @@ the post-interaction state, the positivity boundary, and shot-noise
 scaling of the estimator.
 """
 
+import cmath
 import json
 import math
 import time
@@ -27,7 +28,7 @@ from pitomo.interferometer import (InterferometerConfig, SignalSetting,
 from pitomo.qcore import fidelity_mixed, qubit_state_fidelity
 from pitomo.reconstruct import extract_parameters, fit_sinusoid, mle_reconstruct
 from pitomo.states import IdlerStateParams
-from conftest import wrap_distance
+from conftest import unbalanced_config, wrap_distance
 
 TWO_PI = 2.0 * math.pi
 BIG_N = 10 ** 8
@@ -111,28 +112,43 @@ def test_c3_calibration_reproduction(tmp_path):
           f"({err_h:.2e}, {err_v:.2e}); noisy coverage {hits}/{trials}")
 
 
-def test_c4_round_trip_tomography_grid():
+@pytest.mark.parametrize("arrangement", [None, 0, 1, 2, 3],
+                         ids=["balanced", *(f"unbalanced-{k}" for k in range(4))])
+def test_c4_round_trip_tomography_grid(arrangement):
+    # the arrangement is calibrated by a noiseless run; both routes divide
+    # by what it measured, the fringe route also under a common phase
+    if arrangement is None:
+        cfg = InterferometerConfig.balanced(IdlerStateParams.horizontal())
+    else:
+        cfg = unbalanced_config(arrangement)
+    cal = run_calibration(cfg, ScanPlan.default_grid(
+        SignalSetting.H, 0, counts_per_point=BIG_N, noiseless=True))
+    phase = cmath.exp(TWO_PI * 1j * Rng(4, 0).random())  # arg 3.39 rad
+    phased = replace(cfg, t_h=cfg.t_h * phase, t_v=cfg.t_v * phase)
     worst_param = 0.0
     worst_fid = 1.0
     for p_h in [0.1 * k for k in range(1, 10)]:
         for xi in [TWO_PI * k / 8 for k in range(8)]:
             for coh in (0.2, 0.4, 0.6, 0.8, 1.0):
                 truth = IdlerStateParams(p_h, xi, coh)
-                cfg = InterferometerConfig.balanced(truth)
-                scan_h, scan_v = _scan_pair(cfg, BIG_N, 0, noiseless=True)
-                result = extract_parameters(scan_h, scan_v, 1.0, 1.0)
-                got = result.params
-                worst_param = max(worst_param,
-                                  abs(got.p_h - truth.p_h),
-                                  abs(got.purity - truth.purity),
-                                  wrap_distance(got.xi, truth.xi))
-                fid = qubit_state_fidelity(result.rho,
-                                           truth.to_density_matrix())
-                worst_fid = min(worst_fid, fid)
+                real = _scan_pair(replace(cfg, idler=truth), BIG_N, 0, True)
+                shifted = _scan_pair(replace(phased, idler=truth), BIG_N, 0, True)
+                for result in (mle_reconstruct(*real, cal.t_h, cal.t_v),
+                               extract_parameters(*real, cal.t_h, cal.t_v),
+                               extract_parameters(*shifted, cal.t_h, cal.t_v)):
+                    got = result.params
+                    worst_param = max(worst_param,
+                                      abs(got.p_h - truth.p_h),
+                                      abs(got.purity - truth.purity),
+                                      wrap_distance(got.xi, truth.xi))
+                    fid = qubit_state_fidelity(result.rho,
+                                               truth.to_density_matrix())
+                    worst_fid = min(worst_fid, fid)
     assert worst_param <= 1e-4
     assert worst_fid >= 0.999
     print(f"\nACCEPTANCE 4 PASS: round-trip parameter error <= "
-          f"{worst_param:.3e}, min fidelity {worst_fid:.6f} over 9x8x5 grid")
+          f"{worst_param:.3e}, min fidelity {worst_fid:.6f} over 9x8x5 grid, "
+          f"both routes")
 
 
 def test_c5_degenerate_visibility_pairs_disambiguated():

@@ -15,6 +15,7 @@ from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    fringe, rates_closed_form)
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
+from conftest import unbalanced_config
 
 
 def balanced(idler=None, **kw):
@@ -281,11 +282,24 @@ def test_calibration_reproducible_and_noisy_coverage():
     assert hits >= 0.99 * trials
 
 
-def test_calibration_requires_balanced_template():
-    cfg = InterferometerConfig(b1=0.9, b2_mag=math.sqrt(1 - 0.81),
-                               idler=IdlerStateParams.horizontal())
-    with pytest.raises(ValueError):
-        run_calibration(cfg, ScanPlan.default_grid(SignalSetting.H, 0))
+@pytest.mark.parametrize("seed", range(4))
+def test_calibration_measures_the_visibility_ceilings(seed):
+    # in any source arrangement each calibrated t is the visibility of a
+    # pure H (V) idler, V_max = |t| 2 b1 b2 sqrt(p_h2) / (b1^2 + b2^2 p_h2)
+    cfg = unbalanced_config(seed)
+    cal = run_calibration(cfg, ScanPlan.default_grid(
+        SignalSetting.H, 0, counts_per_point=10 ** 8, noiseless=True))
+    b1, b2 = cfg.b1, cfg.b2_mag
+    for got, t, p2, setting, idler in (
+            (cal.t_h, cfg.t_h, cfg.q2.p_h2, SignalSetting.H,
+             IdlerStateParams.horizontal()),
+            (cal.t_v, cfg.t_v, cfg.q2.p_v2, SignalSetting.V,
+             IdlerStateParams(0.0, 0.0, 1.0))):
+        v_max = fringe(replace(cfg, idler=idler, signal_setting=setting)).visibility
+        assert v_max == pytest.approx(
+            abs(t) * 2.0 * b1 * b2 * math.sqrt(p2) / (b1 * b1 + b2 * b2 * p2),
+            rel=1e-12)
+        assert abs(got - v_max) < 1e-6
 
 
 def test_calibration_json_round_trip(tmp_path):

@@ -23,7 +23,7 @@ from pitomo.acquisition import (MAX_POINTS, ScanPlan, calibration_from_json,
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    rates_closed_form)
 from pitomo.reconstruct import ReconstructionResult, extract_parameters
-from pitomo.states import IdlerStateParams
+from pitomo.states import IdlerStateParams, SourceQ2Params
 from conftest import wrap_distance
 
 DATA = Path(__file__).parent / "data"
@@ -351,17 +351,65 @@ def test_reconstruct_rejects_cross_coherence_off_purity(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
-def test_reconstruct_rejects_unbalanced_truth(tmp_path, capsys):
-    for setting in "HV":
-        assert run("simulate", "--setting", setting, "--b1", 0.8, "--seed", 1,
-                   "--noiseless", "--format", "json", "--out", tmp_path) == 0
-    assert run("reconstruct", "--scan-h", tmp_path / "scan_H.json",
-               "--scan-v", tmp_path / "scan_V.json",
-               "--calibration", DATA / "calibration.json",
-               "--out", tmp_path / "rec") == 3
+UNBALANCED = ("--b1", 0.8, "--p-h2", 0.3)
+
+
+def _simulate_pair(out, *flags, v_flags=()):
+    for setting, extra in (("H", ()), ("V", v_flags)):
+        assert run("simulate", "--setting", setting, "--p-h", 0.3, "--xi", 1.0,
+                   "--purity", 0.9, *flags, *extra, "--seed", 1, "--noiseless",
+                   "--n", 10 ** 8, "--format", "json", "--out", out) == 0
+
+
+def _reconstruct_pair(out, calibration, method="mle"):
+    return run("reconstruct", "--scan-h", out / "scan_H.json",
+               "--scan-v", out / "scan_V.json", "--calibration", calibration,
+               "--method", method, "--out", out / method)
+
+
+@pytest.mark.parametrize("method", ["mle", "fringe"])
+def test_reconstruct_unbalanced_chain(tmp_path, method):
+    # calibrated in the scans' own arrangement, both routes recover the truth
+    _simulate_pair(tmp_path, *UNBALANCED)
+    assert run("calibrate", *UNBALANCED, "--noiseless", "--n", 10 ** 8,
+               "--out", tmp_path) == 0
+    assert _reconstruct_pair(tmp_path, tmp_path / "calibration.json", method) == 0
+    result = json.loads((tmp_path / method / "result.json").read_text())
+    assert result["fidelity_vs_reference"] >= 0.999
+
+
+@pytest.mark.parametrize("flags, offset", [(("--t-v-phase", 1.0), 1.0),
+                                           (("--theta", 0.7), -0.7)],
+                         ids=["t_v-phase", "theta"])
+def test_reconstruct_refuses_a_truth_off_the_phase_reference(tmp_path, capsys,
+                                                             flags, offset):
+    # xi is read against arg t_v - arg t_h - theta; a truth that moves it
+    # would be reconstructed with xi shifted by that much
+    _simulate_pair(tmp_path, *flags)
+    assert _reconstruct_pair(tmp_path, DATA / "calibration.json") == 3
     err = capsys.readouterr().err
-    assert "scan_H.json: the embedded truth is not the balanced" in err
-    assert not (tmp_path / "rec").exists()
+    assert f"{tmp_path / 'scan_H.json'}: the embedded truth offsets" in err
+    assert float(err.split("theta = ")[1].split(" rad")[0]) == pytest.approx(offset)
+    assert not (tmp_path / "mle").exists()
+
+
+@pytest.mark.parametrize("method", ["mle", "fringe"])
+def test_reconstruct_accepts_a_common_transmission_phase(tmp_path, method):
+    _simulate_pair(tmp_path, "--t-h-phase", 0.4, "--t-v-phase", 0.4)
+    assert run("calibrate", "--noiseless", "--n", 10 ** 8, "--out", tmp_path) == 0
+    assert _reconstruct_pair(tmp_path, tmp_path / "calibration.json", method) == 0
+    if method == "fringe":  # only fringe differences enter this route
+        result = json.loads((tmp_path / method / "result.json").read_text())
+        assert result["fidelity_vs_reference"] >= 0.999
+
+
+def test_reconstruct_refuses_scans_of_two_configurations(tmp_path, capsys):
+    _simulate_pair(tmp_path, v_flags=("--p-h", 0.9, "--xi", 2.0))
+    assert _reconstruct_pair(tmp_path, DATA / "calibration.json") == 3
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'scan_H.json'} and {tmp_path / 'scan_V.json'} embed "
+            "truths that differ") in err
+    assert not (tmp_path / "mle").exists()
 
 
 def _reads_calibration(command, calibration, out):
@@ -482,10 +530,38 @@ def test_sweep_scaled_transmissions(tmp_path):
         assert abs(row["vis_v"] - 0.73 * abs(math.sin(2 * alpha))) < 1e-6
 
 
-def test_sweep_rejects_unbalanced_arrangement(tmp_path, capsys):
-    assert run("sweep", "--plate", "hwp", "--angles", "0:45:22.5",
-               "--b1", 0.8, "--noiseless", "--seed", 1, "--out", tmp_path) == 3
-    assert "not the balanced source arrangement" in capsys.readouterr().err
+@pytest.mark.parametrize("method", ["mle", "fringe"])
+def test_sweep_reconstructs_an_unbalanced_arrangement(tmp_path, method):
+    # without --calibration the sweep divides by the true visibility ceilings
+    assert run("sweep", "--plate", "hwp", "--angles", "0:45:22.5", *UNBALANCED,
+               "--noiseless", "--n", 10 ** 8, "--method", method,
+               "--out", tmp_path) == 0
+    rows = read_rows(tmp_path / "sweep.csv")
+    assert len(rows) == 3
+    assert all(row["fidelity"] >= 0.999 for row in rows)
+
+
+@pytest.mark.parametrize("method", ["mle", "fringe"])
+def test_sweep_exits_3_on_an_arrangement_without_h_signal(tmp_path, capsys, method):
+    # b1 = 0, p_h2 = 0: the H setting's fringe has offset 0, so its
+    # visibility ceiling is 0, not a division by zero
+    assert run("sweep", "--plate", "hwp", "--angles", "0", "--b1", 0,
+               "--p-h2", 0, "--noiseless", "--method", method,
+               "--out", tmp_path) == 3
+    assert "is not positive; no usable signal" in capsys.readouterr().err
+
+
+def test_sweep_refuses_a_configuration_off_the_phase_reference(tmp_path, capsys):
+    assert run("sweep", "--plate", "hwp", "--angles", "0", "--t-v-phase", 1.0,
+               "--noiseless", "--out", tmp_path) == 3
+    assert "error: the sweep configuration offsets" in capsys.readouterr().err
+    cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, idler=IdlerStateParams(0.5, 0.0, 1.0),
+                               q2=SourceQ2Params(0.5, 0.7))
+    (tmp_path / "config.json").write_text(json.dumps(cfg.to_json_dict()))
+    assert run("sweep", "--plate", "hwp", "--angles", "0", "--config",
+               tmp_path / "config.json", "--noiseless", "--out", tmp_path) == 3
+    assert (f"error: {tmp_path / 'config.json'}: the sweep configuration offsets"
+            in capsys.readouterr().err)
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -694,10 +770,10 @@ def test_manifest_records_the_parsed_argv(tmp_path):
 
 
 @pytest.mark.parametrize("method, digests", [
-    ("mle", ("c8cbeaf532288686478f4ebb93b106032de9bcf837bdb63e2448b34bff19f1e5",
-             "7d8984be1c5d12d43be5bdcc3fbcddd27cb8aac6009346d27ce92c6d6aa42618")),
-    ("fringe", ("fbd824fb50befa21589ac732e5713f1c222da685621a59f83a30a70629deb703",
-                "f4b19133743913deebdc8b02dfe2214c6c6307866763686d4f1fb4b67394b29f")),
+    ("mle", ("a7dbfbdb84eeac54250187f342e31bf54a6c3d6d074192f0888a8ee62133c159",
+             "211aeca39fbc1a233eda16af2983217031a9cd91e42f4ccd3bef8e5050364ab5")),
+    ("fringe", ("ad52e4a59ba109154e4bccce1dfa462dd3341d372632106d929e48ecc432f95d",
+                "ea14addad6bfa7eaebc0730a890514b5e0647cad755d97b096557f45109f85e7")),
 ])
 def test_manifest_hashes_every_input_file(tmp_path, method, digests):
     names = ("scan_H.csv", "scan_V.csv", "calibration.json", "reference.json")
@@ -712,8 +788,8 @@ def test_manifest_hashes_every_input_file(tmp_path, method, digests):
         for name in names]
     assert manifest["python"] == platform.python_version()
     assert manifest["platform"] == platform.platform()
-    # provenance goes only into the manifest: the primary outputs keep
-    # the digests they had before the manifest recorded it
+    # provenance goes only into the manifest; the digests pin every byte
+    # of the primary outputs
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("result.json", "report.txt")) == digests
 

@@ -87,8 +87,7 @@ def test_config_validation():
         InterferometerConfig(b1=0.5, b2_mag=0.5, idler=idler)
     with pytest.raises(ValueError):
         InterferometerConfig(b1=1.0, b2_mag=0.0, t_h=1.5, idler=idler)
-    cfg = InterferometerConfig.balanced(IdlerStateParams(0.4, 0.3, 0.75))
-    assert cfg.is_balanced
+    InterferometerConfig.balanced(IdlerStateParams(0.4, 0.3, 0.75))
 
 
 def test_config_json_round_trip():
@@ -324,7 +323,7 @@ def test_visibility_calibration_values():
     cfg = InterferometerConfig.balanced(idler, t_h=0.85, t_v=0.73)
     v_h, _ = visibilities(cfg)
     assert v_h == pytest.approx(0.85, abs=1e-12)
-    cfg_v = InterferometerConfig.balanced(IdlerStateParams.vertical(),
+    cfg_v = InterferometerConfig.balanced(IdlerStateParams(0.0, 0.0, 1.0),
                                           t_h=0.85, t_v=0.73)
     _, v_v = visibilities(cfg_v)
     assert v_v == pytest.approx(0.73, abs=1e-12)

@@ -1,6 +1,7 @@
 """Packaging metadata: it names only files that exist, and its console
 script is the CLI's entry point; ``python -m pitomo`` runs the same CLI.
-Every public name of the package has a caller or is exported."""
+Every public name of the package has a caller or is exported, and every
+public constant a reader."""
 
 import ast
 import importlib
@@ -44,13 +45,14 @@ def test_package_runs_with_python_dash_m():
 
 
 def _identifiers(paths):
-    """Every name and attribute that the given modules read or call."""
+    """Every name and attribute that the given modules read or call; an
+    assignment to a name is not a read."""
     out = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.add(node.attr)
     return out
 
@@ -59,13 +61,20 @@ def test_every_public_name_has_a_caller_or_is_exported():
     # A top-level public function or class of src/pitomo, or a public
     # method of any such class, must be used by name somewhere in the
     # package or in perfbench/ (the benchmark drives the package as a
-    # client), or be exported in pitomo.__all__.  Imports do not count.
+    # client), or be exported in pitomo.__all__; so must a public
+    # UPPER_CASE module constant.  Imports and assignments do not count.
     modules = sorted((ROOT / "src" / "pitomo").glob("*.py"))
     used = _identifiers(modules + sorted((ROOT / "perfbench").glob("*.py")))
     exported = set(pitomo.__all__)
     unused = []
     for path in modules:
         for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unused += [f"{path.name}: {t.id}" for t in targets
+                       if isinstance(t, ast.Name) and t.id.isupper()
+                       and not t.id.startswith("_")
+                       and t.id not in used and t.id not in exported]
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue

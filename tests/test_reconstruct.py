@@ -1,6 +1,7 @@
 """Fringe fitting, parameter extraction, and least-squares reconstruction."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -371,6 +372,14 @@ def test_both_routes_refuse_a_transmission_without_a_fringe_scale(t):
             route(scan_h, scan_v, 0.9, t)
 
 
+def test_mle_refuses_a_constant_detector_at_half_the_budget():
+    # the offset n/2 - mean(constant) would be 0: no fringe left to fit
+    scan_h, scan_v = scans_for(IdlerStateParams(0.5, 0.0, 1.0), n=1000)
+    scan_v = replace(scan_v, counts_constant=(500,) * len(GRID_20))
+    with pytest.raises(FitError, match="offset 0.0 is not positive"):
+        mle_reconstruct(scan_h, scan_v, 1.0, 1.0)
+
+
 def test_extract_checks_setting_pairing():
     scan_h, scan_v = scans_for(IdlerStateParams(0.5, 0.0, 1.0))
     with pytest.raises(ValueError):
@@ -405,15 +414,24 @@ def test_cost_periodic_in_xi():
     assert a == pytest.approx(b, rel=1e-12)
 
 
+def _constant_offset(scan):
+    """The least-squares route's offset: n/2 minus the constant detector's
+    mean count, rounded once from its exact value."""
+    counts = scan.counts_constant
+    return float(Fraction(scan.plan.counts_per_point, 2)
+                 - Fraction(sum(counts), len(counts)))
+
+
 def _direct_cost(scan_h, scan_v, candidate, t_h, t_v):
     """Sum of squared residuals, each residual rounded once from its exact
-    value, of the model a + b cos(phi - delta) on both scans."""
+    value, of the model a + b cos(phi - delta) on both scans, with the
+    least-squares route's offsets a."""
     terms = []
     for scan, vis, delta in (
             (scan_h, t_h * math.sqrt(candidate.p_h), 0.0),
             (scan_v, candidate.purity * t_v * math.sqrt(candidate.p_v),
              candidate.xi)):
-        a = scan.plan.counts_per_point / 3.0
+        a = _constant_offset(scan)
         b = a * vis
         coef = (Fraction(a), Fraction(b * math.cos(delta)),
                 Fraction(b * math.sin(delta)))
@@ -450,14 +468,18 @@ def test_cost_on_bundled_fixture_matches_exact_rational():
     # so an expanded square would cancel away every significant digit
     scan_h, scan_v = load_scan(DATA / "scan_H.csv"), load_scan(DATA / "scan_V.csv")
     cal = calibration_from_json(DATA / "calibration.json")
-    for result in (mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v),
-                   extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v)):
+    fitted = {scan: fit_sinusoid(scan.plan.phases, scan.counts_primary).offset
+              for scan in (scan_h, scan_v)}
+    for result, offset in ((mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v),
+                            _constant_offset),
+                           (extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v),
+                            fitted.__getitem__)):
         c = result.params
         exact = Fraction(0)
         for scan, vis, delta in (
                 (scan_h, cal.t_h * math.sqrt(c.p_h), 0.0),
                 (scan_v, c.purity * cal.t_v * math.sqrt(c.p_v), -c.xi)):
-            amp = Fraction(scan.plan.counts_per_point / 3.0)
+            amp = Fraction(offset(scan))
             for phi, y in zip(scan.plan.phases, scan.counts_primary):
                 model = amp * (1 + Fraction(vis) * Fraction(math.cos(phi + delta)))
                 exact += (model - y) ** 2
@@ -556,10 +578,10 @@ def test_mle_reconstructs_narrow_but_regular_grid():
     # least-squares route starts from its default point and must land
     # where the direct residual's minimizer did: these literals
     result = mle_reconstruct(*_packed_scans(0.05), 0.9, 0.85)
-    assert result.params.p_h == pytest.approx(0.3165618407667835, abs=1e-6)
-    assert result.params.xi == pytest.approx(0.5786262132045895, abs=1e-6)
-    assert result.params.purity == pytest.approx(0.9999999999999873, abs=1e-6)
-    assert result.cost == pytest.approx(3122.8866481390532, rel=1e-9)
+    assert result.params.p_h == pytest.approx(0.3065736788264166, abs=1e-6)
+    assert result.params.xi == pytest.approx(0.7271092001333701, abs=1e-6)
+    assert result.params.purity == pytest.approx(0.999999999999647, abs=1e-6)
+    assert result.cost == pytest.approx(3125.003480806723, rel=1e-9)
 
 
 def test_nelder_mead_reports_nonconvergence():
