@@ -4,9 +4,10 @@ Every ``from_json_dict`` reads its fields through :func:`field` and
 :func:`items`, and every JSON file is opened through :func:`load`, so a
 value of the wrong JSON type is reported as ``path: field must be ...``
 (a ``ValueError``, exit code 3 at the command line) instead of escaping
-as a ``TypeError`` or being coerced into something it is not.  Every
-JSON file is written through :func:`dump`, in one layout: sorted keys,
-two-space indent, a final newline.
+as a ``TypeError`` or being coerced into something it is not; a record's
+own rules name the entry they refuse the same way (:class:`EntryError`).
+Every JSON file is written through :func:`dump`, in one layout: sorted
+keys, two-space indent, a final newline.
 """
 
 from __future__ import annotations
@@ -21,8 +22,20 @@ _EXPECTED = {float: "a number", int: "an integer", bool: "true or false",
              str: "a string", list: "a list", dict: "an object"}
 
 
-def check(value, kind, name: str):
-    """``value`` as ``kind``, or a ValueError that names ``name``.
+class EntryError(ValueError):
+    """``key``, or entry ``index`` of the list ``key``, breaks ``rule``."""
+
+    def __init__(self, key: str, index, rule: str, value):
+        self.key, self.index, self.rule, self.value = key, index, rule, value
+        shown = repr(value)
+        if len(shown) > 60:
+            shown = shown[:57] + "..."
+        name = key if index is None else f"{key}[{index}]"
+        super().__init__(f"{name} {rule}, got {shown}")
+
+
+def check(value, kind, name: str, index=None):
+    """``value`` as ``kind``, or an EntryError for ``name`` or ``name[index]``.
 
     ``kind`` is float, int, bool, str, list, dict or an Enum class.  A
     number is a JSON integer or float, never a boolean; an integer field
@@ -48,10 +61,7 @@ def check(value, kind, name: str):
                 return int(value)
         elif type(value) is kind:
             return value
-    shown = repr(value)
-    if len(shown) > 60:
-        shown = shown[:57] + "..."
-    raise ValueError(f"{name} must be {expected}, got {shown}")
+    raise EntryError(name, index, f"must be {expected}", value)
 
 
 def field(d: dict, key: str, kind, default=_REQUIRED):
@@ -72,7 +82,7 @@ def items(d: dict, key: str, kind, default=_REQUIRED):
     ``default`` if the key is absent."""
     if key not in d and default is not _REQUIRED:
         return default
-    return tuple(check(x, kind, f"{key}[{i}]")
+    return tuple(check(x, kind, key, i)
                  for i, x in enumerate(field(d, key, list)))
 
 

@@ -18,9 +18,12 @@ table or one set of rejection constants.  The counts are those of one
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
 present, the generating configuration).  Integer counts round-trip
-bit-exactly through both.  The CSV reader makes one pass over the rows
-and names the file and line of the first bad one.  A stored calibration
-is range-checked as it is read.
+bit-exactly through both.  A stored calibration is range-checked as it
+is read.  The scan rules are written once, in ``ScanPlan`` and
+``ScanRecord``; each error names the entry, which a JSON scan reports as
+``path: phases[5] ...``, ``--phases`` as ``phases[5] ...`` and the CSV
+reader (itself checking only header tokens, columns and literals) as
+``path:line: phi_rad ...``, with the text found there.
 """
 
 from __future__ import annotations
@@ -31,11 +34,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import _kernels as _k
-from ._fields import dump, field, items, load
+from ._fields import EntryError, dump, field, items, load
 from .interferometer import InterferometerConfig, SignalSetting, fringe
-from .states import IdlerStateParams
-
-TWO_PI = 2.0 * math.pi
+from .states import TWO_PI, IdlerStateParams
 
 # the largest per-point budget whose counts and rates are exact floats
 MAX_COUNTS_PER_POINT = 1 << 53
@@ -53,24 +54,26 @@ class ScanPlan:
     noiseless: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        phases = tuple(float(p) for p in self.phases)
+        object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "setting", SignalSetting(self.setting))
-        if len(self.phases) < 5:
-            raise ValueError("a scan needs at least 5 phase points")
-        for i, p in enumerate(self.phases):
+        if len(phases) < 5:
+            raise EntryError("phases", None, "must hold at least 5 points", len(phases))
+        first = phases[0]
+        for i, p in enumerate(phases):
             if not math.isfinite(p):
-                raise ValueError(f"phases[{i}] must be finite, got {p!r}")
-        for a, b in zip(self.phases, self.phases[1:]):
-            if b <= a:
-                raise ValueError("phases must be strictly increasing")
-        if self.phases[-1] - self.phases[0] >= TWO_PI:
-            raise ValueError("phase grid must stay within one period")
-        if self.counts_per_point < 1:
-            raise ValueError("counts_per_point must be positive")
-        if self.counts_per_point > MAX_COUNTS_PER_POINT:
-            raise ValueError("counts_per_point must be at most 2**53")
+                raise EntryError("phases", i, "must be a finite number", p)
+            if i and p <= phases[i - 1]:
+                raise EntryError("phases", i, "must be strictly increasing", p)
+            if p - first >= TWO_PI:
+                raise EntryError("phases", i,
+                                 f"must stay within one period of {first!r}", p)
+        n = self.counts_per_point
+        if not 1 <= n <= MAX_COUNTS_PER_POINT:
+            raise EntryError("counts_per_point", None, "must be positive" if n < 1
+                             else "must be at most 2**53", n)
         if not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must fit in 64 bits")
+            raise EntryError("seed", None, "must fit in 64 bits", self.seed)
 
     @classmethod
     def default_grid(cls, setting: SignalSetting, seed: int, *, points: int = 20,
@@ -109,15 +112,16 @@ class ScanRecord:
     truth: Optional[InterferometerConfig] = None
 
     def __post_init__(self):
-        primary = tuple(self.counts_primary)
-        constant = tuple(self.counts_constant)
-        object.__setattr__(self, "counts_primary", primary)
-        object.__setattr__(self, "counts_constant", constant)
         npts = len(self.plan.phases)
-        if len(primary) != npts or len(constant) != npts:
-            raise ValueError("count lists must match the phase grid length")
-        if min(primary) < 0 or min(constant) < 0:
-            raise ValueError("counts must be nonnegative")
+        for key in ("counts_primary", "counts_constant"):
+            counts = tuple(getattr(self, key))
+            object.__setattr__(self, key, counts)
+            if len(counts) != npts:
+                raise EntryError(key, None, "must match the phase grid "
+                                 f"length {npts}", len(counts))
+            if min(counts) < 0:
+                i = next(i for i, c in enumerate(counts) if c < 0)
+                raise EntryError(key, i, "must be nonnegative", counts[i])
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,11 +188,10 @@ class CalibrationResult:
                   for key in ("t_h", "t_h_stderr", "t_v", "t_v_stderr")]
         for key, t, err in (("t_h", *values[:2]), ("t_v", *values[2:])):
             if not 0.0 <= err < math.inf:
-                raise ValueError(f"{key}_stderr must be finite and >= 0, "
-                                 f"got {err!r}")
+                raise EntryError(f"{key}_stderr", None, "must be finite and >= 0", err)
             if not 0.0 < t <= 1.0 + 5.0 * err + 1e-6:
-                raise ValueError(f"{key} must lie in (0, 1 + 5 {key}_stderr "
-                                 f"+ 1e-6], got {t!r}")
+                raise EntryError(key, None, f"must lie in (0, 1 + 5 {key}_stderr "
+                                 "+ 1e-6]", t)
         return cls(*values)
 
 
@@ -229,6 +232,9 @@ def run_calibration(cfg_template: InterferometerConfig,
 
 
 CSV_COLUMNS = ("phi_rad", "counts_fringe", "counts_const")
+# the CSV name of each entry that a ScanPlan or ScanRecord rule names
+_CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUMNS),
+                  counts_per_point="n", seed="seed")
 
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
@@ -244,9 +250,10 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
 def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
-    A malformed or out-of-range header value or data row is reported as
-    ``path:line: ...``; so is a number written with digit-group
-    underscores, which Python's int() and float() would accept.
+    A malformed header, row or number (digit-group underscores included,
+    which int() and float() accept; an unreadable phase reads as NaN) is
+    reported as ``path:line: ...``, and so is the entry a scan rule
+    refuses, under its column name and with the text found there.
     """
     rows = [(k, line) for k, line in enumerate(
         map(str.strip, Path(path).read_text().splitlines()), 1) if line]
@@ -258,6 +265,8 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         key, eq, value = kv.partition("=")
         if not eq:
             raise ValueError(f"{path}:{head}: expected key=value, got {kv!r}")
+        if key in meta:
+            raise ValueError(f"{path}:{head}: {key} appears twice in the header")
         meta[key] = value
     for key, parse, what in (("setting", SignalSetting, "H or V"),
                              ("seed", _plain_int, "an integer"),
@@ -269,20 +278,9 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         except ValueError:
             raise ValueError(f"{path}:{head}: {key} must be {what}, "
                              f"got {meta[key]!r}") from None
-    if meta["n"] < 1:
-        raise ValueError(f"{path}:{head}: n must be positive, got {meta['n']}")
-    if meta["n"] > MAX_COUNTS_PER_POINT:
-        raise ValueError(f"{path}:{head}: n must be at most 2**53")
-    if not 0 <= meta["seed"] < (1 << 64):
-        raise ValueError(f"{path}:{head}: seed must fit in 64 bits, "
-                         f"got {meta['seed']}")
     if rows[1][1] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
-    phi_col, fringe_col, const_col = CSV_COLUMNS
-    phases: list[float] = []
-    primary: list[int] = []
-    constant: list[int] = []
-    first = last = None
+    phases, primary, constant = [], [], []
     for k, line in rows[2:]:
         try:
             phi_text, fringe_text, const_text = line.split(",")
@@ -290,30 +288,22 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
                              f"got {line.count(',') + 1}") from None
         try:
-            phi = float(phi_text) if "_" not in phi_text else math.nan
+            phases.append(float(phi_text) if "_" not in phi_text else math.nan)
         except ValueError:
-            phi = math.nan
-        if not math.isfinite(phi):
-            raise ValueError(f"{path}:{k}: {phi_col} must be a finite "
-                             f"number, got {phi_text!r}")
-        if first is None:
-            first = phi
-        elif phi <= last:
-            raise ValueError(f"{path}:{k}: {phi_col} must be strictly "
-                             f"increasing, got {phi_text!r} after {last!r}")
-        elif phi - first >= TWO_PI:
-            raise ValueError(f"{path}:{k}: {phi_col} must stay within "
-                             f"one period of {first!r}, got {phi_text!r}")
-        last = phi
-        phases.append(phi)
-        primary.append(_csv_count(path, k, fringe_col, fringe_text))
-        constant.append(_csv_count(path, k, const_col, const_text))
+            phases.append(math.nan)
+        primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
+        constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
     try:
-        plan = ScanPlan(phases, meta["n"], meta["setting"], meta["seed"],
-                        noiseless=False)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return ScanRecord(plan, primary, constant, truth=None)
+        return ScanRecord(ScanPlan(phases, meta["n"], meta["setting"],
+                                   meta["seed"]), primary, constant)
+    except EntryError as exc:
+        name = _CSV_NAMES[exc.key]
+        if exc.index is not None:  # a data row: show the text found there
+            k, line = rows[2 + exc.index]
+            got = line.split(",")[CSV_COLUMNS.index(name)]
+        else:  # a header value, or a whole column
+            k, got = (rows[1][0] if name in CSV_COLUMNS else head), exc.value
+        raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {got!r}") from None
 
 
 def _plain_int(text: str) -> int:
@@ -325,14 +315,10 @@ def _plain_int(text: str) -> int:
 
 def _csv_count(path, k: int, name: str, text: str) -> int:
     try:
-        count = _plain_int(text)
+        return _plain_int(text)
     except ValueError:
         raise ValueError(f"{path}:{k}: {name} must be an integer "
                          f"count, got {text!r}") from None
-    if count < 0:
-        raise ValueError(f"{path}:{k}: {name} must be nonnegative, "
-                         f"got {text!r}")
-    return count
 
 
 def scan_to_json(record: ScanRecord, path: str | Path) -> None:

@@ -31,7 +31,7 @@ from .interferometer import (InterferometerConfig, SignalSetting,
                              fringe, random_valid_config, rates_closed_form,
                              rates_exact)
 from .reconstruct import (ConvergenceError, ReconstructionResult,
-                          extract_parameters, fit_sinusoid, mle_reconstruct,
+                          _sweep_point, extract_parameters, mle_reconstruct,
                           report_fidelity)
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateSetting,
                      prepared_idler_params)
@@ -235,10 +235,8 @@ def cmd_reconstruct(args) -> int:
         raise ValueError(f"{args.scan_h} and {args.scan_v} embed truths that "
                          "differ in more than the signal setting")
     cal = calibration_from_json(args.calibration)
-    if args.method == "mle":
-        result = mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v)
-    else:
-        result = extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v)
+    solve = mle_reconstruct if args.method == "mle" else extract_parameters
+    result = solve(scan_h, scan_v, cal.t_h, cal.t_v)
     reference = None
     if args.reference is not None:
         reference = load(args.reference, IdlerStateParams.from_json_dict)
@@ -280,13 +278,9 @@ def cmd_sweep(args) -> int:
         plan_v = replace(plan_h, setting=SignalSetting.V)
         scan_h = run_scan(cfg_a, plan_h)
         scan_v = run_scan(cfg_a, plan_v)
-        if args.method == "mle":
-            result = mle_reconstruct(scan_h, scan_v, t_h, t_v)
-        else:
-            result = extract_parameters(scan_h, scan_v, t_h, t_v)
+        result, vis_h, vis_v = _sweep_point(scan_h, scan_v, t_h, t_v,
+                                            args.method == "mle")
         report_fidelity(result, prepared)
-        vis_h = fit_sinusoid(scan_h.plan.phases, scan_h.counts_primary).visibility
-        vis_v = fit_sinusoid(scan_v.plan.phases, scan_v.counts_primary).visibility
         theory_h = fringe(scan_h.truth).visibility
         theory_v = fringe(scan_v.truth).visibility
         rows.append((angle_deg, vis_h, vis_v, result.params.p_h,
@@ -304,27 +298,28 @@ def cmd_sweep(args) -> int:
 
 
 def _numbers(texts: list[str], flag: str) -> list[float]:
-    """Finite floats, or a ValueError that names the flag."""
+    """Floats, or a ValueError that names the flag."""
     out = []
     for text in texts:
         try:
-            x = float(text)
+            out.append(float(text))
         except ValueError:
             raise ValueError(f"{flag}: expected a number, got {text!r}") from None
-        if not math.isfinite(x):
-            raise ValueError(f"{flag}: {text!r} is not a finite number")
-        out.append(x)
     return out
 
 
 def _parse_angles(spec: str) -> list[float]:
     """Either 'start:stop:step' (inclusive endpoints) or a comma list, degrees."""
-    if ":" not in spec:
-        return _numbers(spec.split(","), "--angles")
-    bounds = spec.split(":")
-    if len(bounds) != 3:
+    texts = spec.split(":" if ":" in spec else ",")
+    if ":" in spec and len(texts) != 3:
         raise ValueError(f"--angles: expected start:stop:step, got {spec!r}")
-    start, stop, step = _numbers(bounds, "--angles")
+    angles = _numbers(texts, "--angles")
+    for text, x in zip(texts, angles):
+        if not math.isfinite(x):
+            raise ValueError(f"--angles: {text!r} is not a finite number")
+    if ":" not in spec:
+        return angles
+    start, stop, step = angles
     if step <= 0:
         raise ValueError("--angles: step must be positive")
     # k runs while start + k * step <= stop + 1e-9, i.e. up to about span

@@ -57,8 +57,6 @@ from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
 from .states import IdlerStateParams, wrap_angle
 
-TWO_PI = 2.0 * math.pi
-
 
 class FitError(ValueError):
     """Raised when scan data cannot support the requested fit."""
@@ -322,11 +320,13 @@ class ReconstructionResult:
         )
 
 
-def _check_scans(scan_h: ScanRecord, scan_v: ScanRecord) -> None:
+def _fits(scan_h: ScanRecord, scan_v: ScanRecord) -> tuple[_ScanFit, _ScanFit]:
+    """Each scan's least-squares fit, once the settings are checked."""
     if scan_h.plan.setting is not SignalSetting.H:
         raise ValueError("scan_h must come from the H signal setting")
     if scan_v.plan.setting is not SignalSetting.V:
         raise ValueError("scan_v must come from the V signal setting")
+    return tuple(_fit_scan(s.plan.phases, s.counts_primary) for s in (scan_h, scan_v))
 
 
 def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
@@ -338,13 +338,7 @@ def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
     that of :func:`mle_cost` with each scan's fitted offset.  FitError: a
     grid under half a period, an offset <= 0, or offset*t out of range.
     """
-    _check_scans(scan_h, scan_v)
-    return _extract(scan_h, scan_v, _fit_record(scan_h), _fit_record(scan_v),
-                    t_h, t_v)
-
-
-def _fit_record(record: ScanRecord) -> _ScanFit:
-    return _fit_scan(record.plan.phases, record.counts_primary)
+    return _extract(scan_h, scan_v, *_fits(scan_h, scan_v), t_h, t_v)
 
 
 def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
@@ -453,9 +447,8 @@ def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
     both scans; :func:`mle_reconstruct` fits them once and then scores
     each candidate in O(1).
     """
-    _check_scans(data_h, data_v)
-    return _pair_cost(_fit_record(data_h), _fit_record(data_v), candidate.p_h,
-                      candidate.xi, candidate.purity, t_h, t_v,
+    return _pair_cost(*_fits(data_h, data_v), candidate.p_h, candidate.xi,
+                      candidate.purity, t_h, t_v,
                       _constant_offset(data_h), _constant_offset(data_v))
 
 
@@ -548,11 +541,15 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
     are singular (``_solve3``'s determinant test, e.g. 5 points within a few
     milliradians), an offset <= 0 and an offset*t out of range.
     """
-    _check_scans(data_h, data_v)
+    return _mle(data_h, data_v, *_fits(data_h, data_v), t_h, t_v)
+
+
+def _mle(data_h: ScanRecord, data_v: ScanRecord, lsq_h: _ScanFit,
+         lsq_v: _ScanFit, t_h: float, t_v: float) -> ReconstructionResult:
+    """The least-squares route on both scans' least-squares fits."""
     a_h, a_v = _constant_offset(data_h), _constant_offset(data_v)
     _check_scale(a_h, t_h)
     _check_scale(a_v, t_v)
-    lsq_h, lsq_v = _fit_record(data_h), _fit_record(data_v)
     try:
         init = _extract(data_h, data_v, lsq_h, lsq_v, t_h, t_v).params
         x0 = [init.p_h, init.xi, init.purity]
@@ -583,6 +580,17 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
         raise ConvergenceError(
             f"minimizer exhausted {nfev} evaluations without converging", result)
     return result
+
+
+def _sweep_point(scan_h: ScanRecord, scan_v: ScanRecord, t_h: float, t_v: float,
+                 mle: bool) -> tuple[ReconstructionResult, float, float]:
+    """A reconstruction and both scans' fitted visibilities, from one fit
+    per scan; FitError as :func:`fit_sinusoid`."""
+    lsq_h, lsq_v = _fits(scan_h, scan_v)
+    result = (_mle if mle else _extract)(scan_h, scan_v, lsq_h, lsq_v, t_h, t_v)
+    for scan in (scan_h, scan_v):
+        _check_fringe_grid(scan.plan.phases, scan.counts_primary)
+    return result, lsq_h.sinusoid().visibility, lsq_v.sinusoid().visibility
 
 
 def report_fidelity(result: ReconstructionResult,

@@ -309,6 +309,9 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
                  "n must be an integer, got '100_000_000'", id="header_underscore_n"),
     pytest.param(1, lambda f: [f[0].replace("seed=0", "seed=0_0")],
                  "seed must be an integer, got '0_0'", id="header_underscore_seed"),
+    # a repeated key once read as its last value: n = 7 here
+    pytest.param(1, lambda f: [f[0] + " n=7"], "n appears twice in the header",
+                 id="header_repeated_key"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -321,6 +324,88 @@ def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                "--calibration", DATA / "calibration.json",
                "--out", tmp_path / "rec") == 3
     assert f"scan_H.csv:{line}: {message}" in capsys.readouterr().err
+
+
+# Each bad entry: its id, the ScanPlan/ScanRecord key and index it breaks,
+# the rule the message states, and the edit that puts it into tests/data's
+# H scan.  The readers name it in their own forms (see below).
+BAD_ENTRIES = [
+    ("nan_phase", "phases", 5, "must be a finite number",
+     lambda s: s["phases"].__setitem__(5, math.nan)),
+    ("repeated_phase", "phases", 5, "must be strictly increasing",
+     lambda s: s["phases"].__setitem__(5, s["phases"][4])),
+    ("phase_a_period_past_the_first", "phases", 19,
+     "must stay within one period of 0.0",
+     lambda s: s["phases"].__setitem__(19, s["phases"][0] + 2 * math.pi)),
+    ("four_points", "phases", None, "must hold at least 5 points, got 4",
+     lambda s: s.update({k: s[k][:4] for k in ("phases", "counts_primary",
+                                              "counts_constant")})),
+    ("negative_fringe_count", "counts_primary", 7, "must be nonnegative",
+     lambda s: s["counts_primary"].__setitem__(7, -1)),
+    ("negative_constant_count", "counts_constant", 3, "must be nonnegative",
+     lambda s: s["counts_constant"].__setitem__(3, -1)),
+    ("zero_n", "counts_per_point", None, "must be positive, got 0",
+     lambda s: s.__setitem__("counts_per_point", 0)),
+    ("n_past_2_53", "counts_per_point", None, "must be at most 2**53",
+     lambda s: s.__setitem__("counts_per_point", 2 ** 53 + 1)),
+    ("negative_seed", "seed", None, "must fit in 64 bits, got -1",
+     lambda s: s.__setitem__("seed", -1)),
+]
+CSV_NAME = {"phases": "phi_rad", "counts_primary": "counts_fringe",
+            "counts_constant": "counts_const", "counts_per_point": "n",
+            "seed": "seed"}
+
+
+def _bad_scan(edit):
+    doc = json.loads((DATA / "scan_H.json").read_text())
+    scan = {"phases": doc["plan"]["phases"],
+            "counts_primary": doc["counts_primary"],
+            "counts_constant": doc["counts_constant"],
+            "counts_per_point": doc["plan"]["counts_per_point"],
+            "seed": doc["plan"]["seed"]}
+    edit(scan)
+    return doc, scan
+
+
+@pytest.mark.parametrize("reader, key, index, rule, edit", [
+    pytest.param(reader, key, index, rule, edit, id=f"{case}-{reader}")
+    for case, key, index, rule, edit in BAD_ENTRIES
+    # --phases carries only the phase grid
+    for reader in ("csv", "json") + (("phases_flag",) if key == "phases" else ())])
+def test_every_reader_names_the_bad_scan_entry(tmp_path, capsys, reader,
+                                               key, index, rule, edit):
+    # every scan rule is written once, in ScanPlan/ScanRecord; each reader
+    # names the entry that breaks it in its own form
+    doc, scan = _bad_scan(edit)
+    if reader == "phases_flag":
+        spec = ",".join(map(repr, scan["phases"]))
+        assert run("simulate", "--setting", "H", "--seed", 1, "--phases", spec,
+                   "--out", tmp_path) == 3
+        name = key if index is None else f"{key}[{index}]"
+        assert f"error: {name} {rule}" in capsys.readouterr().err
+        return
+    path = tmp_path / f"scan_H.{reader}"
+    if reader == "json":
+        doc["plan"].update(phases=scan["phases"], seed=scan["seed"],
+                           counts_per_point=scan["counts_per_point"])
+        doc.update(counts_primary=scan["counts_primary"],
+                   counts_constant=scan["counts_constant"])
+        path.write_text(json.dumps(doc))
+        where = f"{path}: {key if index is None else f'{key}[{index}]'}"
+    else:
+        rows = zip(scan["phases"], scan["counts_primary"],
+                   scan["counts_constant"])
+        path.write_text("\n".join(
+            [f"# setting=H seed={scan['seed']} n={scan['counts_per_point']}",
+             "phi_rad,counts_fringe,counts_const",
+             *(f"{p!r},{a},{b}" for p, a, b in rows)]) + "\n")
+        line = (3 + index if index is not None
+                else 2 if key == "phases" else 1)
+        where = f"{path}:{line}: {CSV_NAME[key]}"
+    assert run("reconstruct", "--scan-h", path, "--scan-v", DATA / "scan_V.json",
+               "--calibration", DATA / "calibration.json",
+               "--out", tmp_path / "rec") == 3
+    assert f"error: {where} {rule}" in capsys.readouterr().err
 
 
 def test_reconstruct_refuses_singular_phase_grid(tmp_path, capsys):
@@ -601,6 +686,22 @@ def test_angle_range_cap_is_inclusive():
     assert _parse_angles("0:90:5")[-1] == 90.0
 
 
+@pytest.mark.parametrize("method", ["fringe", "mle"])
+def test_sweep_fits_each_scan_once(tmp_path, monkeypatch, method):
+    import pitomo.reconstruct
+    calls = []
+    fit_scan = pitomo.reconstruct._fit_scan
+
+    def counted(*args):
+        calls.append(1)
+        return fit_scan(*args)
+
+    monkeypatch.setattr(pitomo.reconstruct, "_fit_scan", counted)
+    assert run("sweep", "--plate", "hwp", "--angles", "0:45:45", "--noiseless",
+               "--method", method, "--out", tmp_path) == 0
+    assert len(calls) == 4  # 2 angles x 2 scans
+
+
 def test_sweep_reads_the_phase_grid(tmp_path):
     default = ",".join(repr(2 * math.pi * k / 20) for k in range(20))
     outputs = {}
@@ -667,7 +768,6 @@ def test_oversized_point_count_exits_3_before_building_the_grid(
 
 @pytest.mark.parametrize("spec, message", [
     ("0,x", "expected a number, got 'x'"),
-    ("0,1,nan", "'nan' is not a finite number"),
     ("", "expected a number, got ''"),
 ])
 def test_simulate_refuses_bad_phase_spec(tmp_path, capsys, spec, message):

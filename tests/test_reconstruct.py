@@ -11,7 +11,7 @@ from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
                                 load_scan, run_scan)
 from pitomo.interferometer import InterferometerConfig, SignalSetting
 from pitomo.reconstruct import (ConvergenceError, FitError, Method,
-                                _ball_block, _ball_solve, _fit_record,
+                                _ball_block, _ball_solve, _fits,
                                 _nelder_mead, extract_parameters,
                                 fit_sinusoid, mle_cost, mle_reconstruct,
                                 report_fidelity)
@@ -272,7 +272,7 @@ def _boundary_problems(phases):
         scan_h, scan_v = _noisy_pair(truth, t_h, t_v, seed, phases)
         result = extract_parameters(scan_h, scan_v, t_h, t_v)
         if "purity_bound_active" in result.flags:
-            fits = [_fit_record(s) for s in (scan_h, scan_v)]
+            fits = _fits(scan_h, scan_v)
             blocks = [_ball_block(f, f.theta[0] * t) for f, t in zip(fits, (t_h, t_v))]
             out.append((result, blocks))
     return out
