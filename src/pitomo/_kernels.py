@@ -7,14 +7,20 @@ avoided, so that a ``(seed, stream)`` pair gives the same noise stream
 and the same primary outputs everywhere.
 
 Matrices are flat row-major sequences of Python complex numbers with
-dimensions passed alongside; any indexable sequence will do.  Both
-matrix kernels skip exact zeros, and for finite input no bit of their
-results moves: a left-out term is a signed zero or a +0 square, and
-adding it to a sum that started at +0 (so is never -0) changes nothing.
-:func:`sandwich` forms a m a^dagger over the nonzeros of a on live modes
-of m alone (6 of the alignment isometry's 96 entries), each sum in the
-ascending order of the full triple loop; a dead mode's row and column of
-m are exact zeros, so an entry left out would sum to +0j, its initial value.
+dimensions passed alongside; any indexable sequence will do.  The left
+factor of :func:`sandwich` comes in row form instead: a list of
+``(i, [(l, v), ...])``, one pair per row i that has entries, each entry
+(l, v) the value v in column l, columns ascending.  Only the listed
+entries are terms, so a factor built from its nonzeros costs no scan of
+its zeros (the alignment isometry lists 12 of its 96 entries).  For
+finite input no bit of either matrix kernel's results moves when a zero
+is left out: a left-out term is a signed zero or a +0 square, and adding
+it to a sum that started at +0 (so is never -0) changes nothing.
+:func:`sandwich` forms a m a^dagger on the live modes of m alone (6 of the
+alignment isometry's 12 rows), each sum in the ascending order of the
+full triple loop; a dead mode's row and column of m are exact zeros, so
+an entry left out would sum to +0j, its initial value, and so would a
+listed zero of a.
 :func:`eigh` rotates only the indices whose row of the Hermitized matrix is
 nonzero (the joint 8x8 state has four zero rows): a zero row stays zero under
 rotations among the others, every rotation that involves it meets a zero pivot
@@ -27,6 +33,14 @@ Random numbers come from xoshiro256** seeded through splitmix64:
   then four successive splitmix64 outputs starting from ``s`` fill the
   xoshiro256** state.  ``(seed, stream)`` fully determines the stream.
 * uniforms: ``(u64 >> 11) * 2^-53`` in [0, 1).
+* the step keeps only the masks that can change the low 64 bits, the
+  words of the state and of the output.  ``x = 5 s1`` is left unmasked:
+  its bits above 64 reach ``x << 7`` only above bit 64, and the rotate's
+  right half shifts ``x & M`` instead.  The rotated word is not masked
+  before ``* 9``, since the low 64 bits of a product depend only on the
+  low 64 bits of its factors, and the product is masked once.  The state
+  rotation masks ``s3 << 45`` before the OR with the 45-bit ``s3 >> 19``,
+  which keeps every intermediate below 2^109 and the result a 64-bit word.
 * Poisson counts: inversion by sequential search for mean < 30, and the
   transformed-rejection sampler (normal-approximation proposal with an
   exact acceptance step) above, using a fixed-coefficient Stirling
@@ -55,6 +69,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -67,23 +83,37 @@ def active_backend() -> str:
     return "pure"
 
 
+def plain_sum(xs, start=0.0):
+    """``start`` plus the items of ``xs``, added left to right in plain
+    arithmetic.  sum() compensates float sums from Python 3.12 on, so its
+    last bit depends on the Python version; this is 3.11's sum() on every
+    version, given start 0.0 for floats, 0j for complexes, 0 for ints."""
+    return reduce(add, xs, start)
+
+
 # ---------------------------------------------------------------------------
 # complex matrix kernels
 
 
 def sandwich(a, ar, ac, m):
-    """a m a^dagger for row-major complex a (ar x ac) and m (ac x ac).
+    """a m a^dagger for an ar x ac complex a in row form and a row-major
+    ac x ac m; the result is row-major ar x ar.
 
     Row i of a m sums v * m[l, :], and entry (i, j) of the result sums
-    (a m)[i, l] * conj(v), over the nonzeros (l, v) of row i, resp. row j,
+    (a m)[i, l] * conj(v), over the entries (l, v) of row i, resp. row j,
     of a on live modes of m in ascending l; see the module docstring.
     """
-    if len(a) != ar * ac or len(m) != ac * ac:
-        raise ValueError(f"sandwich shape mismatch: {len(a)} entries for "
-                         f"{ar}x{ac} and {len(m)} for {ac}x{ac}")
-    live = [l for l in range(ac) if any(m[l * ac:l * ac + ac]) or any(m[l::ac])]
-    rows = [(i, nz) for i in range(ar) if (nz := [
-        (l, a[i * ac + l]) for l in live if a[i * ac + l] != 0])]
+    if len(m) != ac * ac or not all(0 <= i < ar for i, _ in a):
+        raise ValueError(f"sandwich shape mismatch: {len(m)} entries for "
+                         f"{ac}x{ac}, or a row index of a outside 0..{ar - 1}")
+    is_live = {l: any(m[l * ac:l * ac + ac]) or any(m[l::ac]) for l in range(ac)}
+    live = [l for l in range(ac) if is_live[l]]
+    try:
+        rows = [(i, nz) for i, row in a
+                if (nz := [e for e in row if is_live[e[0]]])]
+    except KeyError as exc:
+        raise ValueError(f"sandwich shape mismatch: column index {exc.args[0]!r}"
+                         f" of a outside 0..{ac - 1}") from None
     conj = [(j, [(l, v.conjugate()) for l, v in nz]) for j, nz in rows]
     out = [0j] * (ar * ar)
     for i, nz in rows:
@@ -230,15 +260,15 @@ class Rng:
 
     def u64(self):
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s1 * 5) & _MASK64
-        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+        x = s1 * 5
+        result = (((x << 7) | ((x & _MASK64) >> 57)) * 9) & _MASK64
         t = (s1 << 17) & _MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
@@ -255,15 +285,15 @@ class Rng:
         s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
         try:
             while True:
-                x = (s1 * 5) & _MASK64
+                x = s1 * 5
                 t = (s1 << 17) & _MASK64
                 s2 ^= s0
                 s3 ^= s1
                 s1 ^= s2
                 s0 ^= s3
                 s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-                yield ((((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64)
+                s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
+                yield (((((x << 7) | ((x & _MASK64) >> 57)) * 9) & _MASK64)
                        >> 11) * _INV_2_53
         finally:
             self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3

@@ -267,10 +267,10 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             raise ValueError(f"{path}:{head}: expected key=value, got {kv!r}")
         if key in meta:
             raise ValueError(f"{path}:{head}: {key} appears twice in the header")
+        if key not in _CSV_HEADER:
+            raise ValueError(f"{path}:{head}: unknown header key {key!r}")
         meta[key] = value
-    for key, parse, what in (("setting", SignalSetting, "H or V"),
-                             ("seed", _plain_int, "an integer"),
-                             ("n", _plain_int, "an integer")):
+    for key, (parse, what) in _CSV_HEADER.items():
         if key not in meta:
             raise ValueError(f"{path}:{head}: {key} is missing from the header")
         try:
@@ -311,6 +311,12 @@ def _plain_int(text: str) -> int:
     if "_" in text:
         raise ValueError(text)
     return int(text)
+
+
+# the header's keys: each value's parser, and what the value must be
+_CSV_HEADER = {"setting": (SignalSetting, "H or V"),
+               "seed": (_plain_int, "an integer"),
+               "n": (_plain_int, "an integer")}
 
 
 def _csv_count(path, k: int, name: str, text: str) -> int:

@@ -365,7 +365,7 @@ def run_verification(trials: int, seed: int) -> dict:
         for purity in (0.0, 0.5, 1.0):
             # raw: a DensityMatrix would refuse a bad trace unreported
             raw = _total_state_raw(random_valid_config(rng, purity=purity))
-            tr = sum(raw[i * 9] for i in range(8))
+            tr = _k.plain_sum((raw[i * 9] for i in range(8)), 0j)
             worst_tr = max(worst_tr, abs(tr.real - 1.0), abs(tr.imag))
             worst_eig = min(worst_eig, _k.eigh(raw, 8)[0])
     checks.append({

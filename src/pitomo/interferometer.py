@@ -16,10 +16,14 @@ so every intermediate object stays a valid state.  After tracing the
 idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
 of one output port are the detection rates.  :func:`rates_exact` is the
-one matrix path: two congruences (``_kernels.sandwich``) around a partial
-trace, each stage a private helper on flat row-major lists.  Both skip the
-joint state's empty modes: source 1's unused signal polarization (modes 2, 3
-for setting H; 0, 1 for V) and source 2's HV and VH (5, 6; it emits HH or VV).
+one matrix path, each stage a private helper on flat row-major lists: the
+joint state, whose six nonzero coherences are mirrored; one congruence
+(``_kernels.sandwich``) over the 12 nonzero rows of the alignment isometry,
+held in row form; the partial trace to the signal state rho_S; and of
+B rho_S B^dagger only the two populations the detectors read, each summed
+in the congruence's order.  The congruence skips the joint state's empty
+modes: source 1's unused signal polarization (modes 2, 3 for setting H;
+0, 1 for V) and source 2's HV and VH (5, 6; it emits HH or VV).
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -67,12 +71,14 @@ BASIS_8 = (
     "H_Sb⊗H_Ib", "H_Sb⊗V_Ib", "V_Sb⊗H_Ib", "V_Sb⊗V_Ib",
 )
 
-# recombiner: Hadamard-like on the path factor, identity on polarization
-_BS_RAW = [
-    SQRT1_2 + 0j, 0j, SQRT1_2 + 0j, 0j,
-    0j, SQRT1_2 + 0j, 0j, SQRT1_2 + 0j,
-    SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j, 0j,
-    0j, SQRT1_2 + 0j, 0j, -SQRT1_2 + 0j,
+# recombiner B in the row form of ``_kernels.sandwich``: Hadamard-like on
+# the path factor, identity on polarization; rows 0 and 1 are the detected
+# port's H and V
+_BS_ROWS = [
+    (0, [(0, SQRT1_2 + 0j), (2, SQRT1_2 + 0j)]),
+    (1, [(1, SQRT1_2 + 0j), (3, SQRT1_2 + 0j)]),
+    (2, [(0, SQRT1_2 + 0j), (2, -SQRT1_2 + 0j)]),
+    (3, [(1, SQRT1_2 + 0j), (3, -SQRT1_2 + 0j)]),
 ]
 
 
@@ -223,31 +229,31 @@ def _total_state_raw(cfg: InterferometerConfig,
     r[(o + 1) * 8 + 4] = cross * pur * math.sqrt(p_v * p_h2) * cmath.exp(1j * xi)
     r[(o + 1) * 8 + 7] = (cross * pur * math.sqrt(p_v * p_v2)
                           * cmath.exp(1j * (xi - theta)))
-    # fill the Hermitian conjugates
-    for i in range(8):
-        for j in range(i + 1, 8):
-            r[j * 8 + i] = r[i * 8 + j].conjugate()
+    # mirror the six nonzero upper off-diagonal entries
+    for i, j in ((o, o + 1), (o, 4), (o, 7), (o + 1, 4), (o + 1, 7), (4, 7)):
+        r[j * 8 + i] = r[i * 8 + j].conjugate()
     return r
 
 
-def _alignment_isometry_raw(cfg: InterferometerConfig) -> list[complex]:
+def _alignment_isometry_raw(cfg: InterferometerConfig) -> list:
     """12x8 isometry: b' idler modes split into (b, w), b modes untouched.
 
     The 12 output modes are H_Sa and V_Sa, each with the idler modes
     H_Ib, V_Ib, H_Iw, V_Iw, then the four source-2 modes of ``BASIS_8``.
+    Returned in the row form of ``_kernels.sandwich``: each of the 12 rows
+    has one entry.
     """
-    r_h = math.sqrt(max(0.0, 1.0 - abs(cfg.t_h) ** 2))
-    r_v = math.sqrt(max(0.0, 1.0 - abs(cfg.t_v) ** 2))
-    k = [0j] * (12 * 8)
-    for s in range(2):  # signal H_Sa / V_Sa
-        k[(s * 4 + 0) * 8 + (s * 2 + 0)] = cfg.t_h   # H_Ib' -> H_Ib
-        k[(s * 4 + 2) * 8 + (s * 2 + 0)] = complex(r_h)  # H_Ib' -> H_Iw
-        k[(s * 4 + 1) * 8 + (s * 2 + 1)] = cfg.t_v   # V_Ib' -> V_Ib
-        k[(s * 4 + 3) * 8 + (s * 2 + 1)] = complex(r_v)  # V_Ib' -> V_Iw
-    for s in range(2):  # source-2 sector passes through
-        for p in range(2):
-            k[(8 + s * 2 + p) * 8 + (4 + s * 2 + p)] = 1.0 + 0j
-    return k
+    r_h = complex(math.sqrt(max(0.0, 1.0 - abs(cfg.t_h) ** 2)))
+    r_v = complex(math.sqrt(max(0.0, 1.0 - abs(cfg.t_v) ** 2)))
+    return [
+        (0, [(0, cfg.t_h)]), (1, [(1, cfg.t_v)]),  # H_Sa: b' -> b
+        (2, [(0, r_h)]), (3, [(1, r_v)]),          # H_Sa: b' -> w
+        (4, [(2, cfg.t_h)]), (5, [(3, cfg.t_v)]),  # V_Sa: b' -> b
+        (6, [(2, r_h)]), (7, [(3, r_v)]),          # V_Sa: b' -> w
+        # the source-2 sector passes through
+        (8, [(4, 1.0 + 0j)]), (9, [(5, 1.0 + 0j)]),
+        (10, [(6, 1.0 + 0j)]), (11, [(7, 1.0 + 0j)]),
+    ]
 
 
 def _apply_alignment_raw(r8: Sequence[complex],
@@ -287,9 +293,21 @@ def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
     return rs
 
 
-def _recombine_raw(rs: Sequence[complex]) -> list[complex]:
-    """Second congruence: the recombined signal state B rs B^dagger."""
-    return _k.sandwich(_BS_RAW, 4, 4, rs)
+def _detected_raw(rs: Sequence[complex]) -> tuple[float, float]:
+    """The detected port's populations <0|B rs B^dagger|0> and
+    <1|B rs B^dagger|1>, each summed in the order of ``_k.sandwich``.  The
+    terms of rs's empty modes, which that kernel leaves out, are kept: they
+    are signed zeros, which leave every bit as it is (see ``_kernels``)."""
+    out = []
+    for _, nz in _BS_ROWS[:2]:
+        acc = 0j
+        for l, v in nz:
+            row = 0j  # (B rs)[i, l]
+            for k, w in nz:
+                row = row + w * rs[k * 4 + l]
+            acc = acc + row * v.conjugate()
+        out.append(acc.real)
+    return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +337,7 @@ def rates_exact(cfg: InterferometerConfig) -> DetectionRates:
     r8 = _total_state_raw(cfg)
     r12 = _apply_alignment_raw(r8, cfg)
     rs = _signal_marginal_raw(r12)
-    out = _recombine_raw(rs)
-    return DetectionRates(out[0].real, out[5].real)
+    return DetectionRates(*_detected_raw(rs))
 
 
 @dataclass(frozen=True)

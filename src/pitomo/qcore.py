@@ -110,7 +110,7 @@ class DensityMatrix:
 
 
 def _norm(psi: Sequence[complex]) -> float:
-    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in psi))
+    return math.sqrt(_k.plain_sum(x.real * x.real + x.imag * x.imag for x in psi))
 
 
 def fidelity_pure(psi_a: Sequence[complex], psi_b: Sequence[complex]) -> float:
@@ -121,7 +121,7 @@ def fidelity_pure(psi_a: Sequence[complex], psi_b: Sequence[complex]) -> float:
         n = _norm(psi)
         if abs(n - 1.0) > 1e-10:
             raise ValueError(f"{name} state vector is not normalized (norm {n})")
-    ip = sum(a.conjugate() * b for a, b in zip(psi_a, psi_b))
+    ip = _k.plain_sum((a.conjugate() * b for a, b in zip(psi_a, psi_b)), 0j)
     return abs(ip) ** 2
 
 
@@ -150,7 +150,8 @@ def qubit_state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != 2 or sigma.dim != 2:
         raise ValueError("closed form is specific to qubits")
-    tr = sum(rho.at(i, j) * sigma.at(j, i) for i in range(2) for j in range(2))
+    tr = _k.plain_sum((rho.at(i, j) * sigma.at(j, i)
+                       for i in range(2) for j in range(2)), 0j)
     det_r = (rho.at(0, 0) * rho.at(1, 1) - rho.at(0, 1) * rho.at(1, 0)).real
     det_s = (sigma.at(0, 0) * sigma.at(1, 1) - sigma.at(0, 1) * sigma.at(1, 0)).real
     f = tr.real + 2.0 * math.sqrt(max(0.0, det_r) * max(0.0, det_s))

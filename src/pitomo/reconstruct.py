@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._fields import field, items
+from ._kernels import plain_sum
 from .acquisition import ScanRecord
 from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
@@ -111,7 +112,7 @@ def _solve3(m: list[list[float]], rhs: list[float]) -> tuple[list[float], list[l
         [cb / det, (a * i - c * g) / det, -(a * f - c * d) / det],
         [cc / det, -(a * h - b * g) / det, (a * e - b * d) / det],
     ]
-    sol = [sum(inv[r][k] * rhs[k] for k in range(3)) for r in range(3)]
+    sol = [plain_sum(inv[r][k] * rhs[k] for k in range(3)) for r in range(3)]
     return sol, inv
 
 
@@ -199,16 +200,21 @@ def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
     m = len(phases)
     cos_k = [math.cos(p) for p in phases]
     sin_k = [math.sin(p) for p in phases]
-    sc = sum(cos_k)
-    ss = sum(sin_k)
-    scc = sum(c * c for c in cos_k)
-    sss = sum(s * s for s in sin_k)
-    scs = sum(c * s for c, s in zip(cos_k, sin_k))
-    sy = float(sum(counts))
-    syc = sum(y * c for y, c in zip(counts, cos_k))
-    sys_ = sum(y * s for y, s in zip(counts, sin_k))
+    # each sum left to right from 0.0 (integer counts exactly, rounded once),
+    # as plain_sum does, and so the same bits on every Python
+    sc = ss = scc = sss = scs = syc = sys_ = 0.0
+    sy = 0
+    for y, ck, sk in zip(counts, cos_k, sin_k):
+        sc += ck
+        ss += sk
+        scc += ck * ck
+        sss += sk * sk
+        scs += ck * sk
+        sy += y
+        syc += y * ck
+        sys_ += y * sk
     normal = [[float(m), sc, ss], [sc, scc, scs], [ss, scs, sss]]
-    (a, c, s), inv = _solve3(normal, [sy, syc, sys_])
+    (a, c, s), inv = _solve3(normal, [float(sy), syc, sys_])
 
     c_mean = sc / m
     s_mean = ss / m
@@ -416,8 +422,8 @@ def _ball_solve(blocks: list) -> tuple[list[complex], float]:
     while True:
         z = [beta / (1.0 + mu / lam) for lam, beta in zip(lams, betas)]
         norm = math.hypot(*z)
-        step = (norm - 1.0) / sum((zi / norm) ** 2 / (lam + mu)
-                                  for zi, lam in zip(z, lams))
+        step = (norm - 1.0) / plain_sum((zi / norm) ** 2 / (lam + mu)
+                                        for zi, lam in zip(z, lams))
         if not (abs(norm - 1.0) > 4e-16 and step > 1e-15 * mu):
             return [u * complex(*z[2 * i:2 * i + 2]) for i, u in enumerate(rot)], mu
         mu += step
@@ -492,8 +498,7 @@ def _nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
                    for i in range(1, ndim + 1))
         if diam < tol:
             return simplex[0], fvals[0], nfev, True
-        centroid = [sum(simplex[i][d] for i in range(ndim)) / ndim
-                    for d in range(ndim)]
+        centroid = [plain_sum(col) / ndim for col in zip(*simplex[:ndim])]
         worst = simplex[ndim]
         refl = [2.0 * centroid[d] - worst[d] for d in range(ndim)]
         f_r = fn(refl)
@@ -585,11 +590,10 @@ def _mle(data_h: ScanRecord, data_v: ScanRecord, lsq_h: _ScanFit,
 def _sweep_point(scan_h: ScanRecord, scan_v: ScanRecord, t_h: float, t_v: float,
                  mle: bool) -> tuple[ReconstructionResult, float, float]:
     """A reconstruction and both scans' fitted visibilities, from one fit
-    per scan; FitError as :func:`fit_sinusoid`."""
+    per scan; FitError as :func:`mle_reconstruct`, resp.
+    :func:`extract_parameters`, which alone needs half a period."""
     lsq_h, lsq_v = _fits(scan_h, scan_v)
     result = (_mle if mle else _extract)(scan_h, scan_v, lsq_h, lsq_v, t_h, t_v)
-    for scan in (scan_h, scan_v):
-        _check_fringe_grid(scan.plan.phases, scan.counts_primary)
     return result, lsq_h.sinusoid().visibility, lsq_v.sinusoid().visibility
 
 

@@ -30,6 +30,16 @@ def random_hermitian(rng, n, scale=1.0):
     return h
 
 
+def dense_from_rows(rows, r, c):
+    """The row-major r x c list of a matrix given in the row form of
+    ``_kernels.sandwich``: ``[(i, [(l, v), ...]), ...]``."""
+    out = [0j] * (r * c)
+    for i, entries in rows:
+        for l, v in entries:
+            out[i * c + l] = v
+    return out
+
+
 def wrap_distance(a, b, period=2.0 * math.pi):
     """Smallest absolute difference of two angles modulo the period."""
     d = math.fmod(abs(a - b), period)

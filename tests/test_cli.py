@@ -312,6 +312,9 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
     # a repeated key once read as its last value: n = 7 here
     pytest.param(1, lambda f: [f[0] + " n=7"], "n appears twice in the header",
                  id="header_repeated_key"),
+    # a misspelt key once loaded silently
+    pytest.param(1, lambda f: [f[0] + " sed=5"], "unknown header key 'sed'",
+                 id="header_unknown_key"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -636,6 +639,20 @@ def test_sweep_exits_3_on_an_arrangement_without_h_signal(tmp_path, capsys, meth
     assert "is not positive; no usable signal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, code", [("mle", 0), ("fringe", 3)])
+def test_sweep_needs_half_a_period_only_on_the_fringe_route(tmp_path, capsys,
+                                                            method, code):
+    # as in reconstruct: the least-squares route fits a short grid, the
+    # fringe route refuses it
+    assert run("sweep", "--method", method, "--phases", "0,0.3,0.6,0.9,1.2,1.5",
+               "--noiseless", "--plate", "hwp", "--angles", "0:45:45",
+               "--out", tmp_path) == code
+    err = capsys.readouterr().err
+    assert ("phase grid must span at least half a period" in err) == (code == 3)
+    if code == 0:
+        assert len(read_rows(tmp_path / "sweep.csv")) == 2
+
+
 def test_sweep_refuses_a_configuration_off_the_phase_reference(tmp_path, capsys):
     assert run("sweep", "--plate", "hwp", "--angles", "0", "--t-v-phase", 1.0,
                "--noiseless", "--out", tmp_path) == 3
@@ -801,14 +818,17 @@ def test_verify_detects_stressed_violation_on_every_seed():
         assert run_verification(1, seed)["all_passed"], seed
 
 
-@pytest.mark.parametrize("seed, expected", [
+VERIFY_REPORT_GOLDEN = [
     (5,
      "e8155e65e0d06e4443524bf0d61786d19ad497f417bf04c54cbb8bccc45a31ec"),
     (77,
      "e1bbb459dbe02b922a9d7ef543bc06424714d1c03b183a87e06bacfdac210550"),
     (20260810,
      "6e24669bb4ff6b895d864d671636f3a06cad3e7cf8b8668eb8ec24dbd3f87843"),
-])
+]
+
+
+@pytest.mark.parametrize("seed, expected", VERIFY_REPORT_GOLDEN)
 def test_verification_report_golden(seed, expected):
     report = json.dumps(run_verification(200, seed), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == expected
@@ -869,12 +889,16 @@ def test_manifest_records_the_parsed_argv(tmp_path):
     assert manifest["argv"] == argv
 
 
-@pytest.mark.parametrize("method, digests", [
+# sha256 of result.json and report.txt of ``reconstruct`` on tests/data
+RECONSTRUCT_GOLDEN = [
     ("mle", ("a7dbfbdb84eeac54250187f342e31bf54a6c3d6d074192f0888a8ee62133c159",
              "211aeca39fbc1a233eda16af2983217031a9cd91e42f4ccd3bef8e5050364ab5")),
     ("fringe", ("ad52e4a59ba109154e4bccce1dfa462dd3341d372632106d929e48ecc432f95d",
                 "ea14addad6bfa7eaebc0730a890514b5e0647cad755d97b096557f45109f85e7")),
-])
+]
+
+
+@pytest.mark.parametrize("method, digests", RECONSTRUCT_GOLDEN)
 def test_manifest_hashes_every_input_file(tmp_path, method, digests):
     names = ("scan_H.csv", "scan_V.csv", "calibration.json", "reference.json")
     assert run("reconstruct", "--scan-h", DATA / names[0],

@@ -10,18 +10,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
-from pitomo.interferometer import (BASIS_8, _BS_RAW, InterferometerConfig,
+from pitomo.interferometer import (BASIS_8, _BS_ROWS, InterferometerConfig,
                                    SignalSetting, _alignment_isometry_raw,
-                                   _apply_alignment_raw, _recombine_raw,
+                                   _apply_alignment_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
                                    coherence_stressed_state, fringe,
                                    post_interaction_idler, random_valid_config,
                                    rates_closed_form, rates_exact, total_state)
-from pitomo._kernels import eigh
+from pitomo._kernels import eigh, sandwich
 from pitomo.qcore import fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
-from conftest import digest, wrap_distance
+from conftest import dense_from_rows, digest, wrap_distance
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -70,11 +70,12 @@ def square(flat) -> np.ndarray:
 
 
 def stages(cfg):
-    """The exact oracle's states: joint, aligned, signal, recombined."""
+    """The exact oracle's states: joint, aligned, signal, and the full
+    recombined state, of which ``rates_exact`` forms two populations."""
     r8 = _total_state_raw(cfg)
     r12 = _apply_alignment_raw(r8, cfg)
     rs = _signal_marginal_raw(r12)
-    return r8, r12, rs, _recombine_raw(rs)
+    return r8, r12, rs, sandwich(_BS_ROWS, 4, 4, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,8 @@ def test_total_state_matches_reference_entrywise(setting):
 def test_alignment_isometry_property(rng):
     for _ in range(20):
         cfg = random_valid_config(rng)
-        k = np.array(_alignment_isometry_raw(cfg)).reshape(12, 8)
+        k = np.array(dense_from_rows(_alignment_isometry_raw(cfg), 12, 8)
+                     ).reshape(12, 8)
         assert np.max(np.abs(k.conj().T @ k - np.eye(8))) < 1e-14
 
 
@@ -202,18 +204,21 @@ def test_alignment_preserves_trace_and_positivity(rng):
 
 
 def test_recombiner_is_unitary():
-    bs = square(_BS_RAW)
+    bs = square(dense_from_rows(_BS_ROWS, 4, 4))
     assert np.max(np.abs(bs @ bs.conj().T - np.eye(4))) < 1e-15
 
 
 def test_recombine_splits_single_path():
     m = [0j] * 16
     m[0] = 1.0 + 0j
-    out = square(_recombine_raw(m))
+    bs = square(dense_from_rows(_BS_ROWS, 4, 4))
+    out = bs @ square(m) @ bs.conj().T
     assert out[0, 0] == pytest.approx(0.5)
     assert out[2, 2] == pytest.approx(0.5)
     assert out[0, 2] == pytest.approx(0.5)
     assert abs(out[1, 1]) == 0.0
+    # the detected port sees the H half and no V
+    assert _detected_raw(m) == pytest.approx((0.5, 0.0), abs=1e-15)
 
 
 def test_rate_worked_example():

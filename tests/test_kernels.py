@@ -11,13 +11,14 @@ from hypothesis import example, given, strategies as st
 
 from pitomo import _kernels as kernels
 from pitomo._kernels import loggam
-from pitomo.interferometer import (InterferometerConfig, _BS_RAW,
-                                   _alignment_isometry_raw,
+from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
+                                   _alignment_isometry_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
                                    coherence_stressed_state,
-                                   random_valid_config, total_state)
+                                   random_valid_config, rates_exact,
+                                   total_state)
 from pitomo.states import IdlerStateParams
-from conftest import digest, random_hermitian
+from conftest import dense_from_rows, digest, random_hermitian
 
 MASK = (1 << 64) - 1
 
@@ -249,19 +250,26 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
+def _rows(a, r, c, zeros=False):
+    """The row form of a row-major r x c matrix: its nonzeros, or with
+    ``zeros`` every entry (an all-zero row is then listed too)."""
+    return [(i, [(l, a[i * c + l]) for l in range(c)
+                 if zeros or a[i * c + l] != 0]) for i in range(r)]
+
+
 def test_mat_mul_against_numpy(rng):
     """sandwich's two matrix products, a·m and then (a·m)·a†, against numpy."""
     for _ in range(50):
         r, c = (2 + rng.u64() % 3 for _ in range(2))
         a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
         m = [complex(rng.random(), rng.random()) for _ in range(c * c)]
-        got = _as_np(kernels.sandwich(a, r, c, m), r, r)
+        got = _as_np(kernels.sandwich(_rows(a, r, c), r, c, m), r, r)
         an = _as_np(a, r, c)
         ref = an @ _as_np(m, c, c) @ an.conj().T
         assert np.max(np.abs(got - ref)) < 1e-13
         # the identity on both sides gives m back to the bit
         eye = [complex(i == j) for i in range(c) for j in range(c)]
-        assert kernels.sandwich(eye, c, c, m) == m
+        assert kernels.sandwich(_rows(eye, c, c), c, c, m) == m
 
 
 def test_dagger(rng):
@@ -271,17 +279,22 @@ def test_dagger(rng):
         r, c = (2 + rng.u64() % 3 for _ in range(2))
         a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
         eye = [complex(i == j) for i in range(c) for j in range(c)]
-        aad = _as_np(kernels.sandwich(a, r, c, eye), r, r)
+        aad = _as_np(kernels.sandwich(_rows(a, r, c), r, c, eye), r, r)
         an = _as_np(a, r, c)
         assert np.array_equal(aad, aad.conj().T)
         assert np.max(np.abs(aad - an @ an.conj().T)) < 1e-14
 
 
 def test_sandwich_shape_mismatch():
-    with pytest.raises(ValueError):
-        kernels.sandwich([1j] * 4, 2, 2, [1j] * 9)
-    with pytest.raises(ValueError):
-        kernels.sandwich([1j] * 6, 2, 2, [1j] * 4)
+    for a, m in [
+            ([(0, [(0, 1j)])], [1j] * 9),           # m is not 2x2
+            ([(2, [(0, 1j)])], [1j] * 4),           # row index past the last
+            ([(-1, [(0, 1j)])], [1j] * 4),          # negative row index
+            ([(0, [(0, 1j), (2, 1j)])], [1j] * 4),  # column index past the last
+            ([(1, [(-1, 1j)])], [1j] * 4),          # negative column index
+            ([(1, [(2, 1j)])], [0j] * 4)]:          # ... with no live mode in m
+        with pytest.raises(ValueError, match="shape mismatch"):
+            kernels.sandwich(a, 2, 2, m)
 
 
 def test_eigh_against_numpy(rng):
@@ -344,8 +357,16 @@ def _sparse_sandwich(draw):
 @example(([complex(5e-324, 0.0), 0j, 1 + 0j, 0j], 2, 2,
           [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]))
 def test_sandwich_bits_equal_naive_loop_on_sparse_factors(case):
-    got = kernels.sandwich(*case)
-    assert list(map(repr, got)) == list(map(repr, _naive_sandwich(*case)))
+    _assert_sandwich_bits_equal_naive(*case)
+
+
+def _assert_sandwich_bits_equal_naive(a, ar, ac, m):
+    """sandwich on the row form of a, nonzeros only and with every entry
+    listed, has the bits of the naive loop on the dense a."""
+    want = list(map(repr, _naive_sandwich(a, ar, ac, m)))
+    for zeros in (False, True):
+        got = kernels.sandwich(_rows(a, ar, ac, zeros), ar, ac, m)
+        assert list(map(repr, got)) == want
 
 
 @st.composite
@@ -380,23 +401,41 @@ _A_2X3 = [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j, 5 + 0j, 6 + 0j]
 @example((_A_2X3, 2, 3, [1 + 0j, 0j, 3 + 0j, 0j, complex(5e-324, 0.0), 0j,
                              7 + 0j, 0j, 9 + 0j]))
 def test_sandwich_bits_equal_naive_loop_with_dead_modes(case):
-    got = kernels.sandwich(*case)
-    assert list(map(repr, got)) == list(map(repr, _naive_sandwich(*case)))
+    _assert_sandwich_bits_equal_naive(*case)
 
 
 def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
     rng = kernels.Rng(31, 0)
     configs = [random_valid_config(rng) for _ in range(40)]
     configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
+    bs = dense_from_rows(_BS_ROWS, 4, 4)
     for cfg in configs:
         k = _alignment_isometry_raw(cfg)
         r12 = kernels.sandwich(k, 12, 8, _total_state_raw(cfg))
-        assert list(map(repr, r12)) == list(map(
-            repr, _naive_sandwich(k, 12, 8, _total_state_raw(cfg))))
+        assert list(map(repr, r12)) == list(map(repr, _naive_sandwich(
+            dense_from_rows(k, 12, 8), 12, 8, _total_state_raw(cfg))))
         rs = _signal_marginal_raw(r12)
-        out = kernels.sandwich(_BS_RAW, 4, 4, rs)
+        out = kernels.sandwich(_BS_ROWS, 4, 4, rs)
         assert list(map(repr, out)) == list(map(
-            repr, _naive_sandwich(_BS_RAW, 4, 4, rs)))
+            repr, _naive_sandwich(bs, 4, 4, rs)))
+
+
+def test_detected_rates_equal_naive_recombined_diagonal():
+    # rates_exact forms only the detected port's two populations; they are
+    # the first two diagonal entries of the full naive B rho_S B^dagger
+    rng = kernels.Rng(1729, 0)
+    bs = dense_from_rows(_BS_ROWS, 4, 4)
+    for _ in range(2000):
+        cfg = random_valid_config(rng)
+        k = dense_from_rows(_alignment_isometry_raw(cfg), 12, 8)
+        rs = _signal_marginal_raw(
+            _naive_sandwich(k, 12, 8, _total_state_raw(cfg)))
+        full = _naive_sandwich(bs, 4, 4, rs)
+        rates = rates_exact(cfg)
+        assert (repr(rates.rate_h), repr(rates.rate_v)) == (
+            repr(full[0].real), repr(full[5].real))
+        assert list(map(repr, _detected_raw(rs))) == [
+            repr(full[0].real), repr(full[5].real)]
 
 
 def _reference_eigh(a, n):

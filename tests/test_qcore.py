@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 from pitomo.qcore import (DensityMatrix, fidelity_mixed, fidelity_pure,
                           qubit_state_fidelity)
 from pitomo.states import IdlerStateParams
-from pitomo.interferometer import (InterferometerConfig, _BS_RAW,
+from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
                                    coherence_stressed_state, total_state)
 from pitomo._kernels import Rng, eigh
-from conftest import random_hermitian
+from conftest import dense_from_rows, random_hermitian
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -81,7 +81,8 @@ def test_kron_builds_recombiner():
     # Hadamard on the path factor, identity on polarization
     had = np.array([[SQRT1_2, SQRT1_2], [SQRT1_2, -SQRT1_2]])
     expected = np.kron(had, np.eye(2))
-    assert np.max(np.abs(np.array(_BS_RAW).reshape(4, 4) - expected)) < 1e-15
+    bs = np.array(dense_from_rows(_BS_ROWS, 4, 4)).reshape(4, 4)
+    assert np.max(np.abs(bs - expected)) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,22 @@ def test_extract_golden_outputs_on_bundled_fixture():
     assert result.flags == ()
 
 
+def test_golden_outputs_on_bundled_fixture_below_its_calibration():
+    # t below the measured ceiling moves the state off the fixture's truth;
+    # these bits change when any of the fit's float sums is compensated
+    scans = load_scan(DATA / "scan_H.csv"), load_scan(DATA / "scan_V.csv")
+    fringe = extract_parameters(*scans, 0.97, 0.95)
+    assert (fringe.params.p_h, fringe.params.xi, fringe.params.purity) == (
+        0.26875863461003263, 2.100000004436861, 0.7244785995565942)
+    assert fringe.param_stderr == {"p_h": 3.2684618740809513e-09,
+                                   "xi": 7.392837285607559e-09,
+                                   "purity": 4.007957761055062e-09}
+    mle = mle_reconstruct(*scans, 0.97, 0.95)
+    assert (mle.params.p_h, mle.params.xi, mle.params.purity, mle.cost) == (
+        0.26875864050474046, 2.100000003954598, 0.7244786090251858,
+        8.000046906633912)
+
+
 # A non-uniform grid, over which each scan's Hessian block is anisotropic
 SKEWED_GRID = tuple(0.1 * k + 0.011 * k * k for k in range(20))
 
