@@ -11,8 +11,7 @@ checks the closed-form rate law (:func:`fringe`) against.
 """
 
 from ._kernels import active_backend
-from .qcore import (DensityMatrix, fidelity_mixed, fidelity_pure,
-                    qubit_state_fidelity)
+from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
 from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
                      WaveplateSetting, prepared_idler_params,
                      waveplate_unitary)
@@ -24,13 +23,13 @@ from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
 from .reconstruct import (ConvergenceError, FitError, Method,
                           ReconstructionResult, SinusoidFit,
-                          extract_parameters, fit_sinusoid, mle_cost,
-                          mle_reconstruct, report_fidelity)
+                          extract_parameters, fit_sinusoid, mle_reconstruct,
+                          report_fidelity)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "fidelity_mixed", "fidelity_pure", "qubit_state_fidelity",
+    "DensityMatrix", "fidelity_mixed", "qubit_state_fidelity",
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
     "prepared_idler_params", "waveplate_unitary",
     "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",
@@ -40,7 +39,7 @@ __all__ = [
     "run_scan",
     "ConvergenceError", "FitError", "Method",
     "ReconstructionResult", "SinusoidFit", "extract_parameters",
-    "fit_sinusoid", "mle_cost", "mle_reconstruct", "report_fidelity",
+    "fit_sinusoid", "mle_reconstruct", "report_fidelity",
     "active_backend",
     "__version__",
 ]

@@ -41,6 +41,9 @@ from .states import TWO_PI, IdlerStateParams
 # the largest per-point budget whose counts and rates are exact floats
 MAX_COUNTS_PER_POINT = 1 << 53
 MAX_POINTS = 10 ** 6  # the most phase points default_grid builds
+# a visibility below this is a numerically flat fringe: no calibration
+# ceiling to divide by, and no fringe phase to read
+FLAT_VISIBILITY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,8 +179,8 @@ class CalibrationResult:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CalibrationResult":
         """Read a stored calibration, refusing a standard error that is
-        negative or not finite, and a transmission t that is not
-        positive or exceeds 1 + 5 stderr + 1e-6.
+        negative or not finite, and a transmission t below
+        ``FLAT_VISIBILITY`` or above 1 + 5 stderr + 1e-6.
 
         A calibration run estimates t above 1 about half the time when
         the true t is near 1, so the bound leaves room for its noise
@@ -189,9 +192,9 @@ class CalibrationResult:
         for key, t, err in (("t_h", *values[:2]), ("t_v", *values[2:])):
             if not 0.0 <= err < math.inf:
                 raise EntryError(f"{key}_stderr", None, "must be finite and >= 0", err)
-            if not 0.0 < t <= 1.0 + 5.0 * err + 1e-6:
-                raise EntryError(key, None, f"must lie in (0, 1 + 5 {key}_stderr "
-                                 "+ 1e-6]", t)
+            if not FLAT_VISIBILITY <= t <= 1.0 + 5.0 * err + 1e-6:
+                raise EntryError(key, None, f"must lie in [{FLAT_VISIBILITY!r}, "
+                                 f"1 + 5 {key}_stderr + 1e-6]", t)
         return cls(*values)
 
 
@@ -214,14 +217,19 @@ def run_calibration(cfg_template: InterferometerConfig,
     Standard errors are those of the fitted visibilities; for a noiseless
     plan their residual variance is floored at 1/12, the variance of
     rounding a rate to a count, which rounded counts' residuals can hide.
+    FitError names the setting whose fringe is flat (visibility below
+    ``FLAT_VISIBILITY``).
     """
-    from .reconstruct import fit_sinusoid  # deferred: avoids a module cycle
+    from .reconstruct import FitError, fit_sinusoid  # deferred: a module cycle
 
     results = []
     for cfg in calibration_configs(cfg_template):
         scan = run_scan(cfg, replace(plan, setting=cfg.signal_setting))
         fit = fit_sinusoid(scan.plan.phases, scan.counts_primary,
                            min_sigma2=1.0 / 12.0 if plan.noiseless else 0.0)
+        if not fit.visibility >= FLAT_VISIBILITY:
+            raise FitError(f"setting {cfg.signal_setting.value}: the calibration "
+                           f"fringe is flat (visibility {fit.visibility!r})")
         results.append((fit.visibility, fit.visibility_stderr))
     (t_h, e_h), (t_v, e_v) = results
     return CalibrationResult(t_h, e_h, t_v, e_v)

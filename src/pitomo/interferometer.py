@@ -403,20 +403,20 @@ def rates_closed_form(cfg: InterferometerConfig) -> DetectionRates:
 
 
 def post_interaction_idler(cfg: InterferometerConfig) -> DensityMatrix:
-    """Idler state after its path has been aligned with the reference.
-
-    Defined for a pure prepared idler only: an even mixture of the
-    prepared state and the maximally mixed state.
-    """
-    if cfg.idler.purity < 1.0 - 1e-12:
-        raise ValueError("post-interaction state is defined for a pure idler")
-    x, y = cfg.idler.state_vector()
-    return DensityMatrix(2, (
-        0.5 * (x * x.conjugate()) + 0.25,
-        0.5 * (x * y.conjugate()),
-        0.5 * (y * x.conjugate()),
-        0.5 * (y * y.conjugate()) + 0.25,
-    ), ("H_I", "V_I"))
+    """The idler state in path b after alignment, for any idler purity:
+    source 1's idler passes T = diag(t_h, t_v), source 2's loses its
+    coherence with its signal's polarization, so the state is
+    w1 T rho T^dagger + w2 diag(p_h2, p_v2) over its trace.  ValueError
+    when no idler reaches path b (b2 = 0 and t = 0)."""
+    w1, w2 = cfg.b1 * cfg.b1, cfg.b2_mag * cfg.b2_mag
+    h = w1 * abs(cfg.t_h) ** 2 * cfg.idler.p_h + w2 * cfg.q2.p_h2
+    v = w1 * abs(cfg.t_v) ** 2 * cfg.idler.p_v + w2 * cfg.q2.p_v2
+    off = w1 * cfg.t_h * cfg.t_v.conjugate() * cfg.idler.to_density_matrix().at(0, 1)
+    norm = h + v
+    if not norm > 0.0:
+        raise ValueError("no idler reaches path b")
+    return DensityMatrix(2, (complex(h / norm), off / norm,
+                             off.conjugate() / norm, complex(v / norm)), ("H_I", "V_I"))
 
 
 def random_valid_config(rng, *, purity: float | None = None,

@@ -113,18 +113,6 @@ def _norm(psi: Sequence[complex]) -> float:
     return math.sqrt(_k.plain_sum(x.real * x.real + x.imag * x.imag for x in psi))
 
 
-def fidelity_pure(psi_a: Sequence[complex], psi_b: Sequence[complex]) -> float:
-    """|<a|b>|^2 for unit-norm state vectors; symmetric in its arguments."""
-    if len(psi_a) != len(psi_b):
-        raise ValueError("state vectors of different dimension")
-    for name, psi in (("first", psi_a), ("second", psi_b)):
-        n = _norm(psi)
-        if abs(n - 1.0) > 1e-10:
-            raise ValueError(f"{name} state vector is not normalized (norm {n})")
-    ip = _k.plain_sum((a.conjugate() * b for a, b in zip(psi_a, psi_b)), 0j)
-    return abs(ip) ** 2
-
-
 def fidelity_mixed(rho: DensityMatrix, psi: Sequence[complex]) -> float:
     """<psi|rho|psi> for a unit-norm vector against a density matrix."""
     if len(psi) != rho.dim:

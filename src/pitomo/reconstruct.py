@@ -1,15 +1,20 @@
 """Recover the undetected photon's polarization state from scan data.
 
 Two routes are provided.  The fringe route fits each scan with a
-sinusoid (linear least squares in the basis {1, cos, sin}).  Each fitted
-fringe divided by offset*t is a complex amplitude, h or v; the state
-is p_h = |h|^2, purity = |v|/sqrt(1-p_h), xi = arg h - arg v, physical
-exactly when |h|^2 + |v|^2 <= 1.  A fit outside that ball gives way to
-its least-squares point on the sphere, offsets held at the fit (a
-trust-region subproblem; More and Sorensen, SIAM J. Sci. Stat. Comput.
-4, 553 (1983)).  The least-squares route minimizes the total squared
-residual between both count records and the physically parametrized
-rate model over (p_h, xi, purity) with a bounded Nelder-Mead search.
+sinusoid (linear least squares in the basis {1, cos, sin}); each fitted
+fringe (c, s) divided by offset*t is a complex amplitude x = (c + is)/k,
+x_h or x_v.  One solve finds the least-squares point of the physical ball
+|x_h|^2 + |x_v|^2 <= 1, offsets held at their fits (a trust-region
+subproblem; More and Sorensen, SIAM J. Sci. Stat. Comput. 4, 553
+(1983)): the fit itself with multiplier mu = 0 when it lies inside, else
+a point on the sphere with mu > 0, flagged ``purity_bound_active``.  The
+state is read from that point: p_h = |x_h|^2, purity = |x_v|/sqrt(1-p_h)
+(1 on the sphere), xi = arg x_v - arg x_h.  The route's cost is the
+squared residual at the same point, so it, like the state, does not
+depend on the scans' phase origin.  The least-squares route minimizes the
+total squared residual between both count records and the physically
+parametrized rate model over (p_h, xi, purity) with a bounded Nelder-Mead
+search.
 
 Both routes start from one unconstrained least-squares fit per scan on
 the design matrix X = [1, cos phi, sin phi]: its solution theta_hat,
@@ -53,7 +58,7 @@ from typing import Optional, Sequence
 
 from ._fields import field, items
 from ._kernels import plain_sum
-from .acquisition import ScanRecord
+from .acquisition import FLAT_VISIBILITY, ScanRecord
 from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
 from .states import IdlerStateParams, wrap_angle
@@ -139,15 +144,10 @@ class _ScanFit:
     grad: tuple[float, float, float]
     chol: tuple[float, float, float, float, float, float]
 
-    def cost(self, a: float, c: float, s: float) -> float:
-        """Squared residual at (a, c, s): rss - 2 d.grad + |L^T d|^2.
-
-        d = (a, c, s) - theta; the identity is exact for any theta.
-        """
+    def cost(self, da: float, dc: float, ds: float) -> float:
+        """Squared residual at theta + d, d = (da, dc, ds): rss - 2 d.grad
+        + |L^T d|^2, an identity for any theta; exactly rss at d = 0."""
         l00, l10, l11, l20, l21, l22 = self.chol
-        da = a - self.theta[0]
-        dc = c - self.theta[1]
-        ds = s - self.theta[2]
         u0 = l00 * da + l10 * dc + l20 * ds
         u1 = l11 * dc + l21 * ds
         u2 = l22 * ds
@@ -288,9 +288,13 @@ def fit_sinusoid(phases: Sequence[float], counts: Sequence[float], *,
 class ReconstructionResult:
     """Recovered parameters, the assembled state, and fit diagnostics.
 
+    ``cost`` is the squared residual of both count records at the result:
+    on the fringe route at its ball solution, whatever the scans' phase
+    origin, and on the least-squares route the objective it minimized.
     Fringe-route ``flags``: ``purity_bound_active`` (the fit lay outside the
-    physical ball; the result is its least-squares point on the sphere)
-    and ``xi_undefined`` (a fringe is flat within 3 sigma; xi reads 0)."""
+    physical ball, the solve's multiplier mu > 0; the result is its
+    least-squares point on the sphere) and ``xi_undefined`` (a fringe is
+    flat within 3 sigma; xi reads 0)."""
 
     params: IdlerStateParams
     rho: DensityMatrix
@@ -337,11 +341,14 @@ def _fits(scan_h: ScanRecord, scan_v: ScanRecord) -> tuple[_ScanFit, _ScanFit]:
 
 def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,
                        t_h: float, t_v: float) -> ReconstructionResult:
-    """Fringe-route reconstruction: fit, calibrate, invert the visibility laws.
+    """Fringe-route reconstruction: fit, calibrate, solve on the physical ball.
 
-    A fit outside the physical ball gives way to its least-squares point
-    on the sphere (purity 1), flagged ``purity_bound_active``.  The cost is
-    that of :func:`mle_cost` with each scan's fitted offset.  FitError: a
+    One ball solve gives the state: the fit itself when it lies inside the
+    ball, else its least-squares point on the sphere (purity 1), flagged
+    ``purity_bound_active`` exactly when the solve's multiplier is
+    positive.  The cost is the squared residual at that solution, the
+    offsets at their fits; it does not depend on the scans' phase origin,
+    and inside the ball it is the two fits' own residual.  FitError: a
     grid under half a period, an offset <= 0, or offset*t out of range.
     """
     return _extract(scan_h, scan_v, *_fits(scan_h, scan_v), t_h, t_v)
@@ -355,23 +362,23 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
     fit_h, fit_v = lsq_h.sinusoid(), lsq_v.sinusoid()
     _check_scale(fit_h.offset, t_h)
     _check_scale(fit_v.offset, t_v)
-    flags: list[str] = []
-
-    ratio_h, sig_h = fit_h.visibility / t_h, fit_h.visibility_stderr / t_h
-    ratio_v, sig_v = fit_v.visibility / t_v, fit_v.visibility_stderr / t_v
-    p_h = ratio_h * ratio_h
-    if p_h <= 1.0 and ratio_v < math.sqrt(1.0 - p_h):
-        purity = ratio_v / math.sqrt(1.0 - p_h)
-        xi = wrap_angle(fit_h.phase - fit_v.phase)
-    else:  # outside the ball: its least-squares point on the sphere
-        (x_h, x_v), _ = _ball_solve([_ball_block(lsq_h, fit_h.offset * t_h),
-                                     _ball_block(lsq_v, fit_v.offset * t_v)])
-        p_h, purity = min(1.0, abs(x_h) ** 2), 1.0
-        xi = wrap_angle(cmath.phase(x_v) - cmath.phase(x_h))  # x = conj(h), conj(v)
-        flags.append("purity_bound_active")
+    lsqs, scales = (lsq_h, lsq_v), (fit_h.offset * t_h, fit_v.offset * t_v)
+    blocks = [_ball_block(lsq, k) for lsq, k in zip(lsqs, scales)]
+    (x_h, x_v), mu = _ball_solve(blocks)
+    flags = ["purity_bound_active"] if mu > 0.0 else []
+    p_h = min(1.0, abs(x_h) ** 2)
     p_v = 1.0 - p_h
+    # inside the ball, rounding can put |x_v| an ulp above sqrt(p_v)
+    purity = 1.0 if mu > 0.0 or p_v == 0.0 else min(1.0, abs(x_v) / math.sqrt(p_v))
+    xi = wrap_angle(cmath.phase(x_v) - cmath.phase(x_h))
+    # the residual at the solution: offsets at their fits, each fringe a
+    # step k (x - c) from its fit, which is none inside the ball
+    cost = 0.0
+    for lsq, k, x, (_, c) in zip(lsqs, scales, (x_h, x_v), blocks):
+        d = k * (x - c)
+        cost += lsq.cost(0.0, d.real, d.imag)
 
-    if any(f.amplitude <= 3.0 * f.amplitude_stderr + 1e-9 * f.offset
+    if any(f.amplitude <= 3.0 * f.amplitude_stderr + FLAT_VISIBILITY * f.offset
            for f in (fit_h, fit_v)):
         xi, xi_err = 0.0, math.inf
         flags.append("xi_undefined")
@@ -379,12 +386,12 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
         xi_err = math.sqrt(fit_h.phase_stderr ** 2 + fit_v.phase_stderr ** 2)
 
     params = IdlerStateParams(p_h, xi, purity)
+    ratio_h, sig_h = fit_h.visibility / t_h, fit_h.visibility_stderr / t_h
+    ratio_v, sig_v = fit_v.visibility / t_v, fit_v.visibility_stderr / t_v
     stderr = {"p_h": 2.0 * ratio_h * sig_h, "xi": xi_err,
               "purity": (math.inf if p_v < 1e-9 else math.sqrt(
                   (sig_v / math.sqrt(p_v)) ** 2
                   + (0.5 * ratio_v * p_v ** -1.5 * 2.0 * ratio_h * sig_h) ** 2))}
-    cost = _pair_cost(lsq_h, lsq_v, params.p_h, params.xi, params.purity,
-                      t_h, t_v, fit_h.offset, fit_v.offset)
     return ReconstructionResult(params, params.to_density_matrix(), cost,
                                 Method.FRINGE, flags=tuple(flags),
                                 param_stderr=stderr)
@@ -410,8 +417,11 @@ def _ball_block(lsq: _ScanFit, k: float) -> tuple[tuple[float, float, float], co
 def _ball_solve(blocks: list) -> tuple[list[complex], float]:
     """Blocks of x and mu minimizing sum_b (x_b - c_b)^T A_b (x_b - c_b) over
     |x| <= 1, ``blocks`` ((A11, A12, A22), c_b) with A_b > 0 and 2-vectors as
-    complex x1 + i x2: x(mu) = (A + mu I)^-1 A c, mu = 0 inside, else Newton
-    on 1/|x(mu)| - 1 from 0 until ||x| - 1| <= 4e-16 or a step < 1e-15 mu."""
+    complex x1 + i x2: x(mu) = (A + mu I)^-1 A c.  The centres themselves and
+    mu = 0 when sum_b |c_b|^2 <= 1, else Newton on 1/|x(mu)| - 1 from 0 until
+    ||x| - 1| <= 4e-16 or a step < 1e-15 mu."""
+    if plain_sum(abs(c) ** 2 for _, c in blocks) <= 1.0:
+        return [c for _, c in blocks], 0.0
     rot, lams, betas = [], [], []  # eigenbasis per block; eigenvalue, c per axis
     for (a11, a12, a22), c in blocks:
         rot.append(cmath.exp(0.5j * math.atan2(2.0 * a12, a11 - a22)))
@@ -436,37 +446,24 @@ def _constant_offset(record: ScanRecord) -> float:
     return (n * m - 2 * sum(record.counts_constant)) / (2 * m)
 
 
-def mle_cost(data_h: ScanRecord, data_v: ScanRecord,
-             candidate: IdlerStateParams, t_h: float, t_v: float) -> float:
-    """Total squared residual of both count records against the rate model.
-
-    Expected H counts are a_H (1 + t_h sqrt(p_h) cos phi) and expected V
-    counts a_V (1 + purity t_v sqrt(p_v) cos(phi - xi)); each offset a is
-    n/2 minus the mean count of the record's constant detector.
-
-    Both models are linear in the basis {1, cos phi, sin phi}: the H model
-    has coefficients (a_H, a_H t_h sqrt(p_h), 0) and the V model
-    (a_V, b cos xi, b sin xi) with b = a_V purity t_v sqrt(p_v).  Each
-    scan's residual is taken from its one least-squares fit in the
-    centered form of the module docstring, never from the expanded
-    square, which cancels catastrophically at large n.  This call fits
-    both scans; :func:`mle_reconstruct` fits them once and then scores
-    each candidate in O(1).
-    """
-    return _pair_cost(*_fits(data_h, data_v), candidate.p_h, candidate.xi,
-                      candidate.purity, t_h, t_v,
-                      _constant_offset(data_h), _constant_offset(data_v))
-
-
 def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, p_h: float, xi: float,
                purity: float, t_h: float, t_v: float, a_h: float,
                a_v: float) -> float:
-    """:func:`mle_cost` from the two scans' fits and offsets a_h, a_v,
-    at p_h in [0, 1], xi in [0, 2pi) and purity in [0, 1]."""
+    """Total squared residual of both count records against the rate model,
+    at p_h in [0, 1], xi in [0, 2pi) and purity in [0, 1].
+
+    Expected H counts are a_h (1 + t_h sqrt(p_h) cos phi) and expected V
+    counts a_v (1 + purity t_v sqrt(p_v) cos(phi - xi)).  Both models are
+    linear in the basis {1, cos phi, sin phi}, with coefficients
+    (a_h, a_h t_h sqrt(p_h), 0) and (a_v, b cos xi, b sin xi), b = a_v
+    purity t_v sqrt(p_v); each scan's residual is its fit's centered form
+    (module docstring), O(1) per call.
+    """
     b_h = a_h * (t_h * math.sqrt(p_h))
     b_v = a_v * (purity * t_v * math.sqrt(1.0 - p_h))
-    return (lsq_h.cost(a_h, b_h, 0.0)
-            + lsq_v.cost(a_v, b_v * math.cos(xi), b_v * math.sin(xi)))
+    (ah, ch, sh), (av, cv, sv) = lsq_h.theta, lsq_v.theta
+    return (lsq_h.cost(a_h - ah, b_h - ch, -sh)
+            + lsq_v.cost(a_v - av, b_v * math.cos(xi) - cv, b_v * math.sin(xi) - sv))
 
 
 def _fold01(x: float) -> float:
@@ -533,7 +530,7 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
                     t_h: float, t_v: float) -> ReconstructionResult:
     """Least-squares reconstruction over (p_h, xi, purity).
 
-    Nelder-Mead on the residual of :func:`mle_cost` over the box
+    Nelder-Mead on the residual of ``_pair_cost`` over the box
     [0,1] x [0,2pi) x [0,1], enforced by reflecting and wrapping the
     coordinates.  It starts from :func:`extract_parameters`, or from
     (0.5, pi, 0.5) where that raises FitError (a grid shorter than half a

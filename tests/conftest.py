@@ -69,3 +69,15 @@ def unbalanced_config(seed, phase=0.0):
     return InterferometerConfig(b1=math.sqrt(w1), b2_mag=math.sqrt(1.0 - w1),
                                 t_h=t_h, t_v=t_v,
                                 idler=IdlerStateParams.horizontal(), q2=q2)
+
+
+def path_b_idler(cfg):
+    """The exact oracle's idler state in path b, flat row-major: the
+    aligned 12-dim state traced over the four signal modes (H_Sa, V_Sa,
+    H_Sb, V_Sb) on the idler's H_Ib and V_Ib, over its trace."""
+    from pitomo.interferometer import _apply_alignment_raw, _total_state_raw
+    r12 = _apply_alignment_raw(_total_state_raw(cfg), cfg)
+    m = [sum(r12[(s + i) * 12 + s + j] for s in (0, 4, 8, 10))
+         for i in range(2) for j in range(2)]
+    trace = (m[0] + m[3]).real
+    return [x / trace for x in m]

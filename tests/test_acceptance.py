@@ -28,7 +28,7 @@ from pitomo.interferometer import (InterferometerConfig, SignalSetting,
 from pitomo.qcore import fidelity_mixed, qubit_state_fidelity
 from pitomo.reconstruct import extract_parameters, fit_sinusoid, mle_reconstruct
 from pitomo.states import IdlerStateParams
-from conftest import unbalanced_config, wrap_distance
+from conftest import path_b_idler, unbalanced_config, wrap_distance
 
 TWO_PI = 2.0 * math.pi
 BIG_N = 10 ** 8
@@ -217,18 +217,30 @@ def test_c6_sweep_theory_curves(tmp_path):
 
 
 def test_c7_post_interaction_state():
+    # equal source weights, |t| = 1 and p_h2 = 1/2: half the prepared
+    # state plus a quarter of the identity
     rng = Rng(777, 0)
+    half = math.sqrt(0.5)
     worst = 0.0
     for _ in range(100):
         idler = IdlerStateParams(rng.random(), TWO_PI * rng.random(), 1.0)
-        cfg = InterferometerConfig.balanced(idler)
+        cfg = InterferometerConfig(b1=half, b2_mag=half, idler=idler)
         rho = post_interaction_idler(cfg)
         lo, hi = eigh(rho.entries, 2)
         fid = fidelity_mixed(rho, idler.state_vector())
         worst = max(worst, abs(lo - 0.25), abs(hi - 0.75), abs(fid - 0.75))
     assert worst <= 1e-12
+    # any arrangement and any idler: the oracle's path-b marginal
+    oracle = 0.0
+    for _ in range(500):
+        cfg = random_valid_config(rng)
+        rho = post_interaction_idler(cfg)
+        oracle = max(oracle, max(abs(a - b) for a, b in
+                                 zip(path_b_idler(cfg), rho.entries)))
+    assert oracle <= 1e-12
     print(f"\nACCEPTANCE 7 PASS: post-interaction spectrum/fidelity deviation "
-          f"{worst:.3e} over 100 random pure preparations")
+          f"{worst:.3e} over 100 random pure preparations, oracle deviation "
+          f"{oracle:.3e} over 500 random configurations")
 
 
 def test_c8_positivity_boundary():

@@ -188,6 +188,29 @@ def test_noiseless_calibration_is_accepted_by_reconstruct(tmp_path, n, points):
                "--out", tmp_path / "rec") == 0
 
 
+@pytest.mark.parametrize("flags, setting", [(("--b1", 0), "H"),
+                                            (("--t-h", 0, "--t-v", 0), "H"),
+                                            (("--t-v", 0), "V")])
+def test_calibrate_refuses_a_flat_fringe(tmp_path, capsys, flags, setting):
+    # no fringe, no ceiling: the parent wrote t = 4.4e-17 and exited 0
+    assert run("calibrate", *flags, "--noiseless", "--out", tmp_path) == 3
+    assert f"error: setting {setting}: the calibration fringe is flat" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "calibration.json").exists()
+
+
+def test_reconstruct_refuses_a_stored_flat_calibration(tmp_path, capsys):
+    doc = json.loads((DATA / "calibration.json").read_text())
+    doc.update(t_h=4.403826944810397e-17, t_h_stderr=3.7e-4)
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps(doc))
+    assert run("reconstruct", "--scan-h", DATA / "scan_H.csv",
+               "--scan-v", DATA / "scan_V.csv", "--calibration", cal,
+               "--out", tmp_path / "rec") == 3
+    assert "t_h must lie in [1e-09, 1 + 5 t_h_stderr + 1e-6]" in (
+        capsys.readouterr().err)
+
+
 def test_calibrate_noisy_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
@@ -526,7 +549,7 @@ def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
             return
         rule = "must be finite and >= 0"
     else:
-        rule = f"must lie in (0, 1 + 5 {field}_stderr + 1e-6]"
+        rule = f"must lie in [1e-09, 1 + 5 {field}_stderr + 1e-6]"
     assert code == 3
     assert f"error: {cal}: {field} {rule}, got {float(value)!r}\n" == (
         capsys.readouterr().err)
@@ -536,8 +559,8 @@ def test_calibration_file_range_is_checked_as_it_is_read(tmp_path, capsys,
 @pytest.mark.parametrize("t_h", [1e-300, 1e-170, 1e-9, 1e300])
 def test_reconstruct_exits_0_or_3_on_extreme_calibrations(tmp_path, capsys,
                                                           t_h, t_v):
-    # the file loader accepts each (t up to 1 + 5 stderr); both routes
-    # check the same fringe-scale bound before solving, so they agree
+    # the file loader accepts each t from 1e-9 up to 1 + 5 stderr; both
+    # routes check the same fringe-scale bound before solving, so they agree
     doc = json.loads((DATA / "calibration.json").read_text())
     doc.update(t_h=t_h, t_v=t_v, t_h_stderr=max(t_h, doc["t_h_stderr"]),
                t_v_stderr=max(t_v, doc["t_v_stderr"]))
@@ -550,10 +573,13 @@ def test_reconstruct_exits_0_or_3_on_extreme_calibrations(tmp_path, capsys,
                          "--method", method, "--out", tmp_path / method))
         assert codes[-1] in (0, 3)
         if codes[-1] == 3:
-            assert "error: the calibrated transmission puts the fringe scale" in (
-                capsys.readouterr().err)
+            err = capsys.readouterr().err
+            if min(t_h, t_v) < 1e-9:
+                assert "must lie in [1e-09, 1 + 5" in err
+            else:
+                assert "error: the calibrated transmission puts the fringe scale" in err
     assert codes[0] == codes[1]
-    if t_h == t_v == 1e-300:
+    if min(t_h, t_v) < 1e-9:
         assert codes == [3, 3]
 
 
@@ -891,9 +917,9 @@ def test_manifest_records_the_parsed_argv(tmp_path):
 
 # sha256 of result.json and report.txt of ``reconstruct`` on tests/data
 RECONSTRUCT_GOLDEN = [
-    ("mle", ("a7dbfbdb84eeac54250187f342e31bf54a6c3d6d074192f0888a8ee62133c159",
+    ("mle", ("ef510f469ebc2a6bb0f8d36673588d8d0105746bb630dcd55b5b3801757741a1",
              "211aeca39fbc1a233eda16af2983217031a9cd91e42f4ccd3bef8e5050364ab5")),
-    ("fringe", ("ad52e4a59ba109154e4bccce1dfa462dd3341d372632106d929e48ecc432f95d",
+    ("fringe", ("8f92a0beda262b1a9c1511a9baa639363083088ade4004c08393a5ddd5b655da",
                 "ea14addad6bfa7eaebc0730a890514b5e0647cad755d97b096557f45109f85e7")),
 ]
 

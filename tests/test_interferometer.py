@@ -21,7 +21,7 @@ from pitomo._kernels import eigh, sandwich
 from pitomo.qcore import fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params
-from conftest import dense_from_rows, digest, wrap_distance
+from conftest import dense_from_rows, digest, path_b_idler, wrap_distance
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -409,28 +409,33 @@ def test_fringe_phase_shift_equals_xi_minus_theta(rng):
 
 
 def test_post_interaction_h():
-    cfg = InterferometerConfig.balanced(IdlerStateParams.horizontal())
+    # equal source weights: w1 |H><H| + w2 diag(1/2, 1/2) over 1
+    cfg = InterferometerConfig(b1=SQRT1_2, b2_mag=SQRT1_2,
+                               idler=IdlerStateParams.horizontal())
     rho = post_interaction_idler(cfg)
     assert rho.at(0, 0) == pytest.approx(0.75, abs=1e-15)
     assert rho.at(1, 1) == pytest.approx(0.25, abs=1e-15)
+    # balanced sources, w1 = 1/3: diag(2/3, 1/3)
+    rho = post_interaction_idler(InterferometerConfig.balanced(
+        IdlerStateParams.horizontal()))
+    assert eigh(rho.entries, 2) == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
 
 
 def test_post_interaction_spectrum_and_fidelity(rng):
     for _ in range(30):
         idler = IdlerStateParams(rng.random(), 2 * math.pi * rng.random(), 1.0)
-        cfg = InterferometerConfig.balanced(idler)
+        cfg = InterferometerConfig(b1=SQRT1_2, b2_mag=SQRT1_2, idler=idler)
         rho = post_interaction_idler(cfg)
         vals = eigh(rho.entries, 2)
         assert abs(vals[0] - 0.25) < 1e-12
         assert abs(vals[1] - 0.75) < 1e-12
         assert fidelity_mixed(rho, idler.state_vector()) == pytest.approx(
             0.75, abs=1e-12)
-
-
-def test_post_interaction_rejects_mixed():
-    cfg = InterferometerConfig.balanced(IdlerStateParams(0.5, 0.0, 0.9))
-    with pytest.raises(ValueError):
-        post_interaction_idler(cfg)
+    # any arrangement and any idler purity: the oracle's path-b marginal
+    for _ in range(300):
+        cfg = random_valid_config(rng)
+        assert post_interaction_idler(cfg).entries == pytest.approx(
+            path_b_idler(cfg), abs=1e-12)
 
 
 def test_coherence_stress_boundary():

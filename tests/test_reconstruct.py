@@ -11,12 +11,11 @@ from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
                                 load_scan, run_scan)
 from pitomo.interferometer import InterferometerConfig, SignalSetting
 from pitomo.reconstruct import (ConvergenceError, FitError, Method,
-                                _ball_block, _ball_solve, _fits,
-                                _nelder_mead, extract_parameters,
-                                fit_sinusoid, mle_cost, mle_reconstruct,
-                                report_fidelity)
+                                _ball_block, _ball_solve, _constant_offset,
+                                _fits, _nelder_mead, _pair_cost,
+                                extract_parameters, fit_sinusoid,
+                                mle_reconstruct, report_fidelity)
 from pitomo.states import IdlerStateParams
-from pitomo.qcore import fidelity_pure
 from conftest import wrap_distance
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -201,9 +200,9 @@ def test_extract_inconsistent_v_fringe_lands_on_the_sphere():
 # the fit: (p_h, xi, purity, t_h, t_v, n, seed) -> params, stderr, flags.
 EXTRACT_GOLDEN = [
     ((0.3, 1.2, 0.9, 0.9, 0.85, 1000, 1),
-     (0.31097561076339136, 1.264327092793808, 0.91213062178195),
+     (0.31097561076339125, 1.2643270927938082, 0.9121306217819498),
      {"p_h": 0.01749974201648988, "xi": 0.03146370383142777,
-      "purity": 0.02054830038964186}, ()),
+      "purity": 0.020548300389641855}, ()),
     ((0.5, math.pi / 2, 1.0, 1.0, 1.0, 1000, 3),
      (0.4924987067106267, 1.5498298643832369, 1.0),
      {"p_h": 0.03127288598205412, "xi": 0.03643576500210884,
@@ -213,7 +212,7 @@ EXTRACT_GOLDEN = [
      {"p_h": 0.037307526461352075, "xi": 0.14570674512817636,
       "purity": 1.17230553615495}, ("purity_bound_active",)),
     ((0.7, 5.0, 0.02, 0.9, 0.9, 1000, 7),
-     (0.7378328282404572, 0.0, 0.1001457673311959),
+     (0.7378328282404572, 0.0, 0.10014576733119591),
      {"p_h": 0.02694095350138003, "xi": math.inf,
       "purity": 0.03658494152588653}, ("xi_undefined",)),
     ((1.0, 0.0, 1.0, 0.9, 0.9, 1000, 10),
@@ -221,9 +220,9 @@ EXTRACT_GOLDEN = [
      {"p_h": 0.04117533313821765, "xi": math.inf, "purity": 27.418502666774287},
      ("purity_bound_active", "xi_undefined")),
     ((0.62, 4.0, 0.7, 0.8, 0.95, 10 ** 6, 9),
-     (0.6184807054127537, 4.000617064333801, 0.6994801966417733),
+     (0.6184807054127539, 4.000617064333801, 0.6994801966417737),
      {"p_h": 0.00116443866286638, "xi": 0.0016185617314634915,
-      "purity": 0.001461758682510041}, ()),
+      "purity": 0.0014617586825100418}, ()),
 ]
 
 
@@ -245,7 +244,7 @@ def test_extract_golden_outputs_on_bundled_fixture():
                                 load_scan(DATA / "scan_V.csv"), cal.t_h, cal.t_v)
     got = result.params
     assert (got.p_h, got.xi, got.purity) == (
-        0.3499999960462855, 2.100000004436861, 0.9999999990704697)
+        0.3499999960462855, 2.1000000044368607, 0.9999999990704695)
     assert result.param_stderr == {"p_h": 4.256464707322428e-09,
                                    "xi": 7.392837285607559e-09,
                                    "purity": 6.027516127165829e-09}
@@ -258,14 +257,14 @@ def test_golden_outputs_on_bundled_fixture_below_its_calibration():
     scans = load_scan(DATA / "scan_H.csv"), load_scan(DATA / "scan_V.csv")
     fringe = extract_parameters(*scans, 0.97, 0.95)
     assert (fringe.params.p_h, fringe.params.xi, fringe.params.purity) == (
-        0.26875863461003263, 2.100000004436861, 0.7244785995565942)
+        0.26875863461003263, 2.1000000044368607, 0.724478599556594)
     assert fringe.param_stderr == {"p_h": 3.2684618740809513e-09,
                                    "xi": 7.392837285607559e-09,
                                    "purity": 4.007957761055062e-09}
     mle = mle_reconstruct(*scans, 0.97, 0.95)
     assert (mle.params.p_h, mle.params.xi, mle.params.purity, mle.cost) == (
-        0.26875864050474046, 2.100000003954598, 0.7244786090251858,
-        8.000046906633912)
+        0.26875864050474046, 2.1000000039545976, 0.7244786090251853,
+        8.000046908143077)
 
 
 # A non-uniform grid, over which each scan's Hessian block is anisotropic
@@ -329,7 +328,7 @@ def test_ball_solve_returns_a_centre_inside_the_ball():
     blocks = [((3.0, 0.5, 1.0), complex(0.3, -0.4)), ((2.0, -0.2, 5.0), 0.6j)]
     x, mu = _ball_solve(blocks)
     assert mu == 0.0
-    assert all(abs(xb - c) <= 1e-15 for xb, (_, c) in zip(x, blocks))
+    assert x == [c for _, c in blocks]
 
 
 @pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
@@ -354,16 +353,22 @@ def test_ball_solve_beats_a_dense_grid_on_the_sphere(phases):
         assert best <= grid_min * (1.0 + 1e-12)
 
 
+def _seeded_pairs(phases):
+    """Noisy scan pairs at t = (0.9, 0.85), some of whose fits lie inside
+    the ball and some outside."""
+    for seed in range(30):
+        truth = IdlerStateParams(0.1 + 0.027 * seed, 0.2 * seed,
+                                 1.0 if seed % 2 else 0.7)
+        yield _noisy_pair(truth, 0.9, 0.85, seed, phases)
+
+
 @pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
                          ids=["uniform", "skewed"])
 def test_extract_ignores_the_phase_origin(phases):
     # one constant added to every phase of both scans moves both fringe
-    # phases together; p_h, purity and xi must not move
+    # phases together; p_h, purity, xi and the residual must not move
     branches = set()
-    for seed in range(30):
-        truth = IdlerStateParams(0.1 + 0.027 * seed, 0.2 * seed,
-                                 1.0 if seed % 2 else 0.7)
-        scans = _noisy_pair(truth, 0.9, 0.85, seed, phases)
+    for scans in _seeded_pairs(phases):
         base = extract_parameters(*scans, 0.9, 0.85)
         branches.add(base.flags)
         for shift in (0.37, -1.9):
@@ -377,6 +382,29 @@ def test_extract_ignores_the_phase_origin(phases):
             assert got.params.p_h == pytest.approx(base.params.p_h, abs=1e-9)
             assert got.params.purity == pytest.approx(base.params.purity, abs=1e-9)
             assert wrap_distance(got.params.xi, base.params.xi) < 1e-9
+            assert got.cost == pytest.approx(base.cost, rel=1e-9, abs=0.0)
+    assert {(), ("purity_bound_active",)} <= branches
+
+
+@pytest.mark.parametrize("phases", [tuple(GRID_20), SKEWED_GRID],
+                         ids=["uniform", "skewed"])
+def test_extract_cost_is_the_residual_at_its_solution(phases):
+    # inside the ball the solution is the fit itself; on the sphere each
+    # scan adds its block's quadratic form to its residual
+    branches = set()
+    for scans in _seeded_pairs(phases):
+        result = extract_parameters(*scans, 0.9, 0.85)
+        branches.add(result.flags)
+        fits = _fits(*scans)
+        rss = fits[0].rss + fits[1].rss
+        if "purity_bound_active" not in result.flags:
+            assert result.cost == rss
+            continue
+        blocks = [_ball_block(f, f.theta[0] * t) for f, t in zip(fits, (0.9, 0.85))]
+        x, _ = _ball_solve(blocks)
+        moved = sum(_quad(a, xb - c) for (a, c), xb in zip(blocks, x))
+        assert moved > 1e-6 * rss
+        assert result.cost == pytest.approx(rss + moved, rel=1e-9, abs=0.0)
     assert {(), ("purity_bound_active",)} <= branches
 
 
@@ -406,31 +434,39 @@ def test_extract_checks_setting_pairing():
 # cost function
 
 
+def lsq_cost(scan_h, scan_v, candidate, t_h, t_v):
+    """The least-squares route's cost of ``candidate``, from one fit per
+    scan and the constant detectors' offsets."""
+    return _pair_cost(*_fits(scan_h, scan_v), candidate.p_h, candidate.xi,
+                      candidate.purity, t_h, t_v, _constant_offset(scan_h),
+                      _constant_offset(scan_v))
+
+
 def test_cost_near_zero_on_self_generated_data():
     truth = IdlerStateParams(0.3, 1.2, 0.9)
     scan_h, scan_v = scans_for(truth, n=1000)
-    cost = mle_cost(scan_h, scan_v, truth, 1.0, 1.0)
+    cost = lsq_cost(scan_h, scan_v, truth, 1.0, 1.0)
     assert cost <= 0.25 * (len(GRID_20) * 2)
 
 
 def test_cost_increases_away_from_truth():
     truth = IdlerStateParams(0.3, 1.2, 0.9)
     scan_h, scan_v = scans_for(truth, n=1000)
-    base = mle_cost(scan_h, scan_v, truth, 1.0, 1.0)
-    off = mle_cost(scan_h, scan_v, IdlerStateParams(0.4, 1.2, 0.9), 1.0, 1.0)
+    base = lsq_cost(scan_h, scan_v, truth, 1.0, 1.0)
+    off = lsq_cost(scan_h, scan_v, IdlerStateParams(0.4, 1.2, 0.9), 1.0, 1.0)
     assert off > base + 1.0
 
 
 def test_cost_periodic_in_xi():
     truth = IdlerStateParams(0.3, 1.2, 0.9)
     scan_h, scan_v = scans_for(truth, n=1000)
-    a = mle_cost(scan_h, scan_v, IdlerStateParams(0.3, 0.7, 0.9), 1.0, 1.0)
-    b = mle_cost(scan_h, scan_v, IdlerStateParams(0.3, 0.7 + TWO_PI, 0.9),
+    a = lsq_cost(scan_h, scan_v, IdlerStateParams(0.3, 0.7, 0.9), 1.0, 1.0)
+    b = lsq_cost(scan_h, scan_v, IdlerStateParams(0.3, 0.7 + TWO_PI, 0.9),
                  1.0, 1.0)
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def _constant_offset(scan):
+def _exact_constant_offset(scan):
     """The least-squares route's offset: n/2 minus the constant detector's
     mean count, rounded once from its exact value."""
     counts = scan.counts_constant
@@ -447,7 +483,7 @@ def _direct_cost(scan_h, scan_v, candidate, t_h, t_v):
             (scan_h, t_h * math.sqrt(candidate.p_h), 0.0),
             (scan_v, candidate.purity * t_v * math.sqrt(candidate.p_v),
              candidate.xi)):
-        a = _constant_offset(scan)
+        a = _exact_constant_offset(scan)
         b = a * vis
         coef = (Fraction(a), Fraction(b * math.cos(delta)),
                 Fraction(b * math.sin(delta)))
@@ -473,7 +509,7 @@ def test_cost_matches_direct_residual(rng, n, noiseless):
         candidates.append(best.params)
         for candidate in candidates:
             ref = _direct_cost(scan_h, scan_v, candidate, t_h, t_v)
-            got = mle_cost(scan_h, scan_v, candidate, t_h, t_v)
+            got = lsq_cost(scan_h, scan_v, candidate, t_h, t_v)
             assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
         assert best.cost == pytest.approx(
             _direct_cost(scan_h, scan_v, best.params, t_h, t_v), rel=1e-9, abs=0.0)
@@ -481,20 +517,23 @@ def test_cost_matches_direct_residual(rng, n, noiseless):
 
 def test_cost_on_bundled_fixture_matches_exact_rational():
     # n = 10^8 noiseless: each model value is ~5e7 and each residual ~1,
-    # so an expanded square would cancel away every significant digit
+    # so an expanded square would cancel away every significant digit.
+    # The least-squares route's H fringe has phase 0, the fringe route's
+    # its fitted phase
     scan_h, scan_v = load_scan(DATA / "scan_H.csv"), load_scan(DATA / "scan_V.csv")
     cal = calibration_from_json(DATA / "calibration.json")
-    fitted = {scan: fit_sinusoid(scan.plan.phases, scan.counts_primary).offset
+    fitted = {scan: fit_sinusoid(scan.plan.phases, scan.counts_primary)
               for scan in (scan_h, scan_v)}
-    for result, offset in ((mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v),
-                            _constant_offset),
-                           (extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v),
-                            fitted.__getitem__)):
+    for result, offset, phase_h in (
+            (mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v),
+             _exact_constant_offset, 0.0),
+            (extract_parameters(scan_h, scan_v, cal.t_h, cal.t_v),
+             lambda scan: fitted[scan].offset, fitted[scan_h].phase)):
         c = result.params
         exact = Fraction(0)
         for scan, vis, delta in (
-                (scan_h, cal.t_h * math.sqrt(c.p_h), 0.0),
-                (scan_v, c.purity * cal.t_v * math.sqrt(c.p_v), -c.xi)):
+                (scan_h, cal.t_h * math.sqrt(c.p_h), phase_h),
+                (scan_v, c.purity * cal.t_v * math.sqrt(c.p_v), phase_h - c.xi)):
             amp = Fraction(offset(scan))
             for phi, y in zip(scan.plan.phases, scan.counts_primary):
                 model = amp * (1 + Fraction(vis) * Fraction(math.cos(phi + delta)))
@@ -540,7 +579,7 @@ def test_mle_search_builds_no_state_per_evaluation(monkeypatch):
     result = mle_reconstruct(scan_h, scan_v, cal.t_h, cal.t_v)
     assert len(built) <= 3
     # the reported cost is the cost of the reported state, to the bit
-    assert result.cost == mle_cost(scan_h, scan_v, result.params,
+    assert result.cost == lsq_cost(scan_h, scan_v, result.params,
                                    cal.t_h, cal.t_v)
 
 
@@ -554,7 +593,8 @@ def test_mle_monte_carlo_pure_state_fidelity():
         scan_h, scan_v = scans_for(truth, n=1000, seed=seed, noiseless=False)
         result = mle_reconstruct(scan_h, scan_v, 1.0, 1.0)
         pure_part = IdlerStateParams(result.params.p_h, result.params.xi, 1.0)
-        f = fidelity_pure(psi_truth, pure_part.state_vector())
+        f = abs(sum(a.conjugate() * b for a, b in
+                    zip(psi_truth, pure_part.state_vector()))) ** 2
         if f >= 0.98:
             good += 1
     assert good >= 0.95 * trials
