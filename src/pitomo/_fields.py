@@ -22,16 +22,19 @@ _EXPECTED = {float: "a number", int: "an integer", bool: "true or false",
              str: "a string", list: "a list", dict: "an object"}
 
 
+def brief(value) -> str:
+    """repr(value), cut to 60 characters."""
+    shown = repr(value)
+    return shown if len(shown) <= 60 else shown[:57] + "..."
+
+
 class EntryError(ValueError):
     """``key``, or entry ``index`` of the list ``key``, breaks ``rule``."""
 
     def __init__(self, key: str, index, rule: str, value):
         self.key, self.index, self.rule, self.value = key, index, rule, value
-        shown = repr(value)
-        if len(shown) > 60:
-            shown = shown[:57] + "..."
         name = key if index is None else f"{key}[{index}]"
-        super().__init__(f"{name} {rule}, got {shown}")
+        super().__init__(f"{name} {rule}, got {brief(value)}")
 
 
 def check(value, kind, name: str, index=None):

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import _kernels as _k
-from ._fields import EntryError, dump, field, items, load
+from ._fields import EntryError, brief, dump, field, items, load
 from .interferometer import InterferometerConfig, SignalSetting, fringe
 from .states import TWO_PI, IdlerStateParams
 
@@ -107,7 +107,8 @@ class ScanPlan:
 @dataclass(frozen=True)
 class ScanRecord:
     """Counts recorded over one phase scan, plus its plan and, for
-    synthetic data, the configuration that generated it."""
+    synthetic data, the configuration that generated it.  Each count lies in
+    [0, 2**64), one per phase."""
 
     plan: ScanPlan
     counts_primary: tuple[int, ...]
@@ -125,6 +126,9 @@ class ScanRecord:
             if min(counts) < 0:
                 i = next(i for i, c in enumerate(counts) if c < 0)
                 raise EntryError(key, i, "must be nonnegative", counts[i])
+            if max(counts) >= 1 << 64:
+                i = next(i for i, c in enumerate(counts) if c >= 1 << 64)
+                raise EntryError(key, i, "must fit in 64 bits", counts[i])
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,7 +315,7 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
             got = line.split(",")[CSV_COLUMNS.index(name)]
         else:  # a header value, or a whole column
             k, got = (rows[1][0] if name in CSV_COLUMNS else head), exc.value
-        raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {got!r}") from None
+        raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
 
 
 def _plain_int(text: str) -> int:

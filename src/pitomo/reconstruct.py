@@ -477,53 +477,61 @@ def _vector_to_params(v: Sequence[float]) -> IdlerStateParams:
 
 
 def _nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
-    """Plain Nelder-Mead; returns (best_x, best_f, nfev, converged)."""
-    ndim = len(x0)
-    simplex = [list(x0)]
-    for i in range(ndim):
-        v = list(x0)
-        v[i] += steps[i]
-        simplex.append(v)
+    """Plain Nelder-Mead in three coordinates, the (p_h, xi, purity) that
+    ``_mle`` searches; returns (best_x, best_f, nfev, converged).
+
+    The generic n-dimensional method's arithmetic, written out per
+    coordinate: the same float operations in the same order (the centroid
+    summed from 0.0, the stable sort on the values, the diameter as a max
+    of per-vertex maxima), so every point, value and count keeps its bits.
+    """
+    p, q, r = x0
+    simplex = [[p, q, r], [p + steps[0], q, r], [p, q + steps[1], r],
+               [p, q, r + steps[2]]]
     fvals = [fn(v) for v in simplex]
-    nfev = ndim + 1
+    nfev = 4
 
     while nfev < maxfev:
-        order = sorted(range(ndim + 1), key=fvals.__getitem__)
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        diam = max(max(abs(simplex[i][d] - simplex[0][d]) for d in range(ndim))
-                   for i in range(1, ndim + 1))
-        if diam < tol:
-            return simplex[0], fvals[0], nfev, True
-        centroid = [plain_sum(col) / ndim for col in zip(*simplex[:ndim])]
-        worst = simplex[ndim]
-        refl = [2.0 * centroid[d] - worst[d] for d in range(ndim)]
-        f_r = fn(refl)
+        i0, i1, i2, i3 = sorted(range(4), key=fvals.__getitem__)
+        best, v1, v2, (w0, w1, w2) = (simplex[i0], simplex[i1], simplex[i2],
+                                      simplex[i3])
+        f0, f1, f2, f3 = fvals[i0], fvals[i1], fvals[i2], fvals[i3]
+        a0, a1, a2 = best
+        b0, b1, b2 = v1
+        c0, c1, c2 = v2
+        if max(max(abs(b0 - a0), abs(b1 - a1), abs(b2 - a2)),
+               max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2)),
+               max(abs(w0 - a0), abs(w1 - a1), abs(w2 - a2))) < tol:
+            return best, f0, nfev, True
+        m0 = (0.0 + a0 + b0 + c0) / 3
+        m1 = (0.0 + a1 + b1 + c1) / 3
+        m2 = (0.0 + a2 + b2 + c2) / 3
+        x = [2.0 * m0 - w0, 2.0 * m1 - w1, 2.0 * m2 - w2]  # reflect the worst
+        f = fn(x)
         nfev += 1
-        if f_r < fvals[0]:
-            expa = [3.0 * centroid[d] - 2.0 * worst[d] for d in range(ndim)]
+        if f < f0:
+            expa = [3.0 * m0 - 2.0 * w0, 3.0 * m1 - 2.0 * w1, 3.0 * m2 - 2.0 * w2]
             f_e = fn(expa)
             nfev += 1
-            if f_e < f_r:
-                simplex[ndim], fvals[ndim] = expa, f_e
-            else:
-                simplex[ndim], fvals[ndim] = refl, f_r
-        elif f_r < fvals[ndim - 1]:
-            simplex[ndim], fvals[ndim] = refl, f_r
-        else:
-            contr = [0.5 * (centroid[d] + worst[d]) for d in range(ndim)]
+            if f_e < f:
+                x, f = expa, f_e
+        elif not f < f2:  # no better than the second-worst (or NaN): contract
+            contr = [0.5 * (m0 + w0), 0.5 * (m1 + w1), 0.5 * (m2 + w2)]
             f_c = fn(contr)
             nfev += 1
-            if f_c < fvals[ndim]:
-                simplex[ndim], fvals[ndim] = contr, f_c
-            else:
-                for i in range(1, ndim + 1):
-                    simplex[i] = [0.5 * (simplex[i][d] + simplex[0][d])
-                                  for d in range(ndim)]
-                    fvals[i] = fn(simplex[i])
-                nfev += ndim
-    order = sorted(range(ndim + 1), key=fvals.__getitem__)
-    return simplex[order[0]], fvals[order[0]], nfev, False
+            if f_c < f3:
+                x, f = contr, f_c
+            else:  # shrink towards the best vertex
+                simplex = [best, [0.5 * (b0 + a0), 0.5 * (b1 + a1), 0.5 * (b2 + a2)],
+                           [0.5 * (c0 + a0), 0.5 * (c1 + a1), 0.5 * (c2 + a2)],
+                           [0.5 * (w0 + a0), 0.5 * (w1 + a1), 0.5 * (w2 + a2)]]
+                fvals = [f0, fn(simplex[1]), fn(simplex[2]), fn(simplex[3])]
+                nfev += 3
+                continue
+        simplex = [best, v1, v2, x]
+        fvals = [f0, f1, f2, f]
+    i0 = sorted(range(4), key=fvals.__getitem__)[0]
+    return simplex[i0], fvals[i0], nfev, False
 
 
 def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
@@ -532,7 +540,8 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
 
     Nelder-Mead on the residual of ``_pair_cost`` over the box
     [0,1] x [0,2pi) x [0,1], enforced by reflecting and wrapping the
-    coordinates.  It starts from :func:`extract_parameters`, or from
+    coordinates; :func:`_nelder_mead` is a three-coordinate driver that
+    does the generic n-dimensional method's arithmetic, bit for bit.  It starts from :func:`extract_parameters`, or from
     (0.5, pi, 0.5) where that raises FitError (a grid shorter than half a
     period), and restarts once from a shifted simplex if it converged with
     a vanishing V fringe, where the phase is degenerate.  Raises

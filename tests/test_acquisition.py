@@ -180,6 +180,15 @@ def test_record_length_validation():
         ScanRecord(plan, (-1,) + (1,) * 19, (1,) * 20)
 
 
+def test_record_counts_fit_in_64_bits():
+    plan = ScanPlan.default_grid(SignalSetting.H, 1)
+    top = 2 ** 64 - 1
+    assert ScanRecord(plan, (top,) * 20, (top,) * 20).counts_primary[0] == top
+    with pytest.raises(ValueError,
+                       match=r"counts_constant\[4\] must fit in 64 bits, got 18446744073709551616"):
+        ScanRecord(plan, (1,) * 20, (1,) * 4 + (top + 1,) * 16)
+
+
 @pytest.mark.parametrize("primary, constant", [
     ([3] * 20, (1,) * 20), ((3,) * 20, [1] * 20), ([3] * 20, [1] * 20)])
 def test_record_normalizes_list_counts_to_tuples(primary, constant):

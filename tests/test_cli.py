@@ -338,6 +338,17 @@ def test_reconstruct_rejects_bad_scan_field(tmp_path, capsys, field, index,
     # a misspelt key once loaded silently
     pytest.param(1, lambda f: [f[0] + " sed=5"], "unknown header key 'sed'",
                  id="header_unknown_key"),
+    # a count past 64 bits once overflowed the fit's float sums (traceback)
+    # or, below 1e308, returned a degenerate state with exit 0
+    pytest.param(5, lambda f: [f[0], "1" + "0" * 400, f[2]],
+                 "counts_fringe must fit in 64 bits, got '1" + "0" * 55 + "...\n",
+                 id="huge_count"),
+    pytest.param(6, lambda f: [f[0], f[1], str(2 ** 64)],
+                 "counts_const must fit in 64 bits, got '18446744073709551616'",
+                 id="count_of_2_64"),
+    pytest.param(7, lambda f: [f[0], "1" + "0" * 20, f[2]],
+                 "counts_fringe must fit in 64 bits, got '100000000000000000000'",
+                 id="count_of_1e20"),
 ])
 def test_reconstruct_names_file_and_line_of_bad_csv_row(tmp_path, capsys,
                                                         line, edit, message):
@@ -370,6 +381,8 @@ BAD_ENTRIES = [
      lambda s: s["counts_primary"].__setitem__(7, -1)),
     ("negative_constant_count", "counts_constant", 3, "must be nonnegative",
      lambda s: s["counts_constant"].__setitem__(3, -1)),
+    ("fringe_count_past_64_bits", "counts_primary", 2, "must fit in 64 bits",
+     lambda s: s["counts_primary"].__setitem__(2, 10 ** 400)),
     ("zero_n", "counts_per_point", None, "must be positive, got 0",
      lambda s: s.__setitem__("counts_per_point", 0)),
     ("n_past_2_53", "counts_per_point", None, "must be at most 2**53",

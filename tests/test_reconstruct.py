@@ -1,5 +1,6 @@
 """Fringe fitting, parameter extraction, and least-squares reconstruction."""
 
+import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pitomo._kernels import Rng, plain_sum
 from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
                                 load_scan, run_scan)
 from pitomo.interferometer import InterferometerConfig, SignalSetting
@@ -16,7 +18,7 @@ from pitomo.reconstruct import (ConvergenceError, FitError, Method,
                                 extract_parameters, fit_sinusoid,
                                 mle_reconstruct, report_fidelity)
 from pitomo.states import IdlerStateParams
-from conftest import wrap_distance
+from conftest import digest, wrap_distance
 
 DATA = Path(__file__).resolve().parent / "data"
 TWO_PI = 2.0 * math.pi
@@ -640,14 +642,148 @@ def test_mle_reconstructs_narrow_but_regular_grid():
     assert result.cost == pytest.approx(3125.003480806723, rel=1e-9)
 
 
-def test_nelder_mead_reports_nonconvergence():
-    def rosen(v):
-        return (1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
+def _mle_golden_pairs():
+    """300 seeded noisy scan pairs drawn as the benchmark's Monte-Carlo
+    least-squares workload draws them (20 points at n = 1000, a random
+    common transmission phase, |t| in [0.8, 1]), then three pairs whose
+    first search converges with a vanishing V fringe and so restarts:
+    (truth, t_h, t_v, phase origin, scan seed, noiseless)."""
+    rng = Rng(0x5EED, 0)
+    for seed in range(300):
+        truth = IdlerStateParams(0.05 + 0.9 * rng.random(), TWO_PI * rng.random(),
+                                 1.0 - 0.9 * rng.random() ** 3)
+        t_h, t_v = 0.8 + 0.2 * rng.random(), 0.8 + 0.2 * rng.random()
+        yield truth, t_h, t_v, TWO_PI * rng.random(), seed, False
+    for truth, seed, noiseless in ((IdlerStateParams(1.0, 0.0, 1.0), 1, True),
+                                   (IdlerStateParams(0.5, 1.0, 0.0), 1, True),
+                                   (IdlerStateParams(0.5, 1.0, 0.0), 6, False)):
+        yield truth, 0.9, 0.85, 0.7, seed, noiseless
 
-    _, _, nfev, converged = _nelder_mead(rosen, [5.0, -3.0], (0.5, 0.5),
-                                         maxfev=20)
+
+# sha256 (conftest.digest) of p_h, xi, purity, cost and the rho entries of
+# the least-squares route on every pair of _mle_golden_pairs, in order
+MLE_GOLDEN = "3b6095893848441ea6b2451b064f6e5c5b0a21e075f163628fe93ac6bb4e895a"
+
+
+def test_mle_golden_outputs(monkeypatch):
+    import pitomo.reconstruct as rec
+    searches = []
+    search = rec._nelder_mead
+    monkeypatch.setattr(rec, "_nelder_mead",
+                        lambda *args, **kw: searches.append(1) or search(*args, **kw))
+    values, restarts = [], []
+    for truth, t_h, t_v, origin, seed, noiseless in _mle_golden_pairs():
+        phase = cmath.exp(1j * origin)
+        cfg = InterferometerConfig.balanced(truth, t_h=t_h * phase, t_v=t_v * phase)
+        scans = [run_scan(cfg, ScanPlan.default_grid(setting, seed,
+                                                     noiseless=noiseless))
+                 for setting in (SignalSetting.H, SignalSetting.V)]
+        searches.clear()
+        result = rec.mle_reconstruct(*scans, t_h, t_v)
+        restarts.append(len(searches) == 2)
+        p = result.params
+        values += [p.p_h, p.xi, p.purity, result.cost, *result.rho.entries]
+    assert restarts[-3:] == [True] * 3
+    assert digest(values) == MLE_GOLDEN
+
+
+def _rosen3(v):
+    return ((1 - v[0]) ** 2 + 100 * (v[1] - v[0] ** 2) ** 2
+            + (1 - v[1]) ** 2 + 100 * (v[2] - v[1] ** 2) ** 2)
+
+
+def test_nelder_mead_reports_nonconvergence():
+    _, _, nfev, converged = _nelder_mead(_rosen3, [5.0, -3.0, 2.0],
+                                         (0.5, 0.5, 0.5), maxfev=20)
     assert not converged
     assert nfev >= 20
+
+
+def _reference_nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
+    """Plain Nelder-Mead; returns (best_x, best_f, nfev, converged)."""
+    ndim = len(x0)
+    simplex = [list(x0)]
+    for i in range(ndim):
+        v = list(x0)
+        v[i] += steps[i]
+        simplex.append(v)
+    fvals = [fn(v) for v in simplex]
+    nfev = ndim + 1
+
+    while nfev < maxfev:
+        order = sorted(range(ndim + 1), key=fvals.__getitem__)
+        simplex = [simplex[i] for i in order]
+        fvals = [fvals[i] for i in order]
+        diam = max(max(abs(simplex[i][d] - simplex[0][d]) for d in range(ndim))
+                   for i in range(1, ndim + 1))
+        if diam < tol:
+            return simplex[0], fvals[0], nfev, True
+        centroid = [plain_sum(col) / ndim for col in zip(*simplex[:ndim])]
+        worst = simplex[ndim]
+        refl = [2.0 * centroid[d] - worst[d] for d in range(ndim)]
+        f_r = fn(refl)
+        nfev += 1
+        if f_r < fvals[0]:
+            expa = [3.0 * centroid[d] - 2.0 * worst[d] for d in range(ndim)]
+            f_e = fn(expa)
+            nfev += 1
+            if f_e < f_r:
+                simplex[ndim], fvals[ndim] = expa, f_e
+            else:
+                simplex[ndim], fvals[ndim] = refl, f_r
+        elif f_r < fvals[ndim - 1]:
+            simplex[ndim], fvals[ndim] = refl, f_r
+        else:
+            contr = [0.5 * (centroid[d] + worst[d]) for d in range(ndim)]
+            f_c = fn(contr)
+            nfev += 1
+            if f_c < fvals[ndim]:
+                simplex[ndim], fvals[ndim] = contr, f_c
+            else:
+                for i in range(1, ndim + 1):
+                    simplex[i] = [0.5 * (simplex[i][d] + simplex[0][d])
+                                  for d in range(ndim)]
+                    fvals[i] = fn(simplex[i])
+                nfev += ndim
+    order = sorted(range(ndim + 1), key=fvals.__getitem__)
+    return simplex[order[0]], fvals[order[0]], nfev, False
+
+
+def _nelder_mead_problems():
+    """Seeded 3-D objectives with starts and steps: convex quadratics, the
+    3-D Rosenbrock function, a terraced bowl whose flat steps force
+    contractions and shrinks, a constant (every step a shrink), and a bowl
+    that is NaN off a slab (every comparison with it false)."""
+    rng = Rng(0x4E4D, 0)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
+    for _ in range(6):
+        m = [[uniform(-1.0, 1.0) for _ in range(3)] for _ in range(3)]
+        centre = [uniform(-2.0, 2.0) for _ in range(3)]
+
+        def quadratic(v, m=m, centre=centre):
+            d = [v[k] - centre[k] for k in range(3)]
+            return sum((m[r][0] * d[0] + m[r][1] * d[1] + m[r][2] * d[2]) ** 2
+                       for r in range(3)) + 0.1 * sum(x * x for x in d)
+        yield quadratic
+    yield _rosen3
+    yield lambda v: float(math.floor(4.0 * (v[0] ** 2 + v[1] ** 2 + v[2] ** 2)))
+    yield lambda v: 1.0
+    yield lambda v: (v[0] ** 2 + v[1] ** 2 + v[2] ** 2 if abs(v[2]) < 1.5
+                     else math.nan)
+
+
+@pytest.mark.parametrize("maxfev", [4, 5, 20, 10 ** 4])
+def test_nelder_mead_matches_the_generic_method(maxfev):
+    rng = Rng(maxfev, 0)
+    for fn in _nelder_mead_problems():
+        for _ in range(3):
+            x0 = [4.0 * rng.random() - 2.0 for _ in range(3)]
+            steps = tuple(0.05 + rng.random() for _ in range(3))
+            assert (repr(_nelder_mead(fn, x0, steps, maxfev=maxfev))
+                    == repr(_reference_nelder_mead(fn, x0, steps, maxfev=maxfev)))
 
 
 def test_mle_convergence_error_carries_best(monkeypatch):
