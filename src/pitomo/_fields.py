@@ -96,12 +96,13 @@ def load(path, reader):
     ``ValueError`` of the reader are re-raised as ``path: ...``.
     """
     try:
-        return reader(check(json.loads(Path(path).read_text()), dict,
-                            "the document"))
+        text = Path(path).read_text(encoding="utf-8")
+        return reader(check(json.loads(text), dict, "the document"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def dump(path, obj) -> None:
     """Write ``obj`` to ``path`` as JSON with sorted keys."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")

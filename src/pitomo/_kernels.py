@@ -51,18 +51,21 @@ Random numbers come from xoshiro256** seeded through splitmix64:
 uniforms from a generator that holds the xoshiro words in locals and
 writes them back when closed.  A new mean takes the plain sequential
 search, which builds no list; the fringing detector's mean is new at
-every point.  While the mean repeats, its per-mean work is kept: the
-inversion branch keeps the CDF terms summed so far, starting from
-``[exp(-mu)]`` on the first repeat and extended lazily by the same
-recurrence ``pmf *= mu/k; cdf += pmf``, and the rejection branch keeps
-its constants.  No bit changes, because each kept value is the float the
+every point.  While the mean repeats, its per-mean work is kept: on the
+first repeat the inversion branch builds the mean's whole CDF table by
+the same recurrence ``pmf *= mu/k; cdf += pmf`` from ``exp(-mu)``, up to
+the first k > mu whose term no longer grows the sum (or k = 1000), and
+every repeat is one bisection of it; the rejection branch keeps its
+constants.  No bit changes, because each kept value is the float the
 draw-by-draw sampler would compute again from the same mean, and
 bisecting the nondecreasing CDF terms finds the first term >= u, which
-is where the sequential search stops (or the k = 1001 cap when u lies
-above every term).  A repeated CDF lookup is the standard speed-up of
-inversion (Devroye, *Non-Uniform Random Variate Generation*, 1986,
-section X.3); the rejection sampler is Hörmann's PTRS (*Insur. Math.
-Econ.* 12, 39 (1993)).
+is where the sequential search stops.  Past the table's end every term
+equals its last, so a u above the last term is above them all and
+takes the search's k = 1001 cap.  The constant detector draws every
+point from one such table.  A repeated CDF lookup is the standard
+speed-up of inversion (Devroye, *Non-Uniform Random Variate Generation*,
+1986, section X.3); the rejection sampler is Hörmann's PTRS (*Insur.
+Math. Econ.* 12, 39 (1993)).
 """
 
 from __future__ import annotations
@@ -243,6 +246,23 @@ def loggam(x):
     return gl
 
 
+def _cdf_table(mu):
+    """The Poisson CDF terms for 0 < mu < 30 that the sequential search
+    sums, k = 0, 1, ...: ``pmf *= mu/k; cdf += pmf`` from exp(-mu).  The
+    table stops at the first k > mu whose term adds nothing, as every later
+    term then does (the pmf only falls past mu), or at k = 1000."""
+    pmf = cdf = math.exp(-mu)
+    table = [cdf]
+    for k in range(1, 1001):
+        pmf = pmf * (mu / k)
+        grown = cdf + pmf
+        if grown == cdf and k > mu:
+            break
+        table.append(grown)
+        cdf = grown
+    return table
+
+
 class Rng:
     """xoshiro256** stream addressed by (seed, stream); see module docstring."""
 
@@ -306,8 +326,8 @@ class Rng:
         """One Poisson variate per mean in ``mus``, in order.
 
         Values and final state equal those of drawing one at a time; see
-        the module docstring.  A negative or NaN mean raises ValueError
-        with the state left as it was after the draws before it.
+        the module docstring.  A negative, infinite or NaN mean raises
+        ValueError with the state left as it was after the draws before it.
         """
         uniforms = self._uniforms()
         uniform = uniforms.__next__
@@ -318,10 +338,11 @@ class Rng:
             for mu in mus:
                 repeat = mu == last
                 if not repeat:
-                    if mu < 0.0 or math.isnan(mu):
-                        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+                    if not 0.0 <= mu < math.inf:
+                        raise ValueError(
+                            f"Poisson mean must be finite and >= 0, got {mu}")
                     last = mu
-                    cdf_terms = None  # built on this mean's first repeat
+                    cdf_table = None  # built on this mean's first repeat
                     if mu >= 30.0:
                         slam = math.sqrt(mu)
                         loglam = log(mu)
@@ -351,19 +372,12 @@ class Rng:
                                     break
                         out.append(k)
                         continue
-                    # the terms summed so far, extended only as far as some
-                    # u has needed, searched by bisection
-                    if cdf_terms is None:
-                        pmf = exp(-mu)
-                        cdf_terms = [pmf]
-                    cdf = cdf_terms[-1]
-                    k = len(cdf_terms)
-                    while u > cdf and k <= 1000:
-                        pmf = pmf * (mu / k)
-                        cdf = cdf + pmf
-                        cdf_terms.append(cdf)
-                        k += 1
-                    out.append(bisect_left(cdf_terms, u))
+                    # the whole table, searched by bisection; a u above
+                    # its last term is above every later one too
+                    if cdf_table is None:
+                        cdf_table = _cdf_table(mu)
+                    k = bisect_left(cdf_table, u)
+                    out.append(k if k < len(cdf_table) else 1001)
                     continue
                 # transformed rejection: proposal centered on the normal
                 # approximation, exact log-pmf acceptance test

@@ -11,8 +11,9 @@ of one acquisition share a seed without sharing randomness:
     setting V: fringing detector stream 2, constant detector stream 3
 
 Each channel is drawn with one batched ``Rng.poissons`` call; the
-constant detector's means are all equal, so its draws reuse one CDF
-table or one set of rejection constants.  The counts are those of one
+constant detector's means are all equal, so from its second point on
+each draw is one bisection of a CDF table built whole for that mean, or
+reuses one set of rejection constants.  The counts are those of one
 ``Rng.poisson`` call per point.
 
 Persistence: CSV with a one-line metadata header and a JSON mirror of
@@ -23,12 +24,15 @@ is read.  The scan rules are written once, in ``ScanPlan`` and
 ``ScanRecord``; each error names the entry, which a JSON scan reports as
 ``path: phases[5] ...``, ``--phases`` as ``phases[5] ...`` and the CSV
 reader (itself checking only header tokens, columns and literals) as
-``path:line: phi_rad ...``, with the text found there.
+``path:line: phi_rad ...``, with the text found there.  The CSV reader
+parses a column at a time and goes row by row only to name a bad row.
+Every file is UTF-8 text.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -57,20 +61,24 @@ class ScanPlan:
     noiseless: bool = False
 
     def __post_init__(self):
-        phases = tuple(float(p) for p in self.phases)
+        phases = tuple(map(float, self.phases))
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "setting", SignalSetting(self.setting))
         if len(phases) < 5:
             raise EntryError("phases", None, "must hold at least 5 points", len(phases))
+        # the grid at once (a NaN or an infinity fails one of the two
+        # tests), then point by point only to name the first bad one
         first = phases[0]
-        for i, p in enumerate(phases):
-            if not math.isfinite(p):
-                raise EntryError("phases", i, "must be a finite number", p)
-            if i and p <= phases[i - 1]:
-                raise EntryError("phases", i, "must be strictly increasing", p)
-            if p - first >= TWO_PI:
-                raise EntryError("phases", i,
-                                 f"must stay within one period of {first!r}", p)
+        if not (all(map(operator.lt, phases, phases[1:]))
+                and phases[-1] - first < TWO_PI):
+            for i, p in enumerate(phases):
+                if not math.isfinite(p):
+                    raise EntryError("phases", i, "must be a finite number", p)
+                if i and p <= phases[i - 1]:
+                    raise EntryError("phases", i, "must be strictly increasing", p)
+                if p - first >= TWO_PI:
+                    raise EntryError("phases", i,
+                                     f"must stay within one period of {first!r}", p)
         n = self.counts_per_point
         if not 1 <= n <= MAX_COUNTS_PER_POINT:
             raise EntryError("counts_per_point", None, "must be positive" if n < 1
@@ -256,19 +264,24 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     for phi, cf, cc in zip(record.plan.phases, record.counts_primary,
                            record.counts_constant):
         lines.append(f"{phi!r},{cf},{cc}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
-    A malformed header, row or number (digit-group underscores included,
-    which int() and float() accept; an unreadable phase reads as NaN) is
-    reported as ``path:line: ...``, and so is the entry a scan rule
-    refuses, under its column name and with the text found there.
+    A file that is not UTF-8 text is reported as ``path: ...``; a
+    malformed header, row or number (digit-group underscores included,
+    which int() and float() accept; an unreadable phase reads as NaN) as
+    ``path:line: ...``, and so is the entry a scan rule refuses, under its
+    column name and with the text found there.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     rows = [(k, line) for k, line in enumerate(
-        map(str.strip, Path(path).read_text().splitlines()), 1) if line]
+        map(str.strip, text.splitlines()), 1) if line]
     if len(rows) < 3 or not rows[0][1].startswith("# "):
         raise ValueError(f"{path}: not a scan CSV")
     head, header = rows[0]
@@ -292,19 +305,7 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
                              f"got {meta[key]!r}") from None
     if rows[1][1] != ",".join(CSV_COLUMNS):
         raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
-    phases, primary, constant = [], [], []
-    for k, line in rows[2:]:
-        try:
-            phi_text, fringe_text, const_text = line.split(",")
-        except ValueError:
-            raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
-                             f"got {line.count(',') + 1}") from None
-        try:
-            phases.append(float(phi_text) if "_" not in phi_text else math.nan)
-        except ValueError:
-            phases.append(math.nan)
-        primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
-        constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
+    phases, primary, constant = _csv_columns(path, rows[2:])
     try:
         return ScanRecord(ScanPlan(phases, meta["n"], meta["setting"],
                                    meta["seed"]), primary, constant)
@@ -316,6 +317,39 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         else:  # a header value, or a whole column
             k, got = (rows[1][0] if name in CSV_COLUMNS else head), exc.value
         raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
+
+
+def _csv_columns(path, rows: list) -> tuple[list, list, list]:
+    """The phases (NaN where one does not read as a number) and the two
+    count columns of the data ``rows``, (line number, text) pairs.
+
+    Without a digit-group underscore in any row, the rows are split once
+    and each column parsed by one map(); where that fails, and with an
+    underscore, row by row in file order, which names the first bad row.
+    """
+    lines = [line for _, line in rows]
+    cells = [line.split(",") for line in lines]
+    if "_" not in "".join(lines) and set(map(len, cells)) == {len(CSV_COLUMNS)}:
+        phi_col, fringe_col, const_col = zip(*cells)
+        try:
+            return (list(map(float, phi_col)), list(map(int, fringe_col)),
+                    list(map(int, const_col)))
+        except ValueError:
+            pass
+    phases, primary, constant = [], [], []
+    for k, line in rows:
+        try:
+            phi_text, fringe_text, const_text = line.split(",")
+        except ValueError:
+            raise ValueError(f"{path}:{k}: expected {len(CSV_COLUMNS)} columns, "
+                             f"got {line.count(',') + 1}") from None
+        try:
+            phases.append(float(phi_text) if "_" not in phi_text else math.nan)
+        except ValueError:
+            phases.append(math.nan)
+        primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
+        constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
+    return phases, primary, constant
 
 
 def _plain_int(text: str) -> int:

@@ -173,12 +173,15 @@ def cmd_simulate(args) -> int:
     record = run_scan(cfg, plan)
     outdir = _outdir(args)
     stem = f"scan_{setting.value}"
+    written = []
     if args.format in ("csv", "both"):
-        scan_to_csv(record, outdir / f"{stem}.csv")
+        written.append(f"{stem}.csv")
+        scan_to_csv(record, outdir / written[-1])
     if args.format in ("json", "both"):
-        scan_to_json(record, outdir / f"{stem}.json")
+        written.append(f"{stem}.json")
+        scan_to_json(record, outdir / written[-1])
     _write_manifest(outdir, "simulate", args)
-    print(f"wrote {stem}.{{{args.format}}} to {outdir}")
+    print(f"wrote {' and '.join(written)} to {outdir}")
     return EXIT_OK
 
 
@@ -247,7 +250,7 @@ def cmd_reconstruct(args) -> int:
     outdir = _outdir(args)
     dump(outdir / "result.json", result.to_json_dict())
     report = _render_report(result)
-    (outdir / "report.txt").write_text(report)
+    (outdir / "report.txt").write_text(report, encoding="utf-8")
     _write_manifest(outdir, "reconstruct", args)
     print(report, end="")
     return EXIT_OK
@@ -291,7 +294,7 @@ def cmd_sweep(args) -> int:
              "vis_h_theory,vis_v_theory"]
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
-    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(outdir, "sweep", args)
     print(f"wrote sweep.csv ({len(rows)} angles) to {outdir}")
     return EXIT_OK
@@ -420,7 +423,7 @@ def cmd_report(args) -> int:
     text = _render_report(result)
     if args.out:
         outdir = _outdir(args)
-        (outdir / "report.txt").write_text(text)
+        (outdir / "report.txt").write_text(text, encoding="utf-8")
         _write_manifest(outdir, "report", args)
     print(text, end="")
     return EXIT_OK

@@ -27,7 +27,11 @@ follows from the fit without another pass over the data:
     |y - X theta|^2 = |r|^2 - 2 d.g + |L^T d|^2,   d = theta - theta_hat,
 
 an identity for any theta_hat (g vanishes at the exact minimizer).
-Every Nelder-Mead candidate therefore costs O(1).  The identity is kept
+Every Nelder-Mead candidate therefore costs O(1).  The fit's grid pass
+(the cos and sin columns, G^-1 and L) depends on the phases alone and is
+held for the last grid fitted, which the H and V scans of a pair, a
+calibration and the scans of a sweep or a Monte-Carlo loop share; each
+scan then costs a counts pass, X^T y and the residuals.  The identity is kept
 in this centered form, around theta_hat, on purpose.  The expanded form
 |y|^2 - 2 theta.X^T y + theta.G theta subtracts terms of order
 n^2 * points from each other to leave a residual of order 1; at
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -101,8 +106,8 @@ class SinusoidFit:
     visibility_stderr: float
 
 
-def _solve3(m: list[list[float]], rhs: list[float]) -> tuple[list[float], list[list[float]]]:
-    """Solve the 3x3 system and return (solution, inverse) via the adjugate."""
+def _inverse3(m: list[list[float]]) -> tuple[tuple[float, float, float], ...]:
+    """The inverse of a 3x3 matrix via the adjugate, rows as tuples."""
     a, b, c = m[0]
     d, e, f = m[1]
     g, h, i = m[2]
@@ -112,13 +117,11 @@ def _solve3(m: list[list[float]], rhs: list[float]) -> tuple[list[float], list[l
     det = a * ca + b * cb + c * cc
     if abs(det) < 1e-12 * max(1.0, abs(a) ** 3):
         raise FitError("degenerate phase grid: normal equations are singular")
-    inv = [
-        [ca / det, -(b * i - c * h) / det, (b * f - c * e) / det],
-        [cb / det, (a * i - c * g) / det, -(a * f - c * d) / det],
-        [cc / det, -(a * h - b * g) / det, (a * e - b * d) / det],
-    ]
-    sol = [plain_sum(inv[r][k] * rhs[k] for k in range(3)) for r in range(3)]
-    return sol, inv
+    return (
+        (ca / det, -(b * i - c * h) / det, (b * f - c * e) / det),
+        (cb / det, (a * i - c * g) / det, -(a * f - c * d) / det),
+        (cc / det, -(a * h - b * g) / det, (a * e - b * d) / det),
+    )
 
 
 @dataclass(frozen=True)
@@ -138,7 +141,7 @@ class _ScanFit:
 
     m: int
     theta: tuple[float, float, float]
-    inv: list[list[float]]
+    inv: tuple[tuple[float, float, float], ...]
     ssr: float
     rss: float
     grad: tuple[float, float, float]
@@ -191,49 +194,76 @@ def _split(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
-def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
-    """One pass over the data: normal equations, solution, residual sum.
+@functools.lru_cache(maxsize=1)
+def _fit_grid(phases: tuple[float, ...]) -> tuple:
+    """What a fit needs of its phase grid alone: the cos and sin columns,
+    G^-1 and the Cholesky factor of G (see :class:`_ScanFit`).
 
-    Raises FitError when the normal matrix is singular by ``_solve3``'s
-    test, i.e. when the grid cannot separate the three basis functions.
+    Held for the last grid fitted, which the H and V scans of a pair, a
+    calibration and every point of a sweep share.  Raises FitError when
+    the normal matrix is singular by ``_inverse3``'s test, i.e. when the
+    grid cannot separate the three basis functions.
     """
     m = len(phases)
-    cos_k = [math.cos(p) for p in phases]
-    sin_k = [math.sin(p) for p in phases]
-    # each sum left to right from 0.0 (integer counts exactly, rounded once),
-    # as plain_sum does, and so the same bits on every Python
-    sc = ss = scc = sss = scs = syc = sys_ = 0.0
-    sy = 0
-    for y, ck, sk in zip(counts, cos_k, sin_k):
+    cos_k = tuple(math.cos(p) for p in phases)
+    sin_k = tuple(math.sin(p) for p in phases)
+    # each sum left to right from 0.0, as plain_sum does, and so the same
+    # bits on every Python
+    sc = ss = scc = sss = scs = 0.0
+    for ck, sk in zip(cos_k, sin_k):
         sc += ck
         ss += sk
         scc += ck * ck
         sss += sk * sk
         scs += ck * sk
-        sy += y
-        syc += y * ck
-        sys_ += y * sk
-    normal = [[float(m), sc, ss], [sc, scc, scs], [ss, scs, sss]]
-    (a, c, s), inv = _solve3(normal, [float(sy), syc, sys_])
+    inv = _inverse3([[float(m), sc, ss], [sc, scc, scs], [ss, scs, sss]])
 
+    # L from the centered cos and sin columns, i.e. after a Gram-Schmidt
+    # step against the constant column: on a narrow grid the pivots l11
+    # and l22 are small differences that G's own rounded entries lose
     c_mean = sc / m
     s_mean = ss / m
-    ssr = 0.0
-    g_a = g_c = g_s = 0.0
     suu = suv = svv = 0.0
-    for k in range(m):
-        ck = cos_k[k]
-        sk = sin_k[k]
-        r = counts[k] - (a + c * ck + s * sk)
-        ssr += r * r
-        g_a += r
-        g_c += r * ck
-        g_s += r * sk
+    for ck, sk in zip(cos_k, sin_k):
         u = ck - c_mean
         v = sk - s_mean
         suu += u * u
         suv += u * v
         svv += v * v
+    l00 = math.sqrt(m)
+    l11 = math.sqrt(suu)
+    l21 = suv / l11
+    l22 = math.sqrt(max(0.0, svv - l21 * l21))
+    return cos_k, sin_k, inv, (l00, sc / l00, l11, ss / l00, l21, l22)
+
+
+def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
+    """The grid's part from :func:`_fit_grid`, then one pass over the
+    counts for X^T y and one for the residuals at theta = G^-1 X^T y.
+
+    Raises FitError on a singular grid, as :func:`_fit_grid`.
+    """
+    cos_k, sin_k, inv, chol = _fit_grid(tuple(phases))
+    m = len(cos_k)
+    # integer counts sum exactly and are rounded once
+    syc = sys_ = 0.0
+    sy = 0
+    for y, ck, sk in zip(counts, cos_k, sin_k):
+        sy += y
+        syc += y * ck
+        sys_ += y * sk
+    y0 = float(sy)
+    # theta = G^-1 X^T y, each row summed from 0.0 as plain_sum would
+    a, c, s = [0.0 + i0 * y0 + i1 * syc + i2 * sys_ for i0, i1, i2 in inv]
+
+    ssr = 0.0
+    g_a = g_c = g_s = 0.0
+    for y, ck, sk in zip(counts, cos_k, sin_k):
+        r = y - (a + c * ck + s * sk)
+        ssr += r * r
+        g_a += r
+        g_c += r * ck
+        g_s += r * sk
 
     # Each residual above is off by at most ~4 eps (|a| + |c| + |s|), so
     # rss is off by at most 8 eps (|a| + |c| + |s|) sqrt(m ssr).  When
@@ -257,16 +287,7 @@ def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
             g_a += r
             g_c += r * ck
             g_s += r * sk
-
-    # L from the centered cos and sin columns, i.e. after a Gram-Schmidt
-    # step against the constant column: on a narrow grid the pivots l11
-    # and l22 are small differences that G's own rounded entries lose
-    l00 = math.sqrt(m)
-    l11 = math.sqrt(suu)
-    l21 = suv / l11
-    l22 = math.sqrt(max(0.0, svv - l21 * l21))
-    return _ScanFit(m, (a, c, s), inv, ssr, rss, (g_a, g_c, g_s),
-                    (l00, sc / l00, l11, ss / l00, l21, l22))
+    return _ScanFit(m, (a, c, s), inv, ssr, rss, (g_a, g_c, g_s), chol)
 
 
 def _check_fringe_grid(phases: Sequence[float], counts: Sequence[float]) -> None:
@@ -549,7 +570,7 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
 
     Each scan is fitted once; every cost evaluation reuses the two fits
     and scores plain floats.  FitError refuses a grid whose normal equations
-    are singular (``_solve3``'s determinant test, e.g. 5 points within a few
+    are singular (``_inverse3``'s determinant test, e.g. 5 points within a few
     milliradians), an offset <= 0 and an offset*t out of range.
     """
     return _mle(data_h, data_v, *_fits(data_h, data_v), t_h, t_v)

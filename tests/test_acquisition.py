@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from pitomo._fields import EntryError
 from pitomo.acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                                 calibration_from_json, calibration_to_json,
                                 load_scan, run_calibration, run_scan,
@@ -44,6 +45,28 @@ def test_plan_validation():
     plan = ScanPlan.default_grid(SignalSetting.V, seed=3)
     assert len(plan.phases) == 20
     assert plan.phases[0] == 0.0
+
+
+# Grids that the whole-grid test refuses, and the point the per-point
+# rules then name: an infinity is in order, so only the span test sees it.
+@pytest.mark.parametrize("phases, index, rule", [
+    ((0.0, 1.0, 2.0, 3.0, math.inf), 4, "must be a finite number"),
+    ((-math.inf, 1.0, 2.0, 3.0, 4.0), 0, "must be a finite number"),
+    ((math.nan, 1.0, 2.0, 3.0, 4.0), 0, "must be a finite number"),
+    ((0.0, 1.0, math.nan, 3.0, 4.0), 2, "must be a finite number"),
+    ((0.0, 1.0, 2.0, 2.0, 1.5), 3, "must be strictly increasing"),
+    ((1.0, 2.0, 3.0, 4.0, 1.0 + 2 * math.pi), 4, "must stay within one period"),
+])
+def test_plan_names_the_first_bad_phase(phases, index, rule):
+    with pytest.raises(EntryError, match=rule) as exc:
+        ScanPlan(phases, 100, SignalSetting.H, 1)
+    assert (exc.value.key, exc.value.index) == ("phases", index)
+
+
+def test_plan_accepts_a_grid_just_short_of_a_period():
+    last = math.nextafter(2 * math.pi, 0.0)
+    plan = ScanPlan((0.0, 1.0, 2.0, 3.0, last), 100, SignalSetting.H, 1)
+    assert plan.phases[-1] == last
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +272,56 @@ def test_csv_rejects_garbage(tmp_path):
     p.write_text("phi,counts\n0,1\n")
     with pytest.raises(ValueError):
         scan_from_csv(p)
+
+
+# Rows of a 20-point scan edited at once, by file line (data from line 3):
+# the first bad row in file order is reported, cells of a row in column
+# order, except that a phase that does not read as a number is refused
+# only once every row has been read, as the phase grid's rule.
+@pytest.mark.parametrize("edits, message", [
+    pytest.param({5: (None, "x", None), 9: (None, "y", None)},
+                 "5: counts_fringe must be an integer count, got 'x'",
+                 id="two_bad_counts"),
+    pytest.param({6: (None, None, "-"), 8: (None, "1.5", None)},
+                 "6: counts_const must be an integer count, got '-'",
+                 id="bad_constant_count_then_bad_fringe_count"),
+    pytest.param({7: (None, "x", "y")},
+                 "7: counts_fringe must be an integer count, got 'x'",
+                 id="both_counts_of_one_row"),
+    pytest.param({4: ("zz", None, None), 9: (None, "4_6", None)},
+                 "9: counts_fringe must be an integer count, got '4_6'",
+                 id="later_bad_count_beats_earlier_unreadable_phase"),
+    pytest.param({4: ("0.3_1", None, None), 12: (None, None, "7.0")},
+                 "12: counts_const must be an integer count, got '7.0'",
+                 id="later_bad_count_beats_earlier_underscore_phase"),
+    pytest.param({4: ("zz", None, None), 10: ("0.1,2", None, None)},
+                 "10: expected 3 columns, got 4",
+                 id="later_column_count_beats_earlier_unreadable_phase"),
+    pytest.param({5: (None, "x", None), 10: ("0.1,2", None, None)},
+                 "5: counts_fringe must be an integer count, got 'x'",
+                 id="bad_count_then_bad_column_count"),
+    pytest.param({4: ("zz", None, None), 7: ("yy", None, None)},
+                 "4: phi_rad must be a finite number, got 'zz'",
+                 id="two_unreadable_phases"),
+    pytest.param({4: ("zz", None, None), 8: (None, "-3", None)},
+                 "4: phi_rad must be a finite number, got 'zz'",
+                 id="unreadable_phase_beats_later_negative_count"),
+    pytest.param({8: (None, "-3", None), 11: (None, None, "-4")},
+                 "8: counts_fringe must be nonnegative, got '-3'",
+                 id="two_negative_counts"),
+])
+def test_csv_reports_the_first_bad_row(tmp_path, edits, message):
+    path = tmp_path / "scan.csv"
+    scan_to_csv(run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5)),
+                path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line, cells in edits.items():
+        old = lines[line - 1].split(",")
+        lines[line - 1] = ",".join(o if c is None else c for o, c in zip(old, cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}:{message}"
 
 
 # ---------------------------------------------------------------------------

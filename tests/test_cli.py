@@ -124,6 +124,16 @@ def test_simulate_csv_only_format(tmp_path):
     assert not (tmp_path / "scan_V.json").exists()
 
 
+@pytest.mark.parametrize("fmt, names", [
+    ("csv", ["scan_V.csv"]), ("json", ["scan_V.json"]),
+    ("both", ["scan_V.csv", "scan_V.json"])])
+def test_simulate_names_the_files_it_wrote(tmp_path, capsys, fmt, names):
+    assert run("simulate", "--setting", "V", "--seed", 3, "--format", fmt,
+               "--out", tmp_path) == 0
+    assert capsys.readouterr().out == f"wrote {' and '.join(names)} to {tmp_path}\n"
+    assert sorted(p.name for p in tmp_path.glob("scan_*")) == names
+
+
 # sha256 of simulate's files pins every byte of the noise streams: 200
 # points at n = 30 draw on the Poisson inversion branch, where the V
 # scan's fringing detector repeats one mean (the default idler is pure
@@ -265,6 +275,20 @@ def test_reconstruct_missing_calibration_file(tmp_path):
                "--scan-v", DATA / "scan_V.csv",
                "--calibration", tmp_path / "nope.json",
                "--out", tmp_path) == 3
+
+
+@pytest.mark.parametrize("flag, name", [("--scan-h", "scan_H.csv"),
+                                        ("--scan-h", "scan_H.json"),
+                                        ("--calibration", "calibration.json")])
+def test_reconstruct_names_a_file_that_is_not_utf8(tmp_path, capsys, flag, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff" + (DATA / name).read_bytes())
+    args = {"--scan-h": DATA / "scan_H.csv", "--scan-v": DATA / "scan_V.csv",
+            "--calibration": DATA / "calibration.json", flag: bad}
+    assert run("reconstruct", *(x for kv in args.items() for x in kv),
+               "--out", tmp_path / "rec") == 3
+    assert (f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("field, index, value", [

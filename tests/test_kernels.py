@@ -160,8 +160,10 @@ def test_poisson_stream_golden(seed, stream, mu, expected):
 def test_poisson_edge_cases():
     rng = kernels.Rng(1, 0)
     assert rng.poisson(0.0) == 0
-    with pytest.raises(ValueError):
-        rng.poisson(-1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            rng.poisson(bad)
+    assert _state(rng) == _state(kernels.Rng(1, 0))
 
 
 def _reference_poisson(self, mu):
@@ -230,7 +232,39 @@ def test_poissons_matches_reference_sampler(seed, stream, mus):
     assert _state(rng) == _state(ref)
 
 
-@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan])
+@pytest.mark.parametrize("mu", [1e-300, 0.5, 5.0, 29.999])
+def test_constant_mean_batches_match_reference_sampler(mu):
+    # the constant detector's batches: one mean, its CDF table built on
+    # the first repeat and bisected for every draw after
+    for seed in range(50):
+        rng = kernels.Rng(seed, 1)
+        ref = kernels.Rng(seed, 1)
+        assert rng.poissons([mu] * 2000) == [_reference_poisson(ref, mu)
+                                            for _ in range(2000)]
+        assert _state(rng) == _state(ref)
+
+
+class _TopUniforms(kernels.Rng):
+    """A stream whose every uniform is the largest, 1 - 2^-53."""
+
+    def random(self):
+        return 1.0 - 2.0 ** -53
+
+    def _uniforms(self):
+        while True:
+            yield 1.0 - 2.0 ** -53
+
+
+@pytest.mark.parametrize("mu", [2.75, 4.0, 9.25])
+def test_a_uniform_above_the_whole_cdf_takes_the_cap(mu):
+    # these means' CDF sums stop growing below 1 - 2^-53, so the largest
+    # uniform lies above every term: the search and the table give k = 1001
+    assert kernels._cdf_table(mu)[-1] < 1.0 - 2.0 ** -53
+    rng = _TopUniforms(1)
+    assert rng.poissons([mu] * 3) == [_reference_poisson(rng, mu)] * 3 == [1001] * 3
+
+
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf])
 def test_poissons_bad_mean_mid_batch_keeps_state_of_draws_before(bad):
     mus = [3.0, 3.0, 700.0, 700.0, bad, 3.0]
     rng = kernels.Rng(11, 2)

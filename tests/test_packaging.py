@@ -2,7 +2,7 @@
 script is the CLI's entry point; ``python -m pitomo`` runs the same CLI.
 Every public name of the package has a caller or is exported, and every
 public constant and every private top-level name a reader that reads it
-as that module's."""
+as that module's.  Every text file the package reads or writes is UTF-8."""
 
 import ast
 import importlib
@@ -168,3 +168,22 @@ def test_every_private_name_has_a_reader():
                        if name.startswith("_") and not name.startswith("__")
                        and (path.stem, name) not in reads]
     assert unread == []
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # A text read or write whose encoding follows the locale reads a file
+    # another machine wrote differently, or fails on it without naming it.
+    # Every open(), read_text() and write_text() call in src/pitomo passes
+    # encoding=; bytes go through read_bytes() and write_bytes().
+    missing = []
+    for path in sorted((ROOT / "src" / "pitomo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if (name in ("open", "read_text", "write_text")
+                    and all(k.arg != "encoding" for k in node.keywords)):
+                missing.append(f"{path.name}:{node.lineno}: {name}()")
+    assert missing == []

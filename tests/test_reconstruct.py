@@ -14,8 +14,8 @@ from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
 from pitomo.interferometer import InterferometerConfig, SignalSetting
 from pitomo.reconstruct import (ConvergenceError, FitError, Method,
                                 _ball_block, _ball_solve, _constant_offset,
-                                _fits, _nelder_mead, _pair_cost,
-                                extract_parameters, fit_sinusoid,
+                                _fit_grid, _fit_scan, _fits, _nelder_mead,
+                                _pair_cost, extract_parameters, fit_sinusoid,
                                 mle_reconstruct, report_fidelity)
 from pitomo.states import IdlerStateParams
 from conftest import digest, wrap_distance
@@ -90,6 +90,151 @@ def test_fit_stderr_tracks_noise():
     clean_fit = fit_sinusoid(GRID_20, base)
     assert noisy_fit.visibility_stderr > clean_fit.visibility_stderr
     assert noisy_fit.offset_stderr > 0
+
+
+def _reference_solve3(m, rhs):
+    """The one-pass fit's 3x3 solve, verbatim."""
+    a, b, c = m[0]
+    d, e, f = m[1]
+    g, h, i = m[2]
+    ca = e * i - f * h
+    cb = -(d * i - f * g)
+    cc = d * h - e * g
+    det = a * ca + b * cb + c * cc
+    if abs(det) < 1e-12 * max(1.0, abs(a) ** 3):
+        raise FitError("degenerate phase grid: normal equations are singular")
+    inv = [
+        [ca / det, -(b * i - c * h) / det, (b * f - c * e) / det],
+        [cb / det, (a * i - c * g) / det, -(a * f - c * d) / det],
+        [cc / det, -(a * h - b * g) / det, (a * e - b * d) / det],
+    ]
+    sol = [plain_sum(inv[r][k] * rhs[k] for k in range(3)) for r in range(3)]
+    return sol, inv
+
+
+def _reference_split(x):
+    t = 134217729.0 * x  # 2^27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _reference_fit_scan(phases, counts):
+    """The one-pass ``_fit_scan`` that the grid and counts passes replaced,
+    verbatim, returning (m, theta, inv, ssr, rss, grad, chol)."""
+    m = len(phases)
+    cos_k = [math.cos(p) for p in phases]
+    sin_k = [math.sin(p) for p in phases]
+    sc = ss = scc = sss = scs = syc = sys_ = 0.0
+    sy = 0
+    for y, ck, sk in zip(counts, cos_k, sin_k):
+        sc += ck
+        ss += sk
+        scc += ck * ck
+        sss += sk * sk
+        scs += ck * sk
+        sy += y
+        syc += y * ck
+        sys_ += y * sk
+    normal = [[float(m), sc, ss], [sc, scc, scs], [ss, scs, sss]]
+    (a, c, s), inv = _reference_solve3(normal, [float(sy), syc, sys_])
+
+    c_mean = sc / m
+    s_mean = ss / m
+    ssr = 0.0
+    g_a = g_c = g_s = 0.0
+    suu = suv = svv = 0.0
+    for k in range(m):
+        ck = cos_k[k]
+        sk = sin_k[k]
+        r = counts[k] - (a + c * ck + s * sk)
+        ssr += r * r
+        g_a += r
+        g_c += r * ck
+        g_s += r * sk
+        u = ck - c_mean
+        v = sk - s_mean
+        suu += u * u
+        suv += u * v
+        svv += v * v
+
+    rss = ssr
+    if ssr == 0.0 or (abs(a) + abs(c) + abs(s)) * math.sqrt(m / ssr) > 1e5:
+        c_hi, c_lo = _reference_split(c)
+        s_hi, s_lo = _reference_split(s)
+        rss = 0.0
+        g_a = g_c = g_s = 0.0
+        for y, ck, sk in zip(counts, cos_k, sin_k):
+            ck_hi, ck_lo = _reference_split(ck)
+            sk_hi, sk_lo = _reference_split(sk)
+            r = math.fsum((y, -a, -c_hi * ck_hi, -c_hi * ck_lo, -c_lo * ck_hi,
+                           -c_lo * ck_lo, -s_hi * sk_hi, -s_hi * sk_lo,
+                           -s_lo * sk_hi, -s_lo * sk_lo))
+            rss += r * r
+            g_a += r
+            g_c += r * ck
+            g_s += r * sk
+
+    l00 = math.sqrt(m)
+    l11 = math.sqrt(suu)
+    l21 = suv / l11
+    l22 = math.sqrt(max(0.0, svv - l21 * l21))
+    return (m, (a, c, s), inv, ssr, rss, (g_a, g_c, g_s),
+            (l00, sc / l00, l11, ss / l00, l21, l22))
+
+
+def _fit_scan_cases():
+    """(phases, counts) pairs over the default 20- and 200-point grids,
+    the --phases grids of the CLI tests, a skewed grid, a narrow grid, the
+    n = 10^8 noiseless fixtures (the exact-residual path) and float counts;
+    repeated grids with new counts in between new grids."""
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.2, 0.9),
+                                        t_h=0.9, t_v=0.85)
+    grids = [tuple(TWO_PI * k / 20 for k in range(20)),
+             tuple(TWO_PI * k / 200 for k in range(200)),
+             (0.0, 0.7, 1.4, 2.1, 2.8, 3.5, 4.2),
+             tuple(float(x) for x in range(6)),
+             tuple(0.1 * k + 0.011 * k * k for k in range(20)),
+             tuple(1.0 + 0.05 * k / 4 for k in range(5))]
+    for phases in grids:
+        for seed, n in ((1, 30), (2, 1000), (3, 1000)):
+            for setting in SignalSetting:
+                scan = run_scan(cfg, ScanPlan(phases, n, setting, seed))
+                yield phases, scan.counts_primary
+                yield phases, scan.counts_constant
+    for name in ("scan_H.csv", "scan_V.csv"):
+        scan = load_scan(DATA / name)
+        yield scan.plan.phases, scan.counts_primary
+    for truth in (IdlerStateParams(0.5, 1.0, 1.0), IdlerStateParams(1.0, 0.0, 1.0),
+                  IdlerStateParams(0.3, 2.0, 0.4)):
+        for scan in scans_for(truth):
+            yield scan.plan.phases, scan.counts_primary
+    yield GRID_20, [10 + 5 * math.cos(p) for p in GRID_20]
+    yield GRID_20, [7.0] * 20
+
+
+def test_fit_scan_matches_the_one_pass_fit():
+    cases = list(_fit_scan_cases())
+    exact_path = 0
+    for phases, counts in cases + cases[::-1]:
+        fit = _fit_scan(phases, counts)
+        got = (fit.m, fit.theta, [list(row) for row in fit.inv], fit.ssr,
+               fit.rss, fit.grad, fit.chol)
+        ref = _reference_fit_scan(phases, counts)
+        assert repr(got) == repr(ref)
+        exact_path += ref[3] != ref[4]
+    assert exact_path >= 8  # the 10^8 fixtures take the exact-residual path
+    # one grid is held: the last one fitted
+    assert _fit_grid.cache_info()[2:] == (1, 1)
+
+
+def test_fit_scan_refuses_a_singular_grid_like_the_one_pass_fit():
+    phases = tuple(1.0 + 0.004 * k / 4 for k in range(5))
+    for _ in range(2):
+        with pytest.raises(FitError, match="singular") as got:
+            _fit_scan(phases, [5, 6, 7, 8, 9])
+        with pytest.raises(FitError) as ref:
+            _reference_fit_scan(phases, [5, 6, 7, 8, 9])
+        assert str(got.value) == str(ref.value)
 
 
 # ---------------------------------------------------------------------------
