@@ -16,6 +16,16 @@ each draw is one bisection of a CDF table built whole for that mean, or
 reuses one set of rejection constants.  The counts are those of one
 ``Rng.poisson`` call per point.
 
+Work that depends only on a scan's phase grid is done once per grid and
+held for the last grid seen, which the H and V scans of a pair share:
+``default_grid``'s phases per point count, the ``repr`` text of each
+phase that a CSV row starts with, and the floats read back from a CSV
+phase column.  The text is keyed on the grid's float64 bits, not on its
+floats: -0.0 == 0.0, so a float key would hand a grid starting at -0.0
+the text of its twin starting at 0.0.  The parsed phases are keyed on
+the column's text.  The fringe rates of a scan come from
+``Fringe.over``, one pass over the grid.
+
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
 present, the generating configuration).  Integer counts round-trip
@@ -31,11 +41,13 @@ Every file is UTF-8 text.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import _kernels as _k
 from ._fields import EntryError, brief, dump, field, items, load
@@ -93,8 +105,8 @@ class ScanPlan:
         """points equally spaced over [0, 2*pi), at most ``MAX_POINTS``."""
         if points > MAX_POINTS:  # refused before the grid is allocated
             raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
-        phases = tuple(TWO_PI * k / points for k in range(points))
-        return cls(phases, counts_per_point, setting, seed, noiseless)
+        return cls(_uniform_grid(points), counts_per_point, setting, seed,
+                   noiseless)
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,21 +168,30 @@ class ScanRecord:
                    items(d, "counts_constant", int), truth)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _uniform_grid(points: int) -> tuple[float, ...]:
+    """The phases of ``ScanPlan.default_grid``, held for the last count;
+    typed, so that a float count still fails in range()."""
+    return tuple(TWO_PI * k / points for k in range(points))
+
+
 def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
     """Generate one scan record from the configuration's fringe."""
     cfg = cfg.with_setting(plan.setting)
     f = fringe(cfg)
     n = plan.counts_per_point
-    # cancellation at a fringe null can undershoot zero by ~1e-16
-    rates = [max(0.0, f.at(phi)) for phi in plan.phases]
-    rc = max(0.0, f.constant)
+    # cancellation at a fringe null can undershoot zero by ~1e-16; each
+    # mean is n * max(0.0, r), which is n * r for r > 0 and 0.0 otherwise
+    # (a -0.0 and a NaN included)
+    means = [n * r if r > 0.0 else 0.0 for r in f.over(plan.phases)]
+    mc = n * max(0.0, f.constant)
     if plan.noiseless:
-        primary = [round(n * rf) for rf in rates]
-        constant = [round(n * rc)] * len(rates)
+        primary = list(map(round, means))
+        constant = [round(mc)] * len(means)
     else:
         base = 2 * (cfg.signal_setting is SignalSetting.V)
-        primary = _k.Rng(plan.seed, base).poissons([n * rf for rf in rates])
-        constant = _k.Rng(plan.seed, base + 1).poissons([n * rc] * len(rates))
+        primary = _k.Rng(plan.seed, base).poissons(means)
+        constant = _k.Rng(plan.seed, base + 1).poissons([mc] * len(means))
     return ScanRecord(plan, primary, constant, truth=cfg)
 
 
@@ -258,13 +279,24 @@ _CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUM
 
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
-    lines = [f"# setting={record.plan.setting.value} "
-             f"seed={record.plan.seed} n={record.plan.counts_per_point}",
-             ",".join(CSV_COLUMNS)]
-    for phi, cf, cc in zip(record.plan.phases, record.counts_primary,
-                           record.counts_constant):
-        lines.append(f"{phi!r},{cf},{cc}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    plan = record.plan
+    rows = map("{},{},{}\n".format, _phase_text(array("d", plan.phases).tobytes()),
+               record.counts_primary, record.counts_constant)
+    Path(path).write_text(f"# setting={plan.setting.value} seed={plan.seed} "
+                          f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
+                          + "".join(rows), encoding="utf-8")
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_text(grid: bytes) -> tuple[str, ...]:
+    """repr of each phase of the grid whose float64 bits are ``grid``."""
+    return tuple(map(repr, array("d", grid)))
+
+
+@functools.lru_cache(maxsize=1)
+def _phase_floats(column: tuple[str, ...]) -> tuple[float, ...]:
+    """The phases of a CSV phase column's text; ValueError as float()."""
+    return tuple(map(float, column))
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
@@ -281,7 +313,7 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     rows = [(k, line) for k, line in enumerate(
-        map(str.strip, text.splitlines()), 1) if line]
+        map(str.strip, text.split("\n")), 1) if line]
     if len(rows) < 3 or not rows[0][1].startswith("# "):
         raise ValueError(f"{path}: not a scan CSV")
     head, header = rows[0]
@@ -319,20 +351,21 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
 
 
-def _csv_columns(path, rows: list) -> tuple[list, list, list]:
+def _csv_columns(path, rows: list) -> tuple[Sequence, list, list]:
     """The phases (NaN where one does not read as a number) and the two
     count columns of the data ``rows``, (line number, text) pairs.
 
     Without a digit-group underscore in any row, the rows are split once
-    and each column parsed by one map(); where that fails, and with an
-    underscore, row by row in file order, which names the first bad row.
+    and each column parsed by one map(), the phases through the cache of
+    the last column read; where that fails, and with an underscore, row
+    by row in file order, which names the first bad row.
     """
     lines = [line for _, line in rows]
     cells = [line.split(",") for line in lines]
     if "_" not in "".join(lines) and set(map(len, cells)) == {len(CSV_COLUMNS)}:
         phi_col, fringe_col, const_col = zip(*cells)
         try:
-            return (list(map(float, phi_col)), list(map(int, fringe_col)),
+            return (_phase_floats(phi_col), list(map(int, fringe_col)),
                     list(map(int, const_col)))
         except ValueError:
             pass

@@ -347,7 +347,9 @@ class Fringe:
     The fringing detector's rate is offset + amplitude * cos(phi - phase),
     the constant detector's is ``constant``.  The phase is kept as the
     terms (theta, xi, arg t) of phase = xi + arg t - theta, so that every
-    evaluation rounds phi + theta - xi - arg t the same way.
+    evaluation rounds phi + theta - xi - arg t the same way.  ``at`` gives
+    the rate at one phase; ``over`` gives the same floats for a whole grid
+    with no Python call per point, as a scan reads them.
     """
 
     offset: float
@@ -368,6 +370,12 @@ class Fringe:
         """Rate of the fringing detector at source phase phi."""
         theta, xi, arg_t = self.phase_terms
         return self.offset + self.amplitude * math.cos(phi + theta - xi - arg_t)
+
+    def over(self, phases: Sequence[float]) -> list[float]:
+        """``[self.at(phi) for phi in phases]``, in one pass."""
+        theta, xi, arg_t = self.phase_terms
+        offset, amplitude, cos = self.offset, self.amplitude, math.cos
+        return [offset + amplitude * cos(phi + theta - xi - arg_t) for phi in phases]
 
 
 def fringe(cfg: InterferometerConfig) -> Fringe:

@@ -2,21 +2,27 @@
 
 import cmath
 import math
+import tempfile
+from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pitomo._fields import EntryError
-from pitomo.acquisition import (CalibrationResult, ScanPlan, ScanRecord,
-                                calibration_from_json, calibration_to_json,
-                                load_scan, run_calibration, run_scan,
-                                scan_from_csv, scan_from_json, scan_to_csv,
-                                scan_to_json)
+from pitomo._kernels import Rng
+from pitomo.acquisition import (CSV_COLUMNS, CalibrationResult, ScanPlan,
+                                ScanRecord, _phase_floats, _phase_text,
+                                _uniform_grid, calibration_from_json,
+                                calibration_to_json, load_scan,
+                                run_calibration, run_scan, scan_from_csv,
+                                scan_from_json, scan_to_csv, scan_to_json)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    fringe, rates_closed_form)
-from pitomo.reconstruct import fit_sinusoid
-from pitomo.states import IdlerStateParams, SourceQ2Params
-from conftest import unbalanced_config
+from pitomo.reconstruct import extract_parameters, fit_sinusoid
+from pitomo.states import TWO_PI, IdlerStateParams, SourceQ2Params
+from conftest import digest, unbalanced_config
 
 
 def balanced(idler=None, **kw):
@@ -126,6 +132,24 @@ def test_counts_nonnegative_integers():
         rec = run_scan(cfg, ScanPlan.default_grid(SignalSetting.V, seed,
                                                   counts_per_point=50))
         assert all(isinstance(c, int) and c >= 0 for c in rec.counts_primary)
+
+
+@pytest.mark.parametrize("noiseless", [True, False])
+def test_a_fringe_null_keeps_the_clamped_counts(noiseless):
+    # a visibility-1 fringe: the rate at its null, phi = pi on the default
+    # grid, rounds to -5.6e-17, which the scan clamps as max(0.0, r) does
+    cfg = balanced(IdlerStateParams.horizontal())
+    f = fringe(cfg)
+    plan = ScanPlan.default_grid(SignalSetting.H, 31, counts_per_point=10 ** 6,
+                                 noiseless=noiseless)
+    assert min(map(f.at, plan.phases)) < 0.0
+    means = [10 ** 6 * max(0.0, f.at(phi)) for phi in plan.phases]
+    if noiseless:
+        expected = [round(mu) for mu in means]
+    else:
+        expected = Rng(31, 0).poissons(means)
+    assert run_scan(cfg, plan).counts_primary == tuple(expected)
+    assert expected[10] == 0
 
 
 def test_empirical_visibility_matches_closed_form():
@@ -309,6 +333,10 @@ def test_csv_rejects_garbage(tmp_path):
     pytest.param({8: (None, "-3", None), 11: (None, None, "-4")},
                  "8: counts_fringe must be nonnegative, got '-3'",
                  id="two_negative_counts"),
+    # str.splitlines() would also break at U+2028 and count one line more
+    pytest.param({4: (None, None, "1\u2028"), 8: (None, "x", None)},
+                 "8: counts_fringe must be an integer count, got 'x'",
+                 id="line_separator_inside_a_line"),
 ])
 def test_csv_reports_the_first_bad_row(tmp_path, edits, message):
     path = tmp_path / "scan.csv"
@@ -322,6 +350,136 @@ def test_csv_reports_the_first_bad_row(tmp_path, edits, message):
     with pytest.raises(ValueError) as exc:
         scan_from_csv(path)
     assert str(exc.value) == f"{path}:{message}"
+
+
+def _reference_csv(record):
+    """The CSV text of ``record``, written one f-string per row."""
+    plan = record.plan
+    lines = [f"# setting={plan.setting.value} seed={plan.seed} "
+             f"n={plan.counts_per_point}", ",".join(CSV_COLUMNS)]
+    for phi, cf, cc in zip(plan.phases, record.counts_primary,
+                           record.counts_constant):
+        lines.append(f"{phi!r},{cf},{cc}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _uneven_grids(lo):
+    """Distinct phases in [lo, lo + 6.28], sorted, as ``--phases`` gives."""
+    return st.lists(st.floats(lo, lo + 6.28), min_size=5, max_size=40,
+                    unique=True).map(sorted)
+
+
+_GRIDS = st.one_of(
+    st.integers(5, 300).map(_uniform_grid),
+    _uneven_grids(0.0),
+    st.floats(-20.0, 20.0).flatmap(_uneven_grids),
+    st.integers(5, 300).map(lambda m: [p - math.pi for p in _uniform_grid(m)]))
+# a grid from 0.0 and its twin from -0.0, which compare equal
+_TWINS = st.lists(st.floats(1e-6, 6.28), min_size=4, max_size=40,
+                  unique=True).map(lambda rest: ([0.0, *sorted(rest)],
+                                                 [-0.0, *sorted(rest)]))
+
+
+@given(grids=st.one_of(st.tuples(_GRIDS, _GRIDS), _TWINS), data=st.data())
+def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
+    records = []
+    for phases in grids:
+        counts = st.lists(st.integers(0, (1 << 64) - 1), min_size=len(phases),
+                          max_size=len(phases))
+        plan = ScanPlan(phases, data.draw(st.integers(1, 1 << 53)),
+                        data.draw(st.sampled_from(SignalSetting)),
+                        data.draw(st.integers(0, (1 << 64) - 1)))
+        records.append(ScanRecord(plan, data.draw(counts), data.draw(counts)))
+    _phase_text.cache_clear()
+    _phase_floats.cache_clear()
+    a, b = records
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        for record in (a, a, b, b, a):  # a miss, then a hit, on each grid
+            scan_to_csv(record, path)
+            assert path.read_bytes() == _reference_csv(record)
+            back = scan_from_csv(path)
+            assert back == record
+            assert (array("d", back.plan.phases).tobytes()
+                    == array("d", record.plan.phases).tobytes())
+    # a grid's text is held by its bits: the -0.0 twin of a grid misses
+    twins = (array("d", a.plan.phases).tobytes()
+             == array("d", b.plan.phases).tobytes())
+    for cache in (_phase_text, _phase_floats):
+        assert cache.cache_info()[:2] == ((4, 1) if twins else (2, 3))
+
+
+def _dim_pairs():
+    """16 seeded H/V scan pairs of 200 points at n = 30, as a dim
+    benchmark op draws them, with the transmissions the inversion gets."""
+    rng = Rng(0xD1, 0)
+    for k in range(16):
+        idler = IdlerStateParams(0.05 + 0.9 * rng.random(), TWO_PI * rng.random(),
+                                 1.0 - 0.9 * rng.random() ** 3)
+        t_h, t_v = 0.8 + 0.2 * rng.random(), 0.8 + 0.2 * rng.random()
+        phase = cmath.exp(1j * TWO_PI * rng.random())
+        cfg = InterferometerConfig.balanced(idler, t_h=t_h * phase,
+                                            t_v=t_v * phase)
+        yield tuple(run_scan(cfg, ScanPlan.default_grid(
+            setting, 1000 + k, points=200, counts_per_point=30))
+            for setting in SignalSetting), t_h, t_v
+
+
+def _dim_path_values(tmp_path):
+    """Each pair through scan_to_csv, load_scan and the fringe route: the
+    file bytes, the loaded record and the result."""
+    values = []
+    for scans, t_h, t_v in _dim_pairs():
+        loaded = []
+        for scan in scans:
+            path = tmp_path / f"scan_{scan.plan.setting.value}.csv"
+            scan_to_csv(scan, path)
+            loaded.append(load_scan(path))
+            plan = loaded[-1].plan
+            values += [path.read_bytes(), plan.phases, plan.counts_per_point,
+                       plan.setting.value, plan.seed, loaded[-1].counts_primary,
+                       loaded[-1].counts_constant]
+        result = extract_parameters(*loaded, t_h, t_v)
+        p = result.params
+        values += [p.p_h, p.xi, p.purity, result.cost, result.flags,
+                   sorted(result.param_stderr.items())]
+    return values
+
+
+# sha256 (conftest.digest) of _dim_path_values; pins every byte and bit of
+# the CSV round trip and the fringe route on dim scans
+DIM_PATH_GOLDEN = "0ecc2ed00e8c453c6e4dff796b2363125ce231491078ac0666c7cf02784e9b20"
+
+
+def test_dim_csv_path_golden(tmp_path):
+    assert digest(_dim_path_values(tmp_path)) == DIM_PATH_GOLDEN
+
+
+def test_a_scan_pair_on_one_grid_formats_and_parses_its_phases_once(tmp_path):
+    (scan_h, scan_v), _, _ = next(_dim_pairs())
+    for cache in (_phase_text, _phase_floats):
+        cache.cache_clear()
+    for scan in (scan_h, scan_v):
+        scan_to_csv(scan, tmp_path / "scan.csv")
+        assert load_scan(tmp_path / "scan.csv").plan.phases == scan.plan.phases
+    for cache in (_phase_text, _phase_floats):
+        assert cache.cache_info()[:2] == (1, 1)
+
+
+def test_default_grid_is_built_once_per_point_count():
+    _uniform_grid.cache_clear()
+    plans = [ScanPlan.default_grid(setting, 3, points=200)
+             for setting in SignalSetting]
+    assert plans[0].phases == plans[1].phases
+    assert _uniform_grid.cache_info()[:2] == (1, 1)
+    # the cache is typed: a float count fails in range() as it did before,
+    # even where the count held compares equal to it
+    with pytest.raises(TypeError):
+        ScanPlan.default_grid(SignalSetting.H, 3, points=200.0)
+    with pytest.raises(EntryError):  # holds the one-point grid of True
+        ScanPlan.default_grid(SignalSetting.H, 3, points=True)
+    with pytest.raises(TypeError):
+        ScanPlan.default_grid(SignalSetting.H, 3, points=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,17 @@ def test_fringe_extrema_sit_at_its_phase(rng):
         assert top == pytest.approx(f.offset + f.amplitude, abs=1e-12)
 
 
+def test_fringe_over_a_grid_is_at_point_by_point(rng):
+    grids = [[2.0 * math.pi * k / 200 for k in range(200)],
+             [-3.0, -0.0, 0.0, 1e-300, 0.5, 2.75, 6.0, 40.0, 1e6]]
+    for _ in range(40):
+        f = fringe(random_valid_config(rng))
+        grids.append([20.0 * rng.random() - 10.0 for _ in range(30)])
+        for phases in grids:
+            assert repr(f.over(phases)) == repr([f.at(p) for p in phases])
+    assert f.over(()) == []
+
+
 def test_balanced_case_reduction():
     rng = Rng(11, 0)
     for _ in range(50):
