@@ -18,13 +18,14 @@ reuses one set of rejection constants.  The counts are those of one
 
 Work that depends only on a scan's phase grid is done once per grid and
 held for the last grid seen, which the H and V scans of a pair share:
-``default_grid``'s phases per point count, the ``repr`` text of each
-phase that a CSV row starts with, and the floats read back from a CSV
-phase column.  The text is keyed on the grid's float64 bits, not on its
-floats: -0.0 == 0.0, so a float key would hand a grid starting at -0.0
-the text of its twin starting at 0.0.  The parsed phases are keyed on
-the column's text.  The fringe rates of a scan come from
-``Fringe.over``, one pass over the grid.
+``default_grid``'s phases per point count and the ``repr`` text of each
+phase that a CSV row starts with.  The text is keyed on the grid's
+float64 bits, not on its floats: -0.0 == 0.0, so a float key would hand
+a grid starting at -0.0 the text of its twin starting at 0.0.  Only a
+grid of at most ``HELD_POINTS`` points is held; a larger one is built
+and formatted afresh, so that a grid near ``MAX_POINTS`` is not kept
+alive after its scan, nor its text beside the rows being joined.  The
+fringe rates of a scan come from ``Fringe.over``, one pass over the grid.
 
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
@@ -47,7 +48,7 @@ import operator
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import _kernels as _k
 from ._fields import EntryError, brief, dump, field, items, load
@@ -57,6 +58,9 @@ from .states import TWO_PI, IdlerStateParams
 # the largest per-point budget whose counts and rates are exact floats
 MAX_COUNTS_PER_POINT = 1 << 53
 MAX_POINTS = 10 ** 6  # the most phase points default_grid builds
+# the most phase points of a grid whose grid-only work is held (see the
+# module docstring)
+HELD_POINTS = MAX_POINTS // 100
 # a visibility below this is a numerically flat fringe: no calibration
 # ceiling to divide by, and no fringe phase to read
 FLAT_VISIBILITY = 1e-9
@@ -105,8 +109,8 @@ class ScanPlan:
         """points equally spaced over [0, 2*pi), at most ``MAX_POINTS``."""
         if points > MAX_POINTS:  # refused before the grid is allocated
             raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
-        return cls(_uniform_grid(points), counts_per_point, setting, seed,
-                   noiseless)
+        grid = _uniform_grid if points <= HELD_POINTS else _uniform_grid.__wrapped__
+        return cls(grid(points), counts_per_point, setting, seed, noiseless)
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,8 +284,11 @@ _CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUM
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     plan = record.plan
-    rows = map("{},{},{}\n".format, _phase_text(array("d", plan.phases).tobytes()),
-               record.counts_primary, record.counts_constant)
+    phases = plan.phases
+    text = (_phase_text(array("d", phases).tobytes()) if len(phases) <= HELD_POINTS
+            else map(repr, phases))
+    rows = map("{},{},{}\n".format, text, record.counts_primary,
+               record.counts_constant)
     Path(path).write_text(f"# setting={plan.setting.value} seed={plan.seed} "
                           f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
                           + "".join(rows), encoding="utf-8")
@@ -291,12 +298,6 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
 def _phase_text(grid: bytes) -> tuple[str, ...]:
     """repr of each phase of the grid whose float64 bits are ``grid``."""
     return tuple(map(repr, array("d", grid)))
-
-
-@functools.lru_cache(maxsize=1)
-def _phase_floats(column: tuple[str, ...]) -> tuple[float, ...]:
-    """The phases of a CSV phase column's text; ValueError as float()."""
-    return tuple(map(float, column))
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:
@@ -351,21 +352,20 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
         raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
 
 
-def _csv_columns(path, rows: list) -> tuple[Sequence, list, list]:
+def _csv_columns(path, rows: list) -> tuple[list, list, list]:
     """The phases (NaN where one does not read as a number) and the two
     count columns of the data ``rows``, (line number, text) pairs.
 
     Without a digit-group underscore in any row, the rows are split once
-    and each column parsed by one map(), the phases through the cache of
-    the last column read; where that fails, and with an underscore, row
-    by row in file order, which names the first bad row.
+    and each column parsed by one map(); where that fails, and with an
+    underscore, row by row in file order, which names the first bad row.
     """
     lines = [line for _, line in rows]
     cells = [line.split(",") for line in lines]
     if "_" not in "".join(lines) and set(map(len, cells)) == {len(CSV_COLUMNS)}:
         phi_col, fringe_col, const_col = zip(*cells)
         try:
-            return (_phase_floats(phi_col), list(map(int, fringe_col)),
+            return (list(map(float, phi_col)), list(map(int, fringe_col)),
                     list(map(int, const_col)))
         except ValueError:
             pass

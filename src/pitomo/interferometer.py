@@ -347,9 +347,10 @@ class Fringe:
     The fringing detector's rate is offset + amplitude * cos(phi - phase),
     the constant detector's is ``constant``.  The phase is kept as the
     terms (theta, xi, arg t) of phase = xi + arg t - theta, so that every
-    evaluation rounds phi + theta - xi - arg t the same way.  ``at`` gives
-    the rate at one phase; ``over`` gives the same floats for a whole grid
-    with no Python call per point, as a scan reads them.
+    evaluation rounds phi + theta - xi - arg t the same way.  The law is
+    written once, in ``over``, which gives the rates over a whole grid in
+    one comprehension, as a scan reads them; ``at`` is ``over`` at one
+    phase.
     """
 
     offset: float
@@ -368,11 +369,10 @@ class Fringe:
 
     def at(self, phi: float) -> float:
         """Rate of the fringing detector at source phase phi."""
-        theta, xi, arg_t = self.phase_terms
-        return self.offset + self.amplitude * math.cos(phi + theta - xi - arg_t)
+        return self.over((phi,))[0]
 
     def over(self, phases: Sequence[float]) -> list[float]:
-        """``[self.at(phi) for phi in phases]``, in one pass."""
+        """Rates of the fringing detector at each source phase of ``phases``."""
         theta, xi, arg_t = self.phase_terms
         offset, amplitude, cos = self.offset, self.amplitude, math.cos
         return [offset + amplitude * cos(phi + theta - xi - arg_t) for phi in phases]

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 
 from pitomo._fields import EntryError
 from pitomo._kernels import Rng
-from pitomo.acquisition import (CSV_COLUMNS, CalibrationResult, ScanPlan,
-                                ScanRecord, _phase_floats, _phase_text,
+from pitomo.acquisition import (CSV_COLUMNS, HELD_POINTS, CalibrationResult,
+                                ScanPlan, ScanRecord, _phase_text,
                                 _uniform_grid, calibration_from_json,
                                 calibration_to_json, load_scan,
                                 run_calibration, run_scan, scan_from_csv,
@@ -391,7 +391,6 @@ def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
                         data.draw(st.integers(0, (1 << 64) - 1)))
         records.append(ScanRecord(plan, data.draw(counts), data.draw(counts)))
     _phase_text.cache_clear()
-    _phase_floats.cache_clear()
     a, b = records
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
@@ -405,8 +404,7 @@ def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
     # a grid's text is held by its bits: the -0.0 twin of a grid misses
     twins = (array("d", a.plan.phases).tobytes()
              == array("d", b.plan.phases).tobytes())
-    for cache in (_phase_text, _phase_floats):
-        assert cache.cache_info()[:2] == ((4, 1) if twins else (2, 3))
+    assert _phase_text.cache_info()[:2] == ((4, 1) if twins else (2, 3))
 
 
 def _dim_pairs():
@@ -455,15 +453,26 @@ def test_dim_csv_path_golden(tmp_path):
     assert digest(_dim_path_values(tmp_path)) == DIM_PATH_GOLDEN
 
 
-def test_a_scan_pair_on_one_grid_formats_and_parses_its_phases_once(tmp_path):
+def test_a_scan_pair_on_one_grid_formats_its_phases_once(tmp_path):
     (scan_h, scan_v), _, _ = next(_dim_pairs())
-    for cache in (_phase_text, _phase_floats):
-        cache.cache_clear()
+    _phase_text.cache_clear()
     for scan in (scan_h, scan_v):
         scan_to_csv(scan, tmp_path / "scan.csv")
         assert load_scan(tmp_path / "scan.csv").plan.phases == scan.plan.phases
-    for cache in (_phase_text, _phase_floats):
-        assert cache.cache_info()[:2] == (1, 1)
+    assert _phase_text.cache_info()[:2] == (1, 1)
+
+
+def test_a_grid_above_held_points_is_not_held(tmp_path):
+    _uniform_grid.cache_clear()
+    _phase_text.cache_clear()
+    plan = ScanPlan.default_grid(SignalSetting.H, 3, points=HELD_POINTS + 1,
+                                 noiseless=True)
+    assert plan.phases == _uniform_grid.__wrapped__(HELD_POINTS + 1)
+    record = run_scan(balanced(), plan)
+    scan_to_csv(record, tmp_path / "scan.csv")
+    assert (tmp_path / "scan.csv").read_bytes() == _reference_csv(record)
+    for cache in (_uniform_grid, _phase_text):
+        assert cache.cache_info()[:4] == (0, 0, 1, 0)
 
 
 def test_default_grid_is_built_once_per_point_count():

@@ -286,6 +286,8 @@ def test_fringe_extrema_sit_at_its_phase(rng):
 
 
 def test_fringe_over_a_grid_is_at_point_by_point(rng):
+    # each rate of a grid is the one-point rate: nothing carries over from
+    # one point to the next
     grids = [[2.0 * math.pi * k / 200 for k in range(200)],
              [-3.0, -0.0, 0.0, 1e-300, 0.5, 2.75, 6.0, 40.0, 1e6]]
     for _ in range(40):
