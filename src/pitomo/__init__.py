@@ -17,8 +17,8 @@ from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
                      waveplate_unitary)
 from .interferometer import (DetectionRates, Fringe, InterferometerConfig,
                              SignalSetting, coherence_stressed_state, fringe,
-                             post_interaction_idler, random_valid_config,
-                             rates_closed_form, rates_exact, total_state)
+                             random_valid_config, rates_closed_form,
+                             rates_exact, total_state)
 from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
 from .reconstruct import (ConvergenceError, FitError, Method,
@@ -33,8 +33,8 @@ __all__ = [
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
     "prepared_idler_params", "waveplate_unitary",
     "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",
-    "coherence_stressed_state", "fringe", "post_interaction_idler",
-    "random_valid_config", "rates_closed_form", "rates_exact", "total_state",
+    "coherence_stressed_state", "fringe", "random_valid_config",
+    "rates_closed_form", "rates_exact", "total_state",
     "CalibrationResult", "ScanPlan", "ScanRecord", "run_calibration",
     "run_scan",
     "ConvergenceError", "FitError", "Method",

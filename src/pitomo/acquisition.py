@@ -16,16 +16,10 @@ each draw is one bisection of a CDF table built whole for that mean, or
 reuses one set of rejection constants.  The counts are those of one
 ``Rng.poisson`` call per point.
 
-Work that depends only on a scan's phase grid is done once per grid and
-held for the last grid seen, which the H and V scans of a pair share:
-``default_grid``'s phases per point count and the ``repr`` text of each
-phase that a CSV row starts with.  The text is keyed on the grid's
-float64 bits, not on its floats: -0.0 == 0.0, so a float key would hand
-a grid starting at -0.0 the text of its twin starting at 0.0.  Only a
-grid of at most ``HELD_POINTS`` points is held; a larger one is built
-and formatted afresh, so that a grid near ``MAX_POINTS`` is not kept
-alive after its scan, nor its text beside the rows being joined.  The
-fringe rates of a scan come from ``Fringe.over``, one pass over the grid.
+Work that depends only on a scan's phase grid (its checks, the text of
+its CSV rows, a fit's grid pass) goes through :func:`once_per_grid`, done
+once for the last grid seen.  The fringe rates of a scan come from
+``Fringe.over``, one pass over the grid.
 
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
@@ -44,11 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import _kernels as _k
 from ._fields import EntryError, brief, dump, field, items, load
@@ -58,8 +51,7 @@ from .states import TWO_PI, IdlerStateParams
 # the largest per-point budget whose counts and rates are exact floats
 MAX_COUNTS_PER_POINT = 1 << 53
 MAX_POINTS = 10 ** 6  # the most phase points default_grid builds
-# the most phase points of a grid whose grid-only work is held (see the
-# module docstring)
+# the most phase points of a grid whose grid-only work is held
 HELD_POINTS = MAX_POINTS // 100
 # a visibility below this is a numerically flat fringe: no calibration
 # ceiling to divide by, and no fringe phase to read
@@ -77,24 +69,8 @@ class ScanPlan:
     noiseless: bool = False
 
     def __post_init__(self):
-        phases = tuple(map(float, self.phases))
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", once_per_grid(_checked_grid, self.phases))
         object.__setattr__(self, "setting", SignalSetting(self.setting))
-        if len(phases) < 5:
-            raise EntryError("phases", None, "must hold at least 5 points", len(phases))
-        # the grid at once (a NaN or an infinity fails one of the two
-        # tests), then point by point only to name the first bad one
-        first = phases[0]
-        if not (all(map(operator.lt, phases, phases[1:]))
-                and phases[-1] - first < TWO_PI):
-            for i, p in enumerate(phases):
-                if not math.isfinite(p):
-                    raise EntryError("phases", i, "must be a finite number", p)
-                if i and p <= phases[i - 1]:
-                    raise EntryError("phases", i, "must be strictly increasing", p)
-                if p - first >= TWO_PI:
-                    raise EntryError("phases", i,
-                                     f"must stay within one period of {first!r}", p)
         n = self.counts_per_point
         if not 1 <= n <= MAX_COUNTS_PER_POINT:
             raise EntryError("counts_per_point", None, "must be positive" if n < 1
@@ -109,8 +85,8 @@ class ScanPlan:
         """points equally spaced over [0, 2*pi), at most ``MAX_POINTS``."""
         if points > MAX_POINTS:  # refused before the grid is allocated
             raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
-        grid = _uniform_grid if points <= HELD_POINTS else _uniform_grid.__wrapped__
-        return cls(grid(points), counts_per_point, setting, seed, noiseless)
+        return cls(tuple(TWO_PI * k / points for k in range(points)),
+                   counts_per_point, setting, seed, noiseless)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,11 +148,44 @@ class ScanRecord:
                    items(d, "counts_constant", int), truth)
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _uniform_grid(points: int) -> tuple[float, ...]:
-    """The phases of ``ScanPlan.default_grid``, held for the last count;
-    typed, so that a float count still fails in range()."""
-    return tuple(TWO_PI * k / points for k in range(points))
+def once_per_grid(fn, phases):
+    """``fn(phases)`` as a tuple, computed once for the last grid seen.
+
+    The key is the grid's float64 bits: -0.0 == 0.0, so a float key would
+    hand a grid from -0.0 its twin's values.  A grid of more than
+    ``HELD_POINTS`` points is never held: it gets ``fn(phases)`` itself,
+    so a grid near ``MAX_POINTS`` neither outlives its scan nor has all
+    of a lazy ``fn``'s values alive at once.  A raising ``fn`` holds
+    nothing; racing threads may compute a value twice, never another grid's.
+    """
+    if len(phases) > HELD_POINTS:
+        return fn(phases)
+    held = _held(array("d", phases).tobytes())
+    if fn not in held:
+        held[fn] = tuple(fn(phases))
+    return held[fn]
+
+
+@functools.lru_cache(maxsize=1)
+def _held(grid: bytes) -> dict:
+    """The values held for the grid of float64 bits ``grid``, by function."""
+    return {}
+
+
+def _checked_grid(phases) -> tuple[float, ...]:
+    """The phases as floats, checked point by point by the scan rules."""
+    phases = tuple(map(float, phases))
+    if len(phases) < 5:
+        raise EntryError("phases", None, "must hold at least 5 points", len(phases))
+    first = phases[0]
+    for i, p in enumerate(phases):
+        if not math.isfinite(p):
+            raise EntryError("phases", i, "must be a finite number", p)
+        if i and p <= phases[i - 1]:
+            raise EntryError("phases", i, "must be strictly increasing", p)
+        if p - first >= TWO_PI:
+            raise EntryError("phases", i, f"must stay within one period of {first!r}", p)
+    return phases
 
 
 def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
@@ -284,20 +293,16 @@ _CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUM
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     plan = record.plan
-    phases = plan.phases
-    text = (_phase_text(array("d", phases).tobytes()) if len(phases) <= HELD_POINTS
-            else map(repr, phases))
-    rows = map("{},{},{}\n".format, text, record.counts_primary,
-               record.counts_constant)
+    rows = map("{},{},{}\n".format, once_per_grid(_phase_text, plan.phases),
+               record.counts_primary, record.counts_constant)
     Path(path).write_text(f"# setting={plan.setting.value} seed={plan.seed} "
                           f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
                           + "".join(rows), encoding="utf-8")
 
 
-@functools.lru_cache(maxsize=1)
-def _phase_text(grid: bytes) -> tuple[str, ...]:
-    """repr of each phase of the grid whose float64 bits are ``grid``."""
-    return tuple(map(repr, array("d", grid)))
+def _phase_text(phases) -> Iterable[str]:
+    """repr of each phase: the text each CSV row starts with."""
+    return map(repr, phases)
 
 
 def scan_from_csv(path: str | Path) -> ScanRecord:

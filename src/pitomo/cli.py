@@ -475,7 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="V-setting scan file (.csv or .json)")
     p.add_argument("--calibration", required=True,
                    help="calibration JSON from the calibrate command")
-    p.add_argument("--method", choices=["fringe", "mle"], default="mle")
+    p.add_argument("--method", choices=["fringe", "mle"], default="mle",
+                   help="mle (the default) fixes the H fringe phase at 0, so a "
+                        "transmission phase common to H and V biases it; "
+                        "fringe inverts that phase exactly")
     p.add_argument("--reference", default=None,
                    help="state-parameter JSON to report fidelity against "
                         "(defaults to the truth embedded in JSON scans)")

@@ -29,10 +29,9 @@ follows from the fit without another pass over the data:
 an identity for any theta_hat (g vanishes at the exact minimizer).
 Every Nelder-Mead candidate therefore costs O(1).  The fit's grid pass
 (the cos and sin columns, G^-1 and L) depends on the phases alone and is
-held for the last grid fitted, which the H and V scans of a pair, a
-calibration and the scans of a sweep or a Monte-Carlo loop share; each
-scan then costs a counts pass, X^T y and the residuals.  The identity is kept
-in this centered form, around theta_hat, on purpose.  The expanded form
+done once per grid (``acquisition.once_per_grid``); each scan then costs
+a counts pass, X^T y and the residuals.  The identity is kept in this
+centered form, around theta_hat, on purpose.  The expanded form
 |y|^2 - 2 theta.X^T y + theta.G theta subtracts terms of order
 n^2 * points from each other to leave a residual of order 1; at
 n = 10^8 that cancellation loses every significant digit, and the cost
@@ -56,14 +55,13 @@ from __future__ import annotations
 
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._fields import field, items
 from ._kernels import plain_sum
-from .acquisition import FLAT_VISIBILITY, ScanRecord
+from .acquisition import FLAT_VISIBILITY, ScanRecord, once_per_grid
 from .interferometer import SignalSetting
 from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
 from .states import IdlerStateParams, wrap_angle
@@ -194,15 +192,12 @@ def _split(x: float) -> tuple[float, float]:
     return hi, x - hi
 
 
-@functools.lru_cache(maxsize=1)
-def _fit_grid(phases: tuple[float, ...]) -> tuple:
+def _fit_grid(phases: Sequence[float]) -> tuple:
     """What a fit needs of its phase grid alone: the cos and sin columns,
     G^-1 and the Cholesky factor of G (see :class:`_ScanFit`).
 
-    Held for the last grid fitted, which the H and V scans of a pair, a
-    calibration and every point of a sweep share.  Raises FitError when
-    the normal matrix is singular by ``_inverse3``'s test, i.e. when the
-    grid cannot separate the three basis functions.
+    Raises FitError when the normal matrix is singular by ``_inverse3``'s
+    test, i.e. when the grid cannot separate the three basis functions.
     """
     m = len(phases)
     cos_k = tuple(math.cos(p) for p in phases)
@@ -243,7 +238,7 @@ def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
 
     Raises FitError on a singular grid, as :func:`_fit_grid`.
     """
-    cos_k, sin_k, inv, chol = _fit_grid(tuple(phases))
+    cos_k, sin_k, inv, chol = once_per_grid(_fit_grid, phases)
     m = len(cos_k)
     # integer counts sum exactly and are rounded once
     syc = sys_ = 0.0

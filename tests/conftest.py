@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -72,12 +73,29 @@ def unbalanced_config(seed, phase=0.0):
 
 
 def path_b_idler(cfg):
-    """The exact oracle's idler state in path b, flat row-major: the
-    aligned 12-dim state traced over the four signal modes (H_Sa, V_Sa,
-    H_Sb, V_Sb) on the idler's H_Ib and V_Ib, over its trace."""
+    """The exact oracle's idler state in path b: the aligned 12-dim state
+    traced over the four signal modes (H_Sa, V_Sa, H_Sb, V_Sb) on the
+    idler's H_Ib and V_Ib, over its trace."""
     from pitomo.interferometer import _apply_alignment_raw, _total_state_raw
+    from pitomo.qcore import DensityMatrix
     r12 = _apply_alignment_raw(_total_state_raw(cfg), cfg)
     m = [sum(r12[(s + i) * 12 + s + j] for s in (0, 4, 8, 10))
          for i in range(2) for j in range(2)]
     trace = (m[0] + m[3]).real
-    return [x / trace for x in m]
+    return DensityMatrix(2, tuple(x / trace for x in m), ("H_I", "V_I"))
+
+
+def count_grids(mp, module, name):
+    """Replace ``module.name`` through the monkeypatch ``mp`` by a wrapper
+    that records the float64 bits of each grid it is called on; returns
+    that record.  The wrapper is a new function, so the grid memo holds
+    nothing for it yet."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(phases):
+        calls.append(array("d", phases).tobytes())
+        return fn(phases)
+
+    mp.setattr(module, name, counted)
+    return calls

@@ -10,19 +10,19 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from pitomo import acquisition, reconstruct
 from pitomo._fields import EntryError
 from pitomo._kernels import Rng
 from pitomo.acquisition import (CSV_COLUMNS, HELD_POINTS, CalibrationResult,
-                                ScanPlan, ScanRecord, _phase_text,
-                                _uniform_grid, calibration_from_json,
-                                calibration_to_json, load_scan,
+                                ScanPlan, ScanRecord, calibration_from_json,
+                                calibration_to_json, load_scan, once_per_grid,
                                 run_calibration, run_scan, scan_from_csv,
                                 scan_from_json, scan_to_csv, scan_to_json)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    fringe, rates_closed_form)
 from pitomo.reconstruct import extract_parameters, fit_sinusoid
 from pitomo.states import TWO_PI, IdlerStateParams, SourceQ2Params
-from conftest import digest, unbalanced_config
+from conftest import count_grids, digest, unbalanced_config
 
 
 def balanced(idler=None, **kw):
@@ -53,8 +53,8 @@ def test_plan_validation():
     assert plan.phases[0] == 0.0
 
 
-# Grids that the whole-grid test refuses, and the point the per-point
-# rules then name: an infinity is in order, so only the span test sees it.
+# Grids that break a rule, and the point the rule names: an infinity is
+# in order, so only the span rule sees it.
 @pytest.mark.parametrize("phases, index, rule", [
     ((0.0, 1.0, 2.0, 3.0, math.inf), 4, "must be a finite number"),
     ((-math.inf, 1.0, 2.0, 3.0, 4.0), 0, "must be a finite number"),
@@ -369,11 +369,15 @@ def _uneven_grids(lo):
                     unique=True).map(sorted)
 
 
+def _uniform(m):
+    return ScanPlan.default_grid(SignalSetting.H, 0, points=m).phases
+
+
 _GRIDS = st.one_of(
-    st.integers(5, 300).map(_uniform_grid),
+    st.integers(5, 300).map(_uniform),
     _uneven_grids(0.0),
     st.floats(-20.0, 20.0).flatmap(_uneven_grids),
-    st.integers(5, 300).map(lambda m: [p - math.pi for p in _uniform_grid(m)]))
+    st.integers(5, 300).map(lambda m: [p - math.pi for p in _uniform(m)]))
 # a grid from 0.0 and its twin from -0.0, which compare equal
 _TWINS = st.lists(st.floats(1e-6, 6.28), min_size=4, max_size=40,
                   unique=True).map(lambda rest: ([0.0, *sorted(rest)],
@@ -390,9 +394,9 @@ def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
                         data.draw(st.sampled_from(SignalSetting)),
                         data.draw(st.integers(0, (1 << 64) - 1)))
         records.append(ScanRecord(plan, data.draw(counts), data.draw(counts)))
-    _phase_text.cache_clear()
     a, b = records
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        texts = count_grids(mp, acquisition, "_phase_text")
         path = Path(tmp) / "scan.csv"
         for record in (a, a, b, b, a):  # a miss, then a hit, on each grid
             scan_to_csv(record, path)
@@ -404,7 +408,7 @@ def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
     # a grid's text is held by its bits: the -0.0 twin of a grid misses
     twins = (array("d", a.plan.phases).tobytes()
              == array("d", b.plan.phases).tobytes())
-    assert _phase_text.cache_info()[:2] == ((4, 1) if twins else (2, 3))
+    assert len(texts) == (1 if twins else 3)
 
 
 def _dim_pairs():
@@ -453,42 +457,95 @@ def test_dim_csv_path_golden(tmp_path):
     assert digest(_dim_path_values(tmp_path)) == DIM_PATH_GOLDEN
 
 
-def test_a_scan_pair_on_one_grid_formats_its_phases_once(tmp_path):
-    (scan_h, scan_v), _, _ = next(_dim_pairs())
-    _phase_text.cache_clear()
+# ---------------------------------------------------------------------------
+# the grid memo
+
+
+def test_a_scan_pair_on_one_grid_formats_its_phases_once(tmp_path, monkeypatch):
+    (scan_h, scan_v), t_h, t_v = next(_dim_pairs())
+    counted = [count_grids(monkeypatch, acquisition, "_checked_grid"),
+               count_grids(monkeypatch, acquisition, "_phase_text"),
+               count_grids(monkeypatch, reconstruct, "_fit_grid")]
+    plans = [ScanPlan.default_grid(setting, 3, points=200, counts_per_point=30)
+             for setting in SignalSetting]
+    loaded = []
     for scan in (scan_h, scan_v):
         scan_to_csv(scan, tmp_path / "scan.csv")
-        assert load_scan(tmp_path / "scan.csv").plan.phases == scan.plan.phases
-    assert _phase_text.cache_info()[:2] == (1, 1)
+        loaded.append(load_scan(tmp_path / "scan.csv"))
+        assert loaded[-1].plan.phases == scan.plan.phases
+    extract_parameters(*loaded, t_h, t_v)
+    # validation, CSV text and the fit's grid pass: one call each, and
+    # the plans built, written and reloaded share one tuple
+    assert [len(calls) for calls in counted] == [1, 1, 1]
+    assert all(p.phases is plans[0].phases for p in
+               (*plans, *(s.plan for s in loaded)))
 
 
-def test_a_grid_above_held_points_is_not_held(tmp_path):
-    _uniform_grid.cache_clear()
-    _phase_text.cache_clear()
-    plan = ScanPlan.default_grid(SignalSetting.H, 3, points=HELD_POINTS + 1,
-                                 noiseless=True)
-    assert plan.phases == _uniform_grid.__wrapped__(HELD_POINTS + 1)
-    record = run_scan(balanced(), plan)
-    scan_to_csv(record, tmp_path / "scan.csv")
-    assert (tmp_path / "scan.csv").read_bytes() == _reference_csv(record)
-    for cache in (_uniform_grid, _phase_text):
-        assert cache.cache_info()[:4] == (0, 0, 1, 0)
+def test_once_per_grid_keys_on_the_grid_bits():
+    calls = []
+
+    def fn(phases):
+        calls.append(array("d", phases).tobytes())
+        return iter([len(calls)])  # held as a tuple
+
+    grid = [TWO_PI * k / 10 for k in range(10)]
+    twin = [-0.0, *grid[1:]]  # == grid, with other bits
+    ulp = [*grid[:-1], math.nextafter(grid[-1], 7.0)]
+    assert once_per_grid(fn, grid) == once_per_grid(fn, tuple(grid)) == (1,)
+    assert once_per_grid(fn, twin) == once_per_grid(fn, twin) == (2,)
+    assert once_per_grid(fn, ulp) == (3,)
+    assert once_per_grid(fn, grid) == (4,)  # only the last grid is held
+    assert len(set(calls)) == 3
 
 
-def test_default_grid_is_built_once_per_point_count():
-    _uniform_grid.cache_clear()
+def test_once_per_grid_holds_nothing_that_raised(monkeypatch):
+    def fn(phases):
+        calls.append(phases)
+        raise ZeroDivisionError
+
+    calls = []
+    grid = [0.5 * k for k in range(6)]
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            once_per_grid(fn, grid)
+    assert len(calls) == 2
+    # a NaN grid breaks a rule each time it is checked
+    checks = count_grids(monkeypatch, acquisition, "_checked_grid")
+    for _ in range(2):
+        with pytest.raises(EntryError, match="must be a finite number"):
+            ScanPlan((0.0, 1.0, math.nan, 3.0, 4.0), 100, SignalSetting.H, 1)
+    assert len(checks) == 2
+
+
+def test_a_grid_above_held_points_is_not_held(tmp_path, monkeypatch):
+    m = HELD_POINTS + 1
+    counted = [count_grids(monkeypatch, acquisition, "_checked_grid"),
+               count_grids(monkeypatch, acquisition, "_phase_text")]
+    small = ScanPlan.default_grid(SignalSetting.H, 3)
+    for _ in range(2):
+        plan = ScanPlan.default_grid(SignalSetting.H, 3, points=m, noiseless=True)
+        assert plan.phases == tuple(TWO_PI * k / m for k in range(m))
+        record = run_scan(balanced(), plan)
+        scan_to_csv(record, tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_bytes() == _reference_csv(record)
+    assert [len(calls) for calls in counted] == [3, 2]
+    # nor does it displace the grid held before it
+    assert ScanPlan.default_grid(SignalSetting.V, 3).phases is small.phases
+    assert len(counted[0]) == 3
+
+
+def test_default_grid_is_built_once_per_point_count(monkeypatch):
+    checks = count_grids(monkeypatch, acquisition, "_checked_grid")
     plans = [ScanPlan.default_grid(setting, 3, points=200)
              for setting in SignalSetting]
-    assert plans[0].phases == plans[1].phases
-    assert _uniform_grid.cache_info()[:2] == (1, 1)
-    # the cache is typed: a float count fails in range() as it did before,
-    # even where the count held compares equal to it
-    with pytest.raises(TypeError):
+    assert plans[0].phases is plans[1].phases
+    assert len(checks) == 1
+    with pytest.raises(TypeError):  # range() refuses a float count
         ScanPlan.default_grid(SignalSetting.H, 3, points=200.0)
-    with pytest.raises(EntryError):  # holds the one-point grid of True
-        ScanPlan.default_grid(SignalSetting.H, 3, points=True)
     with pytest.raises(TypeError):
         ScanPlan.default_grid(SignalSetting.H, 3, points=1.0)
+    with pytest.raises(EntryError):  # the one-point grid of True
+        ScanPlan.default_grid(SignalSetting.H, 3, points=True)
 
 
 # ---------------------------------------------------------------------------

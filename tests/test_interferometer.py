@@ -15,8 +15,8 @@ from pitomo.interferometer import (BASIS_8, _BS_ROWS, InterferometerConfig,
                                    _apply_alignment_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
                                    coherence_stressed_state, fringe,
-                                   post_interaction_idler, random_valid_config,
-                                   rates_closed_form, rates_exact, total_state)
+                                   random_valid_config, rates_closed_form,
+                                   rates_exact, total_state)
 from pitomo._kernels import eigh, sandwich
 from pitomo.qcore import fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
@@ -418,19 +418,18 @@ def test_fringe_phase_shift_equals_xi_minus_theta(rng):
 
 
 # ---------------------------------------------------------------------------
-# post-interaction state
+# post-interaction state: the oracle's idler in path b
 
 
 def test_post_interaction_h():
     # equal source weights: w1 |H><H| + w2 diag(1/2, 1/2) over 1
     cfg = InterferometerConfig(b1=SQRT1_2, b2_mag=SQRT1_2,
                                idler=IdlerStateParams.horizontal())
-    rho = post_interaction_idler(cfg)
+    rho = path_b_idler(cfg)
     assert rho.at(0, 0) == pytest.approx(0.75, abs=1e-15)
     assert rho.at(1, 1) == pytest.approx(0.25, abs=1e-15)
     # balanced sources, w1 = 1/3: diag(2/3, 1/3)
-    rho = post_interaction_idler(InterferometerConfig.balanced(
-        IdlerStateParams.horizontal()))
+    rho = path_b_idler(InterferometerConfig.balanced(IdlerStateParams.horizontal()))
     assert eigh(rho.entries, 2) == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-15)
 
 
@@ -438,17 +437,26 @@ def test_post_interaction_spectrum_and_fidelity(rng):
     for _ in range(30):
         idler = IdlerStateParams(rng.random(), 2 * math.pi * rng.random(), 1.0)
         cfg = InterferometerConfig(b1=SQRT1_2, b2_mag=SQRT1_2, idler=idler)
-        rho = post_interaction_idler(cfg)
+        rho = path_b_idler(cfg)
         vals = eigh(rho.entries, 2)
         assert abs(vals[0] - 0.25) < 1e-12
         assert abs(vals[1] - 0.75) < 1e-12
         assert fidelity_mixed(rho, idler.state_vector()) == pytest.approx(
             0.75, abs=1e-12)
-    # any arrangement and any idler purity: the oracle's path-b marginal
+    # any arrangement and any idler purity: source 1's idler passes
+    # T = diag(t_h, t_v), source 2's loses its coherence with its signal,
+    # so the state is w1 T rho T^dagger + w2 diag(p_h2, p_v2) over its trace
     for _ in range(300):
         cfg = random_valid_config(rng)
-        assert post_interaction_idler(cfg).entries == pytest.approx(
-            path_b_idler(cfg), abs=1e-12)
+        w1, w2 = cfg.b1 ** 2, cfg.b2_mag ** 2
+        t = (cfg.t_h, cfg.t_v)
+        q2 = (cfg.q2.p_h2, cfg.q2.p_v2)
+        rho = cfg.idler.to_density_matrix()
+        m = [w1 * t[i] * t[j].conjugate() * rho.at(i, j) + (w2 * q2[i] if i == j else 0)
+             for i in range(2) for j in range(2)]
+        trace = (m[0] + m[3]).real
+        assert [x / trace for x in m] == pytest.approx(path_b_idler(cfg).entries,
+                                                        abs=1e-12)
 
 
 def test_coherence_stress_boundary():

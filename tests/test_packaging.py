@@ -2,15 +2,20 @@
 script is the CLI's entry point; ``python -m pitomo`` runs the same CLI.
 Every public name of the package has a caller or is exported, and every
 public constant and every private top-level name a reader that reads it
-as that module's.  Every text file the package reads or writes is UTF-8."""
+as that module's.  Every text file the package reads or writes is UTF-8.
+The package's one cache is the phase-grid memo."""
 
 import ast
 import importlib
 import os
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10
+    import tomli as tomllib
 
 import pitomo
 import pitomo.cli
@@ -187,3 +192,22 @@ def test_every_text_file_is_opened_as_utf8():
                     and all(k.arg != "encoding" for k in node.keywords)):
                 missing.append(f"{path.name}:{node.lineno}: {name}()")
     assert missing == []
+
+
+def test_the_grid_memo_is_the_one_cache():
+    # Work that depends on a phase grid alone goes through
+    # acquisition.once_per_grid, with its one key and one bound, rather
+    # than through a functools cache of its own.
+    caches = []
+    for path in sorted((ROOT / "src" / "pitomo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                caches += [f"{path.stem}: {a.name}" for a in node.names
+                           if a.name in ("cache", "lru_cache")]
+            elif (isinstance(node, ast.Attribute)
+                    and node.attr in ("cache", "lru_cache")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                caches.append(f"{path.stem}: {ast.unparse(node)}")
+    assert caches == ["acquisition: functools.lru_cache"]
+    assert hasattr(pitomo.acquisition._held, "cache_info")
