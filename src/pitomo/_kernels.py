@@ -27,41 +27,31 @@ rotations among the others, every rotation that involves it meets a zero pivot
 and is skipped, so its diagonal is an eigenvalue as it stands, and the other
 rotations see the same floats in the same order as on the full matrix.
 
-Random numbers come from xoshiro256** seeded through splitmix64:
-
-* stream state: ``s = splitmix_mix((seed + GOLDEN*stream) mod 2^64)``,
-  then four successive splitmix64 outputs starting from ``s`` fill the
-  xoshiro256** state.  ``(seed, stream)`` fully determines the stream.
-* uniforms: ``(u64 >> 11) * 2^-53`` in [0, 1).
-* the step keeps only the masks that can change the low 64 bits, the
-  words of the state and of the output.  ``x = 5 s1`` is left unmasked:
-  its bits above 64 reach ``x << 7`` only above bit 64, and the rotate's
-  right half shifts ``x & M`` instead.  The rotated word is not masked
-  before ``* 9``, since the low 64 bits of a product depend only on the
-  low 64 bits of its factors, and the product is masked once.  The state
-  rotation masks ``s3 << 45`` before the OR with the 45-bit ``s3 >> 19``,
-  which keeps every intermediate below 2^109 and the result a 64-bit word.
-* Poisson counts: inversion by sequential search for mean < 30, and the
-  transformed-rejection sampler (normal-approximation proposal with an
-  exact acceptance step) above, using a fixed-coefficient Stirling
-  series for log(k!) so no platform lgamma enters the stream.
+Random numbers come from the standard library's MT19937 (Matsumoto &
+Nishimura, *ACM TOMACS* 8, 3 (1998)): stream ``(seed, stream)`` is
+``random.Random((seed << 64) | stream)``, one-to-one because both must lie
+in [0, 2^64).  CPython documents that ``random()`` repeats its sequence
+for the same int seed across versions; it forms each double exactly from
+53 bits of two 32-bit outputs, with no libm call.  Poisson counts use
+inversion by sequential search for mean < 30, and the transformed-rejection
+sampler (normal-approximation proposal with an exact acceptance step)
+above, using a fixed-coefficient Stirling series for log(k!) so no
+platform lgamma enters the stream.
 
 :meth:`Rng.poissons` draws a whole sequence of means in one call, and
-:meth:`Rng.poisson` is the one-mean case of it.  The batch takes its
-uniforms from a generator that holds the xoshiro words in locals and
-writes them back when closed.  A new mean takes the plain sequential
-search, which builds no list; the fringing detector's mean is new at
-every point.  While the mean repeats, its per-mean work is kept: on the
-first repeat the inversion branch builds the mean's whole CDF table by
-the same recurrence ``pmf *= mu/k; cdf += pmf`` from ``exp(-mu)``, up to
-the first k > mu whose term no longer grows the sum (or k = 1000), and
-every repeat is one bisection of it; the rejection branch keeps its
-constants.  No bit changes, because each kept value is the float the
-draw-by-draw sampler would compute again from the same mean, and
-bisecting the nondecreasing CDF terms finds the first term >= u, which
-is where the sequential search stops.  Past the table's end every term
-equals its last, so a u above the last term is above them all and
-takes the search's k = 1001 cap.  The constant detector draws every
+:meth:`Rng.poisson` is the one-mean case of it.  A new mean takes the
+plain sequential search, which builds no list; the fringing detector's
+mean is new at every point.  While the mean repeats, its per-mean work is
+kept: on the first repeat the inversion branch builds the mean's whole
+CDF table by the same recurrence ``pmf *= mu/k; cdf += pmf`` from
+``exp(-mu)``, up to the first k > mu whose term no longer grows the sum
+(or k = 1000), and every repeat is one bisection of it; the rejection
+branch keeps its constants.  No bit changes, because each kept value is
+the float the draw-by-draw sampler would compute again from the same
+mean, and bisecting the nondecreasing CDF terms finds the first term
+>= u, which is where the sequential search stops.  Past the table's end
+every term equals its last, so a u above the last term is above them
+all and takes the search's k = 1001 cap.  The constant detector draws every
 point from one such table.  A repeated CDF lookup is the standard
 speed-up of inversion (Devroye, *Non-Uniform Random Variate Generation*,
 1986, section X.3); the rejection sampler is Hörmann's PTRS (*Insur.
@@ -71,13 +61,11 @@ Math. Econ.* 12, 39 (1993)).
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from functools import reduce
 from operator import add
 
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 _EIGH_MAX_SWEEPS = 100
 
 
@@ -209,13 +197,6 @@ def eigh(a, n):
 # random numbers
 
 
-def _mix64(z):
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 _LOGGAM_A = (
     8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
     -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
@@ -264,59 +245,19 @@ def _cdf_table(mu):
 
 
 class Rng:
-    """xoshiro256** stream addressed by (seed, stream); see module docstring."""
+    """MT19937 stream addressed by (seed, stream); see module docstring."""
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    __slots__ = ("_gen",)
 
     def __init__(self, seed, stream=0):
-        s = _mix64((seed + _GOLDEN * stream) & _MASK64)
-        st = []
-        for _ in range(4):
-            s = (s + _GOLDEN) & _MASK64
-            st.append(_mix64(s))
-        if not any(st):
-            st[0] = _GOLDEN
-        self._s0, self._s1, self._s2, self._s3 = st
-
-    def u64(self):
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = s1 * 5
-        result = (((x << 7) | ((x & _MASK64) >> 57)) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        for name, value in (("seed", seed), ("stream", stream)):
+            if not 0 <= value < (1 << 64):
+                raise ValueError(f"{name} must fit in 64 bits, got {value}")
+        self._gen = random.Random((seed << 64) | stream)
 
     def random(self):
         """Uniform double in [0, 1)."""
-        return (self.u64() >> 11) * _INV_2_53
-
-    def _uniforms(self):
-        """Successive ``random()`` values with the state held in locals.
-
-        The state is written back when the generator is closed, so it is
-        the state after the last uniform taken.
-        """
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        try:
-            while True:
-                x = s1 * 5
-                t = (s1 << 17) & _MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) & _MASK64) | (s3 >> 19)
-                yield (((((x << 7) | ((x & _MASK64) >> 57)) * 9) & _MASK64)
-                       >> 11) * _INV_2_53
-        finally:
-            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return self._gen.random()
 
     def poisson(self, mu):
         """Poisson variate with mean ``mu``; exact for all mu >= 0."""
@@ -329,71 +270,67 @@ class Rng:
         the module docstring.  A negative, infinite or NaN mean raises
         ValueError with the state left as it was after the draws before it.
         """
-        uniforms = self._uniforms()
-        uniform = uniforms.__next__
+        uniform = self._gen.random
         exp, log, floor = math.exp, math.log, math.floor
         out = []
         last = None  # the mean whose per-mean work is held below
-        try:
-            for mu in mus:
-                repeat = mu == last
+        for mu in mus:
+            repeat = mu == last
+            if not repeat:
+                if not 0.0 <= mu < math.inf:
+                    raise ValueError(
+                        f"Poisson mean must be finite and >= 0, got {mu}")
+                last = mu
+                cdf_table = None  # built on this mean's first repeat
+                if mu >= 30.0:
+                    slam = math.sqrt(mu)
+                    loglam = log(mu)
+                    b = 0.931 + 2.53 * slam
+                    a = -0.059 + 0.02483 * b
+                    two_a = 2.0 * a
+                    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+                    log_invalpha = log(invalpha)
+                    vr = 0.9277 - 3.6224 / (b - 2.0)
+            if mu == 0.0:
+                out.append(0)
+                continue
+            if mu < 30.0:
+                # inversion: the first CDF term >= u, one uniform
+                u = uniform()
                 if not repeat:
-                    if not 0.0 <= mu < math.inf:
-                        raise ValueError(
-                            f"Poisson mean must be finite and >= 0, got {mu}")
-                    last = mu
-                    cdf_table = None  # built on this mean's first repeat
-                    if mu >= 30.0:
-                        slam = math.sqrt(mu)
-                        loglam = log(mu)
-                        b = 0.931 + 2.53 * slam
-                        a = -0.059 + 0.02483 * b
-                        two_a = 2.0 * a
-                        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-                        log_invalpha = log(invalpha)
-                        vr = 0.9277 - 3.6224 / (b - 2.0)
-                if mu == 0.0:
-                    out.append(0)
+                    # sequential search; k stops at 1001 when u lies
+                    # above every term
+                    pmf = exp(-mu)
+                    cdf = pmf
+                    k = 0
+                    if u > cdf:
+                        for k in range(1, 1002):
+                            pmf = pmf * (mu / k)
+                            cdf = cdf + pmf
+                            if u <= cdf:
+                                break
+                    out.append(k)
                     continue
-                if mu < 30.0:
-                    # inversion: the first CDF term >= u, one uniform
-                    u = uniform()
-                    if not repeat:
-                        # sequential search; k stops at 1001 when u lies
-                        # above every term
-                        pmf = exp(-mu)
-                        cdf = pmf
-                        k = 0
-                        if u > cdf:
-                            for k in range(1, 1002):
-                                pmf = pmf * (mu / k)
-                                cdf = cdf + pmf
-                                if u <= cdf:
-                                    break
-                        out.append(k)
-                        continue
-                    # the whole table, searched by bisection; a u above
-                    # its last term is above every later one too
-                    if cdf_table is None:
-                        cdf_table = _cdf_table(mu)
-                    k = bisect_left(cdf_table, u)
-                    out.append(k if k < len(cdf_table) else 1001)
+                # the whole table, searched by bisection; a u above
+                # its last term is above every later one too
+                if cdf_table is None:
+                    cdf_table = _cdf_table(mu)
+                k = bisect_left(cdf_table, u)
+                out.append(k if k < len(cdf_table) else 1001)
+                continue
+            # transformed rejection: proposal centered on the normal
+            # approximation, exact log-pmf acceptance test
+            while True:
+                u = uniform() - 0.5
+                v = uniform()
+                us = 0.5 - abs(u)
+                k = floor((two_a / us + b) * u + mu + 0.43)
+                if us >= 0.07 and v <= vr:
+                    break
+                if k < 0 or (us < 0.013 and v > us):
                     continue
-                # transformed rejection: proposal centered on the normal
-                # approximation, exact log-pmf acceptance test
-                while True:
-                    u = uniform() - 0.5
-                    v = uniform()
-                    us = 0.5 - abs(u)
-                    k = floor((two_a / us + b) * u + mu + 0.43)
-                    if us >= 0.07 and v <= vr:
-                        break
-                    if k < 0 or (us < 0.013 and v > us):
-                        continue
-                    if (log(v) + log_invalpha - log(a / (us * us) + b)
-                            <= k * loglam - mu - loggam(k + 1.0)):
-                        break
-                out.append(k)
-        finally:
-            uniforms.close()
+                if (log(v) + log_invalpha - log(a / (us * us) + b)
+                        <= k * loglam - mu - loggam(k + 1.0)):
+                    break
+            out.append(k)
         return out

@@ -446,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="phase points per scan (default 20 over one period)")
         p.add_argument("--n", type=int, default=1000,
                        help="expected counts per point at unit rate (default 1000)")
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed, 0 <= seed < 2**64")
         p.add_argument("--noiseless", action="store_true",
                        help="deterministic rounded counts instead of Poisson draws")
         p.add_argument("--phases", type=str, default=None,
@@ -503,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="run the oracle-equivalence and positivity suites")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--seed", type=int, default=20260810,
+                   help="RNG seed, 0 <= seed < 2**64 (default 20260810)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 

@@ -169,7 +169,9 @@ def test_empirical_visibility_matches_closed_form():
 
 
 # Literal counts pin the noise streams and the float evaluation order of
-# the rate law: a change to either changes a count.  n = 1000 draws on the
+# the rate law: a change to either changes a count.  The noisy ones are
+# test_kernels's _reference_poisson over random.Random((seed << 64) | stream)
+# at the scan's means.  n = 1000 draws on the
 # Poisson rejection branch (mean >= 30), n = 30 on the inversion branch.
 # The unbalanced arrangement carries phi = 1.3, which a scan overrides.
 _UNBALANCED = dict(b1=0.8, b2_mag=0.6, phi=1.3, t_h=0.9 * cmath.exp(2.5j),
@@ -181,20 +183,20 @@ GOLDEN_SCANS = {
         dict(b1=math.sqrt(1 / 3), b2_mag=math.sqrt(2 / 3),
              t_h=0.85 * cmath.exp(0.4j), t_v=0.73 * cmath.exp(-1.1j),
              idler=IdlerStateParams(0.35, 2.1, 0.8)), 1000, False, {
-            "H": ((547, 466, 388, 270, 170, 164, 261, 399),
-                  (178, 154, 184, 178, 184, 168, 173, 153)),
-            "V": ((427, 516, 463, 374, 218, 214, 193, 288),
-                  (174, 153, 177, 141, 177, 175, 143, 184)),
+            "H": ((463, 509, 406, 274, 165, 182, 266, 401),
+                  (190, 184, 164, 163, 171, 171, 136, 181)),
+            "V": ((394, 498, 461, 396, 252, 177, 213, 276),
+                  (169, 161, 176, 176, 144, 159, 179, 161)),
         }),
     "unbalanced_theta": (_UNBALANCED, 1000, False, {
-        "H": ((265, 328, 474, 558, 508, 379, 255, 192),
-              (136, 115, 141, 136, 141, 127, 132, 92)),
-        "V": ((351, 410, 459, 538, 504, 567, 419, 350),
-              (58, 46, 60, 39, 60, 59, 41, 64)),
+        "H": ((208, 364, 493, 564, 500, 407, 260, 193),
+              (146, 141, 124, 123, 130, 130, 99, 139)),
+        "V": ((321, 393, 457, 564, 554, 503, 449, 336),
+              (55, 51, 60, 59, 41, 50, 61, 51)),
     }),
     "unbalanced_dim": (_UNBALANCED, 30, False, {
-        "H": ((12, 5, 11, 16, 14, 8, 8, 6), (5, 3, 2, 1, 6, 5, 5, 3)),
-        "V": ((11, 9, 18, 19, 16, 14, 14, 11), (2, 0, 0, 2, 2, 1, 0, 0)),
+        "H": ((4, 9, 18, 10, 19, 17, 9, 4), (7, 3, 6, 3, 3, 6, 0, 5)),
+        "V": ((7, 10, 15, 14, 13, 24, 12, 8), (2, 4, 2, 3, 1, 0, 2, 1)),
     }),
     "noiseless_big_n": (
         dict(b1=0.45, b2_mag=math.sqrt(1 - 0.45 ** 2),
@@ -450,7 +452,7 @@ def _dim_path_values(tmp_path):
 
 # sha256 (conftest.digest) of _dim_path_values; pins every byte and bit of
 # the CSV round trip and the fringe route on dim scans
-DIM_PATH_GOLDEN = "0ecc2ed00e8c453c6e4dff796b2363125ce231491078ac0666c7cf02784e9b20"
+DIM_PATH_GOLDEN = "2d04c0424a545470f188a4d58d934e017aab173b2643c011c3713159c79b7d73"
 
 
 def test_dim_csv_path_golden(tmp_path):

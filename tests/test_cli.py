@@ -141,14 +141,14 @@ def test_simulate_names_the_files_it_wrote(tmp_path, capsys, fmt, names):
 # rejection branch
 @pytest.mark.parametrize("points, n, digests", [
     pytest.param(200, 30, {
-        "scan_H.csv": "d22a8bea5975b112068f3311cd9dde98ee2ea76bcd72de1b7a3c8be3a6671890",
-        "scan_V.csv": "9fae4076325c3ab47ce3437f354625ce018f6f100e101b4fd72565e33767fb6c",
-        "scan_H.json": "03c36f8ffad36276b07fb86fc36a0b9b326904bf78b11ea174f654350a23fdbb",
+        "scan_H.csv": "ae99de90fd3bc09986ef72ebba0331589f8d78ffff11fcddf7122836b288ef89",
+        "scan_V.csv": "01493232b400f66cf54c531bae238409d8c38cd75465f5f749dbe99937f60dc2",
+        "scan_H.json": "00be23b8234e93dc40cc9172f6318e99b9c3763f87c562bca1ff55781f758468",
     }, id="inversion"),
     pytest.param(20, 1000, {
-        "scan_H.csv": "f43bd345c7d0856572d32c1a8bb3030ffa9cc4f4f09c2a00eff621dfb884d25f",
-        "scan_V.csv": "f8ef678a68f516ff7f5ace1b32c87358b3128d2ec84d334183d72c3e9feef794",
-        "scan_H.json": "3183234f4e5c87c00e0e7360a33ce0e91f203c5b46585a00e878d816f9e8d6f4",
+        "scan_H.csv": "ab63c842591dbc5b56ba1e8bef818fdc94e3bd558d288ab164c0a37a63927e7b",
+        "scan_V.csv": "01efe5e2fcda09171d5f913f10fb131e78b9ba446e3ed964ca52b0941ac90be3",
+        "scan_H.json": "a02179f78197e11f1992470858e445942cec78df789b059c884ea2bb5b9f2e6b",
     }, id="rejection"),
 ])
 def test_simulate_output_golden(tmp_path, points, n, digests):
@@ -881,13 +881,15 @@ def test_verify_detects_stressed_violation_on_every_seed():
         assert run_verification(1, seed)["all_passed"], seed
 
 
+# sha256 of run_verification(200, seed)'s JSON; a test is named by its seed
 VERIFY_REPORT_GOLDEN = [
-    (5,
-     "e8155e65e0d06e4443524bf0d61786d19ad497f417bf04c54cbb8bccc45a31ec"),
-    (77,
-     "e1bbb459dbe02b922a9d7ef543bc06424714d1c03b183a87e06bacfdac210550"),
-    (20260810,
-     "6e24669bb4ff6b895d864d671636f3a06cad3e7cf8b8668eb8ec24dbd3f87843"),
+    pytest.param(5, "5d69ceb48c7ee8df4f4038ac0efa1a0923d8366417bfb1fa1b6f5186a9fefe79",
+                 id="5"),
+    pytest.param(77, "42adb03c4efbe84069dd5193e4d1d15b3ca4abfe1fc5bdfa5aa3614a0a56cb74",
+                 id="77"),
+    pytest.param(20260810,
+                 "6338d71d1b4dcb5632e3d53daef641185f6596e03fd5e799b09bdff2d539c4ef",
+                 id="20260810"),
 ]
 
 
@@ -905,7 +907,7 @@ def test_verify_stdout_golden(capsys):
         "PASS  trace of the joint state: max |tr - 1| = 2.220e-16 "
         "over 300 configs\n"
         "PASS  positivity at coherence 0 / 0.5 / 1: "
-        "min eigenvalue = -1.627e-16\n"
+        "min eigenvalue = -2.019e-16\n"
         "PASS  positivity violation detected at coherence 1.2: "
         "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
         "all 4 checks passed\n")
@@ -985,6 +987,15 @@ def test_manifest_hashes_every_input_file(tmp_path, method, digests):
 def test_verify_refuses_fewer_than_one_trial(capsys, trials):
     assert run("verify", "--trials", trials) == 3
     assert f"trials must be at least 1, got {trials}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed, code", [
+    (-1, 3), (1 << 64, 3), (0, 0), ((1 << 64) - 1, 0)])
+def test_verify_takes_seeds_that_fit_in_64_bits(capsys, seed, code):
+    # the noise stream of a seed outside [0, 2^64) would be another seed's
+    assert run("verify", "--trials", 2, "--seed", seed) == code
+    err = capsys.readouterr().err
+    assert (f"seed must fit in 64 bits, got {seed}" in err) == (code == 3)
 
 
 def test_report_renders_stored_result(tmp_path, capsys):
