@@ -11,14 +11,13 @@ checks the closed-form rate law (:func:`fringe`) against.
 """
 
 from ._kernels import active_backend
-from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
-from .states import (IdlerStateParams, SourceQ2Params, WaveplateKind,
-                     WaveplateSetting, prepared_idler_params,
+from .states import (DensityMatrix, IdlerStateParams, SourceQ2Params,
+                     WaveplateKind, WaveplateSetting, fidelity_mixed,
+                     prepared_idler_params, qubit_state_fidelity,
                      waveplate_unitary)
 from .interferometer import (DetectionRates, Fringe, InterferometerConfig,
-                             SignalSetting, coherence_stressed_state, fringe,
-                             random_valid_config, rates_closed_form,
-                             rates_exact, total_state)
+                             SignalSetting, fringe, random_valid_config,
+                             rates_closed_form, rates_exact)
 from .acquisition import (CalibrationResult, ScanPlan, ScanRecord,
                           run_calibration, run_scan)
 from .reconstruct import (ConvergenceError, FitError, Method,
@@ -33,8 +32,7 @@ __all__ = [
     "IdlerStateParams", "SourceQ2Params", "WaveplateKind", "WaveplateSetting",
     "prepared_idler_params", "waveplate_unitary",
     "DetectionRates", "Fringe", "InterferometerConfig", "SignalSetting",
-    "coherence_stressed_state", "fringe", "random_valid_config",
-    "rates_closed_form", "rates_exact", "total_state",
+    "fringe", "random_valid_config", "rates_closed_form", "rates_exact",
     "CalibrationResult", "ScanPlan", "ScanRecord", "run_calibration",
     "run_scan",
     "ConvergenceError", "FitError", "Method",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import json
+from itertools import islice
 from pathlib import Path
 
 _REQUIRED = object()
@@ -103,6 +104,13 @@ def load(path, reader):
 
 
 def dump(path, obj) -> None:
-    """Write ``obj`` to ``path`` as JSON with sorted keys."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write ``obj`` to ``path`` as JSON with sorted keys.
+
+    The encoder's chunks go to the file in joined batches, so a long scan
+    is never held as one string.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with open(path, "w", encoding="utf-8") as f:
+        while batch := list(islice(chunks, 65536)):
+            f.write("".join(batch))
+        f.write("\n")

@@ -27,9 +27,8 @@ from .acquisition import (ScanPlan, calibration_configs, calibration_from_json,
                           calibration_to_json, load_scan, run_calibration,
                           run_scan, scan_to_csv, scan_to_json)
 from .interferometer import (InterferometerConfig, SignalSetting,
-                             _total_state_raw, coherence_stressed_state,
-                             fringe, random_valid_config, rates_closed_form,
-                             rates_exact)
+                             _total_state_raw, fringe, random_valid_config,
+                             rates_closed_form, rates_exact)
 from .reconstruct import (ConvergenceError, ReconstructionResult,
                           _sweep_point, extract_parameters, mle_reconstruct,
                           report_fidelity)
@@ -272,6 +271,10 @@ def cmd_sweep(args) -> int:
         # synthetic shortcut: the ceilings a noiseless calibration measures
         t_h, t_v = (fringe(c).visibility for c in calibration_configs(cfg))
     plan = _plan(args, SignalSetting.H)
+    if plan.seed + len(angles) - 1 >= 1 << 64:
+        raise ValueError(f"--seed {plan.seed} leaves no room for {len(angles)} "
+                         f"angles: angle k runs at seed + k, which must stay "
+                         f"below 2**64")
     outdir = _outdir(args)
     rows = []
     for idx, angle_deg in enumerate(angles):
@@ -366,7 +369,6 @@ def run_verification(trials: int, seed: int) -> dict:
     spot = max(1, trials // 10)
     for _ in range(spot):
         for purity in (0.0, 0.5, 1.0):
-            # raw: a DensityMatrix would refuse a bad trace unreported
             raw = _total_state_raw(random_valid_config(rng, purity=purity))
             tr = _k.plain_sum((raw[i * 9] for i in range(8)), 0j)
             worst_tr = max(worst_tr, abs(tr.real - 1.0), abs(tr.imag))
@@ -388,8 +390,7 @@ def run_verification(trials: int, seed: int) -> dict:
     cfg = InterferometerConfig.balanced(
         IdlerStateParams(0.5, 2.0 * math.pi * rng.random(), 0.5),
         phi=2.0 * math.pi * rng.random())
-    stressed = coherence_stressed_state(cfg, 1.2)
-    lo = stressed.min_eigenvalue()
+    lo = _k.eigh(_total_state_raw(cfg, coherence_override=1.2), 8)[0]
     checks.append({
         "name": "positivity violation detected at coherence 1.2",
         "passed": lo <= -1e-4,

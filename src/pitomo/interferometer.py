@@ -3,12 +3,14 @@
 One photon pair is emitted coherently by one of two sources.  Source 1
 carries the unknown idler polarization state (signal fixed H in path a,
 idler in path b'); source 2 emits the reference pair (signal in path b,
-idler in path b).  The joint state lives in the 8-dim basis
+idler in path b).  The joint state is the exact oracle's flat row-major
+list of 64 entries over the modes
 
     {H_Sa H_Ib', H_Sa V_Ib', V_Sa H_Ib', V_Sa V_Ib',
      H_Sb H_Ib,  H_Sb V_Ib,  V_Sb H_Ib,  V_Sb V_Ib}
 
-with source weights b1 (real) and b2 = b2_mag * e^{i phi}.  The idler
+with source weights b1 (real) and b2 = b2_mag * e^{i phi}; it is never
+wrapped in a ``states.DensityMatrix``, which holds a qubit.  The idler
 beams are aligned by an effective splitter that sends the b' modes to
 the reference mode b with amplitude t_h/t_v and to a discarded witness
 path w otherwise; this is realized as an isometry into a 12-dim space
@@ -61,15 +63,9 @@ from typing import Sequence
 
 from . import _kernels as _k
 from ._fields import check, field
-from .qcore import DensityMatrix
 from .states import IdlerStateParams, SourceQ2Params
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-BASIS_8 = (
-    "H_Sa⊗H_Ib'", "H_Sa⊗V_Ib'", "V_Sa⊗H_Ib'", "V_Sa⊗V_Ib'",
-    "H_Sb⊗H_Ib", "H_Sb⊗V_Ib", "V_Sb⊗H_Ib", "V_Sb⊗V_Ib",
-)
 
 # recombiner B in the row form of ``_kernels.sandwich``: Hadamard-like on
 # the path factor, identity on polarization; rows 0 and 1 are the detected
@@ -200,6 +196,14 @@ class DetectionRates:
 
 def _total_state_raw(cfg: InterferometerConfig,
                      coherence_override: float | None = None) -> list[complex]:
+    """The joint two-source state, 8x8 row-major.
+
+    ``coherence_override`` forces every coherence slot, the idler purity
+    and both cross-source coherences, to one value: the one-parameter
+    family whose positivity boundary sits at coherence = 1, above which
+    the matrix is indefinite (``verify`` checks 1.2).  For positivity
+    studies, not for simulation.
+    """
     p_h = cfg.idler.p_h
     p_v = cfg.idler.p_v
     xi = cfg.idler.xi
@@ -239,7 +243,7 @@ def _alignment_isometry_raw(cfg: InterferometerConfig) -> list:
     """12x8 isometry: b' idler modes split into (b, w), b modes untouched.
 
     The 12 output modes are H_Sa and V_Sa, each with the idler modes
-    H_Ib, V_Ib, H_Iw, V_Iw, then the four source-2 modes of ``BASIS_8``.
+    H_Ib, V_Ib, H_Iw, V_Iw, then the joint state's four source-2 modes.
     Returned in the row form of ``_kernels.sandwich``: each of the 12 rows
     has one entry.
     """
@@ -312,24 +316,6 @@ def _detected_raw(rs: Sequence[complex]) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def total_state(cfg: InterferometerConfig) -> DensityMatrix:
-    """Joint 8-dim two-photon state of the coherently pumped source pair."""
-    return DensityMatrix(8, tuple(_total_state_raw(cfg)), BASIS_8)
-
-
-def coherence_stressed_state(cfg: InterferometerConfig,
-                             coherence: float) -> DensityMatrix:
-    """Joint state with every coherence slot forced to ``coherence``.
-
-    Overrides the idler purity and both cross-source coherences at once,
-    which is the one-parameter family whose positivity boundary sits at
-    coherence = 1; values above it make the matrix indefinite.  Meant
-    for positivity studies, not for simulation.
-    """
-    raw = _total_state_raw(cfg, coherence_override=coherence)
-    return DensityMatrix(8, tuple(raw), BASIS_8)
 
 
 def rates_exact(cfg: InterferometerConfig) -> DetectionRates:

@@ -63,8 +63,8 @@ from ._fields import field, items
 from ._kernels import plain_sum
 from .acquisition import FLAT_VISIBILITY, ScanRecord, once_per_grid
 from .interferometer import SignalSetting
-from .qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
-from .states import IdlerStateParams, wrap_angle
+from .states import (DensityMatrix, IdlerStateParams, fidelity_mixed,
+                     qubit_state_fidelity, wrap_angle)
 
 
 class FitError(ValueError):

@@ -1,4 +1,5 @@
-"""Polarization state parametrizations and waveplate state preparation.
+"""Polarization states of one photon: parameters, matrix, fidelities and
+waveplate preparation.
 
 A single-photon polarization state is carried as (p_h, xi, purity):
 population of H, relative phase of V against H, and the magnitude of
@@ -8,7 +9,14 @@ density matrix is
     [[ p_h,                  purity*sqrt(p_h p_v) e^{-i xi} ],
      [ purity*sqrt(p_h p_v) e^{+i xi},                  p_v ]]
 
-with p_v = 1 - p_h.
+with p_v = 1 - p_h.  :class:`DensityMatrix` holds this matrix in one flat
+row-major tuple.  It is the qubit's matrix only (a reconstruction, its
+reference, :meth:`IdlerStateParams.to_density_matrix`); the two-source
+joint state stays the exact oracle's flat list in ``interferometer``.  The
+fidelities compare a reconstruction with its reference.
+
+Tolerances: Hermiticity and the trace are checked at 1e-12, positive
+semidefiniteness at 1e-10 on the eigenvalue scale.
 
 Waveplate conventions, fixed project-wide (the handedness attached to
 them is a documented choice): with R(a) the real rotation by the
@@ -30,12 +38,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._fields import field
-from .qcore import DensityMatrix
+from . import _kernels as _k
+from ._fields import field, items
 
 TWO_PI = 2.0 * math.pi
 
 QUBIT_LABELS = ("H", "V")
+
+HERMITIAN_TOL = 1e-12
+TRACE_TOL = 1e-12
+PSD_TOL = 1e-10
 
 
 def wrap_angle(x: float, period: float = TWO_PI) -> float:
@@ -46,6 +58,114 @@ def wrap_angle(x: float, period: float = TWO_PI) -> float:
     if y >= period:  # fmod corner, e.g. tiny negatives rounding up
         y -= period
     return y
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """A qubit's 2x2 Hermitian unit-trace matrix, row-major entries, with
+    its two basis labels.
+
+    ``dim`` must be 2.  Finiteness, Hermiticity and the unit trace are
+    checked at construction; positive semidefiniteness is checked by
+    :meth:`min_eigenvalue` / :meth:`assert_physical` (an eigensolve, so
+    opt-in rather than paid on every intermediate value).
+    """
+
+    dim: int
+    entries: tuple[complex, ...]
+    basis_labels: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        if self.dim != 2:
+            raise ValueError(f"a DensityMatrix holds a qubit: dim must be 2, "
+                             f"got {self.dim}")
+        if not isinstance(self.entries, tuple):
+            object.__setattr__(self, "entries", tuple(complex(e) for e in self.entries))
+        if len(self.entries) != 4:
+            raise ValueError(f"expected 4 entries, got {len(self.entries)}")
+        if not self.basis_labels:
+            object.__setattr__(self, "basis_labels", ("m0", "m1"))
+        elif len(self.basis_labels) != 2:
+            raise ValueError("basis_labels length must equal dim")
+        if not all(map(cmath.isfinite, self.entries)):
+            raise ValueError("matrix entries must be finite")
+        a, b, c, d = self.entries
+        defect = max(abs(a - a.conjugate()), abs(b - c.conjugate()),
+                     abs(d - d.conjugate()))
+        if defect > HERMITIAN_TOL:
+            raise ValueError(f"not Hermitian: defect {defect:.3e}")
+        tr = a + d
+        if abs(tr.imag) > TRACE_TOL or abs(tr.real - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace must be 1, got {tr}")
+
+    def at(self, i: int, j: int) -> complex:
+        return self.entries[i * 2 + j]
+
+    def min_eigenvalue(self) -> float:
+        return _k.eigh(self.entries, 2)[0]
+
+    def assert_physical(self, tol: float = PSD_TOL) -> "DensityMatrix":
+        lo = self.min_eigenvalue()
+        if lo < -tol:
+            raise ValueError(f"state has negative eigenvalue {lo:.3e}")
+        return self
+
+    def to_json_dict(self) -> dict:
+        return {
+            "rows": self.dim,
+            "cols": self.dim,
+            "re": [e.real for e in self.entries],
+            "im": [e.imag for e in self.entries],
+            "basis_labels": list(self.basis_labels),
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "DensityMatrix":
+        re, im = items(d, "re", float), items(d, "im", float)
+        if len(re) != len(im):
+            raise ValueError(f"re and im must have equal lengths, got "
+                             f"{len(re)} and {len(im)}")
+        rows, cols = field(d, "rows", int), field(d, "cols", int)
+        if rows != 2 or cols != 2:
+            raise ValueError(f"a density matrix is a qubit's 2x2, got rows = "
+                             f"{rows} and cols = {cols}")
+        return cls(2, tuple(complex(r, i) for r, i in zip(re, im)),
+                   items(d, "basis_labels", str, ()))
+
+
+def _norm(psi: Sequence[complex]) -> float:
+    return math.sqrt(_k.plain_sum(x.real * x.real + x.imag * x.imag for x in psi))
+
+
+def fidelity_mixed(rho: DensityMatrix, psi: Sequence[complex]) -> float:
+    """<psi|rho|psi> for a unit-norm vector against a density matrix."""
+    if len(psi) != 2:
+        raise ValueError(f"vector dim {len(psi)} vs state dim 2")
+    n = _norm(psi)
+    if abs(n - 1.0) > 1e-10:
+        raise ValueError(f"state vector is not normalized (norm {n})")
+    acc = 0j
+    for i in range(2):
+        for j in range(2):
+            acc += psi[i].conjugate() * rho.at(i, j) * psi[j]
+    if abs(acc.imag) > 1e-12:
+        raise ValueError(f"fidelity came out non-real ({acc}); state invalid?")
+    return acc.real
+
+
+def qubit_state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Uhlmann fidelity between two qubit states.
+
+    Uses the 2x2 closed form tr(rho sigma) + 2 sqrt(det rho det sigma),
+    which avoids matrix square roots and reduces to <psi|sigma|psi> when
+    either argument is pure.
+    """
+    tr = _k.plain_sum((rho.at(i, j) * sigma.at(j, i)
+                       for i in range(2) for j in range(2)), 0j)
+    det_r = (rho.at(0, 0) * rho.at(1, 1) - rho.at(0, 1) * rho.at(1, 0)).real
+    det_s = (sigma.at(0, 0) * sigma.at(1, 1) - sigma.at(0, 1) * sigma.at(1, 0)).real
+    f = tr.real + 2.0 * math.sqrt(max(0.0, det_r) * max(0.0, det_s))
+    return min(1.0, max(0.0, f))
 
 
 @dataclass(frozen=True)

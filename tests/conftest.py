@@ -77,7 +77,7 @@ def path_b_idler(cfg):
     traced over the four signal modes (H_Sa, V_Sa, H_Sb, V_Sb) on the
     idler's H_Ib and V_Ib, over its trace."""
     from pitomo.interferometer import _apply_alignment_raw, _total_state_raw
-    from pitomo.qcore import DensityMatrix
+    from pitomo.states import DensityMatrix
     r12 = _apply_alignment_raw(_total_state_raw(cfg), cfg)
     m = [sum(r12[(s + i) * 12 + s + j] for s in (0, 4, 8, 10))
          for i in range(2) for j in range(2)]

@@ -21,12 +21,10 @@ from pitomo._kernels import Rng, eigh
 from pitomo.acquisition import ScanPlan, run_calibration, run_scan
 from pitomo.cli import main
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
-                                   coherence_stressed_state,
-                                   random_valid_config, rates_closed_form,
-                                   rates_exact, total_state)
-from pitomo.qcore import fidelity_mixed, qubit_state_fidelity
+                                   _total_state_raw, random_valid_config,
+                                   rates_closed_form, rates_exact)
 from pitomo.reconstruct import extract_parameters, fit_sinusoid, mle_reconstruct
-from pitomo.states import IdlerStateParams
+from pitomo.states import IdlerStateParams, fidelity_mixed, qubit_state_fidelity
 from conftest import path_b_idler, unbalanced_config, wrap_distance
 
 TWO_PI = 2.0 * math.pi
@@ -239,14 +237,14 @@ def test_c8_positivity_boundary():
     for _ in range(100):
         for coh in (0.0, 0.5, 1.0):
             cfg = random_valid_config(rng, purity=coh)
-            lo = total_state(cfg).min_eigenvalue()
+            lo = eigh(_total_state_raw(cfg), 8)[0]
             worst_valid = min(worst_valid, lo)
     assert worst_valid >= -1e-10
 
     stressed_cfg = InterferometerConfig(
         b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3), phi=0.7,
         idler=IdlerStateParams(0.3, 1.2, 1.0))
-    lo_bad = coherence_stressed_state(stressed_cfg, 1.2).min_eigenvalue()
+    lo_bad = eigh(_total_state_raw(stressed_cfg, coherence_override=1.2), 8)[0]
     assert lo_bad <= -1e-4
     print(f"\nACCEPTANCE 8 PASS: valid states min eigenvalue {worst_valid:.3e}; "
           f"coherence-1.2 state detected at {lo_bad:.3e}")

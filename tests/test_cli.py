@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitomo import active_backend
+from pitomo._fields import dump
 from pitomo.cli import MAX_ANGLES, _parse_angles, main, run_verification
 from pitomo.acquisition import (MAX_POINTS, ScanPlan, calibration_from_json,
                                 load_scan, run_scan, scan_from_csv,
@@ -758,6 +759,20 @@ def test_sweep_refuses_bad_angle_spec(tmp_path, capsys, spec, message):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_refuses_seeds_past_the_top_of_the_range(tmp_path, capsys):
+    # angle k runs at seed + k, so the last angle's seed must fit too; the
+    # refusal comes before any output is written
+    out = tmp_path / "top"
+    assert run("sweep", "--plate", "hwp", "--angles", "0:90:45",
+               "--seed", 2 ** 64 - 1, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"error: --seed {2 ** 64 - 1} leaves no room for 3 angles" in err
+    assert not out.exists()
+    assert run("sweep", "--plate", "hwp", "--angles", "0:90:90", "--n", 1000,
+               "--seed", 2 ** 64 - 2, "--out", out) == 0
+    assert len(read_rows(out / "sweep.csv")) == 2
+
+
 def test_angle_range_cap_is_inclusive():
     assert len(_parse_angles(f"0:{MAX_ANGLES - 1}:1")) == MAX_ANGLES
     with pytest.raises(ValueError, match="more than 10000 angles"):
@@ -920,8 +935,8 @@ def test_verify_reports_a_trace_defect(tmp_path, capsys, monkeypatch):
 
     exact = pitomo.cli._total_state_raw
 
-    def off_by_1e_9(cfg):
-        raw = exact(cfg)
+    def off_by_1e_9(cfg, coherence_override=None):
+        raw = exact(cfg, coherence_override)
         raw[0] += 1e-9
         return raw
 
@@ -1010,6 +1025,64 @@ def test_report_renders_stored_result(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fidelity vs ref" in text
     assert "density matrix" in text
+
+
+def test_report_refuses_a_rho_that_is_not_a_qubit(tmp_path, capsys):
+    doc = _stored_result()
+    doc["rho"] = dict(doc["rho"], rows=3, cols=3,
+                      re=[1 / 3, 0, 0, 0, 1 / 3, 0, 0, 0, 1 / 3], im=[0.0] * 9,
+                      basis_labels=["a", "b", "c"])
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(doc))
+    assert run("report", "--result", bad) == 3
+    err = capsys.readouterr().err
+    assert f"{bad}: a density matrix is a qubit's 2x2" in err
+    assert "rows = 3 and cols = 3" in err
+
+
+def test_readme_example_prints_what_the_readme_quotes(tmp_path, monkeypatch,
+                                                      capsys):
+    # the README's example chain, run as written; the values it quotes
+    # must be what the chain prints
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Example", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    prefix = "PYTHONPATH=src python -m pitomo "
+    commands = [line[len(prefix):].split() for line in block.splitlines()
+                if line.startswith(prefix)]
+    assert [c[0] for c in commands] == ["simulate", "simulate", "calibrate",
+                                        "reconstruct", "report", "sweep",
+                                        "verify"]
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        printed += [" ".join(line.split())
+                    for line in capsys.readouterr().out.splitlines()]
+    for quoted in ("p_h 0.301574", "xi [rad] 1.000726", "purity 0.897048",
+                   "all 4 checks passed"):
+        assert f"`{quoted}`" in " ".join(readme.split())
+        assert quoted in printed
+
+
+def test_dump_writes_the_bytes_of_json_dumps(tmp_path):
+    # dump streams the encoder's chunks in batches; the file must hold the
+    # bytes of the whole document built in one string, for every JSON
+    # writer's output on the fixtures and for a document of many batches
+    out = tmp_path / "out"
+    assert run("verify", "--trials", 2, "--seed", 1, "--out", out) == 0
+    docs = [JSON_DOCS[name] for name in sorted(JSON_DOCS)]
+    docs += [load_scan(DATA / "scan_H.csv").to_json_dict(),
+             calibration_from_json(DATA / "calibration.json").to_json_dict(),
+             run_verification(2, 1),
+             json.loads((out / "manifest.json").read_text()),
+             {"long": [k / 7 for k in range(100_000)], "edge": [
+                 -0.0, math.inf, -math.inf, math.nan, 2 ** 70, "ψ", None]}]
+    for doc in docs:
+        dump(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_bytes() == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
-from pitomo.interferometer import (BASIS_8, _BS_ROWS, InterferometerConfig,
+from pitomo.interferometer import (_BS_ROWS, InterferometerConfig,
                                    SignalSetting, _alignment_isometry_raw,
                                    _apply_alignment_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
-                                   coherence_stressed_state, fringe,
-                                   random_valid_config, rates_closed_form,
-                                   rates_exact, total_state)
+                                   fringe, random_valid_config,
+                                   rates_closed_form, rates_exact)
 from pitomo._kernels import eigh, sandwich
-from pitomo.qcore import fidelity_mixed
 from pitomo.reconstruct import fit_sinusoid
-from pitomo.states import IdlerStateParams, SourceQ2Params
+from pitomo.states import IdlerStateParams, SourceQ2Params, fidelity_mixed
 from conftest import dense_from_rows, digest, path_b_idler, wrap_distance
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -52,10 +50,6 @@ def reference_total_state(b1, b2, p_h, xi, coh_i, coh_l, coh_lp, p_h2, theta,
 def visibilities(cfg):
     """Fringe visibilities of the H and V settings."""
     return tuple(fringe(cfg.with_setting(s)).visibility for s in SignalSetting)
-
-
-def as_np(rho) -> np.ndarray:
-    return np.array(rho.entries, dtype=complex).reshape(rho.dim, rho.dim)
 
 
 def random_real_t_config(rng):
@@ -118,21 +112,19 @@ def test_config_json_cross_coherences_must_equal_purity():
 def test_total_state_single_source_limit():
     idler = IdlerStateParams(0.3, 1.2, 0.9)
     cfg = InterferometerConfig(b1=1.0, b2_mag=0.0, idler=idler)
-    rho = total_state(cfg)
-    arr = as_np(rho)
+    arr = square(_total_state_raw(cfg))
     # top-left 2x2 sub-block carries the idler state; everything else is 0
-    idm = as_np(idler.to_density_matrix())
+    idm = square(idler.to_density_matrix().entries)
     assert np.max(np.abs(arr[:2, :2] - idm)) < 1e-15
     arr[:2, :2] = 0
     assert np.max(np.abs(arr)) == 0.0
-    assert rho.basis_labels == BASIS_8
 
 
 def test_total_state_reference_source_limit():
     cfg = InterferometerConfig(b1=0.0, b2_mag=1.0,
                                idler=IdlerStateParams.horizontal(),
                                q2=SourceQ2Params(0.5, 0.0))
-    arr = as_np(total_state(cfg))
+    arr = square(_total_state_raw(cfg))
     bell = np.zeros(8, dtype=complex)
     bell[4] = SQRT1_2
     bell[7] = SQRT1_2
@@ -143,9 +135,9 @@ def test_total_state_generic_entry():
     idler = IdlerStateParams(0.3, 1.2, 0.9)
     cfg = InterferometerConfig(b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3),
                                phi=0.9, idler=idler)
-    rho = total_state(cfg)
+    r8 = _total_state_raw(cfg)
     expected = (1.0 / 3.0) * 0.9 * math.sqrt(0.3 * 0.7) * cmath.exp(-1.2j)
-    assert abs(rho.at(0, 1) - expected) < 1e-15
+    assert abs(r8[0 * 8 + 1] - expected) < 1e-15
 
 
 @pytest.mark.parametrize("setting", ["H", "V"])
@@ -153,7 +145,7 @@ def test_total_state_matches_reference_entrywise(setting):
     rng = Rng(77, 0)
     for _ in range(25):
         cfg = random_valid_config(rng, setting=SignalSetting(setting))
-        got = as_np(total_state(cfg))
+        got = square(_total_state_raw(cfg))
         ref = reference_total_state(
             cfg.b1, cfg.b2, cfg.idler.p_h, cfg.idler.xi, cfg.idler.purity,
             cfg.idler.purity, cfg.idler.purity, cfg.q2.p_h2, cfg.q2.theta,
@@ -328,8 +320,6 @@ def test_intermediate_states_stay_physical(rng):
             n = math.isqrt(len(state))
             assert abs(np.trace(square(state)) - 1.0) < 1e-12
             assert eigh(state, n)[0] >= -1e-10
-        # the public joint state is the first stage
-        assert total_state(cfg).entries == tuple(stages(cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +452,10 @@ def test_post_interaction_spectrum_and_fidelity(rng):
 def test_coherence_stress_boundary():
     rng = Rng(8, 0)
     cfg = random_valid_config(rng, purity=0.5)
-    ok = coherence_stressed_state(cfg, 1.0)
-    assert ok.min_eigenvalue() >= -1e-10
-    bad = coherence_stressed_state(cfg, 1.2)
-    assert bad.min_eigenvalue() <= -1e-4
+    ok = _total_state_raw(cfg, coherence_override=1.0)
+    assert eigh(ok, 8)[0] >= -1e-10
+    bad = _total_state_raw(cfg, coherence_override=1.2)
+    assert eigh(bad, 8)[0] <= -1e-4
 
 
 def test_exact_pipeline_golden_bits():

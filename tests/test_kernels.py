@@ -15,9 +15,7 @@ from pitomo._kernels import loggam
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
                                    _alignment_isometry_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
-                                   coherence_stressed_state,
-                                   random_valid_config, rates_exact,
-                                   total_state)
+                                   random_valid_config, rates_exact)
 from pitomo.states import IdlerStateParams
 from conftest import dense_from_rows, digest, random_hermitian
 
@@ -566,8 +564,7 @@ def _eigh_digest(matrices):
 
 def test_eigh_golden_total_states():
     rng = kernels.Rng(2718, 0)
-    states = [total_state(random_valid_config(rng)).entries
-              for _ in range(40)]
+    states = [_total_state_raw(random_valid_config(rng)) for _ in range(40)]
     assert _eigh_digest(states) == (
         "29efa812ee244c1a568b0168d32d4faa0ccfc992fae276eb0515de5f0c76d1a8")
 
@@ -580,6 +577,6 @@ def test_eigh_golden_stressed_states():
             IdlerStateParams(rng.random(), 2.0 * math.pi * rng.random(),
                              rng.random()),
             phi=2.0 * math.pi * rng.random())
-        states.append(coherence_stressed_state(cfg, 1.2).entries)
+        states.append(_total_state_raw(cfg, coherence_override=1.2))
     assert _eigh_digest(states) == (
         "7a083b7feb78216b32f07f1e6754107ff4dd467e36da79dc1d6d64ef0e8397d4")

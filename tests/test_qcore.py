@@ -1,6 +1,6 @@
-"""Density matrices: construction contracts, the spectrum behind
-``DensityMatrix.min_eigenvalue`` against the all-principal-minors
-positivity oracle, and the state fidelities."""
+"""The qubit's density matrix and the eigensolver: construction
+contracts, ``_kernels.eigh`` against the all-principal-minors positivity
+oracle, positivity of the joint state, and the state fidelities."""
 
 import itertools
 import math
@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pitomo.qcore import DensityMatrix, fidelity_mixed, qubit_state_fidelity
-from pitomo.states import IdlerStateParams
+from pitomo.states import (DensityMatrix, IdlerStateParams, fidelity_mixed,
+                           qubit_state_fidelity)
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
-                                   coherence_stressed_state, total_state)
+                                   _total_state_raw)
 from pitomo._kernels import Rng, eigh
 from conftest import dense_from_rows, random_hermitian
 
@@ -39,11 +39,13 @@ def test_density_matrix_entry_validation():
     with pytest.raises(ValueError, match="expected 4 entries, got 3"):
         DensityMatrix(2, (0.5j, 0j, 0.5j))
     with pytest.raises(ValueError, match="must be finite"):
-        DensityMatrix(1, (complex("nan"),))
+        dm([[complex("nan"), 0.0], [0.0, 0.5]])
     with pytest.raises(ValueError, match="must be finite"):  # off the diagonal
         dm([[0.5, complex("inf")], [0.0, 0.5]])
-    with pytest.raises(ValueError, match="dim must be positive"):
-        DensityMatrix(0, ())
+    # it holds a qubit and nothing else
+    for n in (0, 1, 3, 8):
+        with pytest.raises(ValueError, match=f"dim must be 2, got {n}"):
+            DensityMatrix(n, flat(np.eye(n) / max(n, 1)))
     # a list is copied into a tuple of complexes; a tuple is kept as given
     state = DensityMatrix(2, [1, 0, 0, 0])
     assert state.entries == (1 + 0j, 0j, 0j, 0j)
@@ -70,6 +72,10 @@ def test_matrix_json_round_trip():
     assert DensityMatrix.from_json_dict(d) == state
     with pytest.raises(ValueError, match="rows = 1 and cols = 4"):
         DensityMatrix.from_json_dict(dict(d, rows=1, cols=4))
+    three = dict(d, rows=3, cols=3, re=[1 / 3, 0, 0, 0, 1 / 3, 0, 0, 0, 1 / 3],
+                 im=[0.0] * 9, basis_labels=["a", "b", "c"])
+    with pytest.raises(ValueError, match="2x2, got rows = 3 and cols = 3"):
+        DensityMatrix.from_json_dict(three)
 
 
 # ---------------------------------------------------------------------------
@@ -150,29 +156,29 @@ def _is_psd(flat_entries, n, tol=1e-10):
 
 def test_psd_boundary_case():
     assert _is_psd(flat([[1, 0], [0, 0]]), 2)
-    assert dm([[1, 0], [0, 0]]).assert_physical().min_eigenvalue() == 0.0
+    rho = dm([[1, 0], [0, 0]])
+    assert rho.assert_physical() is rho
+    assert rho.min_eigenvalue() == 0.0
 
 
 def test_psd_full_coherence_total_state():
     idler = IdlerStateParams(0.5, 0.9, 1.0)
     cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, phi=0.7, idler=idler)
-    rho = total_state(cfg)
-    assert rho.min_eigenvalue() >= -1e-10
-    assert rho.assert_physical() is rho
+    assert _is_psd(_total_state_raw(cfg), 8)
 
 
 def test_psd_detects_overcoherent_state():
     idler = IdlerStateParams(0.5, 1.2, 1.0)
     cfg = InterferometerConfig(b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3),
                                phi=0.7, idler=idler)
-    rho = coherence_stressed_state(cfg, 1.5)
-    assert rho.min_eigenvalue() < -1e-10
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        rho.assert_physical()
+    raw = _total_state_raw(cfg, coherence_override=1.5)
+    assert eigh(raw, 8)[0] < -1e-10
     # numpy agrees the spectrum is genuinely negative
-    ref = np.linalg.eigvalsh(
-        np.array(rho.entries).reshape(8, 8))
+    ref = np.linalg.eigvalsh(np.array(raw).reshape(8, 8))
     assert ref[0] < -1e-4
+    # and the qubit's matrix refuses to pass a negative spectrum as physical
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        dm([[0.5, 0.6], [0.6, 0.5]]).assert_physical()
 
 
 def test_psd_agrees_with_principal_minors_oracle():
