@@ -7,20 +7,7 @@ avoided, so that a ``(seed, stream)`` pair gives the same noise stream
 and the same primary outputs everywhere.
 
 Matrices are flat row-major sequences of Python complex numbers with
-dimensions passed alongside; any indexable sequence will do.  The left
-factor of :func:`sandwich` comes in row form instead: a list of
-``(i, [(l, v), ...])``, one pair per row i that has entries, each entry
-(l, v) the value v in column l, columns ascending.  Only the listed
-entries are terms, so a factor built from its nonzeros costs no scan of
-its zeros (the alignment isometry lists 12 of its 96 entries).  For
-finite input no bit of either matrix kernel's results moves when a zero
-is left out: a left-out term is a signed zero or a +0 square, and adding
-it to a sum that started at +0 (so is never -0) changes nothing.
-:func:`sandwich` forms a m a^dagger on the live modes of m alone (6 of the
-alignment isometry's 12 rows), each sum in the ascending order of the
-full triple loop; a dead mode's row and column of m are exact zeros, so
-an entry left out would sum to +0j, its initial value, and so would a
-listed zero of a.
+dimensions passed alongside; any indexable sequence will do.
 :func:`eigh` rotates only the indices whose row of the Hermitized matrix is
 nonzero (the joint 8x8 state has four zero rows): a zero row stays zero under
 rotations among the others, every rotation that involves it meets a zero pivot
@@ -84,41 +71,6 @@ def plain_sum(xs, start=0.0):
 
 # ---------------------------------------------------------------------------
 # complex matrix kernels
-
-
-def sandwich(a, ar, ac, m):
-    """a m a^dagger for an ar x ac complex a in row form and a row-major
-    ac x ac m; the result is row-major ar x ar.
-
-    Row i of a m sums v * m[l, :], and entry (i, j) of the result sums
-    (a m)[i, l] * conj(v), over the entries (l, v) of row i, resp. row j,
-    of a on live modes of m in ascending l; see the module docstring.
-    """
-    if len(m) != ac * ac or not all(0 <= i < ar for i, _ in a):
-        raise ValueError(f"sandwich shape mismatch: {len(m)} entries for "
-                         f"{ac}x{ac}, or a row index of a outside 0..{ar - 1}")
-    is_live = {l: any(m[l * ac:l * ac + ac]) or any(m[l::ac]) for l in range(ac)}
-    live = [l for l in range(ac) if is_live[l]]
-    try:
-        rows = [(i, nz) for i, row in a
-                if (nz := [e for e in row if is_live[e[0]]])]
-    except KeyError as exc:
-        raise ValueError(f"sandwich shape mismatch: column index {exc.args[0]!r}"
-                         f" of a outside 0..{ac - 1}") from None
-    conj = [(j, [(l, v.conjugate()) for l, v in nz]) for j, nz in rows]
-    out = [0j] * (ar * ar)
-    for i, nz in rows:
-        row = [0j] * ac
-        for l, v in nz:
-            lm = l * ac
-            for j in live:
-                row[j] = row[j] + v * m[lm + j]
-        for j, nzc in conj:
-            acc = 0j
-            for l, v in nzc:
-                acc = acc + row[l] * v
-            out[i * ar + j] = acc
-    return out
 
 
 def eigh(a, n):

@@ -19,13 +19,13 @@ idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
 of one output port are the detection rates.  :func:`rates_exact` is the
 one matrix path, each stage a private helper on flat row-major lists: the
-joint state, whose six nonzero coherences are mirrored; one congruence
-(``_kernels.sandwich``) over the 12 nonzero rows of the alignment isometry,
-held in row form; the partial trace to the signal state rho_S; and of
-B rho_S B^dagger only the two populations the detectors read, each summed
-in the congruence's order.  The congruence skips the joint state's empty
-modes: source 1's unused signal polarization (modes 2, 3 for setting H;
-0, 1 for V) and source 2's HV and VH (5, 6; it emits HH or VV).
+joint state, whose six nonzero coherences are mirrored; the alignment
+isometry K, which has one entry per row, so that K rho K^dagger is formed
+entry by entry; the partial trace to the signal state rho_S; and of
+B rho_S B^dagger only the two populations the detectors read.  The
+alignment skips the joint state's empty modes: source 1's unused signal
+polarization (modes 2, 3 for setting H; 0, 1 for V) and source 2's HV and
+VH (5, 6; it emits HH or VV).
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -61,15 +61,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import _kernels as _k
 from ._fields import check, field
 from .states import IdlerStateParams, SourceQ2Params
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-# recombiner B in the row form of ``_kernels.sandwich``: Hadamard-like on
-# the path factor, identity on polarization; rows 0 and 1 are the detected
-# port's H and V
+# recombiner B as (row, [(column, value), ...]): Hadamard-like on the path
+# factor, identity on polarization; rows 0 and 1 are the detected port's H
+# and V, the only rows ``_detected_raw`` reads
 _BS_ROWS = [
     (0, [(0, SQRT1_2 + 0j), (2, SQRT1_2 + 0j)]),
     (1, [(1, SQRT1_2 + 0j), (3, SQRT1_2 + 0j)]),
@@ -244,26 +243,58 @@ def _alignment_isometry_raw(cfg: InterferometerConfig) -> list:
 
     The 12 output modes are H_Sa and V_Sa, each with the idler modes
     H_Ib, V_Ib, H_Iw, V_Iw, then the joint state's four source-2 modes.
-    Returned in the row form of ``_kernels.sandwich``: each of the 12 rows
-    has one entry.
+    Each row has one entry, returned as its ``(column, value)`` pair, in
+    row order.
     """
     r_h = complex(math.sqrt(max(0.0, 1.0 - abs(cfg.t_h) ** 2)))
     r_v = complex(math.sqrt(max(0.0, 1.0 - abs(cfg.t_v) ** 2)))
     return [
-        (0, [(0, cfg.t_h)]), (1, [(1, cfg.t_v)]),  # H_Sa: b' -> b
-        (2, [(0, r_h)]), (3, [(1, r_v)]),          # H_Sa: b' -> w
-        (4, [(2, cfg.t_h)]), (5, [(3, cfg.t_v)]),  # V_Sa: b' -> b
-        (6, [(2, r_h)]), (7, [(3, r_v)]),          # V_Sa: b' -> w
+        (0, cfg.t_h), (1, cfg.t_v), (0, r_h), (1, r_v),  # H_Sa: b' -> b, w
+        (2, cfg.t_h), (3, cfg.t_v), (2, r_h), (3, r_v),  # V_Sa: b' -> b, w
         # the source-2 sector passes through
-        (8, [(4, 1.0 + 0j)]), (9, [(5, 1.0 + 0j)]),
-        (10, [(6, 1.0 + 0j)]), (11, [(7, 1.0 + 0j)]),
+        (4, 1.0 + 0j), (5, 1.0 + 0j), (6, 1.0 + 0j), (7, 1.0 + 0j),
     ]
 
 
 def _apply_alignment_raw(r8: Sequence[complex],
                          cfg: InterferometerConfig) -> list[complex]:
-    """First congruence: the 12-dim aligned state K r8 K^dagger."""
-    return _k.sandwich(_alignment_isometry_raw(cfg), 12, 8, r8)
+    """The 12-dim aligned state K r8 K^dagger, entry by entry.
+
+    Row i of K has one entry, v_i in column l_i, so for finite input every
+    other term of the full triple loop is a signed zero, and as each of its
+    two sums starts at +0j, entry (i, j) is 0j + (0j + v_i * r8[l_i, l_j])
+    * conj(v_j).  The inner +0j is left out: it can only turn a -0 part of
+    the first product into +0, which changes at most the sign of a zero
+    part of the second, and the outer +0j makes every zero part +0.  An
+    entry is formed only where both modes l_i and l_j are live, that is,
+    have a nonzero in their row or column of r8 (6 of the 12 rows for a
+    joint state); every other entry sums signed zeros and stays +0j.
+    """
+    is_live = [any(r8[l * 8:l * 8 + 8]) or any(r8[l::8]) for l in range(8)]
+    live = [(i, l, v) for i, (l, v) in enumerate(_alignment_isometry_raw(cfg))
+            if is_live[l]]
+    cols = [(j, l, v.conjugate()) for j, l, v in live]
+    out = [0j] * 144
+    for i, l, v in live:
+        i12 = i * 12
+        l8 = l * 8
+        for j, lj, vj in cols:
+            out[i12 + j] = 0j + v * r8[l8 + lj] * vj
+    return out
+
+
+def _idler_modes(s: int) -> range:
+    """The 12-dim modes that pair signal mode s with an idler mode: the
+    source-1 signal modes (0, 1) with b and w, the source-2 ones with b."""
+    return range(s * 4, s * 4 + 4) if s < 2 else range(s * 2 + 4, s * 2 + 6)
+
+
+# the r12 indices whose entries sum, in this order, to each entry of the
+# 4x4 signal state, row-major; zip keeps the idler modes two signal modes
+# share, which are the b modes whenever a source-2 mode is involved
+_MARGINAL_TERMS = tuple(
+    tuple(x * 12 + y for x, y in zip(_idler_modes(s), _idler_modes(sp)))
+    for s in range(4) for sp in range(4))
 
 
 def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
@@ -273,35 +304,24 @@ def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
     source-1 signal modes pair with four idler modes (b and w, both
     polarizations), the source-2 signal modes with the two b modes.
     Off-diagonal signal blocks therefore sum over the shared b modes
-    only, which is exactly where the induced coherence lives.
+    only, which is exactly where the induced coherence lives.  Each entry
+    sums its terms of ``_MARGINAL_TERMS`` from +0j in ascending order.
     """
-    rs = [0j] * 16
-    for s in range(2):
-        for sp in range(2):
-            acc = 0j
-            for i in range(4):
-                acc += r12[(s * 4 + i) * 12 + (sp * 4 + i)]
-            rs[s * 4 + sp] = acc
-            acc = 0j
-            for i in range(2):
-                acc += r12[(s * 4 + i) * 12 + (8 + sp * 2 + i)]
-            rs[s * 4 + (2 + sp)] = acc
-            acc = 0j
-            for i in range(2):
-                acc += r12[(8 + s * 2 + i) * 12 + (sp * 4 + i)]
-            rs[(2 + s) * 4 + sp] = acc
-            acc = 0j
-            for i in range(2):
-                acc += r12[(8 + s * 2 + i) * 12 + (8 + sp * 2 + i)]
-            rs[(2 + s) * 4 + (2 + sp)] = acc
+    rs = []
+    for terms in _MARGINAL_TERMS:
+        acc = 0j
+        for k in terms:
+            acc += r12[k]
+        rs.append(acc)
     return rs
 
 
 def _detected_raw(rs: Sequence[complex]) -> tuple[float, float]:
     """The detected port's populations <0|B rs B^dagger|0> and
-    <1|B rs B^dagger|1>, each summed in the order of ``_k.sandwich``.  The
-    terms of rs's empty modes, which that kernel leaves out, are kept: they
-    are signed zeros, which leave every bit as it is (see ``_kernels``)."""
+    <1|B rs B^dagger|1>, each summed as the full triple loop sums it, from
+    +0j in ascending column order, over the nonzero entries of B's row
+    alone: a term left out is a signed zero, and adding one to a sum that
+    started at +0j (so is never -0) changes no bit of finite input."""
     out = []
     for _, nz in _BS_ROWS[:2]:
         acc = 0j

@@ -32,13 +32,23 @@ def random_hermitian(rng, n, scale=1.0):
 
 
 def dense_from_rows(rows, r, c):
-    """The row-major r x c list of a matrix given in the row form of
-    ``_kernels.sandwich``: ``[(i, [(l, v), ...]), ...]``."""
+    """The row-major r x c list of a matrix given by the entries of its
+    rows, ``[(i, [(l, v), ...]), ...]``, as ``interferometer._BS_ROWS``
+    holds the recombiner."""
     out = [0j] * (r * c)
     for i, entries in rows:
         for l, v in entries:
             out[i * c + l] = v
     return out
+
+
+def dense_alignment(cfg):
+    """The row-major 12x8 list of the alignment isometry of ``cfg``, whose
+    row i is the one ``(column, value)`` pair ``_alignment_isometry_raw``
+    gives it."""
+    from pitomo.interferometer import _alignment_isometry_raw
+    return dense_from_rows([(i, [e]) for i, e in
+                            enumerate(_alignment_isometry_raw(cfg))], 12, 8)
 
 
 def wrap_distance(a, b, period=2.0 * math.pi):

@@ -11,15 +11,16 @@ from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
 from pitomo.interferometer import (_BS_ROWS, InterferometerConfig,
-                                   SignalSetting, _alignment_isometry_raw,
-                                   _apply_alignment_raw, _detected_raw,
-                                   _signal_marginal_raw, _total_state_raw,
-                                   fringe, random_valid_config,
-                                   rates_closed_form, rates_exact)
-from pitomo._kernels import eigh, sandwich
+                                   SignalSetting, _apply_alignment_raw,
+                                   _detected_raw, _signal_marginal_raw,
+                                   _total_state_raw, fringe,
+                                   random_valid_config, rates_closed_form,
+                                   rates_exact)
+from pitomo._kernels import eigh
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params, fidelity_mixed
-from conftest import dense_from_rows, digest, path_b_idler, wrap_distance
+from conftest import (dense_alignment, dense_from_rows, digest, path_b_idler,
+                      wrap_distance)
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -65,11 +66,13 @@ def square(flat) -> np.ndarray:
 
 def stages(cfg):
     """The exact oracle's states: joint, aligned, signal, and the full
-    recombined state, of which ``rates_exact`` forms two populations."""
+    recombined state, of which ``rates_exact`` forms two populations (here
+    by a dense product)."""
     r8 = _total_state_raw(cfg)
     r12 = _apply_alignment_raw(r8, cfg)
     rs = _signal_marginal_raw(r12)
-    return r8, r12, rs, sandwich(_BS_ROWS, 4, 4, rs)
+    bs = square(dense_from_rows(_BS_ROWS, 4, 4))
+    return r8, r12, rs, (bs @ square(rs) @ bs.conj().T).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +164,7 @@ def test_total_state_matches_reference_entrywise(setting):
 def test_alignment_isometry_property(rng):
     for _ in range(20):
         cfg = random_valid_config(rng)
-        k = np.array(dense_from_rows(_alignment_isometry_raw(cfg), 12, 8)
-                     ).reshape(12, 8)
+        k = np.array(dense_alignment(cfg)).reshape(12, 8)
         assert np.max(np.abs(k.conj().T @ k - np.eye(8))) < 1e-14
 
 

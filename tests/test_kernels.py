@@ -1,10 +1,13 @@
 """Kernel-level tests: PRNG streams against MT19937's published vector
 and golden draws, Poisson statistics, linear algebra against numpy, and the
-bits of the matrix kernels against naive loops, the eigensolver before
-it skipped zero rows, and golden digests."""
+bits of the oracle's alignment and partial trace against naive loops, of
+the eigensolver against itself before it skipped zero rows, and golden
+digests."""
 
+import cmath
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +16,11 @@ from hypothesis import example, given, strategies as st
 from pitomo import _kernels as kernels
 from pitomo._kernels import loggam
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
-                                   _alignment_isometry_raw, _detected_raw,
+                                   _apply_alignment_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
                                    random_valid_config, rates_exact)
 from pitomo.states import IdlerStateParams
-from conftest import dense_from_rows, digest, random_hermitian
+from conftest import dense_alignment, dense_from_rows, digest, random_hermitian
 
 MASK = (1 << 64) - 1
 
@@ -259,51 +262,24 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
-def _rows(a, r, c, zeros=False):
-    """The row form of a row-major r x c matrix: its nonzeros, or with
-    ``zeros`` every entry (an all-zero row is then listed too)."""
-    return [(i, [(l, a[i * c + l]) for l in range(c)
-                 if zeros or a[i * c + l] != 0]) for i in range(r)]
-
-
-def test_mat_mul_against_numpy(rng):
-    """sandwich's two matrix products, a·m and then (a·m)·a†, against numpy."""
+def test_alignment_against_numpy(rng):
+    """The aligned state K m K^dagger against numpy, for joint states and
+    for dense non-Hermitian m, on which every mode is live; with K the
+    plain embedding (t_h = t_v = 1) it is m itself, to the bit."""
     for _ in range(50):
-        r, c = (2 + int(3 * rng.random()) for _ in range(2))
-        a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
-        m = [complex(rng.random(), rng.random()) for _ in range(c * c)]
-        got = _as_np(kernels.sandwich(_rows(a, r, c), r, c, m), r, r)
-        an = _as_np(a, r, c)
-        ref = an @ _as_np(m, c, c) @ an.conj().T
-        assert np.max(np.abs(got - ref)) < 1e-13
-        # the identity on both sides gives m back to the bit
-        eye = [complex(i == j) for i in range(c) for j in range(c)]
-        assert kernels.sandwich(_rows(eye, c, c), c, c, m) == m
-
-
-def test_dagger(rng):
-    """The right factor of sandwich is the conjugate transpose of a: a·I·a†
-    is Hermitian to the bit and matches numpy a·aᴴ."""
-    for _ in range(50):
-        r, c = (2 + int(3 * rng.random()) for _ in range(2))
-        a = [complex(rng.random(), rng.random()) for _ in range(r * c)]
-        eye = [complex(i == j) for i in range(c) for j in range(c)]
-        aad = _as_np(kernels.sandwich(_rows(a, r, c), r, c, eye), r, r)
-        an = _as_np(a, r, c)
-        assert np.array_equal(aad, aad.conj().T)
-        assert np.max(np.abs(aad - an @ an.conj().T)) < 1e-14
-
-
-def test_sandwich_shape_mismatch():
-    for a, m in [
-            ([(0, [(0, 1j)])], [1j] * 9),           # m is not 2x2
-            ([(2, [(0, 1j)])], [1j] * 4),           # row index past the last
-            ([(-1, [(0, 1j)])], [1j] * 4),          # negative row index
-            ([(0, [(0, 1j), (2, 1j)])], [1j] * 4),  # column index past the last
-            ([(1, [(-1, 1j)])], [1j] * 4),          # negative column index
-            ([(1, [(2, 1j)])], [0j] * 4)]:          # ... with no live mode in m
-        with pytest.raises(ValueError, match="shape mismatch"):
-            kernels.sandwich(a, 2, 2, m)
+        cfg = random_valid_config(rng)
+        k = _as_np(dense_alignment(cfg), 12, 8)
+        m = [complex(rng.random(), rng.random()) for _ in range(64)]
+        for r8 in (_total_state_raw(cfg), m):
+            got = _as_np(_apply_alignment_raw(r8, cfg), 12, 12)
+            ref = k @ _as_np(r8, 8, 8) @ k.conj().T
+            assert np.max(np.abs(got - ref)) < 1e-13
+        got = _as_np(_apply_alignment_raw(m, replace(cfg, t_h=1.0, t_v=1.0)),
+                     12, 12)
+        b_modes = [0, 1, 4, 5, 8, 9, 10, 11]
+        assert got[np.ix_(b_modes, b_modes)].ravel().tolist() == m
+        got[np.ix_(b_modes, b_modes)] = 0
+        assert not got.any()
 
 
 def test_eigh_against_numpy(rng):
@@ -317,7 +293,7 @@ def test_eigh_against_numpy(rng):
 
 
 # ---------------------------------------------------------------------------
-# bit-level pins of sandwich and eigh
+# bit-level pins of the alignment and eigh
 
 
 def _naive_mat_mul(a, ar, ac, b, bc):
@@ -349,84 +325,97 @@ _sparse_entry = st.tuples(st.integers(0, 9), st.sampled_from(_SIGNED_ZEROS),
 
 
 @st.composite
-def _sparse_sandwich(draw):
-    ar, ac = draw(st.integers(1, 6)), draw(st.integers(1, 12))
-    a = draw(st.lists(_sparse_entry, min_size=ar * ac, max_size=ar * ac))
-    m = draw(st.lists(_sparse_entry, min_size=ac * ac, max_size=ac * ac))
-    return a, ar, ac, m
-
-
-@given(_sparse_sandwich())
-# the order of summation shows in both products: ascending l gives
-# (1 + 1e16) - 1e16 = 0 in row 0 of a m, and (3 + 3e16) - 3e16 = 4 in
-# entry (1, 0) of the result
-@example(([1 + 0j, 0j, 1e16 + 0j, -1e16 + 0j, 1 + 0j, 0j, 1 + 0j, 1 + 0j],
-          2, 4, [1 + 0j] * 16))
-# a subnormal entry is not an exact zero
-@example(([complex(5e-324, 0.0), 0j, 1 + 0j, 0j], 2, 2,
-          [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j]))
-def test_sandwich_bits_equal_naive_loop_on_sparse_factors(case):
-    _assert_sandwich_bits_equal_naive(*case)
-
-
-def _assert_sandwich_bits_equal_naive(a, ar, ac, m):
-    """sandwich on the row form of a, nonzeros only and with every entry
-    listed, has the bits of the naive loop on the dense a."""
-    want = list(map(repr, _naive_sandwich(a, ar, ac, m)))
-    for zeros in (False, True):
-        got = kernels.sandwich(_rows(a, ar, ac, zeros), ar, ac, m)
-        assert list(map(repr, got)) == want
-
-
-@st.composite
-def _dead_mode_sandwich(draw):
-    """A sparse case whose m has a drawn set of modes zeroed with signed
-    zeros: their rows only, their columns only, or both (dead modes)."""
-    a, ar, ac, m = draw(_sparse_sandwich())
-    modes = draw(st.sets(st.integers(0, ac - 1)))
+def _dead_mode_alignment(draw):
+    """An 8x8 m of sparse entries with a drawn set of modes zeroed with
+    signed zeros: their rows only, their columns only, or both (dead
+    modes); and a configuration from ``random_valid_config`` whose t_h and
+    t_v may be replaced by one of modulus 0 (signed zeros), 1 or 5e-324."""
+    m = draw(st.lists(_sparse_entry, min_size=64, max_size=64))
+    modes = draw(st.sets(st.integers(0, 7)))
     part = draw(st.sampled_from(("rows", "columns", "both")))
     zero = st.sampled_from(_SIGNED_ZEROS)
     for l in sorted(modes):
-        for j in range(ac):
+        for j in range(8):
             if part != "columns":
-                m[l * ac + j] = draw(zero)
+                m[l * 8 + j] = draw(zero)
             if part != "rows":
-                m[j * ac + l] = draw(zero)
-    return a, ar, ac, m
+                m[j * 8 + l] = draw(zero)
+    cfg = random_valid_config(kernels.Rng(draw(st.integers(0, 2**32 - 1)), 0))
+    t = {}
+    for name in ("t_h", "t_v"):
+        unit = cmath.exp(1j * cmath.phase(getattr(cfg, name)))
+        t[name] = draw(st.sampled_from((getattr(cfg, name), 0.0 * unit,
+                                        -0.0 * unit, unit, 1 + 0j,
+                                        complex(5e-324, 0.0))))
+    return m, replace(cfg, **t)
 
 
-_A_2X3 = [1 + 0j, 2 + 0j, 3 + 0j, 4 + 0j, 5 + 0j, 6 + 0j]
+def _m8_with(zeros=(), entries=()):
+    """An 8x8 m of nonzero entries with the listed entries set to 0j and
+    then the listed (index, value) pairs set."""
+    m = [complex(k + 1, 0.5 - k) for k in range(64)]
+    for k in zeros:
+        m[k] = 0j
+    for k, v in entries:
+        m[k] = v
+    return m
 
 
-@given(_dead_mode_sandwich())
+_CFG = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7),
+                                     t_h=0.6 * cmath.exp(0.4j), t_v=-0.8j)
+_ROW_1 = range(8, 16)
+_COL_1 = range(1, 64, 8)
+
+
+@given(_dead_mode_alignment())
 # m all zero: every mode is dead
-@example((_A_2X3, 2, 3, [*_SIGNED_ZEROS, *_SIGNED_ZEROS, 0j]))
+@example(([_SIGNED_ZEROS[k % 4] for k in range(64)], _CFG))
 # mode 1 has a zero row but a nonzero column, then the reverse: it is live
-@example((_A_2X3, 2, 3, [1 + 0j, 2 + 0j, 3 + 0j, 0j, 0j, 0j,
-                             4 + 0j, 5 + 0j, 6 + 0j]))
-@example((_A_2X3, 2, 3, [1 + 0j, 0j, 3 + 0j, 4 + 0j, 5 + 0j, 6 + 0j,
-                             7 + 0j, 0j, 9 + 0j]))
+@example((_m8_with(zeros=_ROW_1), _CFG))
+@example((_m8_with(zeros=_COL_1), _CFG))
 # a subnormal, the only nonzero of its row and column, keeps its mode live
-@example((_A_2X3, 2, 3, [1 + 0j, 0j, 3 + 0j, 0j, complex(5e-324, 0.0), 0j,
-                             7 + 0j, 0j, 9 + 0j]))
+@example((_m8_with(zeros=[*_ROW_1, *_COL_1],
+                   entries=[(9, complex(5e-324, 0.0))]), _CFG))
+# a transmission of modulus 0 with signed zeros, and one of modulus 1
+@example((_m8_with(), replace(_CFG, t_h=complex(-0.0, 0.0), t_v=1j)))
 def test_sandwich_bits_equal_naive_loop_with_dead_modes(case):
-    _assert_sandwich_bits_equal_naive(*case)
+    m, cfg = case
+    assert list(map(repr, _apply_alignment_raw(m, cfg))) == list(map(
+        repr, _naive_sandwich(dense_alignment(cfg), 12, 8, m)))
+
+
+def _loop_marginal(r12):
+    """The partial trace as a loop over the shared idler modes: entry
+    (s, sp) of the signal state sums r12 over the idler modes i that
+    both signal modes pair with, ascending, from +0j."""
+    idler = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9], [10, 11]]
+    rs = []
+    for s in range(4):
+        for sp in range(4):
+            acc = 0j
+            for i in range(min(len(idler[s]), len(idler[sp]))):
+                acc = acc + r12[idler[s][i] * 12 + idler[sp][i]]
+            rs.append(acc)
+    return rs
 
 
 def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
+    """The oracle's stages on joint states: K r8 K^dagger, the partial
+    trace and the detected populations, each against its naive loop."""
     rng = kernels.Rng(31, 0)
     configs = [random_valid_config(rng) for _ in range(40)]
     configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for cfg in configs:
-        k = _alignment_isometry_raw(cfg)
-        r12 = kernels.sandwich(k, 12, 8, _total_state_raw(cfg))
+        r8 = _total_state_raw(cfg)
+        r12 = _apply_alignment_raw(r8, cfg)
         assert list(map(repr, r12)) == list(map(repr, _naive_sandwich(
-            dense_from_rows(k, 12, 8), 12, 8, _total_state_raw(cfg))))
+            dense_alignment(cfg), 12, 8, r8)))
         rs = _signal_marginal_raw(r12)
-        out = kernels.sandwich(_BS_ROWS, 4, 4, rs)
-        assert list(map(repr, out)) == list(map(
-            repr, _naive_sandwich(bs, 4, 4, rs)))
+        assert list(map(repr, rs)) == list(map(repr, _loop_marginal(r12)))
+        full = _naive_sandwich(bs, 4, 4, rs)
+        assert list(map(repr, _detected_raw(rs))) == [
+            repr(full[0].real), repr(full[5].real)]
 
 
 def test_detected_rates_equal_naive_recombined_diagonal():
@@ -436,9 +425,8 @@ def test_detected_rates_equal_naive_recombined_diagonal():
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for _ in range(2000):
         cfg = random_valid_config(rng)
-        k = dense_from_rows(_alignment_isometry_raw(cfg), 12, 8)
-        rs = _signal_marginal_raw(
-            _naive_sandwich(k, 12, 8, _total_state_raw(cfg)))
+        rs = _signal_marginal_raw(_naive_sandwich(
+            dense_alignment(cfg), 12, 8, _total_state_raw(cfg)))
         full = _naive_sandwich(bs, 4, 4, rs)
         rates = rates_exact(cfg)
         assert (repr(rates.rate_h), repr(rates.rate_v)) == (
