@@ -262,7 +262,7 @@ def _as_np(flat, r, c):
     return np.array(flat, dtype=complex).reshape(r, c)
 
 
-def test_alignment_against_numpy(rng):
+def test_mat_mul_against_numpy(rng):
     """The aligned state K m K^dagger against numpy, for joint states and
     for dense non-Hermitian m, on which every mode is live; with K the
     plain embedding (t_h = t_v = 1) it is m itself, to the bit."""
@@ -280,6 +280,18 @@ def test_alignment_against_numpy(rng):
         assert got[np.ix_(b_modes, b_modes)].ravel().tolist() == m
         got[np.ix_(b_modes, b_modes)] = 0
         assert not got.any()
+
+
+def test_dagger(rng):
+    """The right factor of the alignment is the conjugate transpose of K:
+    K I K^dagger is Hermitian to the bit and matches numpy K K^H."""
+    eye = [complex(i == j) for i in range(8) for j in range(8)]
+    for _ in range(50):
+        cfg = random_valid_config(rng)
+        kkd = _as_np(_apply_alignment_raw(eye, cfg), 12, 12)
+        k = _as_np(dense_alignment(cfg), 12, 8)
+        assert np.array_equal(kkd, kkd.conj().T)
+        assert np.max(np.abs(kkd - k @ k.conj().T)) < 1e-14
 
 
 def test_eigh_against_numpy(rng):
