@@ -6,14 +6,19 @@ value of the wrong JSON type is reported as ``path: field must be ...``
 (a ``ValueError``, exit code 3 at the command line) instead of escaping
 as a ``TypeError`` or being coerced into something it is not; a record's
 own rules name the entry they refuse the same way (:class:`EntryError`).
-Every JSON file is written through :func:`dump`, in one layout: sorted
-keys, two-space indent, a final newline.
+Every file the package writes goes through :func:`rewrite`, the one
+writer: UTF-8 text, rewritten in place and cut to length, never
+truncated to empty first.  Every JSON file is written through
+:func:`dump`, in one layout: sorted keys, two-space indent, a final
+newline.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import os
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -103,6 +108,36 @@ def load(path, reader):
         raise ValueError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def rewrite(path):
+    """A UTF-8 text file open for writing ``path`` from its first byte.
+
+    The file is created if missing (mode 0o666 less the umask) and
+    otherwise rewritten in place: same inode, mode and owner, through a
+    symlink to its target.  It is not truncated on open, which on ext4
+    would flush the old file's pages on close; it is cut to what was
+    written on leaving the block, whether the block returns or raises.
+    Until then, and if the process is killed before the cut, the file
+    holds the new bytes followed by the tail of the old ones, so an
+    interrupted rewrite is no complete file; rerun the command.  The
+    bytes are those of ``Path.write_text(..., encoding="utf-8")``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        f = os.fdopen(fd, "w", encoding="utf-8")
+    except BaseException:
+        os.close(fd)
+        raise
+    try:
+        yield f
+    finally:
+        try:
+            f.truncate()
+        finally:
+            f.close()
+
+
 def dump(path, obj) -> None:
     """Write ``obj`` to ``path`` as JSON with sorted keys.
 
@@ -110,7 +145,7 @@ def dump(path, obj) -> None:
     is never held as one string.
     """
     chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    with open(path, "w", encoding="utf-8") as f:
+    with rewrite(path) as f:
         while batch := list(islice(chunks, 65536)):
             f.write("".join(batch))
         f.write("\n")

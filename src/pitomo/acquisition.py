@@ -31,7 +31,8 @@ is read.  The scan rules are written once, in ``ScanPlan`` and
 reader (itself checking only header tokens, columns and literals) as
 ``path:line: phi_rad ...``, with the text found there.  The CSV reader
 parses a column at a time and goes row by row only to name a bad row.
-Every file is UTF-8 text.
+Every file is UTF-8 text, written through ``_fields.rewrite``: an
+existing file is rewritten in place and cut to length.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import _kernels as _k
-from ._fields import EntryError, brief, dump, field, items, load
+from ._fields import EntryError, brief, dump, field, items, load, rewrite
 from .interferometer import InterferometerConfig, SignalSetting, fringe
 from .states import TWO_PI, IdlerStateParams
 
@@ -295,9 +296,10 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     plan = record.plan
     rows = map("{},{},{}\n".format, once_per_grid(_phase_text, plan.phases),
                record.counts_primary, record.counts_constant)
-    Path(path).write_text(f"# setting={plan.setting.value} seed={plan.seed} "
-                          f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
-                          + "".join(rows), encoding="utf-8")
+    with rewrite(path) as f:
+        f.write(f"# setting={plan.setting.value} seed={plan.seed} "
+                f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
+                + "".join(rows))
 
 
 def _phase_text(phases) -> Iterable[str]:

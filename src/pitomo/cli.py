@@ -17,12 +17,11 @@ import cmath
 import math
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from . import _kernels as _k
-from ._fields import dump, load
+from ._fields import dump, load, rewrite
 from .acquisition import (ScanPlan, calibration_configs, calibration_from_json,
                           calibration_to_json, load_scan, run_calibration,
                           run_scan, scan_to_csv, scan_to_json)
@@ -47,7 +46,9 @@ MAX_ANGLES = 10_000
 
 
 def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> None:
-    from hashlib import sha256  # imported here, so that importing the CLI skips them
+    # imported here, so that importing the CLI skips them
+    from datetime import datetime, timezone
+    from hashlib import sha256
     import platform
     inputs = [{"path": str(p), "sha256": sha256(Path(p).read_bytes()).hexdigest()}
               for p in map(vars(args).get, ("config", "scan_h", "scan_v", "calibration",
@@ -249,7 +250,8 @@ def cmd_reconstruct(args) -> int:
     outdir = _outdir(args)
     dump(outdir / "result.json", result.to_json_dict())
     report = _render_report(result)
-    (outdir / "report.txt").write_text(report, encoding="utf-8")
+    with rewrite(outdir / "report.txt") as f:
+        f.write(report)
     _write_manifest(outdir, "reconstruct", args)
     print(report, end="")
     return EXIT_OK
@@ -297,7 +299,8 @@ def cmd_sweep(args) -> int:
              "vis_h_theory,vis_v_theory"]
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
-    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with rewrite(outdir / "sweep.csv") as f:
+        f.write("\n".join(lines) + "\n")
     _write_manifest(outdir, "sweep", args)
     print(f"wrote sweep.csv ({len(rows)} angles) to {outdir}")
     return EXIT_OK
@@ -424,7 +427,8 @@ def cmd_report(args) -> int:
     text = _render_report(result)
     if args.out:
         outdir = _outdir(args)
-        (outdir / "report.txt").write_text(text, encoding="utf-8")
+        with rewrite(outdir / "report.txt") as f:
+            f.write(text)
         _write_manifest(outdir, "report", args)
     print(text, end="")
     return EXIT_OK

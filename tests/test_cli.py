@@ -6,10 +6,12 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -1069,7 +1071,8 @@ def test_readme_example_prints_what_the_readme_quotes(tmp_path, monkeypatch,
 def test_dump_writes_the_bytes_of_json_dumps(tmp_path):
     # dump streams the encoder's chunks in batches; the file must hold the
     # bytes of the whole document built in one string, for every JSON
-    # writer's output on the fixtures and for a document of many batches
+    # writer's output on the fixtures, for a document of many batches and
+    # for a short document written over it
     out = tmp_path / "out"
     assert run("verify", "--trials", 2, "--seed", 1, "--out", out) == 0
     docs = [JSON_DOCS[name] for name in sorted(JSON_DOCS)]
@@ -1078,11 +1081,110 @@ def test_dump_writes_the_bytes_of_json_dumps(tmp_path):
              run_verification(2, 1),
              json.loads((out / "manifest.json").read_text()),
              {"long": [k / 7 for k in range(100_000)], "edge": [
-                 -0.0, math.inf, -math.inf, math.nan, 2 ** 70, "ψ", None]}]
+                 -0.0, math.inf, -math.inf, math.nan, 2 ** 70, "ψ", None]},
+             {"short": "a rewrite over a longer file"}]
     for doc in docs:
         dump(tmp_path / "doc.json", doc)
         assert (tmp_path / "doc.json").read_bytes() == (
             json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _truncating_dump(path, obj):
+    # the writer dump replaced: the same batches into a file opened with
+    # O_TRUNC
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with open(path, "w", encoding="utf-8") as f:
+        while batch := list(islice(chunks, 65536)):
+            f.write("".join(batch))
+        f.write("\n")
+
+
+@pytest.mark.parametrize("doc, written", [
+    pytest.param([1, 2, object()], 0, id="in-the-first-batch"),
+    pytest.param([k / 7 for k in range(100_000)] + [object()], 65536,
+                 id="after-the-first-batch")])
+def test_a_dump_that_raises_leaves_what_the_truncating_writer_left(
+        tmp_path, doc, written):
+    # a document the encoder refuses part way: the file is cut at what was
+    # written, not left with the old file's tail
+    first = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    prefix = "".join(islice(first, written)).encode("utf-8")
+    left = []
+    for writer in (dump, _truncating_dump):
+        path = tmp_path / writer.__name__
+        path.write_bytes(b"x" * (len(prefix) + 4096))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            writer(path, doc)
+        left.append(path.read_bytes())
+    assert left == [prefix, prefix]
+
+
+def test_a_rewrite_keeps_the_file_and_follows_a_symlink(tmp_path):
+    # the file is rewritten in place: same inode and mode, and a symlink
+    # to it stays a symlink
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    dump(target, {"long": list(range(1000))})
+    target.chmod(0o600)
+    link.symlink_to(target)
+    before = target.stat()
+    dump(link, {"short": 1})
+    after = target.stat()
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_bytes() == b'{\n  "short": 1\n}\n'
+    assert (after.st_ino, after.st_dev) == (before.st_ino, before.st_dev)
+    assert stat.S_IMODE(after.st_mode) == 0o600
+
+
+def _chain(out, points, angles):
+    """simulate (both formats), calibrate, reconstruct and sweep into out."""
+    flags = ("--points", points, "--n", 1000, "--out", out)
+    for setting, seed in (("H", 1), ("V", 2)):
+        assert run("simulate", "--setting", setting, "--p-h", 0.3, "--xi", 1.0,
+                   "--purity", 0.9, "--format", "both", "--seed", seed,
+                   *flags) == 0
+    assert run("calibrate", "--seed", 3, *flags) == 0
+    assert run("reconstruct", "--scan-h", out / "scan_H.csv", "--scan-v",
+               out / "scan_V.json", "--calibration", out / "calibration.json",
+               "--method", "fringe", "--out", out) == 0
+    assert run("sweep", "--plate", "hwp", "--angles", angles, "--seed", 4,
+               *flags) == 0
+
+
+def test_every_output_file_is_opened_without_o_trunc(tmp_path, monkeypatch):
+    # every file a command writes goes through os.open, creating it or
+    # rewriting it in place, and never truncated to empty on open (the
+    # first platform.platform() call of a process opens os.devnull too)
+    opened = []
+    os_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            opened.append((Path(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):
+        _chain(tmp_path, 8, "0:90:45")
+    assert {p for p, _ in opened} == set(tmp_path.iterdir())
+    assert {flags & ~getattr(os, "O_BINARY", 0) for _, flags in opened} == {
+        os.O_WRONLY | os.O_CREAT}
+
+
+def test_a_rerun_into_a_used_out_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # rerun with fewer points and fewer angles into the same --out: each
+    # primary file holds what a run into an empty directory writes
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    _chain(used, 40, "0:90:15")
+    sizes = {p.name: p.stat().st_size for p in used.iterdir()}
+    _chain(used, 20, "0:90:45")
+    _chain(fresh, 20, "0:90:45")
+    names = sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json")
+    assert [n for n in names if n.startswith("scan_")] == [
+        "scan_H.csv", "scan_H.json", "scan_V.csv", "scan_V.json"]
+    assert all((fresh / n).stat().st_size < sizes[n] for n in
+               ("scan_H.csv", "scan_V.json", "sweep.csv"))
+    for name in names:
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 script is the CLI's entry point; ``python -m pitomo`` runs the same CLI.
 Every public name of the package has a caller or is exported, and every
 public constant and every private top-level name a reader that reads it
-as that module's.  Every text file the package reads or writes is UTF-8.
-The package's one cache is the phase-grid memo."""
+as that module's.  Every text file the package reads or writes is UTF-8,
+and only ``_fields`` opens one for writing.  The package's one cache is
+the phase-grid memo."""
 
 import ast
 import importlib
@@ -175,23 +176,66 @@ def test_every_private_name_has_a_reader():
     assert unread == []
 
 
+def _call_name(node: ast.Call):
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+def _is_os_call(node: ast.Call, name: str) -> bool:
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == name
+            and isinstance(func.value, ast.Name) and func.value.id == "os")
+
+
 def test_every_text_file_is_opened_as_utf8():
     # A text read or write whose encoding follows the locale reads a file
     # another machine wrote differently, or fails on it without naming it.
-    # Every open(), read_text() and write_text() call in src/pitomo passes
-    # encoding=; bytes go through read_bytes() and write_bytes().
+    # Every open(), os.fdopen(), read_text() and write_text() call in
+    # src/pitomo passes encoding=; os.open() gives a descriptor, not text,
+    # and the one writer wraps it with os.fdopen().
     missing = []
     for path in sorted((ROOT / "src" / "pitomo").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
+            if not isinstance(node, ast.Call) or _is_os_call(node, "open"):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
-            if (name in ("open", "read_text", "write_text")
+            name = _call_name(node)
+            if (name in ("open", "fdopen", "read_text", "write_text")
                     and all(k.arg != "encoding" for k in node.keywords)):
                 missing.append(f"{path.name}:{node.lineno}: {name}()")
     assert missing == []
+
+
+def _opens_for_writing(node: ast.Call) -> bool:
+    """Whether ``node`` may open a file for writing: os.open, fdopen,
+    write_text, write_bytes, or an open() whose mode is not a literal
+    read mode."""
+    name = _call_name(node)
+    if name in ("write_text", "write_bytes", "fdopen"):
+        return True
+    if name != "open":
+        return False
+    if _is_os_call(node, "open"):
+        return True
+    # open(path, mode) or path.open(mode)
+    modes = [k.value for k in node.keywords if k.arg == "mode"]
+    modes += node.args[1:2] if isinstance(node.func, ast.Name) else node.args[:1]
+    return not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value) <= set("rbt") for m in modes)
+
+
+def test_only_fields_opens_a_file_for_writing():
+    # _fields.rewrite is the package's one writer: it rewrites a file in
+    # place and cuts it to length, never truncating it to empty first.
+    # No other module opens a file for writing.
+    writers = []
+    for path in sorted((ROOT / "src" / "pitomo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                writers.append(f"{path.name}: {ast.unparse(node.func)}()")
+    assert writers == ["_fields.py: os.open()", "_fields.py: os.fdopen()"]
+    assert not any("O_TRUNC" in path.read_text(encoding="utf-8")
+                   for path in (ROOT / "src" / "pitomo").glob("*.py"))
 
 
 def test_the_grid_memo_is_the_one_cache():
