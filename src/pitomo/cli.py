@@ -45,7 +45,10 @@ DEG = math.pi / 180.0
 MAX_ANGLES = 10_000
 
 
-def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(outdir: Path, command: str, args: argparse.Namespace,
+                    outputs: list[str]) -> None:
+    """manifest.json: how the run was made, and ``outputs``, the names of
+    the files it wrote into ``outdir`` besides the manifest, in order."""
     # imported here, so that importing the CLI skips them
     from datetime import datetime, timezone
     from hashlib import sha256
@@ -61,8 +64,11 @@ def _write_manifest(outdir: Path, command: str, args: argparse.Namespace) -> Non
         "version": __version__,
         "backend": _k.active_backend(),
         "python": platform.python_version(),
-        "platform": platform.platform(),
+        # platform.platform() would run `uname -p` in a subprocess
+        "platform": "-".join((platform.system(), platform.release(),
+                              platform.machine())),
         "inputs": inputs,
+        "outputs": outputs,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     dump(outdir / "manifest.json", manifest)
@@ -180,7 +186,7 @@ def cmd_simulate(args) -> int:
     if args.format in ("json", "both"):
         written.append(f"{stem}.json")
         scan_to_json(record, outdir / written[-1])
-    _write_manifest(outdir, "simulate", args)
+    _write_manifest(outdir, "simulate", args, written)
     print(f"wrote {' and '.join(written)} to {outdir}")
     return EXIT_OK
 
@@ -194,7 +200,7 @@ def cmd_calibrate(args) -> int:
     result = run_calibration(cfg, plan)
     outdir = _outdir(args)
     calibration_to_json(result, outdir / "calibration.json")
-    _write_manifest(outdir, "calibrate", args)
+    _write_manifest(outdir, "calibrate", args, ["calibration.json"])
     print(f"t_h = {result.t_h:.6f} +- {result.t_h_stderr:.6f}")
     print(f"t_v = {result.t_v:.6f} +- {result.t_v_stderr:.6f}")
     return EXIT_OK
@@ -252,7 +258,7 @@ def cmd_reconstruct(args) -> int:
     report = _render_report(result)
     with rewrite(outdir / "report.txt") as f:
         f.write(report)
-    _write_manifest(outdir, "reconstruct", args)
+    _write_manifest(outdir, "reconstruct", args, ["result.json", "report.txt"])
     print(report, end="")
     return EXIT_OK
 
@@ -278,7 +284,7 @@ def cmd_sweep(args) -> int:
                          f"angles: angle k runs at seed + k, which must stay "
                          f"below 2**64")
     outdir = _outdir(args)
-    rows = []
+    rows, written = [], []
     for idx, angle_deg in enumerate(angles):
         prepared = prepared_idler_params([plate(angle_deg * DEG)])
         cfg_a = replace(cfg, idler=prepared)
@@ -294,14 +300,15 @@ def cmd_sweep(args) -> int:
         rows.append((angle_deg, vis_h, vis_v, result.params.p_h,
                      result.params.xi, result.params.purity,
                      result.fidelity_vs_reference, theory_h, theory_v))
-        dump(outdir / f"result_{idx:03d}.json", result.to_json_dict())
+        written.append(f"result_{idx:03d}.json")
+        dump(outdir / written[-1], result.to_json_dict())
     lines = ["angle_deg,vis_h,vis_v,p_h,xi,purity,fidelity,"
              "vis_h_theory,vis_v_theory"]
     for row in rows:
         lines.append(",".join(repr(float(x)) for x in row))
     with rewrite(outdir / "sweep.csv") as f:
         f.write("\n".join(lines) + "\n")
-    _write_manifest(outdir, "sweep", args)
+    _write_manifest(outdir, "sweep", args, [*written, "sweep.csv"])
     print(f"wrote sweep.csv ({len(rows)} angles) to {outdir}")
     return EXIT_OK
 
@@ -411,7 +418,7 @@ def cmd_verify(args) -> int:
     if args.out:
         outdir = _outdir(args)
         dump(outdir / "verify.json", report)
-        _write_manifest(outdir, "verify", args)
+        _write_manifest(outdir, "verify", args, ["verify.json"])
     if not report["all_passed"]:
         print("verification FAILED", file=sys.stderr)
         return EXIT_DATA
@@ -429,7 +436,7 @@ def cmd_report(args) -> int:
         outdir = _outdir(args)
         with rewrite(outdir / "report.txt") as f:
             f.write(text)
-        _write_manifest(outdir, "report", args)
+        _write_manifest(outdir, "report", args, ["report.txt"])
     print(text, end="")
     return EXIT_OK
 

@@ -27,10 +27,11 @@ follows from the fit without another pass over the data:
     |y - X theta|^2 = |r|^2 - 2 d.g + |L^T d|^2,   d = theta - theta_hat,
 
 an identity for any theta_hat (g vanishes at the exact minimizer).
-Every Nelder-Mead candidate therefore costs O(1).  The fit's grid pass
-(the cos and sin columns, G^-1 and L) depends on the phases alone and is
-done once per grid (``acquisition.once_per_grid``); each scan then costs
-a counts pass, X^T y and the residuals.  The identity is kept in this
+Every Nelder-Mead candidate therefore costs O(1), and the terms in each
+scan's offset, which the search holds fixed, are formed once.  The fit's
+grid pass (the cos and sin columns, G^-1 and L) depends on the phases
+alone and is done once per grid (``acquisition.once_per_grid``); each scan
+then costs a counts pass, X^T y and the residuals.  The identity is kept in this
 centered form, around theta_hat, on purpose.  The expanded form
 |y|^2 - 2 theta.X^T y + theta.G theta subtracts terms of order
 n^2 * points from each other to leave a residual of order 1; at
@@ -145,16 +146,20 @@ class _ScanFit:
     grad: tuple[float, float, float]
     chol: tuple[float, float, float, float, float, float]
 
-    def cost(self, da: float, dc: float, ds: float) -> float:
-        """Squared residual at theta + d, d = (da, dc, ds): rss - 2 d.grad
-        + |L^T d|^2, an identity for any theta; exactly rss at d = 0."""
+    def scorer(self, da: float):
+        """``cost(dc, ds)``: the squared residual at theta + d, d = (da, dc,
+        ds), rss - 2 d.grad + |L^T d|^2, an identity for any theta; exactly
+        rss at d = 0.  The terms in ``da`` are formed once, here."""
         l00, l10, l11, l20, l21, l22 = self.chol
-        u0 = l00 * da + l10 * dc + l20 * ds
-        u1 = l11 * dc + l21 * ds
-        u2 = l22 * ds
         g_a, g_c, g_s = self.grad
-        return (self.rss - 2.0 * (da * g_a + dc * g_c + ds * g_s)
-                + (u0 * u0 + u1 * u1 + u2 * u2))
+        rss, u0_a, g_da = self.rss, l00 * da, da * g_a
+
+        def cost(dc: float, ds: float) -> float:
+            u0 = u0_a + l10 * dc + l20 * ds
+            u1, u2 = l11 * dc + l21 * ds, l22 * ds
+            return (rss - 2.0 * (g_da + dc * g_c + ds * g_s)
+                    + (u0 * u0 + u1 * u1 + u2 * u2))
+        return cost
 
     def sinusoid(self, min_sigma2: float = 0.0) -> SinusoidFit:
         """Fringe form of the fit; the residual variance behind the
@@ -392,7 +397,7 @@ def _extract(scan_h: ScanRecord, scan_v: ScanRecord, lsq_h: _ScanFit,
     cost = 0.0
     for lsq, k, x, (_, c) in zip(lsqs, scales, (x_h, x_v), blocks):
         d = k * (x - c)
-        cost += lsq.cost(0.0, d.real, d.imag)
+        cost += lsq.scorer(0.0)(d.real, d.imag)
 
     if any(f.amplitude <= 3.0 * f.amplitude_stderr + FLAT_VISIBILITY * f.offset
            for f in (fit_h, fit_v)):
@@ -462,24 +467,23 @@ def _constant_offset(record: ScanRecord) -> float:
     return (n * m - 2 * sum(record.counts_constant)) / (2 * m)
 
 
-def _pair_cost(lsq_h: _ScanFit, lsq_v: _ScanFit, p_h: float, xi: float,
-               purity: float, t_h: float, t_v: float, a_h: float,
-               a_v: float) -> float:
-    """Total squared residual of both count records against the rate model,
-    at p_h in [0, 1], xi in [0, 2pi) and purity in [0, 1].
-
-    Expected H counts are a_h (1 + t_h sqrt(p_h) cos phi) and expected V
-    counts a_v (1 + purity t_v sqrt(p_v) cos(phi - xi)).  Both models are
-    linear in the basis {1, cos phi, sin phi}, with coefficients
-    (a_h, a_h t_h sqrt(p_h), 0) and (a_v, b cos xi, b sin xi), b = a_v
-    purity t_v sqrt(p_v); each scan's residual is its fit's centered form
-    (module docstring), O(1) per call.
-    """
-    b_h = a_h * (t_h * math.sqrt(p_h))
-    b_v = a_v * (purity * t_v * math.sqrt(1.0 - p_h))
+def _objective(lsq_h: _ScanFit, lsq_v: _ScanFit, t_h: float, t_v: float,
+               a_h: float, a_v: float):
+    """``cost_of(vec)``: both scans' squared residual against the rate model
+    (module docstring) at p_h = fold vec[0], xi = wrap vec[1] and purity =
+    fold vec[2], offsets a_h and a_v.  The model is linear in {1, cos phi,
+    sin phi}, so each residual is its fit's centered form, one scorer per
+    scan, built here once for its fixed offset."""
     (ah, ch, sh), (av, cv, sv) = lsq_h.theta, lsq_v.theta
-    return (lsq_h.cost(a_h - ah, b_h - ch, -sh)
-            + lsq_v.cost(a_v - av, b_v * math.cos(xi) - cv, b_v * math.sin(xi) - sv))
+    cost_h, cost_v = lsq_h.scorer(a_h - ah), lsq_v.scorer(a_v - av)
+
+    def cost_of(vec: Sequence[float]) -> float:
+        p_h, xi = _fold01(vec[0]), wrap_angle(vec[1])
+        b_h = a_h * (t_h * math.sqrt(p_h))
+        b_v = a_v * (_fold01(vec[2]) * t_v * math.sqrt(1.0 - p_h))
+        return (cost_h(b_h - ch, -sh)
+                + cost_v(b_v * math.cos(xi) - cv, b_v * math.sin(xi) - sv))
+    return cost_of
 
 
 def _fold01(x: float) -> float:
@@ -498,8 +502,9 @@ def _nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
 
     The generic n-dimensional method's arithmetic, written out per
     coordinate: the same float operations in the same order (the centroid
-    summed from 0.0, the stable sort on the values, the diameter as a max
-    of per-vertex maxima), so every point, value and count keeps its bits.
+    summed from 0.0, the stable sort on the values), so every point, value
+    and count keeps its bits.  The diameter test compares coordinate by
+    coordinate, which on finite points is the verdict of the max.
     """
     p, q, r = x0
     simplex = [[p, q, r], [p + steps[0], q, r], [p, q + steps[1], r],
@@ -515,9 +520,9 @@ def _nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
         a0, a1, a2 = best
         b0, b1, b2 = v1
         c0, c1, c2 = v2
-        if max(max(abs(b0 - a0), abs(b1 - a1), abs(b2 - a2)),
-               max(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2)),
-               max(abs(w0 - a0), abs(w1 - a1), abs(w2 - a2))) < tol:
+        if (abs(b0 - a0) < tol and abs(b1 - a1) < tol and abs(b2 - a2) < tol
+                and abs(c0 - a0) < tol and abs(c1 - a1) < tol and abs(c2 - a2) < tol
+                and abs(w0 - a0) < tol and abs(w1 - a1) < tol and abs(w2 - a2) < tol):
             return best, f0, nfev, True
         m0 = (0.0 + a0 + b0 + c0) / 3
         m1 = (0.0 + a1 + b1 + c1) / 3
@@ -554,19 +559,16 @@ def mle_reconstruct(data_h: ScanRecord, data_v: ScanRecord,
                     t_h: float, t_v: float) -> ReconstructionResult:
     """Least-squares reconstruction over (p_h, xi, purity).
 
-    Nelder-Mead on the residual of ``_pair_cost`` over the box
-    [0,1] x [0,2pi) x [0,1], enforced by reflecting and wrapping the
-    coordinates; :func:`_nelder_mead` is a three-coordinate driver that
-    does the generic n-dimensional method's arithmetic, bit for bit.  It starts from :func:`extract_parameters`, or from
-    (0.5, pi, 0.5) where that raises FitError (a grid shorter than half a
-    period), and restarts once from a shifted simplex if it converged with
-    a vanishing V fringe, where the phase is degenerate.  Raises
-    ConvergenceError (carrying the best point) after 10^4 evaluations.
+    Nelder-Mead (:func:`_nelder_mead`) on :func:`_objective` over the box
+    [0,1] x [0,2pi) x [0,1], from :func:`extract_parameters`, or from
+    (0.5, pi, 0.5) where that raises FitError (a grid under half a period).
+    It restarts once from a shifted simplex if it converged with a vanishing
+    V fringe, where the phase is degenerate.  Raises ConvergenceError
+    (carrying the best point) after 10^4 evaluations.
 
-    Each scan is fitted once; every cost evaluation reuses the two fits
-    and scores plain floats.  FitError refuses a grid whose normal equations
-    are singular (``_inverse3``'s determinant test, e.g. 5 points within a few
-    milliradians), an offset <= 0 and an offset*t out of range.
+    Each scan is fitted once and scored on plain floats.  FitError refuses
+    a singular grid (``_inverse3``'s determinant test, e.g. 5 points within
+    a few milliradians), an offset <= 0 and an offset*t out of range.
     """
     return _mle(data_h, data_v, *_fits(data_h, data_v), t_h, t_v)
 
@@ -583,10 +585,7 @@ def _mle(data_h: ScanRecord, data_v: ScanRecord, lsq_h: _ScanFit,
     except FitError:
         x0 = [0.5, math.pi, 0.5]
 
-    def cost_of(vec: Sequence[float]) -> float:
-        return _pair_cost(lsq_h, lsq_v, _fold01(vec[0]), wrap_angle(vec[1]),
-                          _fold01(vec[2]), t_h, t_v, a_h, a_v)
-
+    cost_of = _objective(lsq_h, lsq_v, t_h, t_v, a_h, a_v)
     best_x, best_f, nfev, converged = _nelder_mead(
         cost_of, x0, steps=(0.08, 0.4, 0.08))
     params = _vector_to_params(best_x)

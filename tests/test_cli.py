@@ -971,6 +971,63 @@ def test_manifest_records_the_parsed_argv(tmp_path):
     assert manifest["argv"] == argv
 
 
+def _platform():
+    return "-".join((platform.system(), platform.release(), platform.machine()))
+
+
+def test_the_manifest_runs_no_subprocess(tmp_path):
+    # platform.platform() runs `uname -p`; the manifest reads the platform
+    # without it, so simulate --out exits 0 with every subprocess refused.
+    # A fresh interpreter: no earlier platform call has cached the answer
+    refuse = ("import subprocess, sys\n"
+              "def refuse(*args, **kwargs):\n"
+              "    raise RuntimeError('a subprocess was started')\n"
+              "subprocess.Popen = refuse\n"
+              "from pitomo.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", refuse, "simulate", "--setting",
+                           "H", "--points", "8", "--seed", "1", "--out",
+                           str(tmp_path)], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["platform"] == _platform()
+
+
+def test_every_manifest_lists_the_files_its_run_wrote(tmp_path):
+    # each command into its own --out: the manifest lists every other file
+    # there, in the order written
+    grid = ("--points", 8, "--n", 1000)
+    commands = [
+        ("simulate", "--setting", "V", "--format", "both", "--seed", 1, *grid),
+        ("calibrate", "--seed", 3, *grid),
+        ("reconstruct", "--scan-h", DATA / "scan_H.csv", "--scan-v",
+         DATA / "scan_V.csv", "--calibration", DATA / "calibration.json"),
+        ("sweep", "--plate", "hwp", "--angles", "0:90:45", "--seed", 4, *grid),
+        ("verify", "--trials", 2),
+        ("report", "--result", tmp_path / "reconstruct" / "result.json"),
+    ]
+    listed = {}
+    for argv in commands:
+        out = tmp_path / argv[0]
+        assert run(*argv, "--out", out) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == sorted(
+            p.name for p in out.iterdir() if p.name != "manifest.json")
+        listed[argv[0]] = outputs
+    assert listed == {
+        "simulate": ["scan_V.csv", "scan_V.json"],
+        "calibrate": ["calibration.json"],
+        "reconstruct": ["result.json", "report.txt"],
+        "sweep": ["result_000.json", "result_001.json", "result_002.json",
+                  "sweep.csv"],
+        "verify": ["verify.json"],
+        "report": ["report.txt"]}
+
+
 # sha256 of result.json and report.txt of ``reconstruct`` on tests/data
 RECONSTRUCT_GOLDEN = [
     ("mle", ("ef510f469ebc2a6bb0f8d36673588d8d0105746bb630dcd55b5b3801757741a1",
@@ -993,7 +1050,7 @@ def test_manifest_hashes_every_input_file(tmp_path, method, digests):
          "sha256": hashlib.sha256((DATA / name).read_bytes()).hexdigest()}
         for name in names]
     assert manifest["python"] == platform.python_version()
-    assert manifest["platform"] == platform.platform()
+    assert manifest["platform"] == _platform()
     # provenance goes only into the manifest; the digests pin every byte
     # of the primary outputs
     assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -1152,8 +1209,7 @@ def _chain(out, points, angles):
 
 def test_every_output_file_is_opened_without_o_trunc(tmp_path, monkeypatch):
     # every file a command writes goes through os.open, creating it or
-    # rewriting it in place, and never truncated to empty on open (the
-    # first platform.platform() call of a process opens os.devnull too)
+    # rewriting it in place, and never truncated to empty on open
     opened = []
     os_open = os.open
 
@@ -1185,6 +1241,11 @@ def test_a_rerun_into_a_used_out_writes_the_bytes_of_a_fresh_run(tmp_path):
                ("scan_H.csv", "scan_V.json", "sweep.csv"))
     for name in names:
         assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+    # the first sweep's results 3 to 6 stay; the manifest lists only the
+    # files of the last run
+    assert json.loads((used / "manifest.json").read_text())["outputs"] == [
+        "result_000.json", "result_001.json", "result_002.json", "sweep.csv"]
+    assert (used / "result_006.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ from pitomo.acquisition import (ScanPlan, ScanRecord, calibration_from_json,
 from pitomo.interferometer import InterferometerConfig, SignalSetting
 from pitomo.reconstruct import (ConvergenceError, FitError, Method,
                                 _ball_block, _ball_solve, _constant_offset,
-                                _fit_scan, _fits, _nelder_mead, _pair_cost,
+                                _fit_scan, _fits, _fold01, _nelder_mead,
+                                _objective,
                                 extract_parameters, fit_sinusoid,
                                 mle_reconstruct, report_fidelity)
-from pitomo.states import IdlerStateParams
+from pitomo.states import IdlerStateParams, wrap_angle
 from conftest import count_grids, digest, wrap_distance
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -400,6 +401,47 @@ def test_extract_golden_outputs(case, params, stderr, flags):
     assert result.flags == flags
 
 
+def _reference_cost(lsq, da, dc, ds):
+    """The centered identity written out as one expression: the squared
+    residual at theta + (da, dc, ds)."""
+    l00, l10, l11, l20, l21, l22 = lsq.chol
+    u0 = l00 * da + l10 * dc + l20 * ds
+    u1 = l11 * dc + l21 * ds
+    u2 = l22 * ds
+    g_a, g_c, g_s = lsq.grad
+    return (lsq.rss - 2.0 * (da * g_a + dc * g_c + ds * g_s)
+            + (u0 * u0 + u1 * u1 + u2 * u2))
+
+
+@pytest.mark.parametrize("case", [golden[0] for golden in EXTRACT_GOLDEN])
+def test_scorer_keeps_the_bits_of_the_identity(case):
+    # the fringe route's cost scores each scan's step to the ball solution
+    # with scorer(0.0); that step, and seeded steps of every scale at the
+    # fitted offset and off it, keep the bits of the identity written out
+    p_h, xi, purity, t_h, t_v, n, seed = case
+    scans = scans_for(IdlerStateParams(p_h, xi, purity), t_h=t_h, t_v=t_v,
+                      n=n, seed=seed, noiseless=False)
+    lsqs = _fits(*scans)
+    scales = [lsq.sinusoid().offset * t for lsq, t in zip(lsqs, (t_h, t_v))]
+    blocks = [_ball_block(lsq, k) for lsq, k in zip(lsqs, scales)]
+    xs, _ = _ball_solve(blocks)
+    rng = Rng(seed, 1)
+    total = 0.0
+    for lsq, k, x, (_, c) in zip(lsqs, scales, xs, blocks):
+        d = k * (x - c)
+        total += _reference_cost(lsq, 0.0, d.real, d.imag)
+        a = lsq.theta[0]
+        steps = [(0.0, 0.0), (d.real, d.imag)] + [
+            (scale * (2.0 * rng.random() - 1.0), scale * (2.0 * rng.random() - 1.0))
+            for scale in (1e-9, 1.0, a, 1e3 * a) for _ in range(25)]
+        for da in (0.0, 1e-3 * a, -a):
+            cost = lsq.scorer(da)
+            for dc, ds in steps:
+                assert (repr(cost(dc, ds))
+                        == repr(_reference_cost(lsq, da, dc, ds))), (da, dc, ds)
+    assert repr(extract_parameters(*scans, t_h, t_v).cost) == repr(total)
+
+
 def test_extract_golden_outputs_on_bundled_fixture():
     cal = calibration_from_json(DATA / "calibration.json")
     result = extract_parameters(load_scan(DATA / "scan_H.csv"),
@@ -599,9 +641,9 @@ def test_extract_checks_setting_pairing():
 def lsq_cost(scan_h, scan_v, candidate, t_h, t_v):
     """The least-squares route's cost of ``candidate``, from one fit per
     scan and the constant detectors' offsets."""
-    return _pair_cost(*_fits(scan_h, scan_v), candidate.p_h, candidate.xi,
-                      candidate.purity, t_h, t_v, _constant_offset(scan_h),
-                      _constant_offset(scan_v))
+    objective = _objective(*_fits(scan_h, scan_v), t_h, t_v,
+                           _constant_offset(scan_h), _constant_offset(scan_v))
+    return objective([candidate.p_h, candidate.xi, candidate.purity])
 
 
 def test_cost_near_zero_on_self_generated_data():
@@ -626,6 +668,57 @@ def test_cost_periodic_in_xi():
     b = lsq_cost(scan_h, scan_v, IdlerStateParams(0.3, 0.7 + TWO_PI, 0.9),
                  1.0, 1.0)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def _reference_objective(lsq_h, lsq_v, t_h, t_v, a_h, a_v, vec):
+    """The least-squares route's cost composed directly: fold and wrap the
+    point, then the identity written out per scan."""
+    p_h, xi, purity = _fold01(vec[0]), wrap_angle(vec[1]), _fold01(vec[2])
+    b_h = a_h * (t_h * math.sqrt(p_h))
+    b_v = a_v * (purity * t_v * math.sqrt(1.0 - p_h))
+    (ah, ch, sh), (av, cv, sv) = lsq_h.theta, lsq_v.theta
+    return (_reference_cost(lsq_h, a_h - ah, b_h - ch, -sh)
+            + _reference_cost(lsq_v, a_v - av, b_v * math.cos(xi) - cv,
+                              b_v * math.sin(xi) - sv))
+
+
+def _search_points(rng, count):
+    """Seeded points as the search may visit them: inside the box, negative,
+    past 2 and past 2pi, and whole numbers, whose folds land exactly on 0
+    and 1 and whose xi is a multiple of 2 pi or not."""
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
+    def whole(lo, hi):
+        return float(math.floor(uniform(lo, hi + 1)))
+
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            yield [rng.random(), TWO_PI * rng.random(), rng.random()]
+        elif kind == 1:
+            yield [uniform(-7.0, 7.0), uniform(-40.0, 40.0), uniform(-7.0, 7.0)]
+        elif kind == 2:
+            yield [whole(-6, 6), TWO_PI * whole(-3, 3), whole(-6, 6)]
+        else:
+            yield [whole(-6, 6), uniform(-40.0, 40.0), uniform(-3.0, 3.0)]
+
+
+def test_objective_keeps_the_bits_of_the_written_out_composition():
+    rng = Rng(0x0B1E, 0)
+    checked, folds = 0, set()
+    for truth, t_h, t_v, origin, seed, noiseless in list(_mle_golden_pairs())[:10]:
+        scans = _golden_scans(truth, t_h, t_v, origin, seed, noiseless)
+        fits = _fits(*scans)
+        offsets = [_constant_offset(scan) for scan in scans]
+        objective = _objective(*fits, t_h, t_v, *offsets)
+        for vec in _search_points(rng, 1000):
+            assert (repr(objective(vec))
+                    == repr(_reference_objective(*fits, t_h, t_v, *offsets, vec))), vec
+            folds.update(_fold01(v) for v in (vec[0], vec[2]))
+            checked += 1
+    assert checked == 10 ** 4
+    assert {0.0, 1.0} <= folds
 
 
 def _exact_constant_offset(scan):
@@ -827,6 +920,14 @@ def _mle_golden_pairs():
 MLE_GOLDEN = "c35d7f2b01d9ab97ceec66d4e0829aa4f6a151ba1ba6cb03376453b0c1c5f207"
 
 
+def _golden_scans(truth, t_h, t_v, origin, seed, noiseless):
+    """The H and V scans of one of _mle_golden_pairs."""
+    phase = cmath.exp(1j * origin)
+    cfg = InterferometerConfig.balanced(truth, t_h=t_h * phase, t_v=t_v * phase)
+    return [run_scan(cfg, ScanPlan.default_grid(setting, seed, noiseless=noiseless))
+            for setting in (SignalSetting.H, SignalSetting.V)]
+
+
 def test_mle_golden_outputs(monkeypatch):
     import pitomo.reconstruct as rec
     searches = []
@@ -835,11 +936,7 @@ def test_mle_golden_outputs(monkeypatch):
                         lambda *args, **kw: searches.append(1) or search(*args, **kw))
     values, restarts = [], []
     for truth, t_h, t_v, origin, seed, noiseless in _mle_golden_pairs():
-        phase = cmath.exp(1j * origin)
-        cfg = InterferometerConfig.balanced(truth, t_h=t_h * phase, t_v=t_v * phase)
-        scans = [run_scan(cfg, ScanPlan.default_grid(setting, seed,
-                                                     noiseless=noiseless))
-                 for setting in (SignalSetting.H, SignalSetting.V)]
+        scans = _golden_scans(truth, t_h, t_v, origin, seed, noiseless)
         searches.clear()
         result = rec.mle_reconstruct(*scans, t_h, t_v)
         restarts.append(len(searches) == 2)
@@ -912,10 +1009,14 @@ def _reference_nelder_mead(fn, x0, steps, maxfev=10000, tol=1e-9):
 
 
 def _nelder_mead_problems():
-    """Seeded 3-D objectives with starts and steps: convex quadratics, the
-    3-D Rosenbrock function, a terraced bowl whose flat steps force
-    contractions and shrinks, a constant (every step a shrink), and a bowl
-    that is NaN off a slab (every comparison with it false)."""
+    """Seeded 3-D objectives, each with a fixed (start, steps, tol) or None
+    for three random starts at tol 1e-9: convex quadratics, the 3-D
+    Rosenbrock function, a terraced bowl whose flat steps force
+    contractions and shrinks, a constant (every step a shrink), a bowl that
+    is NaN off a slab (every comparison with it false), and the constant
+    again from a dyadic start with tol = steps / 2^10: each shrink halves
+    every spread exactly, so the tenth leaves spreads equal to tol, the
+    edge of the convergence test, and the eleventh converges."""
     rng = Rng(0x4E4D, 0)
 
     def uniform(lo, hi):
@@ -929,23 +1030,35 @@ def _nelder_mead_problems():
             d = [v[k] - centre[k] for k in range(3)]
             return sum((m[r][0] * d[0] + m[r][1] * d[1] + m[r][2] * d[2]) ** 2
                        for r in range(3)) + 0.1 * sum(x * x for x in d)
-        yield quadratic
-    yield _rosen3
-    yield lambda v: float(math.floor(4.0 * (v[0] ** 2 + v[1] ** 2 + v[2] ** 2)))
-    yield lambda v: 1.0
-    yield lambda v: (v[0] ** 2 + v[1] ** 2 + v[2] ** 2 if abs(v[2]) < 1.5
-                     else math.nan)
+        yield quadratic, None
+    yield _rosen3, None
+    yield lambda v: float(math.floor(4.0 * (v[0] ** 2 + v[1] ** 2 + v[2] ** 2))), None
+    yield lambda v: 1.0, None
+    yield (lambda v: (v[0] ** 2 + v[1] ** 2 + v[2] ** 2 if abs(v[2]) < 1.5
+                      else math.nan)), None
+    yield lambda v: 1.0, ([0.5, -1.25, 1.75], (0.125,) * 3, 0.125 / 2 ** 10)
 
 
 @pytest.mark.parametrize("maxfev", [4, 5, 20, 10 ** 4])
 def test_nelder_mead_matches_the_generic_method(maxfev):
     rng = Rng(maxfev, 0)
-    for fn in _nelder_mead_problems():
-        for _ in range(3):
-            x0 = [4.0 * rng.random() - 2.0 for _ in range(3)]
-            steps = tuple(0.05 + rng.random() for _ in range(3))
-            assert (repr(_nelder_mead(fn, x0, steps, maxfev=maxfev))
-                    == repr(_reference_nelder_mead(fn, x0, steps, maxfev=maxfev)))
+    for fn, fixed in _nelder_mead_problems():
+        starts = [fixed] if fixed else [
+            ([4.0 * rng.random() - 2.0 for _ in range(3)],
+             tuple(0.05 + rng.random() for _ in range(3)), 1e-9) for _ in range(3)]
+        for x0, steps, tol in starts:
+            assert (repr(_nelder_mead(fn, x0, steps, maxfev=maxfev, tol=tol))
+                    == repr(_reference_nelder_mead(fn, x0, steps, maxfev=maxfev,
+                                                   tol=tol)))
+
+
+def test_nelder_mead_stops_one_shrink_past_spreads_equal_to_tol():
+    # 4 starting values, then 5 per shrink (reflect, contract, 3 vertices);
+    # the tenth shrink leaves every spread equal to tol, not below it
+    fn, (x0, steps, tol) = list(_nelder_mead_problems())[-1]
+    best, _, nfev, converged = _nelder_mead(fn, x0, steps, tol=tol)
+    assert converged and best == x0
+    assert nfev == 4 + 5 * 11
 
 
 def test_mle_convergence_error_carries_best(monkeypatch):
