@@ -33,7 +33,10 @@ kept: on the first repeat the inversion branch builds the mean's whole
 CDF table by the same recurrence ``pmf *= mu/k; cdf += pmf`` from
 ``exp(-mu)``, up to the first k > mu whose term no longer grows the sum
 (or k = 1000), and every repeat is one bisection of it; the rejection
-branch keeps its constants.  No bit changes, because each kept value is
+branch keeps its constants.  Both the search and the table step over the
+module tuple ``_STEPS`` of ``(k, float(k))`` pairs, so each step divides
+a float by a float; ``mu / float(k)`` is the float ``mu / k``, since every
+k there is exact as a double.  No bit changes, because each kept value is
 the float the draw-by-draw sampler would compute again from the same
 mean, and bisecting the nondecreasing CDF terms finds the first term
 >= u, which is where the sequential search stops.  Past the table's end
@@ -51,6 +54,7 @@ import math
 import random
 from bisect import bisect_left
 from functools import reduce
+from itertools import islice
 from operator import add
 
 _EIGH_MAX_SWEEPS = 100
@@ -179,6 +183,10 @@ def loggam(x):
     return gl
 
 
+# the inversion's steps k = 1 .. 1001, each with k as a float
+_STEPS = tuple((k, float(k)) for k in range(1, 1002))
+
+
 def _cdf_table(mu):
     """The Poisson CDF terms for 0 < mu < 30 that the sequential search
     sums, k = 0, 1, ...: ``pmf *= mu/k; cdf += pmf`` from exp(-mu).  The
@@ -186,8 +194,8 @@ def _cdf_table(mu):
     term then does (the pmf only falls past mu), or at k = 1000."""
     pmf = cdf = math.exp(-mu)
     table = [cdf]
-    for k in range(1, 1001):
-        pmf = pmf * (mu / k)
+    for k, fk in islice(_STEPS, 1000):
+        pmf = pmf * (mu / fk)
         grown = cdf + pmf
         if grown == cdf and k > mu:
             break
@@ -256,8 +264,8 @@ class Rng:
                     cdf = pmf
                     k = 0
                     if u > cdf:
-                        for k in range(1, 1002):
-                            pmf = pmf * (mu / k)
+                        for k, fk in _STEPS:
+                            pmf = pmf * (mu / fk)
                             cdf = cdf + pmf
                             if u <= cdf:
                                 break

@@ -29,18 +29,26 @@ is read.  The scan rules are written once, in ``ScanPlan`` and
 ``ScanRecord``; each error names the entry, which a JSON scan reports as
 ``path: phases[5] ...``, ``--phases`` as ``phases[5] ...`` and the CSV
 reader (itself checking only header tokens, columns and literals) as
-``path:line: phi_rad ...``, with the text found there.  The CSV reader
-parses a column at a time and goes row by row only to name a bad row.
-Every file is UTF-8 text, written through ``_fields.rewrite``: an
-existing file is rewritten in place and cut to length.
+``path:line: phi_rad ...``, with the text found there.  A CSV is
+written and read ``_CHUNK`` characters of whole lines at a time, so a
+scan at ``MAX_POINTS`` is never held as one text: the writer joins one
+f-string per row into each write, and the reader splits each chunk of
+lines once and parses a column of it by one map(), going row by row only
+through a chunk that fails, to name its first bad row.  It rereads the
+file only to report an error: the text of a row that a scan rule refuses,
+and the offset in the whole file of a byte that is not UTF-8.  Every file
+is UTF-8 text, written through ``_fields.rewrite``: an existing file is
+rewritten in place and cut to length.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -83,9 +91,11 @@ class ScanPlan:
     def default_grid(cls, setting: SignalSetting, seed: int, *, points: int = 20,
                      counts_per_point: int = 1000,
                      noiseless: bool = False) -> "ScanPlan":
-        """points equally spaced over [0, 2*pi), at most ``MAX_POINTS``."""
-        if points > MAX_POINTS:  # refused before the grid is allocated
-            raise ValueError(f"points must be at most {MAX_POINTS}, got {points}")
+        """points equally spaced over [0, 2*pi), from 5 to ``MAX_POINTS``."""
+        points = operator.index(points)  # range()'s TypeError for a float
+        if not 5 <= points <= MAX_POINTS:  # refused before the grid is built
+            raise EntryError("points", None, "must be at least 5" if points < 5
+                             else f"must be at most {MAX_POINTS}", points)
         return cls(tuple(TWO_PI * k / points for k in range(points)),
                    counts_per_point, setting, seed, noiseless)
 
@@ -292,14 +302,23 @@ _CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUM
                   counts_per_point="n", seed="seed")
 
 
+# characters of CSV text read, parsed or written at a time
+_CHUNK = 1 << 18
+# the longest CSV row: a 24-character float repr and two 20-digit counts
+_ROW_WIDTH = 67
+
+
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     plan = record.plan
-    rows = map("{},{},{}\n".format, once_per_grid(_phase_text, plan.phases),
-               record.counts_primary, record.counts_constant)
+    rows = zip(once_per_grid(_phase_text, plan.phases), record.counts_primary,
+               record.counts_constant)
+    per_write = max(1, _CHUNK // _ROW_WIDTH)
     with rewrite(path) as f:
         f.write(f"# setting={plan.setting.value} seed={plan.seed} "
-                f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n"
-                + "".join(rows))
+                f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n")
+        while text := "".join([f"{phi},{cf},{cc}\n"
+                               for phi, cf, cc in islice(rows, per_write)]):
+            f.write(text)
 
 
 def _phase_text(phases) -> Iterable[str]:
@@ -310,74 +329,126 @@ def _phase_text(phases) -> Iterable[str]:
 def scan_from_csv(path: str | Path) -> ScanRecord:
     """Read a scan CSV; the noiseless flag and truth are not part of CSV.
 
-    A file that is not UTF-8 text is reported as ``path: ...``; a
-    malformed header, row or number (digit-group underscores included,
-    which int() and float() accept; an unreadable phase reads as NaN) as
-    ``path:line: ...``, and so is the entry a scan rule refuses, under its
-    column name and with the text found there.
+    A file that is not UTF-8 text is reported as ``path: ...``, at the
+    byte offset in the whole file; a malformed header, row or number
+    (digit-group underscores included, which int() and float() accept; an
+    unreadable phase reads as NaN) as ``path:line: ...``, and so is the
+    entry a scan rule refuses, under its column name and with the text
+    found there.  Blank lines are skipped but counted.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            head, chunks = _head(_chunks(f))
+            if head is None or not head[0][1].startswith("# "):
+                raise ValueError(f"{path}: not a scan CSV")
+            (k_meta, header), (k_cols, cols) = head
+            meta = _csv_header(path, k_meta, header)
+            if cols != ",".join(CSV_COLUMNS):
+                raise ValueError(f"{path}:{k_cols}: unexpected column header "
+                                 f"{cols!r}")
+            columns = [], [], []
+            for k, lines in chunks:
+                _csv_columns(path, k, lines, columns)
     except UnicodeDecodeError as exc:
+        try:  # the offset in the whole file, as one decode of it reports it
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ValueError(f"{path}: {exc}") from None
-    rows = [(k, line) for k, line in enumerate(
-        map(str.strip, text.split("\n")), 1) if line]
-    if len(rows) < 3 or not rows[0][1].startswith("# "):
-        raise ValueError(f"{path}: not a scan CSV")
-    head, header = rows[0]
+    try:
+        return ScanRecord(ScanPlan(columns[0], meta["n"], meta["setting"],
+                                   meta["seed"]), *columns[1:])
+    except EntryError as exc:
+        name = _CSV_NAMES[exc.key]
+        if exc.index is not None:  # a data row: show the text found there
+            k, line = _data_row(path, exc.index)
+            got = line.split(",")[CSV_COLUMNS.index(name)]
+        else:  # a header value, or a whole column
+            k, got = (k_cols if name in CSV_COLUMNS else k_meta), exc.value
+        raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
+
+
+def _chunks(f):
+    """The lines of the text file ``f``, about ``_CHUNK`` characters of
+    whole lines at a time, each list with the number of its first line."""
+    k, tail = 1, ""
+    while text := f.read(_CHUNK):
+        lines = (tail + text).split("\n")
+        tail = lines.pop()
+        yield k, lines
+        k += len(lines)
+    if tail:
+        yield k, [tail]
+
+
+def _head(chunks):
+    """The first two non-blank lines of ``chunks``, stripped, as (number,
+    text), and the chunks from the next non-blank line on; (None, None)
+    without one."""
+    head = []
+    for k, lines in chunks:
+        for i, line in enumerate(lines):
+            if line.strip():
+                if len(head) == 2:
+                    return head, chain([(k + i, lines[i:])], chunks)
+                head.append((k + i, line.strip()))
+    return None, None
+
+
+def _csv_header(path, k: int, header: str) -> dict:
+    """The values of the ``key=value`` header on line ``k``, parsed."""
     meta = {}
     for kv in header[2:].split():
         key, eq, value = kv.partition("=")
         if not eq:
-            raise ValueError(f"{path}:{head}: expected key=value, got {kv!r}")
+            raise ValueError(f"{path}:{k}: expected key=value, got {kv!r}")
         if key in meta:
-            raise ValueError(f"{path}:{head}: {key} appears twice in the header")
+            raise ValueError(f"{path}:{k}: {key} appears twice in the header")
         if key not in _CSV_HEADER:
-            raise ValueError(f"{path}:{head}: unknown header key {key!r}")
+            raise ValueError(f"{path}:{k}: unknown header key {key!r}")
         meta[key] = value
     for key, (parse, what) in _CSV_HEADER.items():
         if key not in meta:
-            raise ValueError(f"{path}:{head}: {key} is missing from the header")
+            raise ValueError(f"{path}:{k}: {key} is missing from the header")
         try:
             meta[key] = parse(meta[key])
         except ValueError:
-            raise ValueError(f"{path}:{head}: {key} must be {what}, "
+            raise ValueError(f"{path}:{k}: {key} must be {what}, "
                              f"got {meta[key]!r}") from None
-    if rows[1][1] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"{path}: unexpected column header {rows[1][1]!r}")
-    phases, primary, constant = _csv_columns(path, rows[2:])
-    try:
-        return ScanRecord(ScanPlan(phases, meta["n"], meta["setting"],
-                                   meta["seed"]), primary, constant)
-    except EntryError as exc:
-        name = _CSV_NAMES[exc.key]
-        if exc.index is not None:  # a data row: show the text found there
-            k, line = rows[2 + exc.index]
-            got = line.split(",")[CSV_COLUMNS.index(name)]
-        else:  # a header value, or a whole column
-            k, got = (rows[1][0] if name in CSV_COLUMNS else head), exc.value
-        raise ValueError(f"{path}:{k}: {name} {exc.rule}, got {brief(got)}") from None
+    return meta
 
 
-def _csv_columns(path, rows: list) -> tuple[list, list, list]:
-    """The phases (NaN where one does not read as a number) and the two
-    count columns of the data ``rows``, (line number, text) pairs.
+def _csv_columns(path, k: int, lines: list, columns: tuple) -> None:
+    """Append the phases (NaN where one does not read as a number) and the
+    two counts of the data ``lines``, numbered from ``k``, to ``columns``.
 
-    Without a digit-group underscore in any row, the rows are split once
-    and each column parsed by one map(); where that fails, and with an
-    underscore, row by row in file order, which names the first bad row.
+    With no blank line, no digit-group underscore and two commas on every
+    line, the lines are split once and each column parsed by one map(),
+    which skips the whitespace that stripping a line would; where that
+    fails, row by row in file order, which names the first bad row.
     """
-    lines = [line for _, line in rows]
-    cells = [line.split(",") for line in lines]
-    if "_" not in "".join(lines) and set(map(len, cells)) == {len(CSV_COLUMNS)}:
-        phi_col, fringe_col, const_col = zip(*cells)
+    phases, primary, constant = columns
+    # C commas in R lines make C + R cells: 3 R of them if C = 2 R.  A
+    # "\n" starts each line's first cell but the first line's, so if all
+    # of those sit at a multiple of 3, every line has 2 commas.  A blank
+    # line has none, and takes the row-by-row path.
+    text = ",\n".join(lines)
+    cells = text.split(",")
+    phi = cells[0::3]
+    if ("_" not in text and len(cells) == 3 * len(lines)
+            and "".join(phi).count("\n") == len(lines) - 1):
+        held = len(phases)
         try:
-            return (list(map(float, phi_col)), list(map(int, fringe_col)),
-                    list(map(int, const_col)))
+            phases += map(float, phi)
+            primary += map(int, cells[1::3])
+            constant += map(int, cells[2::3])
+            return
         except ValueError:
-            pass
-    phases, primary, constant = [], [], []
-    for k, line in rows:
+            for column in columns:
+                del column[held:]
+    for k, line in enumerate(map(str.strip, lines), k):
+        if not line:
+            continue
         try:
             phi_text, fringe_text, const_text = line.split(",")
         except ValueError:
@@ -389,7 +460,20 @@ def _csv_columns(path, rows: list) -> tuple[list, list, list]:
             phases.append(math.nan)
         primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
         constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
-    return phases, primary, constant
+
+
+def _data_row(path, index: int) -> tuple[int, str]:
+    """(line number, stripped text) of data row ``index`` of a scan CSV
+    whose header has been read: the text of a row a scan rule refuses."""
+    with open(path, encoding="utf-8") as f:
+        _, chunks = _head(_chunks(f))
+        for k, lines in chunks:
+            for k, line in enumerate(map(str.strip, lines), k):
+                if line:
+                    if not index:
+                        return k, line
+                    index -= 1
+    raise ValueError(f"{path}: changed while it was read")
 
 
 def _plain_int(text: str) -> int:

@@ -3,15 +3,18 @@
 import cmath
 import math
 import tempfile
+import tracemalloc
 from array import array
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from pitomo import acquisition, reconstruct
-from pitomo._fields import EntryError
+from pitomo._fields import EntryError, rewrite
 from pitomo._kernels import Rng
 from pitomo.acquisition import (CSV_COLUMNS, HELD_POINTS, CalibrationResult,
                                 ScanPlan, ScanRecord, calibration_from_json,
@@ -304,7 +307,7 @@ def test_csv_rejects_garbage(tmp_path):
 # the first bad row in file order is reported, cells of a row in column
 # order, except that a phase that does not read as a number is refused
 # only once every row has been read, as the phase grid's rule.
-@pytest.mark.parametrize("edits, message", [
+_FIRST_BAD_ROW = [
     pytest.param({5: (None, "x", None), 9: (None, "y", None)},
                  "5: counts_fringe must be an integer count, got 'x'",
                  id="two_bad_counts"),
@@ -339,7 +342,10 @@ def test_csv_rejects_garbage(tmp_path):
     pytest.param({4: (None, None, "1\u2028"), 8: (None, "x", None)},
                  "8: counts_fringe must be an integer count, got 'x'",
                  id="line_separator_inside_a_line"),
-])
+]
+
+
+@pytest.mark.parametrize("edits, message", _FIRST_BAD_ROW)
 def test_csv_reports_the_first_bad_row(tmp_path, edits, message):
     path = tmp_path / "scan.csv"
     scan_to_csv(run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5)),
@@ -352,6 +358,145 @@ def test_csv_reports_the_first_bad_row(tmp_path, edits, message):
     with pytest.raises(ValueError) as exc:
         scan_from_csv(path)
     assert str(exc.value) == f"{path}:{message}"
+
+
+# A chunk of 40 characters ends inside the column header, so every edited
+# row lies in a later chunk, and most pairs of edits in different ones; a
+# chunk of 256 holds some pairs together.
+@pytest.mark.parametrize("chunk", [40, 256])
+@pytest.mark.parametrize("edits, message", _FIRST_BAD_ROW)
+def test_csv_reports_the_first_bad_row_in_a_later_chunk(tmp_path, monkeypatch,
+                                                        chunk, edits, message):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    test_csv_reports_the_first_bad_row(tmp_path, edits, message)
+
+
+@pytest.mark.parametrize("chunk", [40, acquisition._CHUNK])
+def test_csv_counts_blank_lines_in_its_line_numbers(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    path = tmp_path / "scan.csv"
+    record = run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5))
+    scan_to_csv(record, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    # blank and blank-looking lines: before the header, around the column
+    # header and among the rows; a whitespace-only line is blank too
+    lines[7:7] = ["", " \t", ""]
+    lines[2:2] = ["   "]
+    lines[1:1] = [""]
+    lines[0:0] = ["", ""]
+    path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+    assert scan_from_csv(path) == replace(record, truth=None)
+    # seven blank lines in, the 12th data row is on line 21 of the file
+    assert lines[20].startswith(repr(record.plan.phases[11]) + ",")
+    lines[20] = lines[20].rpartition(",")[0] + ",-7"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}:21: counts_const must be nonnegative, got '-7'"
+
+
+@pytest.mark.parametrize("chunk", [40, acquisition._CHUNK])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("end", ["", "\n"])
+def test_csv_reads_any_line_ending_and_a_last_line_without_one(
+        tmp_path, monkeypatch, chunk, newline, end):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    path = tmp_path / "scan.csv"
+    record = run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5))
+    scan_to_csv(record, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_bytes((newline.join(lines) + end).encode())
+    assert scan_from_csv(path) == replace(record, truth=None)
+    # the line numbers count each line ending once
+    lines[9] = lines[9].replace(",", ";", 1)
+    path.write_bytes((newline.join(lines) + end).encode())
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}:10: expected 3 columns, got 2"
+
+
+def test_csv_refuses_rows_whose_commas_only_add_up(tmp_path):
+    # 2 and 4 columns make 6 cells on 2 lines, as two good rows do, and
+    # each of the 6 reads as a number
+    path = tmp_path / "scan.csv"
+    scan_to_csv(run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5)),
+                path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[6:8] = ["2,3", "4,5,6,7"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}:7: expected 3 columns, got 2"
+
+
+def test_csv_names_the_line_of_a_bad_column_header(tmp_path):
+    path = tmp_path / "scan.csv"
+    scan_to_csv(run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5)),
+                path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1:2] = ["", "phi,counts_fringe,counts_const"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert (str(exc.value) == f"{path}:3: unexpected column header "
+            "'phi,counts_fringe,counts_const'")
+
+
+@pytest.mark.parametrize("chunk", [40, acquisition._CHUNK])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xe2\x82", b"\xe2\x82\xac\xed\xa0\x80"])
+def test_csv_reports_a_byte_that_is_not_utf8_at_its_file_offset(
+        tmp_path, monkeypatch, chunk, bad):
+    # an offset past the first chunk, and past the 8 KiB blocks a text
+    # file decodes at a time; a euro sign before the bad byte puts the
+    # offset in bytes two past the offset in characters
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    path = tmp_path / "scan.csv"
+    scan_to_csv(run_scan(balanced(), ScanPlan.default_grid(
+        SignalSetting.H, 5, points=1000, noiseless=True)), path)
+    data = path.read_bytes()
+    cut = data.index(b"\n", 20000)
+    path.write_bytes(data[:200] + b" \xe2\x82\xac" + data[200:cut] + bad
+                     + data[cut:])
+    with pytest.raises(UnicodeDecodeError) as want:
+        path.read_text(encoding="utf-8")
+    assert want.value.start > 20000
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}: {want.value}"
+
+
+def test_a_long_scan_file_is_written_and_read_a_chunk_at_a_time(tmp_path,
+                                                                monkeypatch):
+    # no write() longer than a chunk, and no traced peak while loading
+    # beyond twice the record loaded (a 3 MB file of 10**5 rows)
+    record = run_scan(balanced(), ScanPlan.default_grid(
+        SignalSetting.H, 5, points=10 ** 5, counts_per_point=10 ** 5,
+        noiseless=True))
+    path = tmp_path / "scan.csv"
+    writes = []
+
+    @contextmanager
+    def counted(path):
+        with rewrite(path) as f:
+            yield SimpleNamespace(write=lambda text: writes.append(len(text))
+                                  or f.write(text))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(acquisition, "rewrite", counted)
+        scan_to_csv(record, path)
+    assert path.read_bytes() == _reference_csv(record)
+    assert sum(writes) == path.stat().st_size > 10 * acquisition._CHUNK
+    assert max(writes) <= acquisition._CHUNK
+
+    tracemalloc.start()
+    try:
+        loaded = load_scan(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == ScanRecord(replace(record.plan, noiseless=False),
+                                record.counts_primary, record.counts_constant)
+    assert peak <= 2 * held
 
 
 def _reference_csv(record):
@@ -388,6 +533,21 @@ _TWINS = st.lists(st.floats(1e-6, 6.28), min_size=4, max_size=40,
 
 @given(grids=st.one_of(st.tuples(_GRIDS, _GRIDS), _TWINS), data=st.data())
 def test_csv_writes_the_reference_bytes_and_reads_them_back(grids, data):
+    _check_csv_round_trip(grids, data)
+
+
+# from a chunk shorter than any row to one of about three rows
+@given(grids=st.one_of(st.tuples(_GRIDS, _GRIDS), _TWINS), data=st.data(),
+       chunk=st.integers(1, 200))
+def test_csv_round_trip_in_small_chunks(grids, data, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acquisition, "_CHUNK", chunk)
+        _check_csv_round_trip(grids, data)
+
+
+def _check_csv_round_trip(grids, data):
+    """Two records on ``grids``, each written to the reference bytes and
+    read back bit for bit; the phase text is made once per grid."""
     records = []
     for phases in grids:
         counts = st.lists(st.integers(0, (1 << 64) - 1), min_size=len(phases),
@@ -546,7 +706,7 @@ def test_default_grid_is_built_once_per_point_count(monkeypatch):
         ScanPlan.default_grid(SignalSetting.H, 3, points=200.0)
     with pytest.raises(TypeError):
         ScanPlan.default_grid(SignalSetting.H, 3, points=1.0)
-    with pytest.raises(EntryError):  # the one-point grid of True
+    with pytest.raises(EntryError):  # True counts one point
         ScanPlan.default_grid(SignalSetting.H, 3, points=True)
 
 

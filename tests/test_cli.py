@@ -863,6 +863,26 @@ def test_oversized_point_count_exits_3_before_building_the_grid(
         ScanPlan.default_grid(SignalSetting.H, 1, points=MAX_POINTS)
 
 
+@pytest.mark.parametrize("points", [4, 0, -3])
+def test_too_few_points_exit_3_by_name_before_building_the_grid(
+        tmp_path, capsys, monkeypatch, points):
+    # named as the flag the user passed, not as a phase grid the user
+    # never wrote; a range call in acquisition fails the test
+    import pitomo.acquisition
+
+    def no_grid(*args):
+        raise AssertionError("the phase grid was built")
+
+    monkeypatch.setattr(pitomo.acquisition, "range", no_grid, raising=False)
+    for argv in (("simulate", "--setting", "H", "--seed", 1),
+                 ("calibrate", "--noiseless"),
+                 ("sweep", "--plate", "hwp", "--angles", "0", "--seed", 1)):
+        assert run(*argv, "--points", points, "--out", tmp_path) == 3
+        assert (f"error: points must be at least 5, got {points}\n"
+                == capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("spec, message", [
     ("0,x", "expected a number, got 'x'"),
     ("", "expected a number, got ''"),
