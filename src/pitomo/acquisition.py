@@ -17,9 +17,14 @@ reuses one set of rejection constants.  The counts are those of one
 ``Rng.poisson`` call per point.
 
 Work that depends only on a scan's phase grid (its checks, the text of
-its CSV rows, a fit's grid pass) goes through :func:`once_per_grid`, done
-once for the last grid seen.  The fringe rates of a scan come from
-``Fringe.over``, one pass over the grid.
+its CSV rows, a fit's grid pass and half-period test, whether it is a
+default grid) goes through :func:`once_per_grid`, done once for the last
+grid seen.  That grid is served three ways without rebuilding it: the
+checked tuple itself is recognised by identity, without computing its
+key; ``default_grid`` returns it when it is bitwise the grid asked for;
+and a CSV chunk whose phase cells are that grid's own text at the same
+rows takes its floats without parsing them.  The fringe rates of a scan
+come from ``Fringe.over``, one pass over the grid.
 
 Persistence: CSV with a one-line metadata header and a JSON mirror of
 the full record (the JSON additionally keeps the noiseless flag and, if
@@ -91,13 +96,20 @@ class ScanPlan:
     def default_grid(cls, setting: SignalSetting, seed: int, *, points: int = 20,
                      counts_per_point: int = 1000,
                      noiseless: bool = False) -> "ScanPlan":
-        """points equally spaced over [0, 2*pi), from 5 to ``MAX_POINTS``."""
+        """points equally spaced over [0, 2*pi), from 5 to ``MAX_POINTS``;
+        the held grid itself where it is bitwise that grid."""
         points = operator.index(points)  # range()'s TypeError for a float
         if not 5 <= points <= MAX_POINTS:  # refused before the grid is built
             raise EntryError("points", None, "must be at least 5" if points < 5
                              else f"must be at most {MAX_POINTS}", points)
-        return cls(tuple(TWO_PI * k / points for k in range(points)),
-                   counts_per_point, setting, seed, noiseless)
+        phases = _hold.get(_checked_grid, ())
+        if len(phases) == points and once_per_grid(_default_points, phases):
+            return cls(phases, counts_per_point, setting, seed, noiseless)
+        plan = cls(_default_phases(points), counts_per_point, setting, seed,
+                   noiseless)
+        if points <= HELD_POINTS:  # the next call finds it known and held
+            once_per_grid(_default_points, plan.phases)
+        return plan
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,15 +175,22 @@ def once_per_grid(fn, phases):
     """``fn(phases)`` as a tuple, computed once for the last grid seen.
 
     The key is the grid's float64 bits: -0.0 == 0.0, so a float key would
-    hand a grid from -0.0 its twin's values.  A grid of more than
+    hand a grid from -0.0 its twin's values.  The tuple held as that
+    grid's ``_checked_grid`` value (every ``ScanPlan``'s phases) is
+    recognised by identity and computes no key; so is it where
+    ``default_grid`` hands it back, and where the CSV reader takes its
+    floats for phase text that is the grid's own.  A grid of more than
     ``HELD_POINTS`` points is never held: it gets ``fn(phases)`` itself,
     so a grid near ``MAX_POINTS`` neither outlives its scan nor has all
     of a lazy ``fn``'s values alive at once.  A raising ``fn`` holds
     nothing; racing threads may compute a value twice, never another grid's.
     """
-    if len(phases) > HELD_POINTS:
-        return fn(phases)
-    held = _held(array("d", phases).tobytes())
+    global _hold
+    held = _hold
+    if phases is not held.get(_checked_grid):
+        if len(phases) > HELD_POINTS:
+            return fn(phases)
+        held = _hold = _held(array("d", phases).tobytes())
     if fn not in held:
         held[fn] = tuple(fn(phases))
     return held[fn]
@@ -181,6 +200,27 @@ def once_per_grid(fn, phases):
 def _held(grid: bytes) -> dict:
     """The values held for the grid of float64 bits ``grid``, by function."""
     return {}
+
+
+# the dict _held last returned, set before any fn runs on its grid: one
+# read of it gives one grid's values, so its _checked_grid tuple is that
+# grid's own
+_hold: dict = {}
+
+
+def _default_phases(points: int) -> tuple[float, ...]:
+    """The default grid of ``points`` points: 2*pi*k/points from k = 0."""
+    return tuple(TWO_PI * k / points for k in range(points))
+
+
+def _default_points(phases) -> tuple[int, ...]:
+    """(len(phases),) if ``phases`` is bitwise the default grid of that
+    many points, else (): == compares the bits of every point but the
+    first, the only one that is zero, whose sign is checked apart."""
+    m = len(phases)
+    if phases == _default_phases(m) and math.copysign(1.0, phases[0]) > 0.0:
+        return (m,)
+    return ()
 
 
 def _checked_grid(phases) -> tuple[float, ...]:
@@ -347,8 +387,9 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
                 raise ValueError(f"{path}:{k_cols}: unexpected column header "
                                  f"{cols!r}")
             columns = [], [], []
+            grid = _hold.get(_checked_grid)  # the held grid, for all chunks
             for k, lines in chunks:
-                _csv_columns(path, k, lines, columns)
+                _csv_columns(path, k, lines, columns, grid)
     except UnicodeDecodeError as exc:
         try:  # the offset in the whole file, as one decode of it reports it
             Path(path).read_bytes().decode("utf-8")
@@ -418,14 +459,16 @@ def _csv_header(path, k: int, header: str) -> dict:
     return meta
 
 
-def _csv_columns(path, k: int, lines: list, columns: tuple) -> None:
+def _csv_columns(path, k: int, lines: list, columns: tuple, grid) -> None:
     """Append the phases (NaN where one does not read as a number) and the
     two counts of the data ``lines``, numbered from ``k``, to ``columns``.
 
     With no blank line, no digit-group underscore and two commas on every
     line, the lines are split once and each column parsed by one map(),
-    which skips the whitespace that stripping a line would; where that
-    fails, row by row in file order, which names the first bad row.
+    which skips the whitespace that stripping a line would; phase cells
+    that are the held ``grid``'s own text at the same rows take its floats
+    unparsed.  Where that fails, row by row in file order, which names
+    the first bad row.
     """
     phases, primary, constant = columns
     # C commas in R lines make C + R cells: 3 R of them if C = 2 R.  A
@@ -435,11 +478,13 @@ def _csv_columns(path, k: int, lines: list, columns: tuple) -> None:
     text = ",\n".join(lines)
     cells = text.split(",")
     phi = cells[0::3]
+    joined = "".join(phi)
     if ("_" not in text and len(cells) == 3 * len(lines)
-            and "".join(phi).count("\n") == len(lines) - 1):
+            and joined.count("\n") == len(lines) - 1):
         held = len(phases)
+        rows = _held_rows(grid, held, len(lines), joined)
         try:
-            phases += map(float, phi)
+            phases += map(float, phi) if rows is None else rows
             primary += map(int, cells[1::3])
             constant += map(int, cells[2::3])
             return
@@ -460,6 +505,21 @@ def _csv_columns(path, k: int, lines: list, columns: tuple) -> None:
             phases.append(math.nan)
         primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
         constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
+
+
+def _held_rows(grid, start: int, count: int, joined: str):
+    """``grid[start:start + count]`` if ``joined`` is exactly the text of
+    those phases joined by "\n", else None.  float(repr(x)) is x bit for
+    bit, -0.0 included, so those rows read as the grid's own floats; any
+    other text (0.10, a leading space, a -0.0 twin) is parsed.  The grid's
+    text is made, once, only for a chunk that ends in its row's text."""
+    end = start + count
+    if (grid is None or end > len(grid)
+            or not joined.endswith(repr(grid[end - 1]))):
+        return None
+    if joined != "\n".join(once_per_grid(_phase_text, grid)[start:end]):
+        return None
+    return grid[start:end]
 
 
 def _data_row(path, index: int) -> tuple[int, str]:

@@ -206,14 +206,21 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _fixed(x: float, sign: str = "") -> str:
+    """format(x, sign + ".6f"), but a value that rounds to zero prints
+    without a minus sign, as the "z" option (Python 3.11+) would print it."""
+    text = format(x, f"{sign}.6f")
+    return format(0.0, f"{sign}.6f") if text == "-0.000000" else text
+
+
 def _render_report(result: ReconstructionResult) -> str:
     p = result.params
     lines = [
         "reconstructed polarization state",
         f"  method            {result.method.value}",
-        f"  p_h               {p.p_h:.6f}",
-        f"  xi  [rad]         {p.xi:.6f}",
-        f"  purity            {p.purity:.6f}",
+        f"  p_h               {_fixed(p.p_h)}",
+        f"  xi  [rad]         {_fixed(p.xi)}",
+        f"  purity            {_fixed(p.purity)}",
         f"  residual cost     {result.cost:.6g}",
     ]
     if result.param_stderr:
@@ -223,12 +230,12 @@ def _render_report(result: ReconstructionResult) -> str:
     if result.flags:
         lines.append(f"  flags             {', '.join(result.flags)}")
     if result.fidelity_vs_reference is not None:
-        lines.append(f"  fidelity vs ref   {result.fidelity_vs_reference:.6f}")
+        lines.append(f"  fidelity vs ref   {_fixed(result.fidelity_vs_reference)}")
     lines.append("  density matrix (re, im):")
     rho = result.rho
     for i in range(2):
-        re_row = "  ".join(f"{rho.at(i, j).real:+.6f}" for j in range(2))
-        im_row = "  ".join(f"{rho.at(i, j).imag:+.6f}" for j in range(2))
+        re_row = "  ".join(_fixed(rho.at(i, j).real, "+") for j in range(2))
+        im_row = "  ".join(_fixed(rho.at(i, j).imag, "+") for j in range(2))
         lines.append(f"    [{re_row}]   [{im_row}]")
     return "\n".join(lines) + "\n"
 

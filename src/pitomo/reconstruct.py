@@ -29,10 +29,11 @@ follows from the fit without another pass over the data:
 an identity for any theta_hat (g vanishes at the exact minimizer).
 Every Nelder-Mead candidate therefore costs O(1), and the terms in each
 scan's offset, which the search holds fixed, are formed once.  The fit's
-grid pass (the cos and sin columns, G^-1 and L) depends on the phases
-alone and is done once per grid (``acquisition.once_per_grid``); each scan
-then costs a counts pass, X^T y and the residuals.  The identity is kept in this
-centered form, around theta_hat, on purpose.  The expanded form
+grid pass (the cos and sin columns, G^-1 and L) and the fringe route's
+half-period test depend on the phases alone and are done once per grid
+(``acquisition.once_per_grid``); each scan then costs a counts pass,
+X^T y and the residuals.  The identity is kept in this centered form,
+around theta_hat, on purpose.  The expanded form
 |y|^2 - 2 theta.X^T y + theta.G theta subtracts terms of order
 n^2 * points from each other to leave a residual of order 1; at
 n = 10^8 that cancellation loses every significant digit, and the cost
@@ -294,8 +295,13 @@ def _check_fringe_grid(phases: Sequence[float], counts: Sequence[float]) -> None
     m = len(phases)
     if m < 5 or len(counts) != m:
         raise FitError("need at least 5 matched (phase, count) points")
-    if max(phases) - min(phases) < math.pi * 0.999:
+    if once_per_grid(_span, phases)[0] < math.pi * 0.999:
         raise FitError("phase grid must span at least half a period")
+
+
+def _span(phases: Sequence[float]) -> tuple[float]:
+    """The extent of the grid, for the half-period test."""
+    return (max(phases) - min(phases),)
 
 
 def fit_sinusoid(phases: Sequence[float], counts: Sequence[float], *,

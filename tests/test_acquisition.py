@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 import tempfile
+import threading
 import tracemalloc
 from array import array
 from contextlib import contextmanager
@@ -697,9 +699,18 @@ def test_a_grid_above_held_points_is_not_held(tmp_path, monkeypatch):
 
 
 def test_default_grid_is_built_once_per_point_count(monkeypatch):
+    ScanPlan.default_grid(SignalSetting.H, 3, points=7)  # another grid held
+    builds = []
+    build = acquisition._default_phases
+    monkeypatch.setattr(acquisition, "_default_phases",
+                        lambda points: builds.append(points) or build(points))
     checks = count_grids(monkeypatch, acquisition, "_checked_grid")
-    plans = [ScanPlan.default_grid(setting, 3, points=200)
-             for setting in SignalSetting]
+    plans = []
+    for setting in SignalSetting:
+        plans.append(ScanPlan.default_grid(setting, 3, points=200))
+        # the first call builds the grid and checks that it is the default
+        # one; a second call builds no tuple: it hands back the held one
+        assert builds == [200, 200]
     assert plans[0].phases is plans[1].phases
     assert len(checks) == 1
     with pytest.raises(TypeError):  # range() refuses a float count
@@ -708,6 +719,188 @@ def test_default_grid_is_built_once_per_point_count(monkeypatch):
         ScanPlan.default_grid(SignalSetting.H, 3, points=1.0)
     with pytest.raises(EntryError):  # True counts one point
         ScanPlan.default_grid(SignalSetting.H, 3, points=True)
+    again = [ScanPlan.default_grid(setting, 4, points=200, counts_per_point=9)
+             for setting in (*SignalSetting, *SignalSetting)]
+    assert all(plan.phases is plans[0].phases for plan in again)
+    assert builds == [200, 200] and len(checks) == 1
+
+
+def test_a_held_tuple_computes_no_key(tmp_path, monkeypatch):
+    plan = ScanPlan.default_grid(SignalSetting.H, 3, points=50)
+    grid = plan.phases
+    keys = []  # the grid key of each call that computes one
+    held = acquisition._held
+    monkeypatch.setattr(acquisition, "_held",
+                        lambda key: keys.append(key) or held(key))
+    record = run_scan(balanced(), replace(plan, setting=SignalSetting.V))
+    scan_to_csv(record, tmp_path / "scan.csv")
+    fit_sinusoid(grid, record.counts_primary)
+    assert ScanPlan.default_grid(SignalSetting.H, 4, points=50).phases is grid
+    assert ScanPlan(grid, 7, SignalSetting.H, 5).phases is grid
+    assert keys == []
+    # an equal list, and an equal tuple that is not the held one, are keyed
+    texts = once_per_grid(acquisition._phase_text, grid)
+    assert once_per_grid(acquisition._phase_text, list(grid)) is texts
+    assert once_per_grid(acquisition._phase_text, tuple(list(grid))) is texts
+    assert len(keys) == 2
+
+
+def _counting_float(monkeypatch):
+    """Record each text the acquisition module parses as a float."""
+    parsed = []
+
+    def counted(x):
+        if isinstance(x, str):
+            parsed.append(x)
+        return float(x)
+
+    monkeypatch.setattr(acquisition, "float", counted, raising=False)
+    return parsed
+
+
+def test_a_scan_of_the_held_grid_is_read_back_without_parsing(tmp_path,
+                                                              monkeypatch):
+    records = [run_scan(balanced(), ScanPlan.default_grid(
+        setting, 3, points=200, counts_per_point=30)) for setting in SignalSetting]
+    paths = [tmp_path / f"scan_{r.plan.setting.value}.csv" for r in records]
+    for record, path in zip(records, paths):
+        scan_to_csv(record, path)
+    parsed = _counting_float(monkeypatch)
+    for record, path in zip(records, paths):
+        back = load_scan(path)
+        assert back.plan.phases is records[0].plan.phases
+        assert back.counts_primary == record.counts_primary
+        assert back.counts_constant == record.counts_constant
+    assert parsed == []
+    # a pair read back in a process that holds another grid: the H file is
+    # parsed, and its grid, now held, serves the V file
+    ScanPlan.default_grid(SignalSetting.H, 3, points=7)
+    texts = count_grids(monkeypatch, acquisition, "_phase_text")
+    loaded = [load_scan(path) for path in paths]
+    assert len(parsed) == 200 and len(texts) == 1
+    assert loaded[0].plan.phases is loaded[1].plan.phases
+    assert loaded[0].plan.phases == records[0].plan.phases
+
+
+def _times_ten(cell):
+    """The decimal ``cell`` with its point moved one digit right."""
+    whole, frac = cell.split(".")
+    return f"{whole}{frac[0]}.{frac[1:] or '0'}"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cell: cell + "0",  # 0.10 for 0.1
+    lambda cell: " " + cell,
+    lambda cell: _times_ten(cell) + "e-1",
+    lambda cell: "-0.0" if cell == "0.0" else cell,  # the -0.0 twin
+], ids=["trailing-zero", "leading-space", "exponent", "negative-zero"])
+def test_reworded_phase_text_is_parsed(tmp_path, monkeypatch, edit):
+    record = run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 3,
+                                                        points=40))
+    path = tmp_path / "scan.csv"
+    scan_to_csv(record, path)
+    lines = path.read_text().splitlines()
+    rows = [line.split(",") for line in lines[2:]]
+    for row in rows[::7]:
+        row[0] = edit(row[0])
+    path.write_text("\n".join([*lines[:2], *map(",".join, rows)]) + "\n")
+    cells = [line.split(",")[0] for line in path.read_text().splitlines()[2:]]
+    parsed = _counting_float(monkeypatch)
+    back = load_scan(path)
+    # every phase has the bits that parsing its text gives, as before
+    assert (array("d", back.plan.phases).tobytes()
+            == array("d", map(float, cells)).tobytes())
+    assert [*map(str.strip, parsed)] == [*map(str.strip, cells)]
+    assert back.counts_primary == record.counts_primary
+    twin = math.copysign(1.0, back.plan.phases[0]) < 0.0
+    assert (back.plan.phases is record.plan.phases) is not twin
+
+
+@pytest.mark.parametrize("chunk", [30, 40, 64])
+def test_a_held_grid_split_across_chunks_matches_chunk_by_chunk(
+        tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    record = run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 3,
+                                                        points=60))
+    scan_to_csv(record, tmp_path / "scan.csv")
+    served = []
+    held_rows = acquisition._held_rows
+    monkeypatch.setattr(acquisition, "_held_rows",
+                        lambda *a: served.append(held_rows(*a)) or served[-1])
+    parsed = _counting_float(monkeypatch)
+    back = load_scan(tmp_path / "scan.csv")
+    assert back.plan.phases is record.plan.phases
+    assert back.counts_primary == record.counts_primary
+    assert parsed == [] and len(served) > 10 and None not in served
+    assert sum(served, ()) == record.plan.phases
+
+
+_TWIN_CASES = [
+    lambda grid: (-0.0, *grid[1:]),  # == the default grid, with other bits
+    lambda grid: (*grid[:-1], math.nextafter(grid[-1], 7.0)),
+    lambda grid: tuple(TWO_PI * k / (len(grid) + 1)
+                       for k in range(len(grid) + 1)),
+    lambda grid: grid[:-1],
+]
+
+
+@given(m=st.integers(6, 300), case=st.sampled_from(_TWIN_CASES))
+def test_default_grid_never_returns_a_grid_of_other_bits(m, case):
+    default = tuple(TWO_PI * k / m for k in range(m))
+    held = ScanPlan(case(default), 10, SignalSetting.H, 1).phases
+    for _ in range(2):
+        phases = ScanPlan.default_grid(SignalSetting.H, 1, points=m).phases
+        assert phases is not held
+        assert array("d", phases).tobytes() == array("d", default).tobytes()
+    # and that grid, held now, is the one handed back
+    assert ScanPlan.default_grid(SignalSetting.V, 2, points=m).phases is phases
+
+
+def test_racing_threads_never_get_another_grids_values(tmp_path):
+    # two grids that compare equal but differ in the sign of 0.0, so a
+    # value served for the wrong one shows in the bits
+    grid = ScanPlan.default_grid(SignalSetting.H, 0, points=64).phases
+    grids = (grid, (-0.0, *grid[1:]))
+    counts = run_scan(balanced(), ScanPlan(grid, 500, SignalSetting.H, 1,
+                                           noiseless=True)).counts_primary
+    bits = [array("d", g).tobytes() for g in grids]
+    texts = [tuple(map(repr, g)) for g in grids]
+    fit = repr(fit_sinusoid(grid, counts))
+    failures = []
+
+    def race(t):
+        path = tmp_path / f"scan_{t}.csv"
+        try:
+            for i in range(3000):
+                j = (i + t) % 2
+                plan = ScanPlan(list(grids[j]), 500, SignalSetting.H, t)
+                assert array("d", plan.phases).tobytes() == bits[j]
+                text = once_per_grid(acquisition._phase_text, plan.phases)
+                assert text == texts[j]
+                if i % 20 > 1:
+                    continue
+                assert repr(fit_sinusoid(plan.phases, counts)) == fit
+                scan_to_csv(ScanRecord(plan, counts, counts), path)
+                back = scan_from_csv(path).plan.phases
+                assert array("d", back).tobytes() == bits[j]
+                default = ScanPlan.default_grid(SignalSetting.V, t, points=64)
+                assert array("d", default.phases).tobytes() == bits[0]
+        except Exception as exc:  # reported below, from the main thread
+            failures.append((t, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # three threads, each switched out after a microsecond of bytecode
+        threads = [threading.Thread(target=race, args=(t,)) for t in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,19 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pitomo import active_backend
 from pitomo._fields import dump
-from pitomo.cli import MAX_ANGLES, _parse_angles, main, run_verification
+from pitomo.cli import (MAX_ANGLES, _fixed, _parse_angles, main,
+                        run_verification)
 from pitomo.acquisition import (MAX_POINTS, ScanPlan, calibration_from_json,
                                 load_scan, run_scan, scan_from_csv,
                                 scan_to_csv)
 from pitomo.interferometer import (InterferometerConfig, SignalSetting,
                                    rates_closed_form)
-from pitomo.reconstruct import ReconstructionResult, extract_parameters
+from pitomo.reconstruct import (ReconstructionResult, extract_parameters,
+                                fit_sinusoid)
 from pitomo.states import IdlerStateParams, SourceQ2Params
 from conftest import wrap_distance
 
@@ -991,6 +993,66 @@ def test_manifest_records_the_parsed_argv(tmp_path):
     assert manifest["argv"] == argv
 
 
+# the primary outputs of _grid_chain, one run of each command
+_CHAIN_OUTPUTS = ("scan_H.csv", "scan_V.csv", "fringe/result.json",
+                  "fringe/report.txt", "mle/result.json", "mle/report.txt")
+
+
+def _grid_chain(command, out):
+    """simulate H and V on a 40-point grid, then reconstruct them by both
+    methods, each through ``command(*argv)``; the bytes of each output."""
+    for setting in "HV":
+        command("simulate", "--setting", setting, "--seed", 5, "--points", 40,
+                "--n", 2000, "--format", "csv", "--out", out)
+    for method in ("fringe", "mle"):
+        command("reconstruct", "--scan-h", out / "scan_H.csv",
+                "--scan-v", out / "scan_V.csv",
+                "--calibration", DATA / "calibration.json",
+                "--method", method, "--out", out / method)
+    return [(out / name).read_bytes() for name in _CHAIN_OUTPUTS]
+
+
+def _fresh_process(*argv):
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "pitomo", *map(str, argv)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def _in_process(*argv):
+    assert run(*argv) == 0
+
+
+def _prime(tmp_path, phases):
+    """Hold ``phases`` with its check, its CSV text, the half-period test
+    and the fit's grid pass (a default grid also with its default-grid
+    test)."""
+    plan = ScanPlan(phases, 2000, SignalSetting.H, 5)
+    record = run_scan(InterferometerConfig.balanced(
+        IdlerStateParams(0.3, 1.0, 0.9)), plan)
+    scan_to_csv(record, tmp_path / "prime.csv")
+    assert load_scan(tmp_path / "prime.csv").plan.phases is plan.phases
+    fit_sinusoid(plan.phases, record.counts_primary)
+
+
+@pytest.fixture(scope="module")
+def fresh_chain(tmp_path_factory):
+    return _grid_chain(_fresh_process, tmp_path_factory.mktemp("fresh"))
+
+
+@pytest.mark.parametrize("held", ["same", "twin", "other_length"])
+def test_the_grid_memo_never_reaches_the_output_bytes(tmp_path, fresh_chain, held):
+    grid = ScanPlan.default_grid(SignalSetting.H, 0, points=40).phases
+    phases = {"same": grid, "twin": (-0.0, *grid[1:]),
+              "other_length": ScanPlan.default_grid(SignalSetting.H, 0,
+                                                    points=41).phases}[held]
+    _prime(tmp_path, phases)
+    assert _grid_chain(_in_process, tmp_path / "chain") == fresh_chain
+
+
 def _platform():
     return "-".join((platform.system(), platform.release(), platform.machine()))
 
@@ -1104,6 +1166,45 @@ def test_report_renders_stored_result(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "fidelity vs ref" in text
     assert "density matrix" in text
+
+
+@given(st.floats())
+@example(-0.0)
+@example(-4.9e-7)
+@example(-5e-7)
+@example(-5.0000001e-7)
+@example(-math.inf)
+def test_fixed_point_fields_print_no_negative_zero(x):
+    for sign in ("", "+"):
+        text = format(x, f"{sign}.6f")
+        if text == "-0.000000":
+            assert _fixed(x, sign) == format(0.0, f"{sign}.6f")
+        else:
+            assert _fixed(x, sign) == text
+        if sys.version_info >= (3, 11):  # the "z" option where it exists
+            assert _fixed(x, sign) == format(x, f"{sign}z.6f")
+
+
+def test_a_report_at_xi_zero_prints_no_negative_zero(tmp_path, capsys):
+    # Im rho_vh of a result at xi = 0 is -0.0; the solve puts this pure
+    # state on the sphere, as purity_bound_active
+    for setting in "HV":
+        assert run("simulate", "--setting", setting, "--seed", 1, "--noiseless",
+                   "--xi", 0, "--p-h", 0.5, "--purity", 1,
+                   "--out", tmp_path / "scans") == 0
+    assert run("reconstruct", "--scan-h", tmp_path / "scans" / "scan_H.csv",
+               "--scan-v", tmp_path / "scans" / "scan_V.csv",
+               "--calibration", DATA / "calibration.json", "--method", "fringe",
+               "--out", tmp_path / "rec") == 0
+    result = json.loads((tmp_path / "rec" / "result.json").read_text())
+    assert result["flags"] == ["purity_bound_active"]
+    assert math.copysign(1.0, result["rho"]["im"][1]) < 0.0
+    report = (tmp_path / "rec" / "report.txt").read_text()
+    assert "-0.000000" not in report
+    assert "[+0.000000  +0.000000]" in report
+    capsys.readouterr()
+    assert run("report", "--result", tmp_path / "rec" / "result.json") == 0
+    assert capsys.readouterr().out == report
 
 
 def test_report_refuses_a_rho_that_is_not_a_qubit(tmp_path, capsys):
