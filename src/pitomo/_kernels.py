@@ -6,13 +6,24 @@ results may differ between platforms (complex abs/division, lgamma) are
 avoided, so that a ``(seed, stream)`` pair gives the same noise stream
 and the same primary outputs everywhere.
 
-Matrices are flat row-major sequences of Python complex numbers with
-dimensions passed alongside; any indexable sequence will do.
-:func:`eigh` rotates only the indices whose row of the Hermitized matrix is
-nonzero (the joint 8x8 state has four zero rows): a zero row stays zero under
-rotations among the others, every rotation that involves it meets a zero pivot
-and is skipped, so its diagonal is an eigenvalue as it stands, and the other
-rotations see the same floats in the same order as on the full matrix.
+Matrices are flat row-major sequences (lists or tuples) of Python complex
+numbers with dimensions passed alongside.  A mode of a matrix is live when
+its row or its column holds a nonzero (:func:`live_modes`); the joint 8x8
+state has four live modes.  The oracle's alignment and :func:`eigh` both
+work on the live modes alone.  :func:`eigh` Hermitizes the live block into a
+compact k x k list and sweeps it whole.  Its bits are those of the sweep of
+the full matrix: a mode that is not live has a row and column of signed
+zeros, which rotations among the others keep zero, so every rotation that
+involves it meets a zero pivot and is skipped, its squares (+0) add nothing
+to the norms, and its diagonal, ``a``'s real part as it stands (``-0.0``
+included), is an eigenvalue.  The same holds for a live mode whose
+Hermitized row vanishes (``a[z, j] = -conj(a[j, z])``), which stays in the
+block.  Every other rotation sees the same floats in the same order.  A
+rotation updates its 2x2 pivot block as the full sweep's loops do: the
+column step on (a_pp, a_pq) and (a_qp, a_qq), then the row step on the
+results (a_pp', a_qp') and (a_pq', a_qq'); each other mode's two column
+and two row entries are independent of each other and are updated in one
+pass.
 
 Random numbers come from the standard library's MT19937 (Matsumoto &
 Nishimura, *ACM TOMACS* 8, 3 (1998)): stream ``(seed, stream)`` is
@@ -77,36 +88,47 @@ def plain_sum(xs, start=0.0):
 # complex matrix kernels
 
 
+def live_modes(a, n):
+    """The modes of the n x n matrix ``a`` whose row or column holds a
+    nonzero, ascending; a NaN counts as nonzero."""
+    return [l for l in range(n) if any(a[l * n:l * n + n]) or any(a[l::n])]
+
+
 def eigh(a, n):
     """Eigenvalues, ascending, of a Hermitian matrix by cyclic Jacobi rotations.
 
     The input is Hermitized (averaged with its dagger) before iterating;
     convergence is declared when the off-diagonal Frobenius norm drops
     below 1e-13 * max(1, ||a||_F), or after ``_EIGH_MAX_SWEEPS`` sweeps.
-    Only the indices ``act`` whose Hermitized row is nonzero are swept
-    (see the module docstring).  Each rotation's coefficients are formed
-    once and its updates walk precomputed index lists.
+    Only the block of the live modes is Hermitized and swept; a mode that
+    is not live keeps ``a``'s real diagonal as its eigenvalue, and the bits
+    are those of the full sweep (see the module docstring).  Each pair's
+    indices are formed once per call; a rotation updates the pivot block
+    by the column step and then the row step, and each other mode's column
+    and row entries in one pass.
     """
-    m = [0j] * (n * n)
-    for i in range(n):
-        m[i * n + i] = complex(a[i * n + i].real, 0.0)
-        for j in range(i + 1, n):
+    live = live_modes(a, n)
+    k = len(live)
+    m = [0j] * (k * k)
+    for x, i in enumerate(live):
+        m[x * k + x] = complex(a[i * n + i].real, 0.0)
+        for y in range(x + 1, k):
+            j = live[y]
             h = 0.5 * (a[i * n + j] + a[j * n + i].conjugate())
-            m[i * n + j] = h
-            m[j * n + i] = h.conjugate()
+            m[x * k + y] = h
+            m[y * k + x] = h.conjugate()
 
-    act = [p for p in range(n) if any(m[p * n:p * n + n])]
     fro2 = 0.0
-    for i in act:
-        for j in act:
-            x = m[i * n + j]
-            fro2 = fro2 + x.real * x.real + x.imag * x.imag
+    for x in m:
+        fro2 = fro2 + x.real * x.real + x.imag * x.imag
     thr = 1e-13 * max(1.0, math.sqrt(fro2))
 
-    rows = {p: [p * n + j for j in act] for p in act}
-    cols = {p: [i * n + p for i in act] for p in act}
-    off_diag = [i * n + j for i in act for j in act if i != j]
-    pairs = [(p, q) for k, p in enumerate(act) for q in act[k + 1:]]
+    off_diag = [x * k + y for x in range(k) for y in range(k) if x != y]
+    # per pair: (pp, pq, qp, qq, [(rp, rq, pr, qr) for each other mode r])
+    pairs = [(p * k + p, p * k + q, q * k + p, q * k + q,
+              [(r * k + p, r * k + q, p * k + r, q * k + r)
+               for r in range(k) if r != p and r != q])
+             for p in range(k) for q in range(p + 1, k)]
     for _ in range(_EIGH_MAX_SWEEPS):
         off2 = 0.0
         for ij in off_diag:
@@ -114,16 +136,16 @@ def eigh(a, n):
             off2 = off2 + x.real * x.real + x.imag * x.imag
         if math.sqrt(off2) < thr:
             break
-        for p, q in pairs:
-            g = m[p * n + q]
+        for pp, pq, qp, qq, others in pairs:
+            g = m[pq]
             gm = math.sqrt(g.real * g.real + g.imag * g.imag)
             if gm <= 1e-300:
                 continue
             u = complex(g.real / gm, g.imag / gm)
             uc = u.conjugate()
-            alpha = m[p * n + p].real
-            beta = m[q * n + q].real
-            d = (alpha - beta) / (2.0 * gm)
+            app = m[pp]
+            aqq = m[qq]
+            d = (app.real - aqq.real) / (2.0 * gm)
             if d >= 0.0:
                 t = 1.0 / (d + math.sqrt(d * d + 1.0))
             else:
@@ -135,18 +157,28 @@ def eigh(a, n):
             ms_u = -s * u
             s_u = s * u
             ms_uc = -s * uc
-            for ip, iq in zip(cols[p], cols[q]):
-                x = m[ip]
-                y = m[iq]
-                m[ip] = c * x + s_uc * y
-                m[iq] = ms_u * x + c * y
-            for pj, qj in zip(rows[p], rows[q]):
-                x = m[pj]
-                y = m[qj]
-                m[pj] = c * x + s_u * y
-                m[qj] = ms_uc * x + c * y
+            # the pivot block: the column step, then the row step
+            aqp = m[qp]
+            app, apq = c * app + s_uc * g, ms_u * app + c * g
+            aqp, aqq = c * aqp + s_uc * aqq, ms_u * aqp + c * aqq
+            m[pp] = c * app + s_u * aqp
+            m[qp] = ms_uc * app + c * aqp
+            m[pq] = c * apq + s_u * aqq
+            m[qq] = ms_uc * apq + c * aqq
+            for rp, rq, pr, qr in others:
+                x = m[rp]
+                y = m[rq]
+                m[rp] = c * x + s_uc * y
+                m[rq] = ms_u * x + c * y
+                x = m[pr]
+                y = m[qr]
+                m[pr] = c * x + s_u * y
+                m[qr] = ms_uc * x + c * y
 
-    return sorted(m[i * n + i].real for i in range(n))
+    vals = [a[i * n + i].real for i in range(n)]
+    for x, i in enumerate(live):
+        vals[i] = m[x * k + x].real
+    return sorted(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ entry by entry; the partial trace to the signal state rho_S; and of
 B rho_S B^dagger only the two populations the detectors read.  The
 alignment skips the joint state's empty modes: source 1's unused signal
 polarization (modes 2, 3 for setting H; 0, 1 for V) and source 2's HV and
-VH (5, 6; it emits HH or VV).
+VH (5, 6; it emits HH or VV).  It finds them by ``_kernels.live_modes``,
+the rule by which ``_kernels.eigh`` sweeps only the live block of the
+joint state in ``verify``'s positivity checks.
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -62,6 +64,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._fields import check, field
+from ._kernels import live_modes
 from .states import IdlerStateParams, SourceQ2Params
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -113,7 +116,9 @@ class InterferometerConfig:
         object.__setattr__(self, "t_v", complex(self.t_v))
         if not (abs(self.t_h) <= 1.0 + 1e-12 and abs(self.t_v) <= 1.0 + 1e-12):
             raise ValueError("|t_h| and |t_v| must be <= 1")
-        object.__setattr__(self, "signal_setting", SignalSetting(self.signal_setting))
+        if not isinstance(self.signal_setting, SignalSetting):
+            object.__setattr__(self, "signal_setting",
+                               SignalSetting(self.signal_setting))
 
     # -- convenience ----------------------------------------------------
 
@@ -268,11 +273,12 @@ def _apply_alignment_raw(r8: Sequence[complex],
     part of the second, and the outer +0j makes every zero part +0.  An
     entry is formed only where both modes l_i and l_j are live, that is,
     have a nonzero in their row or column of r8 (6 of the 12 rows for a
-    joint state); every other entry sums signed zeros and stays +0j.
+    joint state, by ``_kernels.live_modes``); every other entry sums
+    signed zeros and stays +0j.
     """
-    is_live = [any(r8[l * 8:l * 8 + 8]) or any(r8[l::8]) for l in range(8)]
+    modes = live_modes(r8, 8)
     live = [(i, l, v) for i, (l, v) in enumerate(_alignment_isometry_raw(cfg))
-            if is_live[l]]
+            if l in modes]
     cols = [(j, l, v.conjugate()) for j, l, v in live]
     out = [0j] * 144
     for i, l, v in live:
@@ -419,18 +425,19 @@ def rates_closed_form(cfg: InterferometerConfig) -> DetectionRates:
 def random_valid_config(rng, *, purity: float | None = None,
                         setting: SignalSetting | None = None) -> InterferometerConfig:
     """Sample a physically valid configuration (used by property sweeps)."""
-    w1 = 0.02 + 0.96 * rng.random()
+    uniform = rng.random
+    w1 = 0.02 + 0.96 * uniform()
     b1 = math.sqrt(w1)
     b2_mag = math.sqrt(1.0 - w1)
-    pur = rng.random() if purity is None else purity
-    idler = IdlerStateParams(rng.random(), 2.0 * math.pi * rng.random(), pur)
-    q2 = SourceQ2Params(rng.random(), 2.0 * math.pi * rng.random())
-    t_h = rng.random()
-    t_v = rng.random()
-    t_h *= cmath.exp(2j * math.pi * rng.random())
-    t_v *= cmath.exp(2j * math.pi * rng.random())
+    pur = uniform() if purity is None else purity
+    idler = IdlerStateParams(uniform(), 2.0 * math.pi * uniform(), pur)
+    q2 = SourceQ2Params(uniform(), 2.0 * math.pi * uniform())
+    t_h = uniform()
+    t_v = uniform()
+    t_h *= cmath.exp(2j * math.pi * uniform())
+    t_v *= cmath.exp(2j * math.pi * uniform())
     if setting is None:
-        setting = SignalSetting.H if rng.random() < 0.5 else SignalSetting.V
+        setting = SignalSetting.H if uniform() < 0.5 else SignalSetting.V
     return InterferometerConfig(
-        b1=b1, b2_mag=b2_mag, phi=2.0 * math.pi * rng.random(),
+        b1=b1, b2_mag=b2_mag, phi=2.0 * math.pi * uniform(),
         t_h=t_h, t_v=t_v, idler=idler, q2=q2, signal_setting=setting)

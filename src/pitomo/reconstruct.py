@@ -321,7 +321,9 @@ class ReconstructionResult:
     Fringe-route ``flags``: ``purity_bound_active`` (the fit lay outside the
     physical ball, the solve's multiplier mu > 0; the result is its
     least-squares point on the sphere) and ``xi_undefined`` (a fringe is
-    flat within 3 sigma; xi reads 0)."""
+    flat within 3 sigma; xi reads 0).  A non-finite ``param_stderr`` entry
+    (xi's when it is undefined, purity's when p_v < 1e-9) is written as
+    JSON null, which reads back as inf; a missing entry is an error."""
 
     params: IdlerStateParams
     rho: DensityMatrix
@@ -339,7 +341,9 @@ class ReconstructionResult:
             "method": self.method.value,
             "fidelity_vs_reference": self.fidelity_vs_reference,
             "flags": list(self.flags),
-            "param_stderr": self.param_stderr,
+            "param_stderr": None if self.param_stderr is None else {
+                key: value if math.isfinite(value) else None
+                for key, value in self.param_stderr.items()},
         }
 
     @classmethod
@@ -353,7 +357,8 @@ class ReconstructionResult:
             fidelity_vs_reference=field(d, "fidelity_vs_reference", float, None),
             flags=items(d, "flags", str, ()),
             param_stderr=None if stderr is None else {
-                key: field(stderr, key, float) for key in ("p_h", "xi", "purity")},
+                key: math.inf if stderr.get(key, 0.0) is None
+                else field(stderr, key, float) for key in ("p_h", "xi", "purity")},
         )
 
 

@@ -744,6 +744,55 @@ def test_sweep_deterministic_with_noise(tmp_path):
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("noise", [("--noiseless",), ("--n", 1000)])
+def test_every_json_file_a_sweep_writes_is_json(tmp_path, noise):
+    # an undefined xi and a pure state have infinite stderrs, which were
+    # once written as the non-JSON token Infinity
+    assert run("sweep", "--plate", "hwp", "--angles", "0:45:45", *noise,
+               "--seed", 1, "--out", tmp_path) == 0
+    names = sorted(p.name for p in tmp_path.glob("*.json"))
+    assert names == ["manifest.json", "result_000.json", "result_001.json"]
+    for name in names:
+        json.loads((tmp_path / name).read_text(), parse_constant=_refuse_constant)
+    if noise == ("--noiseless",):
+        stderr = json.loads((tmp_path / "result_000.json").read_text())["param_stderr"]
+        assert (stderr["xi"], stderr["purity"]) == (None, None)
+
+
+def test_a_null_stderr_reads_as_inf(tmp_path, capsys):
+    # report.txt is the same for the null a result.json now holds and for
+    # the Infinity of a file written before
+    assert run("sweep", "--plate", "hwp", "--angles", "0", "--noiseless",
+               "--seed", 1, "--out", tmp_path) == 0
+    new = tmp_path / "result_000.json"
+    old = tmp_path / "old.json"
+    old.write_text(new.read_text().replace("null", "Infinity"))
+    assert "Infinity" in old.read_text()
+    capsys.readouterr()
+    reports = []
+    for path in (new, old):
+        assert run("report", "--result", path, "--out", tmp_path / path.stem) == 0
+        reports.append((tmp_path / path.stem / "report.txt").read_text())
+    assert reports[0] == reports[1]
+    assert "xi inf   purity inf" in reports[0]
+    result = ReconstructionResult.from_json_dict(json.loads(new.read_text()))
+    assert (result.param_stderr["xi"], result.param_stderr["purity"]) == (
+        math.inf, math.inf)
+
+
+def test_a_missing_stderr_entry_is_an_error(tmp_path, capsys):
+    doc = _stored_result()
+    del doc["param_stderr"]["xi"]
+    bad = tmp_path / "result.json"
+    bad.write_text(json.dumps(doc))
+    assert run("report", "--result", bad) == 3
+    assert f"{bad}: missing field 'xi'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec, message", [
     ("0:inf:5", "'inf' is not a finite number"),
     ("nan:90:5", "'nan' is not a finite number"),
@@ -936,6 +985,16 @@ VERIFY_REPORT_GOLDEN = [
 def test_verification_report_golden(seed, expected):
     report = json.dumps(run_verification(200, seed), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == expected
+
+
+def test_verification_op_golden():
+    # the benchmark's verify op, run_verification(10, s), over 256 seeds;
+    # pinned on the full-matrix Jacobi sweep
+    h = hashlib.sha256()
+    for seed in range(256):
+        h.update(json.dumps(run_verification(10, seed), sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "00310f7e02f759e41adc4ed0f10a5e6422de22fdecbfbb0b46f3362e5eb4e426")
 
 
 def test_verify_stdout_golden(capsys):
@@ -1447,8 +1506,8 @@ def _replaced(doc, path, value):
     pytest.param("config.json", ("q2",), [1], "q2", id="q2_list"),
     pytest.param("config.json", ("b1",), None, "b1", id="b1_null"),
     pytest.param("result.json", ("rho",), None, "rho", id="rho_null"),
-    pytest.param("result.json", ("param_stderr", "xi"), None, "xi",
-                 id="stderr_null"),
+    pytest.param("result.json", ("param_stderr", "xi"), "x", "xi",
+                 id="stderr_string"),
 ])
 def test_malformed_json_names_file_and_field(tmp_path, capsys, name, path,
                                              value, field):

@@ -2,6 +2,8 @@
 closed-form vs exact-pipeline agreement, visibility laws."""
 
 import cmath
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -86,6 +88,35 @@ def test_config_validation():
     with pytest.raises(ValueError):
         InterferometerConfig(b1=1.0, b2_mag=0.0, t_h=1.5, idler=idler)
     InterferometerConfig.balanced(IdlerStateParams(0.4, 0.3, 0.75))
+
+
+def test_signal_setting_is_coerced_to_its_member():
+    idler = IdlerStateParams(0.3, 1.2, 0.9)
+    cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, idler=idler,
+                               signal_setting="V")
+    assert cfg.signal_setting is SignalSetting.V
+    assert cfg == replace(cfg, signal_setting=SignalSetting.V)
+    with pytest.raises(ValueError, match="^'D' is not a valid SignalSetting$"):
+        InterferometerConfig(b1=0.6, b2_mag=0.8, idler=idler, signal_setting="D")
+    for setting in (SignalSetting.H, "H", SignalSetting.V, "V"):
+        moved = cfg.with_setting(setting)
+        assert moved.signal_setting is SignalSetting(setting)
+        assert replace(moved, signal_setting=SignalSetting.V) == cfg
+    with pytest.raises(ValueError, match="^'D' is not a valid SignalSetting$"):
+        cfg.with_setting("D")
+
+
+def test_random_valid_config_draws_are_pinned():
+    # every draw of random_valid_config, with the setting drawn or given,
+    # as it was before it bound rng.random once
+    docs = []
+    for seed in range(16):
+        for setting in (None, SignalSetting.H, SignalSetting.V):
+            cfg = random_valid_config(Rng(seed, 3), setting=setting)
+            assert setting is None or cfg.signal_setting is setting
+            docs.append(cfg.to_json_dict())
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == (
+        "74911af916d3773a9331ca047d6dab0904287e65178c21a30b6c43c6eb82df56")
 
 
 def test_config_json_round_trip():

@@ -16,6 +16,7 @@ from hypothesis import example, given, strategies as st
 from pitomo import _kernels as kernels
 from pitomo._kernels import loggam
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
+                                   SignalSetting, _alignment_isometry_raw,
                                    _apply_alignment_raw, _detected_raw,
                                    _signal_marginal_raw, _total_state_raw,
                                    random_valid_config, rates_exact)
@@ -548,9 +549,70 @@ def test_eigh_bits_equal_reference_with_zero_rows(n):
         sub[n - 1] = sub[n * (n - 1)] = complex(5e-324, 0.0)
         cases.append(sub)
     cases.append(random_hermitian(rng, n))
+    # mode z is live in a but its Hermitized row vanishes: its row is minus
+    # the dagger of its column and its diagonal imaginary, beside dead modes
+    for z in range(n):
+        anti = _with_zero_rows(rng, n)
+        for j in range(n):
+            if j != z:
+                anti[z * n + j] = -anti[j * n + z].conjugate()
+        anti[z * n + z] = complex(_SIGNED_ZEROS[z % 4].real, 1.0 + rng.random())
+        assert z in kernels.live_modes(anti, n)
+        cases.append(anti)
+    # live sets that are not a prefix of the modes
+    for keep in ({n - 1}, set(range(1, n, 2)), set(range(n // 2, n)),
+                 {0, n - 1}):
+        h = random_hermitian(rng, n)
+        for i in set(range(n)) - keep:
+            for j in range(n):
+                h[i * n + j] = h[j * n + i] = _SIGNED_ZEROS[(i + j) % 4]
+        assert kernels.live_modes(h, n) == sorted(keep)
+        cases.append(h)
     for h in cases:
         assert list(map(repr, kernels.eigh(h, n))) == list(map(
             repr, _reference_eigh(h, n)))
+
+
+@pytest.mark.parametrize("setting", list(SignalSetting))
+def test_live_modes_of_the_joint_state(setting):
+    # source 1's two modes of the setting's signal polarization, and
+    # source 2's HH and VV
+    o = 0 if setting is SignalSetting.H else 2
+    rng = kernels.Rng(99, 0)
+    for _ in range(40):
+        r8 = _total_state_raw(random_valid_config(rng, setting=setting))
+        assert kernels.live_modes(r8, 8) == [o, o + 1, 4, 7]
+
+
+class _Reads(list):
+    """A list that records the indices read from it one entry at a time."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+    def __getitem__(self, key):
+        if isinstance(key, int):
+            self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("setting", list(SignalSetting))
+def test_the_alignment_forms_no_entry_outside_the_live_modes(setting):
+    # it reads r8 only where both modes are live, and every entry of a row
+    # or column whose K entry sits on a dead mode is +0j
+    live = {0, 1, 4, 7} if setting is SignalSetting.H else {2, 3, 4, 7}
+    rng = kernels.Rng(98, 0)
+    for _ in range(40):
+        cfg = random_valid_config(rng, setting=setting)
+        r8 = _Reads(_total_state_raw(cfg))
+        r12 = _apply_alignment_raw(r8, cfg)
+        assert r8.read == {l * 8 + j for l in live for j in live}
+        rows = {i for i, (l, _) in enumerate(_alignment_isometry_raw(cfg))
+                if l in live}
+        assert len(rows) == 6
+        assert [repr(r12[i * 12 + j]) for i in range(12) for j in range(12)
+                if i not in rows or j not in rows] == [repr(0j)] * 108
 
 
 def _eigh_digest(matrices):
