@@ -9,7 +9,7 @@ and the same primary outputs everywhere.
 Matrices are flat row-major sequences (lists or tuples) of Python complex
 numbers with dimensions passed alongside.  A mode of a matrix is live when
 its row or its column holds a nonzero (:func:`live_modes`); the joint 8x8
-state has four live modes.  The oracle's alignment and :func:`eigh` both
+state has four live modes.  The oracle's signal state and :func:`eigh` both
 work on the live modes alone.  :func:`eigh` Hermitizes the live block into a
 compact k x k list and sweeps it whole.  Its bits are those of the sweep of
 the full matrix: a mode that is not live has a row and column of signed
@@ -94,6 +94,21 @@ def live_modes(a, n):
     return [l for l in range(n) if any(a[l * n:l * n + n]) or any(a[l::n])]
 
 
+def _jacobi_tables(k):
+    """A k x k block's off-diagonal indices and, per pair p < q, (pp, pq, qp,
+    qq, others) with (rp, rq, pr, qr) for each other mode r."""
+    off_diag = tuple(x * k + y for x in range(k) for y in range(k) if x != y)
+    pairs = tuple((p * k + p, p * k + q, q * k + p, q * k + q,
+                   tuple((r * k + p, r * k + q, p * k + r, q * k + r)
+                         for r in range(k) if r != p and r != q))
+                  for p in range(k) for q in range(p + 1, k))
+    return off_diag, pairs
+
+
+_JACOBI_TABLES = tuple(_jacobi_tables(k) for k in range(9))  # k <= 8 modes
+_HALF = complex(0.5, 0.0)
+
+
 def eigh(a, n):
     """Eigenvalues, ascending, of a Hermitian matrix by cyclic Jacobi rotations.
 
@@ -102,10 +117,14 @@ def eigh(a, n):
     below 1e-13 * max(1, ||a||_F), or after ``_EIGH_MAX_SWEEPS`` sweeps.
     Only the block of the live modes is Hermitized and swept; a mode that
     is not live keeps ``a``'s real diagonal as its eigenvalue, and the bits
-    are those of the full sweep (see the module docstring).  Each pair's
-    indices are formed once per call; a rotation updates the pivot block
-    by the column step and then the row step, and each other mode's column
-    and row entries in one pass.
+    are those of the full sweep (see the module docstring).  Index tables
+    are built at import for blocks of k <= 8 modes.  A rotation updates the
+    pivot block by the column step and then the row step, and each other
+    mode's column and row entries in one pass.  c, s, -s and the Hermitizing
+    0.5 are promoted to ``complex(x, 0.0)``, the operand CPython 3.10-3.13
+    make of a float times a complex: no bit changes, and no product tries
+    ``float.__mul__`` first.  This should also hold the bits on 3.14, which
+    multiplies a float into each part (gh-69639); not yet run there.
     """
     live = live_modes(a, n)
     k = len(live)
@@ -114,7 +133,7 @@ def eigh(a, n):
         m[x * k + x] = complex(a[i * n + i].real, 0.0)
         for y in range(x + 1, k):
             j = live[y]
-            h = 0.5 * (a[i * n + j] + a[j * n + i].conjugate())
+            h = _HALF * (a[i * n + j] + a[j * n + i].conjugate())
             m[x * k + y] = h
             m[y * k + x] = h.conjugate()
 
@@ -123,12 +142,7 @@ def eigh(a, n):
         fro2 = fro2 + x.real * x.real + x.imag * x.imag
     thr = 1e-13 * max(1.0, math.sqrt(fro2))
 
-    off_diag = [x * k + y for x in range(k) for y in range(k) if x != y]
-    # per pair: (pp, pq, qp, qq, [(rp, rq, pr, qr) for each other mode r])
-    pairs = [(p * k + p, p * k + q, q * k + p, q * k + q,
-              [(r * k + p, r * k + q, p * k + r, q * k + r)
-               for r in range(k) if r != p and r != q])
-             for p in range(k) for q in range(p + 1, k)]
+    off_diag, pairs = _JACOBI_TABLES[k] if k <= 8 else _jacobi_tables(k)
     for _ in range(_EIGH_MAX_SWEEPS):
         off2 = 0.0
         for ij in off_diag:
@@ -152,11 +166,12 @@ def eigh(a, n):
                 t = -1.0 / (-d + math.sqrt(d * d + 1.0))
             c = 1.0 / math.sqrt(1.0 + t * t)
             s = t * c
+            c, sc, msc = complex(c, 0.0), complex(s, 0.0), complex(-s, 0.0)
             # unitary: R[p][p]=c, R[p][q]=-s*u, R[q][p]=s*conj(u), R[q][q]=c
-            s_uc = s * uc
-            ms_u = -s * u
-            s_u = s * u
-            ms_uc = -s * uc
+            s_uc = sc * uc
+            ms_u = msc * u
+            s_u = sc * u
+            ms_uc = msc * uc
             # the pivot block: the column step, then the row step
             aqp = m[qp]
             app, apq = c * app + s_uc * g, ms_u * app + c * g

@@ -19,11 +19,11 @@ idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
 of one output port are the detection rates.  :func:`rates_exact` is the
 one matrix path, each stage a private helper on flat row-major lists: the
-joint state, whose six nonzero coherences are mirrored; the alignment
-isometry K, which has one entry per row, so that K rho K^dagger is formed
-entry by entry; the partial trace to the signal state rho_S; and of
+joint state, whose six nonzero coherences are mirrored; the signal state
+rho_S = Tr_I(K rho K^dagger), formed from the aligned entries the trace
+reads alone (the alignment isometry K has one entry per row); and of
 B rho_S B^dagger only the two populations the detectors read.  The
-alignment skips the joint state's empty modes: source 1's unused signal
+signal state skips the joint state's empty modes: source 1's unused signal
 polarization (modes 2, 3 for setting H; 0, 1 for V) and source 2's HV and
 VH (5, 6; it emits HH or VV).  It finds them by ``_kernels.live_modes``,
 the rule by which ``_kernels.eigh`` sweeps only the live block of the
@@ -261,63 +261,43 @@ def _alignment_isometry_raw(cfg: InterferometerConfig) -> list:
     ]
 
 
-def _apply_alignment_raw(r8: Sequence[complex],
-                         cfg: InterferometerConfig) -> list[complex]:
-    """The 12-dim aligned state K r8 K^dagger, entry by entry.
-
-    Row i of K has one entry, v_i in column l_i, so for finite input every
-    other term of the full triple loop is a signed zero, and as each of its
-    two sums starts at +0j, entry (i, j) is 0j + (0j + v_i * r8[l_i, l_j])
-    * conj(v_j).  The inner +0j is left out: it can only turn a -0 part of
-    the first product into +0, which changes at most the sign of a zero
-    part of the second, and the outer +0j makes every zero part +0.  An
-    entry is formed only where both modes l_i and l_j are live, that is,
-    have a nonzero in their row or column of r8 (6 of the 12 rows for a
-    joint state, by ``_kernels.live_modes``); every other entry sums
-    signed zeros and stays +0j.
-    """
-    modes = live_modes(r8, 8)
-    live = [(i, l, v) for i, (l, v) in enumerate(_alignment_isometry_raw(cfg))
-            if l in modes]
-    cols = [(j, l, v.conjugate()) for j, l, v in live]
-    out = [0j] * 144
-    for i, l, v in live:
-        i12 = i * 12
-        l8 = l * 8
-        for j, lj, vj in cols:
-            out[i12 + j] = 0j + v * r8[l8 + lj] * vj
-    return out
+# each signal mode's 12-dim modes: source 1's with idler b and w, source 2's b
+_IDLER_MODES = ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9), (10, 11))
+# the 12-dim mode pairs (x, y) whose aligned entries sum, in order, to each
+# entry of the 4x4 signal state, row-major; zip keeps the idler modes two
+# signal modes share: the b modes whenever a source-2 mode is involved
+_MARGINAL_TERMS = tuple(tuple(zip(_IDLER_MODES[s], _IDLER_MODES[sp]))
+                        for s in range(4) for sp in range(4))
 
 
-def _idler_modes(s: int) -> range:
-    """The 12-dim modes that pair signal mode s with an idler mode: the
-    source-1 signal modes (0, 1) with b and w, the source-2 ones with b."""
-    return range(s * 4, s * 4 + 4) if s < 2 else range(s * 2 + 4, s * 2 + 6)
-
-
-# the r12 indices whose entries sum, in this order, to each entry of the
-# 4x4 signal state, row-major; zip keeps the idler modes two signal modes
-# share, which are the b modes whenever a source-2 mode is involved
-_MARGINAL_TERMS = tuple(
-    tuple(x * 12 + y for x, y in zip(_idler_modes(s), _idler_modes(sp)))
-    for s in range(4) for sp in range(4))
-
-
-def _signal_marginal_raw(r12: Sequence[complex]) -> list[complex]:
-    """The partial trace: the idler traced out of the 12-dim aligned state.
+def _signal_state_raw(r8: Sequence[complex],
+                      cfg: InterferometerConfig) -> list[complex]:
+    """The signal state Tr_I(K r8 K^dagger), 4x4 row-major.
 
     The 12-dim space is a direct sum, not a full tensor product: the
     source-1 signal modes pair with four idler modes (b and w, both
     polarizations), the source-2 signal modes with the two b modes.
     Off-diagonal signal blocks therefore sum over the shared b modes
-    only, which is exactly where the induced coherence lives.  Each entry
-    sums its terms of ``_MARGINAL_TERMS`` from +0j in ascending order.
+    only, which is exactly where the induced coherence lives.  Row x of K
+    has one entry, v_x in column l_x, so for finite input the naive loops
+    give the aligned entry (x, y) as 0j + (0j + v_x r8[l_x, l_y]) conj(v_y).
+    Each entry of rho_S sums its pairs of ``_MARGINAL_TERMS`` from +0j in
+    ascending order, each v_x * r8[l_x, l_y] * conj(v_y) where l_x and l_y
+    are live (``_kernels.live_modes``): 10 products for a joint state.  The
+    bits are the naive loops': a sum from +0j is never -0, so a pair left
+    out (a signed zero) adds nothing, nor does a +0j left out, which
+    changes at most the sign of a zero part.
     """
+    modes = live_modes(r8, 8)
+    rows = [(l * 8, l, v, v.conjugate()) if l in modes else None
+            for l, v in _alignment_isometry_raw(cfg)]
     rs = []
-    for terms in _MARGINAL_TERMS:
+    for pairs in _MARGINAL_TERMS:
         acc = 0j
-        for k in terms:
-            acc += r12[k]
+        for x, y in pairs:
+            row, col = rows[x], rows[y]
+            if row is not None and col is not None:
+                acc = acc + row[2] * r8[row[0] + col[1]] * col[3]
         rs.append(acc)
     return rs
 
@@ -345,11 +325,9 @@ def _detected_raw(rs: Sequence[complex]) -> tuple[float, float]:
 
 
 def rates_exact(cfg: InterferometerConfig) -> DetectionRates:
-    """Detection rates from the full matrix evolution (the oracle path)."""
-    r8 = _total_state_raw(cfg)
-    r12 = _apply_alignment_raw(r8, cfg)
-    rs = _signal_marginal_raw(r12)
-    return DetectionRates(*_detected_raw(rs))
+    """The oracle's rates: joint state, signal state, detected populations."""
+    return DetectionRates(*_detected_raw(
+        _signal_state_raw(_total_state_raw(cfg), cfg)))
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -238,13 +239,14 @@ def _fit_grid(phases: Sequence[float]) -> tuple:
     return cos_k, sin_k, inv, (l00, sc / l00, l11, ss / l00, l21, l22)
 
 
-def _fit_scan(phases: Sequence[float], counts: Sequence[float]) -> _ScanFit:
-    """The grid's part from :func:`_fit_grid`, then one pass over the
-    counts for X^T y and one for the residuals at theta = G^-1 X^T y.
+def _fit_scan(phases: Sequence[float], counts: Sequence[float],
+              grid: tuple | None = None) -> _ScanFit:
+    """The grid's part, ``grid`` or from :func:`_fit_grid`, then one pass
+    over the counts for X^T y and one for the residuals at G^-1 X^T y.
 
     Raises FitError on a singular grid, as :func:`_fit_grid`.
     """
-    cos_k, sin_k, inv, chol = once_per_grid(_fit_grid, phases)
+    cos_k, sin_k, inv, chol = grid or once_per_grid(_fit_grid, phases)
     m = len(cos_k)
     # integer counts sum exactly and are rounded once
     syc = sys_ = 0.0
@@ -363,12 +365,17 @@ class ReconstructionResult:
 
 
 def _fits(scan_h: ScanRecord, scan_v: ScanRecord) -> tuple[_ScanFit, _ScanFit]:
-    """Each scan's least-squares fit, once the settings are checked."""
+    """Each scan's least-squares fit, once the settings are checked; two
+    grids of the same float64 bits share one grid pass, held or not."""
     if scan_h.plan.setting is not SignalSetting.H:
         raise ValueError("scan_h must come from the H signal setting")
     if scan_v.plan.setting is not SignalSetting.V:
         raise ValueError("scan_v must come from the V signal setting")
-    return tuple(_fit_scan(s.plan.phases, s.counts_primary) for s in (scan_h, scan_v))
+    ph, pv = scan_h.plan.phases, scan_v.plan.phases
+    same = pv is ph or array("d", pv).tobytes() == array("d", ph).tobytes()
+    grid = once_per_grid(_fit_grid, ph) if same else None
+    return (_fit_scan(ph, scan_h.counts_primary, grid),
+            _fit_scan(pv, scan_v.counts_primary, grid))
 
 
 def extract_parameters(scan_h: ScanRecord, scan_v: ScanRecord,

@@ -51,6 +51,52 @@ def dense_alignment(cfg):
                             enumerate(_alignment_isometry_raw(cfg))], 12, 8)
 
 
+def naive_mat_mul(a, ar, ac, b, bc):
+    """Every term of every entry, summed in ascending k from 0j."""
+    out = []
+    for i in range(ar):
+        for j in range(bc):
+            s = 0j
+            for k in range(ac):
+                s = s + a[i * ac + k] * b[k * bc + j]
+            out.append(s)
+    return out
+
+
+def naive_sandwich(a, ar, ac, m):
+    """(a m) a^dagger by two full triple loops."""
+    a_dagger = [a[j * ac + l].conjugate() for l in range(ac) for j in range(ar)]
+    tmp = naive_mat_mul(a, ar, ac, m, ac)
+    return naive_mat_mul(tmp, ar, ac, a_dagger, ar)
+
+
+def naive_aligned(r8, cfg):
+    """The 12-dim aligned state K r8 K^dagger of ``cfg``, the reference the
+    oracle's signal state is traced from: the naive triple loops over the
+    dense alignment isometry."""
+    return naive_sandwich(dense_alignment(cfg), 12, 8, r8)
+
+
+# the 12-dim aligned modes of each signal mode, one per idler mode it
+# pairs with: H_Sa and V_Sa with b and w, H_Sb and V_Sb with b
+IDLER_MODES = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9], [10, 11]]
+
+
+def loop_marginal(r12):
+    """The partial trace as a loop over the shared idler modes: entry
+    (s, sp) of the signal state sums r12 over the idler modes i that
+    both signal modes pair with, ascending, from +0j."""
+    idler = IDLER_MODES
+    rs = []
+    for s in range(4):
+        for sp in range(4):
+            acc = 0j
+            for i in range(min(len(idler[s]), len(idler[sp]))):
+                acc = acc + r12[idler[s][i] * 12 + idler[sp][i]]
+            rs.append(acc)
+    return rs
+
+
 def wrap_distance(a, b, period=2.0 * math.pi):
     """Smallest absolute difference of two angles modulo the period."""
     d = math.fmod(abs(a - b), period)
@@ -84,11 +130,11 @@ def unbalanced_config(seed, phase=0.0):
 
 def path_b_idler(cfg):
     """The exact oracle's idler state in path b: the aligned 12-dim state
-    traced over the four signal modes (H_Sa, V_Sa, H_Sb, V_Sb) on the
-    idler's H_Ib and V_Ib, over its trace."""
-    from pitomo.interferometer import _apply_alignment_raw, _total_state_raw
+    (``naive_aligned``) traced over the four signal modes (H_Sa, V_Sa,
+    H_Sb, V_Sb) on the idler's H_Ib and V_Ib, over its trace."""
+    from pitomo.interferometer import _total_state_raw
     from pitomo.states import DensityMatrix
-    r12 = _apply_alignment_raw(_total_state_raw(cfg), cfg)
+    r12 = naive_aligned(_total_state_raw(cfg), cfg)
     m = [sum(r12[(s + i) * 12 + s + j] for s in (0, 4, 8, 10))
          for i in range(2) for j in range(2)]
     trace = (m[0] + m[3]).real

@@ -645,6 +645,27 @@ def test_a_scan_pair_on_one_grid_formats_its_phases_once(tmp_path, monkeypatch):
                (*plans, *(s.plan for s in loaded)))
 
 
+def test_a_scan_pair_above_the_memo_shares_the_fit_grid_pass(monkeypatch):
+    # two grids of HELD_POINTS + 1 points, which the memo does not hold:
+    # one _fit_grid call when their bits are equal, two for a -0.0 twin,
+    # and the fits those of each scan's own grid pass
+    cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.1, 0.8))
+    points = HELD_POINTS + 1
+    plan_h, plan_v = (ScanPlan.default_grid(setting, 3, points=points,
+                                            counts_per_point=30)
+                      for setting in SignalSetting)
+    assert plan_h.phases is not plan_v.phases
+    twin = ScanPlan((-0.0, *plan_v.phases[1:]), 30, SignalSetting.V, 3)
+    scan_h = run_scan(cfg, plan_h)
+    for plan, want in ((plan_v, 1), (twin, 2)):
+        scan_v = run_scan(cfg, plan)
+        alone = [repr(reconstruct._fit_scan(s.plan.phases, s.counts_primary))
+                 for s in (scan_h, scan_v)]
+        calls = count_grids(monkeypatch, reconstruct, "_fit_grid")
+        assert list(map(repr, reconstruct._fits(scan_h, scan_v))) == alone
+        assert len(calls) == want
+
+
 def test_once_per_grid_keys_on_the_grid_bits():
     calls = []
 

@@ -997,18 +997,23 @@ def test_verification_op_golden():
         "00310f7e02f759e41adc4ed0f10a5e6422de22fdecbfbb0b46f3362e5eb4e426")
 
 
+# the stdout of verify --trials 1000 --seed 1; CI compares the installed
+# console script's with it, on every Python it runs
+VERIFY_STDOUT_GOLDEN = (
+    "PASS  oracle equivalence (closed form vs matrix pipeline): "
+    "max |closed - exact| = 3.331e-16 over 1000 configs\n"
+    "PASS  trace of the joint state: max |tr - 1| = 2.220e-16 "
+    "over 300 configs\n"
+    "PASS  positivity at coherence 0 / 0.5 / 1: "
+    "min eigenvalue = -2.019e-16\n"
+    "PASS  positivity violation detected at coherence 1.2: "
+    "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
+    "all 4 checks passed\n")
+
+
 def test_verify_stdout_golden(capsys):
     assert run("verify", "--trials", 1000, "--seed", 1) == 0
-    assert capsys.readouterr().out == (
-        "PASS  oracle equivalence (closed form vs matrix pipeline): "
-        "max |closed - exact| = 3.331e-16 over 1000 configs\n"
-        "PASS  trace of the joint state: max |tr - 1| = 2.220e-16 "
-        "over 300 configs\n"
-        "PASS  positivity at coherence 0 / 0.5 / 1: "
-        "min eigenvalue = -2.019e-16\n"
-        "PASS  positivity violation detected at coherence 1.2: "
-        "min eigenvalue = -5.777e-02 (expected clearly negative)\n"
-        "all 4 checks passed\n")
+    assert capsys.readouterr().out == VERIFY_STDOUT_GOLDEN
 
 
 def test_verify_reports_a_trace_defect(tmp_path, capsys, monkeypatch):

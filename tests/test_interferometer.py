@@ -13,16 +13,15 @@ from hypothesis import given, strategies as st
 
 from pitomo._kernels import Rng
 from pitomo.interferometer import (_BS_ROWS, InterferometerConfig,
-                                   SignalSetting, _apply_alignment_raw,
-                                   _detected_raw, _signal_marginal_raw,
-                                   _total_state_raw, fringe,
+                                   SignalSetting, _detected_raw,
+                                   _signal_state_raw, _total_state_raw, fringe,
                                    random_valid_config, rates_closed_form,
                                    rates_exact)
 from pitomo._kernels import eigh
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params, fidelity_mixed
-from conftest import (dense_alignment, dense_from_rows, digest, path_b_idler,
-                      wrap_distance)
+from conftest import (dense_alignment, dense_from_rows, digest, naive_aligned,
+                      path_b_idler, wrap_distance)
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -67,12 +66,12 @@ def square(flat) -> np.ndarray:
 
 
 def stages(cfg):
-    """The exact oracle's states: joint, aligned, signal, and the full
-    recombined state, of which ``rates_exact`` forms two populations (here
-    by a dense product)."""
+    """The exact oracle's states: joint, aligned (the test reference, which
+    ``rates_exact`` never forms), signal, and the full recombined state, of
+    which ``rates_exact`` forms two populations (here by a dense product)."""
     r8 = _total_state_raw(cfg)
-    r12 = _apply_alignment_raw(r8, cfg)
-    rs = _signal_marginal_raw(r12)
+    r12 = naive_aligned(r8, cfg)
+    rs = _signal_state_raw(r8, cfg)
     bs = square(dense_from_rows(_BS_ROWS, 4, 4))
     return r8, r12, rs, (bs @ square(rs) @ bs.conj().T).ravel().tolist()
 
@@ -494,13 +493,14 @@ def test_coherence_stress_boundary():
 def test_exact_pipeline_golden_bits():
     # digests of the matrix pipeline's outputs on seeded configurations;
     # any change to the kernels' arithmetic or order of summation shows
-    # here.  The pins are those of the naive triple loops (test_kernels's
-    # _naive_sandwich for K r8 K^dagger and for the recombiner).
+    # here.  The pins are those of the naive triple loops (conftest's
+    # naive_sandwich for K r8 K^dagger and for the recombiner); the aligned
+    # states are the reference's, which the rates are traced from.
     rng = Rng(1618, 0)
     aligned, rates = [], []
     for _ in range(300):
         cfg = random_valid_config(rng)
-        aligned.extend(_apply_alignment_raw(_total_state_raw(cfg), cfg))
+        aligned.extend(naive_aligned(_total_state_raw(cfg), cfg))
         r = rates_exact(cfg)
         rates.extend((r.rate_h, r.rate_v))
     assert digest(aligned) == (

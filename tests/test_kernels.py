@@ -1,6 +1,6 @@
 """Kernel-level tests: PRNG streams against MT19937's published vector
 and golden draws, Poisson statistics, linear algebra against numpy, and the
-bits of the oracle's alignment and partial trace against naive loops, of
+bits of the oracle's signal state against the trace of naive loops, of
 the eigensolver against itself before it skipped zero rows, and golden
 digests."""
 
@@ -17,11 +17,13 @@ from pitomo import _kernels as kernels
 from pitomo._kernels import loggam
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
                                    SignalSetting, _alignment_isometry_raw,
-                                   _apply_alignment_raw, _detected_raw,
-                                   _signal_marginal_raw, _total_state_raw,
-                                   random_valid_config, rates_exact)
+                                   _detected_raw, _signal_state_raw,
+                                   _total_state_raw, random_valid_config,
+                                   rates_exact)
 from pitomo.states import IdlerStateParams
-from conftest import dense_alignment, dense_from_rows, digest, random_hermitian
+from conftest import (IDLER_MODES, dense_alignment, dense_from_rows, digest,
+                      loop_marginal, naive_aligned, naive_sandwich,
+                      random_hermitian)
 
 MASK = (1 << 64) - 1
 
@@ -264,19 +266,22 @@ def _as_np(flat, r, c):
 
 
 def test_mat_mul_against_numpy(rng):
-    """The aligned state K m K^dagger against numpy, for joint states and
-    for dense non-Hermitian m, on which every mode is live; with K the
-    plain embedding (t_h = t_v = 1) it is m itself, to the bit."""
+    """The aligned state K m K^dagger of the test reference, and the signal
+    state traced from it, against numpy, for joint states and for dense
+    non-Hermitian m, on which every mode is live; with K the plain
+    embedding (t_h = t_v = 1) the aligned state is m itself, to the bit."""
     for _ in range(50):
         cfg = random_valid_config(rng)
         k = _as_np(dense_alignment(cfg), 12, 8)
         m = [complex(rng.random(), rng.random()) for _ in range(64)]
         for r8 in (_total_state_raw(cfg), m):
-            got = _as_np(_apply_alignment_raw(r8, cfg), 12, 12)
+            got = _as_np(naive_aligned(r8, cfg), 12, 12)
             ref = k @ _as_np(r8, 8, 8) @ k.conj().T
             assert np.max(np.abs(got - ref)) < 1e-13
-        got = _as_np(_apply_alignment_raw(m, replace(cfg, t_h=1.0, t_v=1.0)),
-                     12, 12)
+            rs = _as_np(_signal_state_raw(r8, cfg), 4, 4)
+            rs_ref = _as_np(loop_marginal(ref.ravel().tolist()), 4, 4)
+            assert np.max(np.abs(rs - rs_ref)) < 1e-13
+        got = _as_np(naive_aligned(m, replace(cfg, t_h=1.0, t_v=1.0)), 12, 12)
         b_modes = [0, 1, 4, 5, 8, 9, 10, 11]
         assert got[np.ix_(b_modes, b_modes)].ravel().tolist() == m
         got[np.ix_(b_modes, b_modes)] = 0
@@ -285,14 +290,19 @@ def test_mat_mul_against_numpy(rng):
 
 def test_dagger(rng):
     """The right factor of the alignment is the conjugate transpose of K:
-    K I K^dagger is Hermitian to the bit and matches numpy K K^H."""
+    K I K^dagger is Hermitian to the bit and matches numpy K K^H, and so
+    is the signal state traced from it."""
     eye = [complex(i == j) for i in range(8) for j in range(8)]
     for _ in range(50):
         cfg = random_valid_config(rng)
-        kkd = _as_np(_apply_alignment_raw(eye, cfg), 12, 12)
+        kkd = _as_np(naive_aligned(eye, cfg), 12, 12)
         k = _as_np(dense_alignment(cfg), 12, 8)
         assert np.array_equal(kkd, kkd.conj().T)
         assert np.max(np.abs(kkd - k @ k.conj().T)) < 1e-14
+        rs = _as_np(_signal_state_raw(eye, cfg), 4, 4)
+        ref = _as_np(loop_marginal((k @ k.conj().T).ravel().tolist()), 4, 4)
+        assert np.array_equal(rs, rs.conj().T)
+        assert np.max(np.abs(rs - ref)) < 1e-14
 
 
 def test_eigh_against_numpy(rng):
@@ -307,25 +317,6 @@ def test_eigh_against_numpy(rng):
 
 # ---------------------------------------------------------------------------
 # bit-level pins of the alignment and eigh
-
-
-def _naive_mat_mul(a, ar, ac, b, bc):
-    """Every term of every entry, summed in ascending k from 0j."""
-    out = []
-    for i in range(ar):
-        for j in range(bc):
-            s = 0j
-            for k in range(ac):
-                s = s + a[i * ac + k] * b[k * bc + j]
-            out.append(s)
-    return out
-
-
-def _naive_sandwich(a, ar, ac, m):
-    """(a m) a^dagger by two full triple loops."""
-    a_dagger = [a[j * ac + l].conjugate() for l in range(ac) for j in range(ar)]
-    tmp = _naive_mat_mul(a, ar, ac, m, ac)
-    return _naive_mat_mul(tmp, ar, ac, a_dagger, ar)
 
 
 _SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0),
@@ -392,41 +383,26 @@ _COL_1 = range(1, 64, 8)
 # a transmission of modulus 0 with signed zeros, and one of modulus 1
 @example((_m8_with(), replace(_CFG, t_h=complex(-0.0, 0.0), t_v=1j)))
 def test_sandwich_bits_equal_naive_loop_with_dead_modes(case):
+    # the signal state is the trace of the naive K m K^dagger, to the bit
     m, cfg = case
-    assert list(map(repr, _apply_alignment_raw(m, cfg))) == list(map(
-        repr, _naive_sandwich(dense_alignment(cfg), 12, 8, m)))
-
-
-def _loop_marginal(r12):
-    """The partial trace as a loop over the shared idler modes: entry
-    (s, sp) of the signal state sums r12 over the idler modes i that
-    both signal modes pair with, ascending, from +0j."""
-    idler = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9], [10, 11]]
-    rs = []
-    for s in range(4):
-        for sp in range(4):
-            acc = 0j
-            for i in range(min(len(idler[s]), len(idler[sp]))):
-                acc = acc + r12[idler[s][i] * 12 + idler[sp][i]]
-            rs.append(acc)
-    return rs
+    assert list(map(repr, _signal_state_raw(m, cfg))) == list(map(
+        repr, loop_marginal(naive_aligned(m, cfg))))
 
 
 def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
-    """The oracle's stages on joint states: K r8 K^dagger, the partial
-    trace and the detected populations, each against its naive loop."""
+    """The oracle's stages on joint states: the signal state, the trace of
+    the naive K r8 K^dagger, and the detected populations, each against
+    its naive loop."""
     rng = kernels.Rng(31, 0)
     configs = [random_valid_config(rng) for _ in range(40)]
     configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for cfg in configs:
         r8 = _total_state_raw(cfg)
-        r12 = _apply_alignment_raw(r8, cfg)
-        assert list(map(repr, r12)) == list(map(repr, _naive_sandwich(
-            dense_alignment(cfg), 12, 8, r8)))
-        rs = _signal_marginal_raw(r12)
-        assert list(map(repr, rs)) == list(map(repr, _loop_marginal(r12)))
-        full = _naive_sandwich(bs, 4, 4, rs)
+        rs = _signal_state_raw(r8, cfg)
+        assert list(map(repr, rs)) == list(map(repr, loop_marginal(
+            naive_aligned(r8, cfg))))
+        full = naive_sandwich(bs, 4, 4, rs)
         assert list(map(repr, _detected_raw(rs))) == [
             repr(full[0].real), repr(full[5].real)]
 
@@ -438,9 +414,8 @@ def test_detected_rates_equal_naive_recombined_diagonal():
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for _ in range(2000):
         cfg = random_valid_config(rng)
-        rs = _signal_marginal_raw(_naive_sandwich(
-            dense_alignment(cfg), 12, 8, _total_state_raw(cfg)))
-        full = _naive_sandwich(bs, 4, 4, rs)
+        rs = loop_marginal(naive_aligned(_total_state_raw(cfg), cfg))
+        full = naive_sandwich(bs, 4, 4, rs)
         rates = rates_exact(cfg)
         assert (repr(rates.rate_h), repr(rates.rate_v)) == (
             repr(full[0].real), repr(full[5].real))
@@ -585,34 +560,67 @@ def test_live_modes_of_the_joint_state(setting):
 
 
 class _Reads(list):
-    """A list that records the indices read from it one entry at a time."""
+    """A list that records the indices read from it one entry at a time,
+    in order."""
 
     def __init__(self, entries):
         super().__init__(entries)
-        self.read = set()
+        self.read = []
 
     def __getitem__(self, key):
         if isinstance(key, int):
-            self.read.add(key)
+            self.read.append(key)
         return super().__getitem__(key)
 
 
 @pytest.mark.parametrize("setting", list(SignalSetting))
 def test_the_alignment_forms_no_entry_outside_the_live_modes(setting):
-    # it reads r8 only where both modes are live, and every entry of a row
-    # or column whose K entry sits on a dead mode is +0j
+    # the signal state reads r8 once for each aligned entry the trace sums
+    # whose two modes are live, in the trace's order, and no other entry:
+    # 10 reads; the nine entries of rho_S with no such term are +0j
     live = {0, 1, 4, 7} if setting is SignalSetting.H else {2, 3, 4, 7}
     rng = kernels.Rng(98, 0)
     for _ in range(40):
         cfg = random_valid_config(rng, setting=setting)
         r8 = _Reads(_total_state_raw(cfg))
-        r12 = _apply_alignment_raw(r8, cfg)
-        assert r8.read == {l * 8 + j for l in live for j in live}
-        rows = {i for i, (l, _) in enumerate(_alignment_isometry_raw(cfg))
-                if l in live}
-        assert len(rows) == 6
-        assert [repr(r12[i * 12 + j]) for i in range(12) for j in range(12)
-                if i not in rows or j not in rows] == [repr(0j)] * 108
+        rs = _signal_state_raw(r8, cfg)
+        cols = [l for l, _ in _alignment_isometry_raw(cfg)]
+        terms = [[cols[x] * 8 + cols[y]
+                  for x, y in zip(IDLER_MODES[s], IDLER_MODES[sp])
+                  if cols[x] in live and cols[y] in live]
+                 for s in range(4) for sp in range(4)]
+        assert r8.read == [k for t in terms for k in t]
+        assert len(r8.read) == 10
+        assert [repr(rs[e]) for e, t in enumerate(terms) if not t] == [repr(0j)] * 9
+
+
+def _degenerate(cfg):
+    """``cfg`` with each edge value in turn: p_h 0 and 1, purity 0, t_h 0,
+    b1 0 and b2_mag 0."""
+    idler = cfg.idler
+    return [replace(cfg, idler=IdlerStateParams(0.0, idler.xi, idler.purity)),
+            replace(cfg, idler=IdlerStateParams(1.0, idler.xi, idler.purity)),
+            replace(cfg, idler=IdlerStateParams(idler.p_h, idler.xi, 0.0)),
+            replace(cfg, t_h=0j),
+            replace(cfg, b1=0.0, b2_mag=1.0),
+            replace(cfg, b1=1.0, b2_mag=0.0)]
+
+
+@pytest.mark.parametrize("setting", list(SignalSetting))
+def test_signal_state_bits_equal_trace_of_naive_sandwich(setting):
+    # rho_S and both rates, over 1500 seeded configurations per setting and
+    # one edge case of each, against the naive K r8 K^dagger traced in the
+    # partial trace's order from +0j
+    rng = kernels.Rng(2211, 0)
+    for k in range(1500):
+        cfg = random_valid_config(rng, setting=setting)
+        for c in (cfg, _degenerate(cfg)[k % 6]):
+            r8 = _total_state_raw(c)
+            want = loop_marginal(naive_aligned(r8, c))
+            assert list(map(repr, _signal_state_raw(r8, c))) == list(map(repr, want))
+            rates = rates_exact(c)
+            assert list(map(repr, (rates.rate_h, rates.rate_v))) == list(
+                map(repr, _detected_raw(want)))
 
 
 def _eigh_digest(matrices):
