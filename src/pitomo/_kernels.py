@@ -37,16 +37,22 @@ above, using a fixed-coefficient Stirling series for log(k!) so no
 platform lgamma enters the stream.
 
 :meth:`Rng.poissons` draws a whole sequence of means in one call, and
-:meth:`Rng.poisson` is the one-mean case of it.  A new mean takes the
-plain sequential search, which builds no list; the fringing detector's
-mean is new at every point.  While the mean repeats, its per-mean work is
-kept: on the first repeat the inversion branch builds the mean's whole
-CDF table by the same recurrence ``pmf *= mu/k; cdf += pmf`` from
-``exp(-mu)``, up to the first k > mu whose term no longer grows the sum
-(or k = 1000), and every repeat is one bisection of it; the rejection
-branch keeps its constants.  Both the search and the table step over the
-module tuple ``_STEPS`` of ``(k, float(k))`` pairs, so each step divides
-a float by a float; ``mu / float(k)`` is the float ``mu / k``, since every
+:meth:`Rng.poisson` is the one-mean case of it.  Its one loop asks
+first whether a mean is below 30 and then whether it is new, so a
+repeated mean pays only for its bisection or its rejection loop, and a
+new one adds one comparison that checks it: a new mean below 30 must be
+>= 0, and a new one on the rejection branch, which NaN takes, must be
+below infinity.  A bad mean raises where it stands, after the draws
+before it.  A new mean takes the plain sequential search, which builds
+no list; the fringing detector's mean is new at every point.  While the
+mean repeats, its per-mean work is kept: on the first repeat the
+inversion branch builds the mean's whole CDF table by the same
+recurrence ``pmf *= mu/k; cdf += pmf`` from ``exp(-mu)``, up to the
+first k > mu whose term no longer grows the sum (or k = 1000), and every
+repeat is one bisection of it; the rejection branch keeps its
+constants.  Both the search and the table step over the module tuple
+``_STEPS`` of ``(k, float(k))`` pairs, so each step divides a float by
+a float; ``mu / float(k)`` is the float ``mu / k``, since every
 k there is exact as a double.  No bit changes, because each kept value is
 the float the draw-by-draw sampler would compute again from the same
 mean, and bisecting the nondecreasing CDF terms finds the first term
@@ -234,6 +240,11 @@ def loggam(x):
 _STEPS = tuple((k, float(k)) for k in range(1, 1002))
 
 
+def _bad_mean(mu):
+    """The error for a Poisson mean that is negative, infinite or NaN."""
+    return ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
+
+
 def _cdf_table(mu):
     """The Poisson CDF terms for 0 < mu < 30 that the sequential search
     sums, k = 0, 1, ...: ``pmf *= mu/k; cdf += pmf`` from exp(-mu).  The
@@ -280,33 +291,22 @@ class Rng:
         uniform = self._gen.random
         exp, log, floor = math.exp, math.log, math.floor
         out = []
+        append = out.append
         last = None  # the mean whose per-mean work is held below
         for mu in mus:
-            repeat = mu == last
-            if not repeat:
-                if not 0.0 <= mu < math.inf:
-                    raise ValueError(
-                        f"Poisson mean must be finite and >= 0, got {mu}")
-                last = mu
-                cdf_table = None  # built on this mean's first repeat
-                if mu >= 30.0:
-                    slam = math.sqrt(mu)
-                    loglam = log(mu)
-                    b = 0.931 + 2.53 * slam
-                    a = -0.059 + 0.02483 * b
-                    two_a = 2.0 * a
-                    invalpha = 1.1239 + 1.1328 / (b - 3.4)
-                    log_invalpha = log(invalpha)
-                    vr = 0.9277 - 3.6224 / (b - 2.0)
-            if mu == 0.0:
-                out.append(0)
-                continue
             if mu < 30.0:
-                # inversion: the first CDF term >= u, one uniform
-                u = uniform()
-                if not repeat:
-                    # sequential search; k stops at 1001 when u lies
-                    # above every term
+                if mu != last:
+                    if not mu >= 0.0:
+                        raise _bad_mean(mu)
+                    last = mu
+                    cdf_table = None  # built on this mean's first repeat
+                    if mu == 0.0:
+                        append(0)
+                        continue
+                    # inversion by sequential search: the first CDF term
+                    # >= u, one uniform; k stops at 1001 when u lies above
+                    # every term
+                    u = uniform()
                     pmf = exp(-mu)
                     cdf = pmf
                     k = 0
@@ -316,15 +316,31 @@ class Rng:
                             cdf = cdf + pmf
                             if u <= cdf:
                                 break
-                    out.append(k)
+                    append(k)
                     continue
-                # the whole table, searched by bisection; a u above
-                # its last term is above every later one too
+                # a repeat: the whole table, searched by bisection; a u
+                # above its last term is above every later one too
                 if cdf_table is None:
+                    if mu == 0.0:
+                        append(0)
+                        continue
                     cdf_table = _cdf_table(mu)
-                k = bisect_left(cdf_table, u)
-                out.append(k if k < len(cdf_table) else 1001)
+                    size = len(cdf_table)
+                k = bisect_left(cdf_table, uniform())
+                append(k if k < size else 1001)
                 continue
+            if mu != last:
+                if not mu < math.inf:  # NaN fails every comparison
+                    raise _bad_mean(mu)
+                last = mu
+                slam = math.sqrt(mu)
+                loglam = log(mu)
+                b = 0.931 + 2.53 * slam
+                a = -0.059 + 0.02483 * b
+                two_a = 2.0 * a
+                invalpha = 1.1239 + 1.1328 / (b - 3.4)
+                log_invalpha = log(invalpha)
+                vr = 0.9277 - 3.6224 / (b - 2.0)
             # transformed rejection: proposal centered on the normal
             # approximation, exact log-pmf acceptance test
             while True:
@@ -339,5 +355,5 @@ class Rng:
                 if (log(v) + log_invalpha - log(a / (us * us) + b)
                         <= k * loglam - mu - loggam(k + 1.0)):
                     break
-            out.append(k)
+            append(k)
         return out

@@ -23,7 +23,8 @@ grid seen.  That grid is served three ways without rebuilding it: the
 checked tuple itself is recognised by identity, without computing its
 key; ``default_grid`` returns it when it is bitwise the grid asked for;
 and a CSV chunk whose phase cells are that grid's own text at the same
-rows takes its floats without parsing them.  The fringe rates of a scan
+rows takes its floats without parsing them, and a file whose phase cells
+all are gets the tuple itself.  The fringe rates of a scan
 come from ``Fringe.over``, one pass over the grid.
 
 Persistence: CSV with a one-line metadata header and a JSON mirror of
@@ -34,12 +35,22 @@ is read.  The scan rules are written once, in ``ScanPlan`` and
 ``ScanRecord``; each error names the entry, which a JSON scan reports as
 ``path: phases[5] ...``, ``--phases`` as ``phases[5] ...`` and the CSV
 reader (itself checking only header tokens, columns and literals) as
-``path:line: phi_rad ...``, with the text found there.  A CSV is
+``path:line: phi_rad ...``, with the text found there.  ``ScanRecord``
+checks a column of counts by ``array("Q", counts)``, in C, which refuses
+a count that is not an integer in [0, 2**64); a column longer than
+``_CHUNK`` goes a slice at a time, so the check holds no more than
+2 MiB.  Only when the check fails does it walk the column, to name the
+first bad count.  A CSV is
 written and read ``_CHUNK`` characters of whole lines at a time, so a
 scan at ``MAX_POINTS`` is never held as one text: the writer joins one
 f-string per row into each write, and the reader splits each chunk of
 lines once and parses a column of it by one map(), going row by row only
-through a chunk that fails, to name its first bad row.  It rereads the
+through a chunk that fails, to name its first bad row.  A count below
+2**11 is written as its entry in the module tuple ``_COUNT_TEXT`` of
+``str(c)``, and a larger one formatted, as ``str(c)``; the reader looks
+a count column up in the inverse dict ``_TEXT_COUNT``, and a column
+with any other text (``007``, ``+5``, ``2048``) is read by ``int()``
+whole, so every text reads as ``int()`` reads it.  It rereads the
 file only to report an error: the text of a row that a scan rule refuses,
 and the offset in the whole file of a byte that is not UTF-8.  Every file
 is UTF-8 text, written through ``_fields.rewrite``: an existing file is
@@ -130,8 +141,8 @@ class ScanPlan:
 @dataclass(frozen=True)
 class ScanRecord:
     """Counts recorded over one phase scan, plus its plan and, for
-    synthetic data, the configuration that generated it.  Each count lies in
-    [0, 2**64), one per phase."""
+    synthetic data, the configuration that generated it.  Each count is an
+    integer in [0, 2**64) (a numpy integer too), one per phase."""
 
     plan: ScanPlan
     counts_primary: tuple[int, ...]
@@ -146,18 +157,24 @@ class ScanRecord:
             if len(counts) != npts:
                 raise EntryError(key, None, "must match the phase grid "
                                  f"length {npts}", len(counts))
-            if min(counts) < 0:
-                i = next(i for i, c in enumerate(counts) if c < 0)
-                raise EntryError(key, i, "must be nonnegative", counts[i])
-            if max(counts) >= 1 << 64:
-                i = next(i for i, c in enumerate(counts) if c >= 1 << 64)
-                raise EntryError(key, i, "must fit in 64 bits", counts[i])
+            try:  # C passes of _CHUNK counts: integers in [0, 2**64)
+                for j in range(0, npts, _CHUNK):
+                    array("Q", counts[j:j + _CHUNK])  # a whole slice: no copy
+            except (TypeError, OverflowError):
+                for i, c in enumerate(counts):  # name the first bad one
+                    try:
+                        array("Q", (c,))
+                    except TypeError:
+                        raise EntryError(key, i, "must be an integer", c) from None
+                    except OverflowError:
+                        raise EntryError(key, i, "must be nonnegative" if c < 0
+                                         else "must fit in 64 bits", c) from None
 
     def to_json_dict(self) -> dict:
         return {
             "plan": self.plan.to_json_dict(),
-            "counts_primary": list(self.counts_primary),
-            "counts_constant": list(self.counts_constant),
+            "counts_primary": list(map(int, self.counts_primary)),
+            "counts_constant": list(map(int, self.counts_constant)),
             "truth": self.truth.to_json_dict() if self.truth is not None else None,
         }
 
@@ -179,7 +196,8 @@ def once_per_grid(fn, phases):
     grid's ``_checked_grid`` value (every ``ScanPlan``'s phases) is
     recognised by identity and computes no key; so is it where
     ``default_grid`` hands it back, and where the CSV reader takes its
-    floats for phase text that is the grid's own.  A grid of more than
+    floats for phase text that is the grid's own, or the tuple itself for
+    a file whose phase text is all the grid's.  A grid of more than
     ``HELD_POINTS`` points is never held: it gets ``fn(phases)`` itself,
     so a grid near ``MAX_POINTS`` neither outlives its scan nor has all
     of a lazy ``fn``'s values alive at once.  A raising ``fn`` holds
@@ -241,7 +259,8 @@ def _checked_grid(phases) -> tuple[float, ...]:
 
 def run_scan(cfg: InterferometerConfig, plan: ScanPlan) -> ScanRecord:
     """Generate one scan record from the configuration's fringe."""
-    cfg = cfg.with_setting(plan.setting)
+    if cfg.signal_setting is not plan.setting:
+        cfg = cfg.with_setting(plan.setting)
     f = fringe(cfg)
     n = plan.counts_per_point
     # cancellation at a fringe null can undershoot zero by ~1e-16; each
@@ -346,6 +365,11 @@ _CSV_NAMES = dict(zip(("phases", "counts_primary", "counts_constant"), CSV_COLUM
 _CHUNK = 1 << 18
 # the longest CSV row: a 24-character float repr and two 20-digit counts
 _ROW_WIDTH = 67
+# the text of each count below 2**11 (all but the rarest counts of a scan
+# at n <= 1000), and the count of each such text: the CSV writer's and
+# reader's lookups
+_COUNT_TEXT = tuple(map(str, range(1 << 11)))
+_TEXT_COUNT = dict(zip(_COUNT_TEXT, range(len(_COUNT_TEXT))))
 
 
 def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
@@ -353,11 +377,14 @@ def scan_to_csv(record: ScanRecord, path: str | Path) -> None:
     rows = zip(once_per_grid(_phase_text, plan.phases), record.counts_primary,
                record.counts_constant)
     per_write = max(1, _CHUNK // _ROW_WIDTH)
+    texts, size = _COUNT_TEXT, len(_COUNT_TEXT)
     with rewrite(path) as f:
         f.write(f"# setting={plan.setting.value} seed={plan.seed} "
                 f"n={plan.counts_per_point}\n{','.join(CSV_COLUMNS)}\n")
-        while text := "".join([f"{phi},{cf},{cc}\n"
-                               for phi, cf, cc in islice(rows, per_write)]):
+        while text := "".join([
+                f"{phi},{texts[cf] if cf < size else cf},"
+                f"{texts[cc] if cc < size else cc}\n"
+                for phi, cf, cc in islice(rows, per_write)]):
             f.write(text)
 
 
@@ -388,14 +415,17 @@ def scan_from_csv(path: str | Path) -> ScanRecord:
                                  f"{cols!r}")
             columns = [], [], []
             grid = _hold.get(_checked_grid)  # the held grid, for all chunks
+            on_grid = grid is not None  # every phase so far is the grid's own
             for k, lines in chunks:
-                _csv_columns(path, k, lines, columns, grid)
+                on_grid = _csv_columns(path, k, lines, columns, grid) and on_grid
     except UnicodeDecodeError as exc:
         try:  # the offset in the whole file, as one decode of it reports it
             Path(path).read_bytes().decode("utf-8")
         except UnicodeDecodeError as whole:
             exc = whole
         raise ValueError(f"{path}: {exc}") from None
+    if on_grid and len(columns[0]) == len(grid):  # the held tuple: no key
+        columns = grid, *columns[1:]
     try:
         return ScanRecord(ScanPlan(columns[0], meta["n"], meta["setting"],
                                    meta["seed"]), *columns[1:])
@@ -459,16 +489,18 @@ def _csv_header(path, k: int, header: str) -> dict:
     return meta
 
 
-def _csv_columns(path, k: int, lines: list, columns: tuple, grid) -> None:
+def _csv_columns(path, k: int, lines: list, columns: tuple, grid) -> bool:
     """Append the phases (NaN where one does not read as a number) and the
-    two counts of the data ``lines``, numbered from ``k``, to ``columns``.
+    two counts of the data ``lines``, numbered from ``k``, to ``columns``;
+    whether the phases appended are the held ``grid``'s own floats.
 
     With no blank line, no digit-group underscore and two commas on every
     line, the lines are split once and each column parsed by one map(),
     which skips the whitespace that stripping a line would; phase cells
     that are the held ``grid``'s own text at the same rows take its floats
-    unparsed.  Where that fails, row by row in file order, which names
-    the first bad row.
+    unparsed, and a count column is looked up in ``_TEXT_COUNT``, or read
+    by int() if any of its cells is not there.  Where that fails, row by
+    row in file order, which names the first bad row.
     """
     phases, primary, constant = columns
     # C commas in R lines make C + R cells: 3 R of them if C = 2 R.  A
@@ -485,9 +517,13 @@ def _csv_columns(path, k: int, lines: list, columns: tuple, grid) -> None:
         rows = _held_rows(grid, held, len(lines), joined)
         try:
             phases += map(float, phi) if rows is None else rows
-            primary += map(int, cells[1::3])
-            constant += map(int, cells[2::3])
-            return
+            for column, texts in (primary, cells[1::3]), (constant, cells[2::3]):
+                try:
+                    column += map(_TEXT_COUNT.__getitem__, texts)
+                except KeyError:  # a text not in the table: int() reads all
+                    del column[held:]
+                    column += map(int, texts)
+            return rows is not None
         except ValueError:
             for column in columns:
                 del column[held:]
@@ -505,6 +541,7 @@ def _csv_columns(path, k: int, lines: list, columns: tuple, grid) -> None:
             phases.append(math.nan)
         primary.append(_csv_count(path, k, CSV_COLUMNS[1], fringe_text))
         constant.append(_csv_count(path, k, CSV_COLUMNS[2], const_text))
+    return False
 
 
 def _held_rows(grid, start: int, count: int, joined: str):

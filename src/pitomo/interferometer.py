@@ -402,8 +402,11 @@ def rates_closed_form(cfg: InterferometerConfig) -> DetectionRates:
 
 def random_valid_config(rng, *, purity: float | None = None,
                         setting: SignalSetting | None = None) -> InterferometerConfig:
-    """Sample a physically valid configuration (used by property sweeps)."""
-    uniform = rng.random
+    """Sample a physically valid configuration (used by property sweeps).
+
+    ``rng`` is a ``_kernels.Rng``; its held generator is drawn from
+    directly, the draws that ``rng.random`` would give."""
+    uniform = rng._gen.random
     w1 = 0.02 + 0.96 * uniform()
     b1 = math.sqrt(w1)
     b2_mag = math.sqrt(1.0 - w1)

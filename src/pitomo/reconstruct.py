@@ -244,24 +244,29 @@ def _fit_scan(phases: Sequence[float], counts: Sequence[float],
     """The grid's part, ``grid`` or from :func:`_fit_grid`, then one pass
     over the counts for X^T y and one for the residuals at G^-1 X^T y.
 
-    Raises FitError on a singular grid, as :func:`_fit_grid`.
+    Each pass reads the counts through ``map(float, counts)``, the
+    rounding that ``y * ck`` and ``y - ...`` would give an int count, so
+    its arithmetic is float-only and it holds no copy of the counts; their
+    total is an exact int ``sum`` rounded once (float counts are summed in
+    order, as 3.11's ``sum`` does, on every version).  Raises FitError on
+    a singular grid, as :func:`_fit_grid`.
     """
     cos_k, sin_k, inv, chol = grid or once_per_grid(_fit_grid, phases)
     m = len(cos_k)
-    # integer counts sum exactly and are rounded once
+    sy = sum(counts)
+    if type(sy) is not int:  # not all Python ints: summed in order
+        sy = plain_sum(counts, 0)
+    y0 = float(sy)
     syc = sys_ = 0.0
-    sy = 0
-    for y, ck, sk in zip(counts, cos_k, sin_k):
-        sy += y
+    for y, ck, sk in zip(map(float, counts), cos_k, sin_k):
         syc += y * ck
         sys_ += y * sk
-    y0 = float(sy)
     # theta = G^-1 X^T y, each row summed from 0.0 as plain_sum would
     a, c, s = [0.0 + i0 * y0 + i1 * syc + i2 * sys_ for i0, i1, i2 in inv]
 
     ssr = 0.0
     g_a = g_c = g_s = 0.0
-    for y, ck, sk in zip(counts, cos_k, sin_k):
+    for y, ck, sk in zip(map(float, counts), cos_k, sin_k):
         r = y - (a + c * ck + s * sk)
         ssr += r * r
         g_a += r

@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -258,6 +259,68 @@ def test_record_normalizes_list_counts_to_tuples(primary, constant):
         ScanRecord(plan, primary, [1] * 19)
 
 
+# a count that is not an integer in [0, 2**64), in one column and entry
+# (the first bad one where there are two), and the error that names it
+@pytest.mark.parametrize("key, index, bad, message", [
+    ("counts_primary", 0, 1.5, "counts_primary[0] must be an integer, got 1.5"),
+    ("counts_constant", 3, 1.0, "counts_constant[3] must be an integer, got 1.0"),
+    ("counts_primary", 7, np.float64(2.0),
+     f"counts_primary[7] must be an integer, got {np.float64(2.0)!r}"),
+    ("counts_constant", 19, "4", "counts_constant[19] must be an integer, got '4'"),
+    ("counts_primary", 2, -1, "counts_primary[2] must be nonnegative, got -1"),
+    ("counts_constant", 5, np.int64(-3),
+     f"counts_constant[5] must be nonnegative, got {np.int64(-3)!r}"),
+    ("counts_primary", 4, 2 ** 64,
+     "counts_primary[4] must fit in 64 bits, got 18446744073709551616"),
+])
+@pytest.mark.parametrize("chunk", [4, acquisition._CHUNK])
+def test_record_refuses_a_count_that_is_no_64_bit_integer(monkeypatch, chunk, key,
+                                                           index, bad, message):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)  # the check's slice
+    plan = ScanPlan.default_grid(SignalSetting.H, 1)
+    counts = {"counts_primary": [3] * 20, "counts_constant": [1] * 20}
+    counts[key][index] = bad
+    if index < 19:
+        counts[key][19] = 0.5  # a later bad entry is not the one named
+    with pytest.raises(EntryError) as exc:
+        ScanRecord(plan, counts["counts_primary"], counts["counts_constant"])
+    assert (exc.value.key, exc.value.index) == (key, index)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_numpy_integer_counts_round_trip(tmp_path, fmt):
+    plan = ScanPlan.default_grid(SignalSetting.V, 4)
+    record = ScanRecord(plan, np.arange(20, dtype=np.int64) * 3,
+                        np.full(20, 2 ** 64 - 1, dtype=np.uint64))
+    path = tmp_path / f"scan.{fmt}"
+    (scan_to_csv if fmt == "csv" else scan_to_json)(record, path)
+    back = load_scan(path)
+    assert back == record
+    assert all(type(c) is int for c in back.counts_primary + back.counts_constant)
+    if fmt == "json":  # each count written as a JSON integer
+        assert '"counts_primary": [\n    0,\n    3,\n' in path.read_text()
+
+
+def test_csv_writes_each_count_as_its_decimal_text(tmp_path):
+    # each entry of the writer's and the reader's tables is str() and int()
+    assert all(acquisition._TEXT_COUNT[text] == c and text == str(c)
+               for c, text in enumerate(acquisition._COUNT_TEXT))
+    assert len(acquisition._TEXT_COUNT) == len(acquisition._COUNT_TEXT)
+    # counts on both sides of the writer's table of count texts
+    size = len(acquisition._COUNT_TEXT)
+    counts = [0, 1, 9, 10, 99, size - 1, size, size + 1, 10 ** 6, 2 ** 53 + 1,
+              2 ** 64 - 1, 7, 70, 700, 7000, 70000, 123456789, 5, 50, 500]
+    plan = ScanPlan.default_grid(SignalSetting.H, 2)
+    path = tmp_path / "scan.csv"
+    for primary in (counts, np.array(counts, dtype=np.uint64)):
+        scan_to_csv(ScanRecord(plan, primary, counts[::-1]), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        assert [cells[1:] for cells in rows] == [
+            [str(cf), str(cc)] for cf, cc in zip(counts, counts[::-1])]
+        assert scan_from_csv(path).counts_primary == tuple(counts)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -395,6 +458,42 @@ def test_csv_counts_blank_lines_in_its_line_numbers(tmp_path, monkeypatch, chunk
     with pytest.raises(ValueError) as exc:
         scan_from_csv(path)
     assert str(exc.value) == f"{path}:21: counts_const must be nonnegative, got '-7'"
+
+
+# count cells that are not the text the writer makes of a count: the
+# reader's table does not hold them, so int() reads each
+_OFF_TABLE_COUNTS = ["007", "+5", " 5", "\u0663", str(len(acquisition._COUNT_TEXT)),
+                     str(2 ** 64 - 1), "0", "2047 "]
+
+
+@pytest.mark.parametrize("chunk", [40, acquisition._CHUNK])
+def test_csv_reads_count_cells_off_the_table_as_int_does(tmp_path, monkeypatch,
+                                                          chunk):
+    monkeypatch.setattr(acquisition, "_CHUNK", chunk)
+    path = tmp_path / "scan.csv"
+    record = run_scan(balanced(), ScanPlan.default_grid(SignalSetting.H, 5))
+    scan_to_csv(record, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    primary, constant = list(record.counts_primary), list(record.counts_constant)
+    # data rows start on line 3: the fringe cells of rows 0-7 and the
+    # constant cells of rows 10-17 are edited
+    for i, text in enumerate(_OFF_TABLE_COUNTS):
+        phi, _, cc = lines[2 + i].split(",")
+        lines[2 + i] = f"{phi},{text},{cc}"
+        primary[i] = int(text)
+        phi, cf, _ = lines[12 + i].split(",")
+        lines[12 + i] = f"{phi},{cf},{text}"
+        constant[10 + i] = int(text)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    back = scan_from_csv(path)
+    assert back.counts_primary == tuple(primary)
+    assert back.counts_constant == tuple(constant)
+    # a bad cell after them is still named by its line
+    lines[18] = lines[18].rpartition(",")[0] + ",x"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        scan_from_csv(path)
+    assert str(exc.value) == f"{path}:19: counts_const must be an integer count, got 'x'"
 
 
 @pytest.mark.parametrize("chunk", [40, acquisition._CHUNK])
@@ -756,6 +855,7 @@ def test_a_held_tuple_computes_no_key(tmp_path, monkeypatch):
     record = run_scan(balanced(), replace(plan, setting=SignalSetting.V))
     scan_to_csv(record, tmp_path / "scan.csv")
     fit_sinusoid(grid, record.counts_primary)
+    assert load_scan(tmp_path / "scan.csv").plan.phases is grid
     assert ScanPlan.default_grid(SignalSetting.H, 4, points=50).phases is grid
     assert ScanPlan(grid, 7, SignalSetting.H, 5).phases is grid
     assert keys == []

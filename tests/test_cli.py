@@ -143,7 +143,8 @@ def test_simulate_names_the_files_it_wrote(tmp_path, capsys, fmt, names):
 # points at n = 30 draw on the Poisson inversion branch, where the V
 # scan's fringing detector repeats one mean (the default idler is pure
 # H) like every constant detector; 20 points at n = 1000 draw on the
-# rejection branch
+# rejection branch, and at n = 10^6 write counts past the CSV writer's
+# table of count texts
 @pytest.mark.parametrize("points, n, digests", [
     pytest.param(200, 30, {
         "scan_H.csv": "ae99de90fd3bc09986ef72ebba0331589f8d78ffff11fcddf7122836b288ef89",
@@ -155,6 +156,11 @@ def test_simulate_names_the_files_it_wrote(tmp_path, capsys, fmt, names):
         "scan_V.csv": "01efe5e2fcda09171d5f913f10fb131e78b9ba446e3ed964ca52b0941ac90be3",
         "scan_H.json": "a02179f78197e11f1992470858e445942cec78df789b059c884ea2bb5b9f2e6b",
     }, id="rejection"),
+    pytest.param(20, 10 ** 6, {
+        "scan_H.csv": "61d165f333c72f206e7f56be79bc519a3bdf8409ca62eff034577acbee32867d",
+        "scan_V.csv": "a1236096897f8170cfcb7d727b4efeff8416ae49f1d0a9fbcafa7241dfa4b505",
+        "scan_H.json": "e6ecd2c346cb04a194cd68ef090376aa204cf133383f61243e58bf4f24ff64f1",
+    }, id="past_the_count_table"),
 ])
 def test_simulate_output_golden(tmp_path, points, n, digests):
     for setting in "HV":

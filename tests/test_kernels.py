@@ -7,6 +7,7 @@ digests."""
 import cmath
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -209,6 +210,8 @@ _means = st.lists(st.tuples(_mean, st.integers(1, 6)), max_size=12).map(
 @example(1, 0, [40.0, 40.0, 900.0, 900.0, 40.0])
 @example(7, 1, [0.0, 0.0, 5e-324, 5e-324, 29.999999999999996,
                 29.999999999999996, 30.0, 30.0, 1e4, 1e4])
+# the rejection branch's check refuses only an infinite or NaN mean
+@example(5, 1, [3.0, 1e308, 1e308, 3.0, 3.0, 40.0, sys.float_info.max])
 def test_poissons_matches_reference_sampler(seed, stream, mus):
     rng = kernels.Rng(seed, stream)
     ref = kernels.Rng(seed, stream)
@@ -255,6 +258,15 @@ def test_poissons_bad_mean_mid_batch_keeps_state_of_draws_before(bad):
     for mu in mus[:4]:
         _reference_poisson(ref, mu)
     assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("mus", [[math.nan, 3.0], [-0.5], [math.inf, -1.0]])
+def test_poissons_draw_nothing_before_a_bad_first_mean(mus):
+    rng = kernels.Rng(11, 2)
+    state = _state(rng)
+    with pytest.raises(ValueError, match=f"got {mus[0]}"):
+        rng.poissons(mus)
+    assert _state(rng) == state
 
 
 # ---------------------------------------------------------------------------

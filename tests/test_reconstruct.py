@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pitomo import reconstruct
@@ -188,8 +189,10 @@ def _reference_fit_scan(phases, counts):
 def _fit_scan_cases():
     """(phases, counts) pairs over the default 20- and 200-point grids,
     the --phases grids of the CLI tests, a skewed grid, a narrow grid, the
-    n = 10^8 noiseless fixtures (the exact-residual path) and float counts;
-    repeated grids with new counts in between new grids."""
+    n = 10^8 noiseless fixtures (the exact-residual path), counts whose
+    total passes 2**53 and float counts, one set that sums differently in
+    order than compensated; repeated grids with new counts in between new
+    grids."""
     cfg = InterferometerConfig.balanced(IdlerStateParams(0.3, 1.2, 0.9),
                                         t_h=0.9, t_v=0.85)
     grids = [tuple(TWO_PI * k / 20 for k in range(20)),
@@ -213,6 +216,8 @@ def _fit_scan_cases():
             yield scan.plan.phases, scan.counts_primary
     yield GRID_20, [10 + 5 * math.cos(p) for p in GRID_20]
     yield GRID_20, [7.0] * 20
+    yield GRID_20, [2 ** 63 + 2 ** 11 * k + 1 for k in range(20)]
+    yield GRID_20, [1e16] + [1.0] * 19
 
 
 def test_fit_scan_matches_the_one_pass_fit(monkeypatch):
@@ -231,6 +236,17 @@ def test_fit_scan_matches_the_one_pass_fit(monkeypatch):
     # does the grid pass once
     bits = [array("d", phases).tobytes() for phases, _ in cases + cases[::-1]]
     assert grids == [b for k, b in enumerate(bits) if k == 0 or b != bits[k - 1]]
+
+
+def test_fit_scan_reads_numpy_integer_counts_as_their_ints():
+    # numpy sums them in numpy arithmetic, exact while the total fits int64
+    cases = [(phases, counts) for phases, counts in _fit_scan_cases()
+             if all(type(c) is int for c in counts) and sum(counts) < 2 ** 63]
+    assert len(cases) > 50
+    for phases, counts in cases:
+        for dtype in (np.int64, np.uint64):
+            assert (repr(_fit_scan(phases, np.array(counts, dtype=dtype)))
+                    == repr(_fit_scan(phases, counts)))
 
 
 def test_fit_scan_refuses_a_singular_grid_like_the_one_pass_fit():
