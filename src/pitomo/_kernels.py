@@ -7,23 +7,7 @@ avoided, so that a ``(seed, stream)`` pair gives the same noise stream
 and the same primary outputs everywhere.
 
 Matrices are flat row-major sequences (lists or tuples) of Python complex
-numbers with dimensions passed alongside.  A mode of a matrix is live when
-its row or its column holds a nonzero (:func:`live_modes`); the joint 8x8
-state has four live modes.  The oracle's signal state and :func:`eigh` both
-work on the live modes alone.  :func:`eigh` Hermitizes the live block into a
-compact k x k list and sweeps it whole.  Its bits are those of the sweep of
-the full matrix: a mode that is not live has a row and column of signed
-zeros, which rotations among the others keep zero, so every rotation that
-involves it meets a zero pivot and is skipped, its squares (+0) add nothing
-to the norms, and its diagonal, ``a``'s real part as it stands (``-0.0``
-included), is an eigenvalue.  The same holds for a live mode whose
-Hermitized row vanishes (``a[z, j] = -conj(a[j, z])``), which stays in the
-block.  Every other rotation sees the same floats in the same order.  A
-rotation updates its 2x2 pivot block as the full sweep's loops do: the
-column step on (a_pp, a_pq) and (a_qp, a_qq), then the row step on the
-results (a_pp', a_qp') and (a_pq', a_qq'); each other mode's two column
-and two row entries are independent of each other and are updated in one
-pass.
+numbers with dimensions passed alongside.
 
 Random numbers come from the standard library's MT19937 (Matsumoto &
 Nishimura, *ACM TOMACS* 8, 3 (1998)): stream ``(seed, stream)`` is
@@ -94,15 +78,9 @@ def plain_sum(xs, start=0.0):
 # complex matrix kernels
 
 
-def live_modes(a, n):
-    """The modes of the n x n matrix ``a`` whose row or column holds a
-    nonzero, ascending; a NaN counts as nonzero."""
-    return [l for l in range(n) if any(a[l * n:l * n + n]) or any(a[l::n])]
-
-
 def _jacobi_tables(k):
-    """A k x k block's off-diagonal indices and, per pair p < q, (pp, pq, qp,
-    qq, others) with (rp, rq, pr, qr) for each other mode r."""
+    """A k x k matrix's off-diagonal indices and, per pair p < q, (pp, pq,
+    qp, qq, others) with (rp, rq, pr, qr) for each other mode r."""
     off_diag = tuple(x * k + y for x in range(k) for y in range(k) if x != y)
     pairs = tuple((p * k + p, p * k + q, q * k + p, q * k + q,
                    tuple((r * k + p, r * k + q, p * k + r, q * k + r)
@@ -111,7 +89,7 @@ def _jacobi_tables(k):
     return off_diag, pairs
 
 
-_JACOBI_TABLES = tuple(_jacobi_tables(k) for k in range(9))  # k <= 8 modes
+_JACOBI_TABLES = tuple(_jacobi_tables(k) for k in range(9))  # n <= 8
 _HALF = complex(0.5, 0.0)
 
 
@@ -121,10 +99,7 @@ def eigh(a, n):
     The input is Hermitized (averaged with its dagger) before iterating;
     convergence is declared when the off-diagonal Frobenius norm drops
     below 1e-13 * max(1, ||a||_F), or after ``_EIGH_MAX_SWEEPS`` sweeps.
-    Only the block of the live modes is Hermitized and swept; a mode that
-    is not live keeps ``a``'s real diagonal as its eigenvalue, and the bits
-    are those of the full sweep (see the module docstring).  Index tables
-    are built at import for blocks of k <= 8 modes.  A rotation updates the
+    Index tables are built at import for n <= 8.  A rotation updates the
     pivot block by the column step and then the row step, and each other
     mode's column and row entries in one pass.  c, s, -s and the Hermitizing
     0.5 are promoted to ``complex(x, 0.0)``, the operand CPython 3.10-3.13
@@ -132,23 +107,20 @@ def eigh(a, n):
     ``float.__mul__`` first.  This should also hold the bits on 3.14, which
     multiplies a float into each part (gh-69639); not yet run there.
     """
-    live = live_modes(a, n)
-    k = len(live)
-    m = [0j] * (k * k)
-    for x, i in enumerate(live):
-        m[x * k + x] = complex(a[i * n + i].real, 0.0)
-        for y in range(x + 1, k):
-            j = live[y]
+    m = [0j] * (n * n)
+    for i in range(n):
+        m[i * n + i] = complex(a[i * n + i].real, 0.0)
+        for j in range(i + 1, n):
             h = _HALF * (a[i * n + j] + a[j * n + i].conjugate())
-            m[x * k + y] = h
-            m[y * k + x] = h.conjugate()
+            m[i * n + j] = h
+            m[j * n + i] = h.conjugate()
 
     fro2 = 0.0
     for x in m:
         fro2 = fro2 + x.real * x.real + x.imag * x.imag
     thr = 1e-13 * max(1.0, math.sqrt(fro2))
 
-    off_diag, pairs = _JACOBI_TABLES[k] if k <= 8 else _jacobi_tables(k)
+    off_diag, pairs = _JACOBI_TABLES[n] if n <= 8 else _jacobi_tables(n)
     for _ in range(_EIGH_MAX_SWEEPS):
         off2 = 0.0
         for ij in off_diag:
@@ -196,10 +168,7 @@ def eigh(a, n):
                 m[pr] = c * x + s_u * y
                 m[qr] = ms_uc * x + c * y
 
-    vals = [a[i * n + i].real for i in range(n)]
-    for x, i in enumerate(live):
-        vals[i] = m[x * k + x].real
-    return sorted(vals)
+    return sorted(m[i * n + i].real for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,31 +3,30 @@
 One photon pair is emitted coherently by one of two sources.  Source 1
 carries the unknown idler polarization state (signal fixed H in path a,
 idler in path b'); source 2 emits the reference pair (signal in path b,
-idler in path b).  The joint state is the exact oracle's flat row-major
-list of 64 entries over the modes
+idler in path b).  The joint state lives on the eight modes
 
     {H_Sa H_Ib', H_Sa V_Ib', V_Sa H_Ib', V_Sa V_Ib',
      H_Sb H_Ib,  H_Sb V_Ib,  V_Sb H_Ib,  V_Sb V_Ib}
 
-with source weights b1 (real) and b2 = b2_mag * e^{i phi}; it is never
-wrapped in a ``states.DensityMatrix``, which holds a qubit.  The idler
-beams are aligned by an effective splitter that sends the b' modes to
-the reference mode b with amplitude t_h/t_v and to a discarded witness
-path w otherwise; this is realized as an isometry into a 12-dim space
-so every intermediate object stays a valid state.  After tracing the
-idler, the two signal paths are recombined on a balanced splitter
+with source weights b1 (real) and b2 = b2_mag * e^{i phi}.  Only four
+of them can hold amplitude: source 1 emits its signal in the set
+polarization alone (modes 0, 1 for setting H; 2, 3 for V), and source 2
+emits HH or VV (modes 4, 7), never HV or VH.  The exact oracle therefore
+holds the state as that support and the flat row-major 4x4 block on it;
+it is never wrapped in a ``states.DensityMatrix``, which holds a qubit.
+The idler beams are aligned by an effective splitter that acts on the b'
+idler modes alone (Zou, Wang & Mandel, PRL 67, 318 (1991)): it sends
+them to the reference mode b with amplitude t_h/t_v and to a discarded
+witness path w otherwise; this is realized as an isometry into a 12-dim
+space so every intermediate object stays a valid state.  After tracing
+the idler, the two signal paths are recombined on a balanced splitter
 (Hadamard on paths, identity on polarization) and the H/V populations
 of one output port are the detection rates.  :func:`rates_exact` is the
 one matrix path, each stage a private helper on flat row-major lists: the
-joint state, whose six nonzero coherences are mirrored; the signal state
-rho_S = Tr_I(K rho K^dagger), formed from the aligned entries the trace
-reads alone (the alignment isometry K has one entry per row); and of
-B rho_S B^dagger only the two populations the detectors read.  The
-signal state skips the joint state's empty modes: source 1's unused signal
-polarization (modes 2, 3 for setting H; 0, 1 for V) and source 2's HV and
-VH (5, 6; it emits HH or VV).  It finds them by ``_kernels.live_modes``,
-the rule by which ``_kernels.eigh`` sweeps only the live block of the
-joint state in ``verify``'s positivity checks.
+joint state's block; the signal state rho_S = Tr_I(K rho K^dagger),
+formed from the aligned entries the trace reads alone (the alignment
+isometry K has one entry per row); and of B rho_S B^dagger only the two
+populations the detectors read.
 
 Port convention: the detectors sit on the recombiner output where the
 two source amplitudes add in phase at phi = 0; in matrix terms the
@@ -64,7 +63,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ._fields import check, field
-from ._kernels import live_modes
 from .states import IdlerStateParams, SourceQ2Params
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -198,9 +196,17 @@ class DetectionRates:
 # stages of the exact oracle, on flat row-major lists
 
 
+# the joint state's support: source 1's two modes of the signal setting,
+# then source 2's HH and VV
+_SUPPORT = {SignalSetting.H: (0, 1, 4, 7), SignalSetting.V: (2, 3, 4, 7)}
+
+
 def _total_state_raw(cfg: InterferometerConfig,
-                     coherence_override: float | None = None) -> list[complex]:
-    """The joint two-source state, 8x8 row-major.
+                     coherence_override: float | None = None
+                     ) -> tuple[tuple[int, ...], list[complex]]:
+    """The joint two-source state as ``(modes, block)``: its four-mode
+    support, ascending, and the 4x4 row-major block on it; every entry of
+    the 8x8 state off the support is zero.
 
     ``coherence_override`` forces every coherence slot, the idler purity
     and both cross-source coherences, to one value: the one-parameter
@@ -221,26 +227,20 @@ def _total_state_raw(cfg: InterferometerConfig,
     w2 = cfg.b2_mag * cfg.b2_mag
     cross = b1 * b2.conjugate()
 
-    r = [0j] * 64
-    # source-1 block: rows (0,1) for setting H, rows (2,3) for setting V
-    o = 0 if cfg.signal_setting is SignalSetting.H else 2
-    r[o * 8 + o] = complex(w1 * p_h)
-    r[o * 8 + o + 1] = w1 * pur * math.sqrt(p_h * p_v) * cmath.exp(-1j * xi)
-    r[(o + 1) * 8 + o + 1] = complex(w1 * p_v)
-    # source-2 block
-    r[4 * 8 + 4] = complex(w2 * p_h2)
-    r[4 * 8 + 7] = w2 * math.sqrt(p_h2 * p_v2) * cmath.exp(-1j * theta)
-    r[7 * 8 + 7] = complex(w2 * p_v2)
-    # cross terms between the sources
-    r[o * 8 + 4] = cross * math.sqrt(p_h * p_h2)
-    r[o * 8 + 7] = cross * math.sqrt(p_h * p_v2) * cmath.exp(-1j * theta)
-    r[(o + 1) * 8 + 4] = cross * pur * math.sqrt(p_v * p_h2) * cmath.exp(1j * xi)
-    r[(o + 1) * 8 + 7] = (cross * pur * math.sqrt(p_v * p_v2)
-                          * cmath.exp(1j * (xi - theta)))
-    # mirror the six nonzero upper off-diagonal entries
-    for i, j in ((o, o + 1), (o, 4), (o, 7), (o + 1, 4), (o + 1, 7), (4, 7)):
-        r[j * 8 + i] = r[i * 8 + j].conjugate()
-    return r
+    # source 1's idler coherence, source 2's HH-VV coherence, and the
+    # cross terms from source 1's H and V idler to source 2's HH and VV
+    s1 = w1 * pur * math.sqrt(p_h * p_v) * cmath.exp(-1j * xi)
+    s2 = w2 * math.sqrt(p_h2 * p_v2) * cmath.exp(-1j * theta)
+    c_hh = cross * math.sqrt(p_h * p_h2)
+    c_hv = cross * math.sqrt(p_h * p_v2) * cmath.exp(-1j * theta)
+    c_vh = cross * pur * math.sqrt(p_v * p_h2) * cmath.exp(1j * xi)
+    c_vv = cross * pur * math.sqrt(p_v * p_v2) * cmath.exp(1j * (xi - theta))
+    return _SUPPORT[cfg.signal_setting], [
+        complex(w1 * p_h), s1, c_hh, c_hv,
+        s1.conjugate(), complex(w1 * p_v), c_vh, c_vv,
+        c_hh.conjugate(), c_vh.conjugate(), complex(w2 * p_h2), s2,
+        c_hv.conjugate(), c_vv.conjugate(), s2.conjugate(), complex(w2 * p_v2),
+    ]
 
 
 def _alignment_isometry_raw(cfg: InterferometerConfig) -> list:
@@ -270,9 +270,11 @@ _MARGINAL_TERMS = tuple(tuple(zip(_IDLER_MODES[s], _IDLER_MODES[sp]))
                         for s in range(4) for sp in range(4))
 
 
-def _signal_state_raw(r8: Sequence[complex],
+def _signal_state_raw(modes: Sequence[int], block: Sequence[complex],
                       cfg: InterferometerConfig) -> list[complex]:
-    """The signal state Tr_I(K r8 K^dagger), 4x4 row-major.
+    """The signal state Tr_I(K r8 K^dagger), 4x4 row-major, of the joint
+    state r8 that is ``block`` (row-major, n x n) on the n joint modes
+    ``modes`` and zero elsewhere.
 
     The 12-dim space is a direct sum, not a full tensor product: the
     source-1 signal modes pair with four idler modes (b and w, both
@@ -283,13 +285,14 @@ def _signal_state_raw(r8: Sequence[complex],
     give the aligned entry (x, y) as 0j + (0j + v_x r8[l_x, l_y]) conj(v_y).
     Each entry of rho_S sums its pairs of ``_MARGINAL_TERMS`` from +0j in
     ascending order, each v_x * r8[l_x, l_y] * conj(v_y) where l_x and l_y
-    are live (``_kernels.live_modes``): 10 products for a joint state.  The
-    bits are the naive loops': a sum from +0j is never -0, so a pair left
-    out (a signed zero) adds nothing, nor does a +0j left out, which
-    changes at most the sign of a zero part.
+    are in ``modes``: 10 products for a joint state.  The bits are the
+    naive loops': a sum from +0j is never -0, so a pair left out (a signed
+    zero) adds nothing, nor does a +0j left out, which changes at most the
+    sign of a zero part.
     """
-    modes = live_modes(r8, 8)
-    rows = [(l * 8, l, v, v.conjugate()) if l in modes else None
+    n = len(modes)
+    at = {l: i for i, l in enumerate(modes)}
+    rows = [(at[l] * n, at[l], v, v.conjugate()) if l in at else None
             for l, v in _alignment_isometry_raw(cfg)]
     rs = []
     for pairs in _MARGINAL_TERMS:
@@ -297,7 +300,7 @@ def _signal_state_raw(r8: Sequence[complex],
         for x, y in pairs:
             row, col = rows[x], rows[y]
             if row is not None and col is not None:
-                acc = acc + row[2] * r8[row[0] + col[1]] * col[3]
+                acc = acc + row[2] * block[row[0] + col[1]] * col[3]
         rs.append(acc)
     return rs
 
@@ -327,7 +330,7 @@ def _detected_raw(rs: Sequence[complex]) -> tuple[float, float]:
 def rates_exact(cfg: InterferometerConfig) -> DetectionRates:
     """The oracle's rates: joint state, signal state, detected populations."""
     return DetectionRates(*_detected_raw(
-        _signal_state_raw(_total_state_raw(cfg), cfg)))
+        _signal_state_raw(*_total_state_raw(cfg), cfg)))
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,18 @@ def dense_alignment(cfg):
                             enumerate(_alignment_isometry_raw(cfg))], 12, 8)
 
 
+def dense_joint(modes, block):
+    """The row-major 8x8 list of the joint state that
+    ``_total_state_raw`` gives as ``(modes, block)``: the block's entries
+    on its modes, 0j everywhere else."""
+    n = len(modes)
+    out = [0j] * 64
+    for x, i in enumerate(modes):
+        for y, j in enumerate(modes):
+            out[i * 8 + j] = block[x * n + y]
+    return out
+
+
 def naive_mat_mul(a, ar, ac, b, bc):
     """Every term of every entry, summed in ascending k from 0j."""
     out = []
@@ -134,7 +146,7 @@ def path_b_idler(cfg):
     H_Sb, V_Sb) on the idler's H_Ib and V_Ib, over its trace."""
     from pitomo.interferometer import _total_state_raw
     from pitomo.states import DensityMatrix
-    r12 = naive_aligned(_total_state_raw(cfg), cfg)
+    r12 = naive_aligned(dense_joint(*_total_state_raw(cfg)), cfg)
     m = [sum(r12[(s + i) * 12 + s + j] for s in (0, 4, 8, 10))
          for i in range(2) for j in range(2)]
     trace = (m[0] + m[3]).real

@@ -1030,9 +1030,9 @@ def test_verify_reports_a_trace_defect(tmp_path, capsys, monkeypatch):
     exact = pitomo.cli._total_state_raw
 
     def off_by_1e_9(cfg, coherence_override=None):
-        raw = exact(cfg, coherence_override)
-        raw[0] += 1e-9
-        return raw
+        modes, block = exact(cfg, coherence_override)
+        block[0] += 1e-9
+        return modes, block
 
     monkeypatch.setattr(pitomo.cli, "_total_state_raw", off_by_1e_9)
     assert run("verify", "--trials", 10, "--seed", 1, "--out", tmp_path) == 3
@@ -1043,6 +1043,28 @@ def test_verify_reports_a_trace_defect(tmp_path, capsys, monkeypatch):
     assert report["all_passed"] is False
     assert [c["name"] for c in report["checks"] if not c["passed"]] == [
         "trace of the joint state"]
+
+
+def test_verify_reports_a_state_on_the_wrong_modes(tmp_path, capsys,
+                                                  monkeypatch):
+    # a V configuration's block placed on setting H's support puts source
+    # 1's signal in the wrong polarization; the oracle row must FAIL
+    import pitomo.interferometer
+
+    exact = pitomo.interferometer._total_state_raw
+
+    def on_h_modes(cfg, coherence_override=None):
+        return (0, 1, 4, 7), exact(cfg, coherence_override)[1]
+
+    monkeypatch.setattr(pitomo.interferometer, "_total_state_raw", on_h_modes)
+    assert run("verify", "--trials", 10, "--seed", 1, "--out", tmp_path) == 3
+    captured = capsys.readouterr()
+    assert ("FAIL  oracle equivalence (closed form vs matrix pipeline): "
+            "max |closed - exact| = 5.096e-01 over 10 configs" in captured.out)
+    assert "verification FAILED" in captured.err
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "oracle equivalence (closed form vs matrix pipeline)"]
 
 
 def test_manifest_records_the_parsed_argv(tmp_path):

@@ -20,8 +20,8 @@ from pitomo.interferometer import (_BS_ROWS, InterferometerConfig,
 from pitomo._kernels import eigh
 from pitomo.reconstruct import fit_sinusoid
 from pitomo.states import IdlerStateParams, SourceQ2Params, fidelity_mixed
-from conftest import (dense_alignment, dense_from_rows, digest, naive_aligned,
-                      path_b_idler, wrap_distance)
+from conftest import (dense_alignment, dense_from_rows, dense_joint, digest,
+                      naive_aligned, path_b_idler, wrap_distance)
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -69,9 +69,10 @@ def stages(cfg):
     """The exact oracle's states: joint, aligned (the test reference, which
     ``rates_exact`` never forms), signal, and the full recombined state, of
     which ``rates_exact`` forms two populations (here by a dense product)."""
-    r8 = _total_state_raw(cfg)
+    modes, block = _total_state_raw(cfg)
+    r8 = dense_joint(modes, block)
     r12 = naive_aligned(r8, cfg)
-    rs = _signal_state_raw(r8, cfg)
+    rs = _signal_state_raw(modes, block, cfg)
     bs = square(dense_from_rows(_BS_ROWS, 4, 4))
     return r8, r12, rs, (bs @ square(rs) @ bs.conj().T).ravel().tolist()
 
@@ -145,7 +146,7 @@ def test_config_json_cross_coherences_must_equal_purity():
 def test_total_state_single_source_limit():
     idler = IdlerStateParams(0.3, 1.2, 0.9)
     cfg = InterferometerConfig(b1=1.0, b2_mag=0.0, idler=idler)
-    arr = square(_total_state_raw(cfg))
+    arr = square(dense_joint(*_total_state_raw(cfg)))
     # top-left 2x2 sub-block carries the idler state; everything else is 0
     idm = square(idler.to_density_matrix().entries)
     assert np.max(np.abs(arr[:2, :2] - idm)) < 1e-15
@@ -157,7 +158,7 @@ def test_total_state_reference_source_limit():
     cfg = InterferometerConfig(b1=0.0, b2_mag=1.0,
                                idler=IdlerStateParams.horizontal(),
                                q2=SourceQ2Params(0.5, 0.0))
-    arr = square(_total_state_raw(cfg))
+    arr = square(dense_joint(*_total_state_raw(cfg)))
     bell = np.zeros(8, dtype=complex)
     bell[4] = SQRT1_2
     bell[7] = SQRT1_2
@@ -168,7 +169,7 @@ def test_total_state_generic_entry():
     idler = IdlerStateParams(0.3, 1.2, 0.9)
     cfg = InterferometerConfig(b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3),
                                phi=0.9, idler=idler)
-    r8 = _total_state_raw(cfg)
+    r8 = dense_joint(*_total_state_raw(cfg))
     expected = (1.0 / 3.0) * 0.9 * math.sqrt(0.3 * 0.7) * cmath.exp(-1.2j)
     assert abs(r8[0 * 8 + 1] - expected) < 1e-15
 
@@ -178,7 +179,7 @@ def test_total_state_matches_reference_entrywise(setting):
     rng = Rng(77, 0)
     for _ in range(25):
         cfg = random_valid_config(rng, setting=SignalSetting(setting))
-        got = square(_total_state_raw(cfg))
+        got = square(dense_joint(*_total_state_raw(cfg)))
         ref = reference_total_state(
             cfg.b1, cfg.b2, cfg.idler.p_h, cfg.idler.xi, cfg.idler.purity,
             cfg.idler.purity, cfg.idler.purity, cfg.q2.p_h2, cfg.q2.theta,
@@ -484,9 +485,9 @@ def test_post_interaction_spectrum_and_fidelity(rng):
 def test_coherence_stress_boundary():
     rng = Rng(8, 0)
     cfg = random_valid_config(rng, purity=0.5)
-    ok = _total_state_raw(cfg, coherence_override=1.0)
+    ok = dense_joint(*_total_state_raw(cfg, coherence_override=1.0))
     assert eigh(ok, 8)[0] >= -1e-10
-    bad = _total_state_raw(cfg, coherence_override=1.2)
+    bad = dense_joint(*_total_state_raw(cfg, coherence_override=1.2))
     assert eigh(bad, 8)[0] <= -1e-4
 
 
@@ -500,7 +501,7 @@ def test_exact_pipeline_golden_bits():
     aligned, rates = [], []
     for _ in range(300):
         cfg = random_valid_config(rng)
-        aligned.extend(naive_aligned(_total_state_raw(cfg), cfg))
+        aligned.extend(naive_aligned(dense_joint(*_total_state_raw(cfg)), cfg))
         r = rates_exact(cfg)
         rates.extend((r.rate_h, r.rate_v))
     assert digest(aligned) == (

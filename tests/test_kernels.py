@@ -1,8 +1,7 @@
 """Kernel-level tests: PRNG streams against MT19937's published vector
 and golden draws, Poisson statistics, linear algebra against numpy, and the
 bits of the oracle's signal state against the trace of naive loops, of
-the eigensolver against itself before it skipped zero rows, and golden
-digests."""
+the eigensolver against its plain-loop reference, and golden digests."""
 
 import cmath
 import math
@@ -22,11 +21,13 @@ from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
                                    _total_state_raw, random_valid_config,
                                    rates_exact)
 from pitomo.states import IdlerStateParams
-from conftest import (IDLER_MODES, dense_alignment, dense_from_rows, digest,
-                      loop_marginal, naive_aligned, naive_sandwich,
-                      random_hermitian)
+from conftest import (IDLER_MODES, dense_alignment, dense_from_rows,
+                      dense_joint, digest, loop_marginal, naive_aligned,
+                      naive_sandwich, random_hermitian)
 
 MASK = (1 << 64) - 1
+# the modes of a matrix given densely on all eight joint modes
+_EVERY_MODE = tuple(range(8))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +281,18 @@ def _as_np(flat, r, c):
 def test_mat_mul_against_numpy(rng):
     """The aligned state K m K^dagger of the test reference, and the signal
     state traced from it, against numpy, for joint states and for dense
-    non-Hermitian m, on which every mode is live; with K the plain
+    non-Hermitian m, given on all eight modes; with K the plain
     embedding (t_h = t_v = 1) the aligned state is m itself, to the bit."""
     for _ in range(50):
         cfg = random_valid_config(rng)
         k = _as_np(dense_alignment(cfg), 12, 8)
         m = [complex(rng.random(), rng.random()) for _ in range(64)]
-        for r8 in (_total_state_raw(cfg), m):
+        for modes, block in (_total_state_raw(cfg), (_EVERY_MODE, m)):
+            r8 = dense_joint(modes, block)
             got = _as_np(naive_aligned(r8, cfg), 12, 12)
             ref = k @ _as_np(r8, 8, 8) @ k.conj().T
             assert np.max(np.abs(got - ref)) < 1e-13
-            rs = _as_np(_signal_state_raw(r8, cfg), 4, 4)
+            rs = _as_np(_signal_state_raw(modes, block, cfg), 4, 4)
             rs_ref = _as_np(loop_marginal(ref.ravel().tolist()), 4, 4)
             assert np.max(np.abs(rs - rs_ref)) < 1e-13
         got = _as_np(naive_aligned(m, replace(cfg, t_h=1.0, t_v=1.0)), 12, 12)
@@ -311,7 +313,7 @@ def test_dagger(rng):
         k = _as_np(dense_alignment(cfg), 12, 8)
         assert np.array_equal(kkd, kkd.conj().T)
         assert np.max(np.abs(kkd - k @ k.conj().T)) < 1e-14
-        rs = _as_np(_signal_state_raw(eye, cfg), 4, 4)
+        rs = _as_np(_signal_state_raw(_EVERY_MODE, eye, cfg), 4, 4)
         ref = _as_np(loop_marginal((k @ k.conj().T).ravel().tolist()), 4, 4)
         assert np.array_equal(rs, rs.conj().T)
         assert np.max(np.abs(rs - ref)) < 1e-14
@@ -386,10 +388,10 @@ _COL_1 = range(1, 64, 8)
 @given(_dead_mode_alignment())
 # m all zero: every mode is dead
 @example(([_SIGNED_ZEROS[k % 4] for k in range(64)], _CFG))
-# mode 1 has a zero row but a nonzero column, then the reverse: it is live
+# mode 1 has a zero row but a nonzero column, then the reverse
 @example((_m8_with(zeros=_ROW_1), _CFG))
 @example((_m8_with(zeros=_COL_1), _CFG))
-# a subnormal, the only nonzero of its row and column, keeps its mode live
+# a subnormal, the only nonzero of its row and column
 @example((_m8_with(zeros=[*_ROW_1, *_COL_1],
                    entries=[(9, complex(5e-324, 0.0))]), _CFG))
 # a transmission of modulus 0 with signed zeros, and one of modulus 1
@@ -397,7 +399,7 @@ _COL_1 = range(1, 64, 8)
 def test_sandwich_bits_equal_naive_loop_with_dead_modes(case):
     # the signal state is the trace of the naive K m K^dagger, to the bit
     m, cfg = case
-    assert list(map(repr, _signal_state_raw(m, cfg))) == list(map(
+    assert list(map(repr, _signal_state_raw(_EVERY_MODE, m, cfg))) == list(map(
         repr, loop_marginal(naive_aligned(m, cfg))))
 
 
@@ -410,10 +412,10 @@ def test_sandwich_bits_equal_naive_loop_on_alignment_and_recombiner():
     configs.append(InterferometerConfig.balanced(IdlerStateParams(0.3, 1.0, 0.7)))
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for cfg in configs:
-        r8 = _total_state_raw(cfg)
-        rs = _signal_state_raw(r8, cfg)
+        modes, block = _total_state_raw(cfg)
+        rs = _signal_state_raw(modes, block, cfg)
         assert list(map(repr, rs)) == list(map(repr, loop_marginal(
-            naive_aligned(r8, cfg))))
+            naive_aligned(dense_joint(modes, block), cfg))))
         full = naive_sandwich(bs, 4, 4, rs)
         assert list(map(repr, _detected_raw(rs))) == [
             repr(full[0].real), repr(full[5].real)]
@@ -426,7 +428,7 @@ def test_detected_rates_equal_naive_recombined_diagonal():
     bs = dense_from_rows(_BS_ROWS, 4, 4)
     for _ in range(2000):
         cfg = random_valid_config(rng)
-        rs = loop_marginal(naive_aligned(_total_state_raw(cfg), cfg))
+        rs = loop_marginal(naive_aligned(dense_joint(*_total_state_raw(cfg)), cfg))
         full = naive_sandwich(bs, 4, 4, rs)
         rates = rates_exact(cfg)
         assert (repr(rates.rate_h), repr(rates.rate_v)) == (
@@ -436,7 +438,7 @@ def test_detected_rates_equal_naive_recombined_diagonal():
 
 
 def _reference_eigh(a, n):
-    """The Jacobi eigensolver before it skipped exactly-zero rows, verbatim."""
+    """The Jacobi eigensolver as plain loops over whole rows and columns."""
     m = [0j] * (n * n)
     for i in range(n):
         m[i * n + i] = complex(a[i * n + i].real, 0.0)
@@ -536,39 +538,27 @@ def test_eigh_bits_equal_reference_with_zero_rows(n):
         sub[n - 1] = sub[n * (n - 1)] = complex(5e-324, 0.0)
         cases.append(sub)
     cases.append(random_hermitian(rng, n))
-    # mode z is live in a but its Hermitized row vanishes: its row is minus
-    # the dagger of its column and its diagonal imaginary, beside dead modes
+    # mode z's row is nonzero but its Hermitized row vanishes: its row is
+    # minus the dagger of its column and its diagonal imaginary, beside zero
+    # modes
     for z in range(n):
         anti = _with_zero_rows(rng, n)
         for j in range(n):
             if j != z:
                 anti[z * n + j] = -anti[j * n + z].conjugate()
         anti[z * n + z] = complex(_SIGNED_ZEROS[z % 4].real, 1.0 + rng.random())
-        assert z in kernels.live_modes(anti, n)
         cases.append(anti)
-    # live sets that are not a prefix of the modes
+    # nonzero modes that are not a prefix of the modes
     for keep in ({n - 1}, set(range(1, n, 2)), set(range(n // 2, n)),
                  {0, n - 1}):
         h = random_hermitian(rng, n)
         for i in set(range(n)) - keep:
             for j in range(n):
                 h[i * n + j] = h[j * n + i] = _SIGNED_ZEROS[(i + j) % 4]
-        assert kernels.live_modes(h, n) == sorted(keep)
         cases.append(h)
     for h in cases:
         assert list(map(repr, kernels.eigh(h, n))) == list(map(
             repr, _reference_eigh(h, n)))
-
-
-@pytest.mark.parametrize("setting", list(SignalSetting))
-def test_live_modes_of_the_joint_state(setting):
-    # source 1's two modes of the setting's signal polarization, and
-    # source 2's HH and VV
-    o = 0 if setting is SignalSetting.H else 2
-    rng = kernels.Rng(99, 0)
-    for _ in range(40):
-        r8 = _total_state_raw(random_valid_config(rng, setting=setting))
-        assert kernels.live_modes(r8, 8) == [o, o + 1, 4, 7]
 
 
 class _Reads(list):
@@ -586,23 +576,27 @@ class _Reads(list):
 
 
 @pytest.mark.parametrize("setting", list(SignalSetting))
-def test_the_alignment_forms_no_entry_outside_the_live_modes(setting):
-    # the signal state reads r8 once for each aligned entry the trace sums
-    # whose two modes are live, in the trace's order, and no other entry:
-    # 10 reads; the nine entries of rho_S with no such term are +0j
-    live = {0, 1, 4, 7} if setting is SignalSetting.H else {2, 3, 4, 7}
+def test_the_alignment_forms_no_entry_outside_the_support(setting):
+    # the signal state reads the joint state's block once for each aligned
+    # entry the trace sums whose two modes are on the support, in the
+    # trace's order, and no other entry: 10 reads; the nine entries of rho_S
+    # with no such term are +0j
+    support = (0, 1, 4, 7) if setting is SignalSetting.H else (2, 3, 4, 7)
     rng = kernels.Rng(98, 0)
     for _ in range(40):
         cfg = random_valid_config(rng, setting=setting)
-        r8 = _Reads(_total_state_raw(cfg))
-        rs = _signal_state_raw(r8, cfg)
-        cols = [l for l, _ in _alignment_isometry_raw(cfg)]
-        terms = [[cols[x] * 8 + cols[y]
+        modes, block = _total_state_raw(cfg)
+        assert modes == support
+        block = _Reads(block)
+        rs = _signal_state_raw(modes, block, cfg)
+        at = [modes.index(l) if l in modes else None
+              for l, _ in _alignment_isometry_raw(cfg)]
+        terms = [[at[x] * 4 + at[y]
                   for x, y in zip(IDLER_MODES[s], IDLER_MODES[sp])
-                  if cols[x] in live and cols[y] in live]
+                  if at[x] is not None and at[y] is not None]
                  for s in range(4) for sp in range(4)]
-        assert r8.read == [k for t in terms for k in t]
-        assert len(r8.read) == 10
+        assert block.read == [k for t in terms for k in t]
+        assert len(block.read) == 10
         assert [repr(rs[e]) for e, t in enumerate(terms) if not t] == [repr(0j)] * 9
 
 
@@ -619,6 +613,29 @@ def _degenerate(cfg):
 
 
 @pytest.mark.parametrize("setting", list(SignalSetting))
+def test_the_block_holds_the_joint_states_trace_and_least_eigenvalue(setting):
+    # the 8x8 joint state is zero off its support, so its trace and least
+    # eigenvalue are, to the bit, the block's trace and the least of the
+    # block's eigenvalues and 0.0; over seeded and edge configurations and
+    # the coherence overrides that verify uses
+    support = (0, 1, 4, 7) if setting is SignalSetting.H else (2, 3, 4, 7)
+    rng = kernels.Rng(3141, 0)
+    for _ in range(100):
+        cfg = random_valid_config(rng, setting=setting)
+        for c in (cfg, *_degenerate(cfg), replace(cfg, t_v=0j)):
+            for coherence in (None, 0.0, 1.2):
+                modes, block = _total_state_raw(c, coherence)
+                assert modes == support
+                r8 = dense_joint(modes, block)
+                assert not any(r8[i * 8 + j] for i in range(8) for j in range(8)
+                               if i not in modes or j not in modes)
+                assert repr(kernels.plain_sum(r8[::9], 0j)) == repr(
+                    kernels.plain_sum(block[::5], 0j))
+                assert repr(_reference_eigh(r8, 8)[0]) == repr(
+                    min(kernels.eigh(block, 4)[0], 0.0))
+
+
+@pytest.mark.parametrize("setting", list(SignalSetting))
 def test_signal_state_bits_equal_trace_of_naive_sandwich(setting):
     # rho_S and both rates, over 1500 seeded configurations per setting and
     # one edge case of each, against the naive K r8 K^dagger traced in the
@@ -627,9 +644,10 @@ def test_signal_state_bits_equal_trace_of_naive_sandwich(setting):
     for k in range(1500):
         cfg = random_valid_config(rng, setting=setting)
         for c in (cfg, _degenerate(cfg)[k % 6]):
-            r8 = _total_state_raw(c)
-            want = loop_marginal(naive_aligned(r8, c))
-            assert list(map(repr, _signal_state_raw(r8, c))) == list(map(repr, want))
+            modes, block = _total_state_raw(c)
+            want = loop_marginal(naive_aligned(dense_joint(modes, block), c))
+            assert list(map(repr, _signal_state_raw(modes, block, c))) == list(
+                map(repr, want))
             rates = rates_exact(c)
             assert list(map(repr, (rates.rate_h, rates.rate_v))) == list(
                 map(repr, _detected_raw(want)))
@@ -646,7 +664,8 @@ def _eigh_digest(matrices):
 
 def test_eigh_golden_total_states():
     rng = kernels.Rng(2718, 0)
-    states = [_total_state_raw(random_valid_config(rng)) for _ in range(40)]
+    states = [dense_joint(*_total_state_raw(random_valid_config(rng)))
+              for _ in range(40)]
     assert _eigh_digest(states) == (
         "29efa812ee244c1a568b0168d32d4faa0ccfc992fae276eb0515de5f0c76d1a8")
 
@@ -659,6 +678,6 @@ def test_eigh_golden_stressed_states():
             IdlerStateParams(rng.random(), 2.0 * math.pi * rng.random(),
                              rng.random()),
             phi=2.0 * math.pi * rng.random())
-        states.append(_total_state_raw(cfg, coherence_override=1.2))
+        states.append(dense_joint(*_total_state_raw(cfg, coherence_override=1.2)))
     assert _eigh_digest(states) == (
         "7a083b7feb78216b32f07f1e6754107ff4dd467e36da79dc1d6d64ef0e8397d4")

@@ -14,7 +14,7 @@ from pitomo.states import (DensityMatrix, IdlerStateParams, fidelity_mixed,
 from pitomo.interferometer import (InterferometerConfig, _BS_ROWS,
                                    _total_state_raw)
 from pitomo._kernels import Rng, eigh
-from conftest import dense_from_rows, random_hermitian
+from conftest import dense_from_rows, dense_joint, random_hermitian
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -164,14 +164,14 @@ def test_psd_boundary_case():
 def test_psd_full_coherence_total_state():
     idler = IdlerStateParams(0.5, 0.9, 1.0)
     cfg = InterferometerConfig(b1=0.6, b2_mag=0.8, phi=0.7, idler=idler)
-    assert _is_psd(_total_state_raw(cfg), 8)
+    assert _is_psd(dense_joint(*_total_state_raw(cfg)), 8)
 
 
 def test_psd_detects_overcoherent_state():
     idler = IdlerStateParams(0.5, 1.2, 1.0)
     cfg = InterferometerConfig(b1=1 / math.sqrt(3), b2_mag=math.sqrt(2 / 3),
                                phi=0.7, idler=idler)
-    raw = _total_state_raw(cfg, coherence_override=1.5)
+    raw = dense_joint(*_total_state_raw(cfg, coherence_override=1.5))
     assert eigh(raw, 8)[0] < -1e-10
     # numpy agrees the spectrum is genuinely negative
     ref = np.linalg.eigvalsh(np.array(raw).reshape(8, 8))
